@@ -13,13 +13,14 @@ relators by position.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Optional
 
 from .presentations import GroupHom, Presentation, presentation
 from .surfaces import RP2, TORUS, SurfaceKind
-from .words import Word, make_alphabet
+from .words import Alphabet, Word, make_alphabet
 
 _RP2_NAME_RE = re.compile(r"P(\d+)\(RP2\)")
 
@@ -40,23 +41,32 @@ def _b_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
+def _rp2_word_helpers(alphabet: Alphabet):
+    """B(i, j, exp) and rho(k, exp) generator words over a P_n(RP2) alphabet."""
+    index = {sym.name: sym.index for sym in alphabet}
+
+    def B(i: int, j: int, exp: int = 1) -> Word:
+        return Word.generator(alphabet, index[_b_name(i, j)], exp)
+
+    def rho(k: int, exp: int = 1) -> Word:
+        return Word.generator(alphabet, index[f"rho{k}"], exp)
+
+    return B, rho
+
+
+@functools.lru_cache
 def pure_braid_rp2(n: int) -> Presentation:
-    """The n-strand pure braid group of the projective plane."""
+    """The n-strand pure braid group of the projective plane.
+
+    Built once per strand count and process; the presentation is frozen,
+    so every caller shares it.
+    """
     if n < 1:
         raise AtlasError("strand count must be >= 1")
     pairs = _b_pairs(n)
     names = [_b_name(i, j) for i, j in pairs] + [f"rho{k}" for k in range(1, n + 1)]
     alphabet = make_alphabet(names)
-    index = {name: k for k, name in enumerate(names)}
-
-    def gen(name: str, exp: int = 1) -> Word:
-        return Word.generator(alphabet, index[name], exp)
-
-    def B(i: int, j: int, exp: int = 1) -> Word:
-        return gen(_b_name(i, j), exp)
-
-    def rho(k: int, exp: int = 1) -> Word:
-        return gen(f"rho{k}", exp)
+    B, rho = _rp2_word_helpers(alphabet)
 
     def prod(*ws: Word) -> Word:
         out = Word.identity(alphabet)
@@ -117,24 +127,11 @@ def rp2_strand_count(p: Presentation) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-def _rp2_word_helpers(n: int):
-    p = pure_braid_rp2(n)
-    index = {sym.name: sym.index for sym in p.alphabet}
-
-    def B(i: int, j: int, exp: int = 1) -> Word:
-        return Word.generator(p.alphabet, index[_b_name(i, j)], exp)
-
-    def rho(k: int, exp: int = 1) -> Word:
-        return Word.generator(p.alphabet, index[f"rho{k}"], exp)
-
-    return p, B, rho
-
-
 def b_ij_as_rho(n: int, i: int, j: int) -> Word:
     """The rho-word rho_j rho_i^-1 rho_j^-1 rho_i equal to B_ij."""
     if not 1 <= i < j <= n:
         raise AtlasError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    _, _, rho = _rp2_word_helpers(n)
+    _, rho = _rp2_word_helpers(pure_braid_rp2(n).alphabet)
     return rho(j) * rho(i, -1) * rho(j, -1) * rho(i)
 
 
@@ -147,7 +144,8 @@ def tau_component(n: int, i: int, form: str = "B") -> Word:
     """
     if not 1 <= i <= n:
         raise AtlasError(f"need 1 <= i <= n, got i={i}, n={n}")
-    p, B, rho = _rp2_word_helpers(n)
+    p = pure_braid_rp2(n)
+    B, rho = _rp2_word_helpers(p.alphabet)
     if form == "B":
         out = Word.identity(p.alphabet)
         for j in range(i + 1, n + 1):
@@ -165,7 +163,7 @@ def tau_n(n: int, form: str = "B") -> Word:
     """The generator of the center of P_n(RP2): tau_n1 * ... * tau_nn."""
     if n < 1:
         raise AtlasError("strand count must be >= 1")
-    p, _, _ = _rp2_word_helpers(n)
+    p = pure_braid_rp2(n)
     out = Word.identity(p.alphabet)
     for i in range(1, n + 1):
         out = out * tau_component(n, i, form)

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import atlas, coverings
 from .coset import (
-    DEFAULT_MAX_COSETS, group_order, is_central_finite,
+    DEFAULT_MAX_COSETS, EnumerationError, group_order, is_central_finite,
     table_equality_oracle, todd_coxeter, word_equal_finite,
 )
 from .derivations import (
@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _budget_value(text: str) -> int:
+    """argparse type of the budget flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="braidkernel", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -61,9 +72,9 @@ def _build_parser() -> _Parser:
         if input_file:
             p.add_argument("--input", default=None,
                            help="presentation file (default: stdin)")
-            p.add_argument("--max-cosets", type=int, default=None,
-                           help=f"enumeration budget (default {DEFAULT_MAX_COSETS}, "
-                                f"or ${ENV_MAX_COSETS})")
+            p.add_argument("--max-cosets", type=_budget_value, default=None,
+                           help="enumeration budget: most live cosets, inclusive "
+                                f"(default {DEFAULT_MAX_COSETS}, or ${ENV_MAX_COSETS})")
 
     p = sub.add_parser("build", help="print an atlas presentation")
     p.add_argument("--surface", required=True,
@@ -85,7 +96,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hom-check", help="verify a homomorphism map file")
     p.add_argument("--map", required=True, dest="map_file")
     common(p, input_file=False)
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_budget_value, default=None,
+                   help="enumeration budget: most live cosets, inclusive")
 
     p = sub.add_parser("equal", help="decide or certify a word equality")
     p.add_argument("--lhs", required=True)
@@ -94,10 +106,10 @@ def _build_parser() -> _Parser:
     mode.add_argument("--table", action="store_true", help="coset-table oracle (default)")
     mode.add_argument("--search", action="store_true", help="derivation-chain search")
     mode.add_argument("--rewrite", action="store_true", help="Knuth-Bendix normal forms")
-    p.add_argument("--max-word-len", type=int, default=DEFAULT_MAX_WORD_LEN)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--max-rules", type=int, default=DEFAULT_MAX_RULES)
-    p.add_argument("--max-len", type=int, default=DEFAULT_MAX_LEN)
+    p.add_argument("--max-word-len", type=_budget_value, default=DEFAULT_MAX_WORD_LEN)
+    p.add_argument("--max-nodes", type=_budget_value, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-rules", type=_budget_value, default=DEFAULT_MAX_RULES)
+    p.add_argument("--max-len", type=_budget_value, default=DEFAULT_MAX_LEN)
     common(p)
 
     p = sub.add_parser("kernel", help="kernel description for a quotient surface")
@@ -149,8 +161,6 @@ def _load_presentation(args) -> Presentation:
 
 def _budget(args) -> int:
     if getattr(args, "max_cosets", None) is not None:
-        if args.max_cosets < 1:
-            raise UsageError("--max-cosets must be positive")
         return args.max_cosets
     env = os.environ.get(ENV_MAX_COSETS)
     if env is not None:
@@ -440,7 +450,8 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (WordError, PresentationError, SurfaceError, ChainError,
-            coverings.CoveringError, atlas.AtlasError, OSError) as exc:
+            EnumerationError, coverings.CoveringError, atlas.AtlasError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -77,14 +77,42 @@ class CosetTable:
         return coset
 
     def trace_word(self, coset: int, w: Word) -> Optional[int]:
+        """The coset reached from ``coset`` by reading w, or None where an
+        undefined entry stops the walk.
+
+        Reads one syllable (g, e) as up to |e| steps along one column.  A
+        walk that comes back to the syllable's start coset after k < |e|
+        steps has found a cycle of fixed, defined entries, so only the
+        last (|e| - k) mod k steps are taken; the cost grows with the
+        number of syllables and the cycle lengths, not the exponents.
+        """
         if w.alphabet != self.presentation.alphabet:
             raise EnumerationError("word is not over the table's alphabet")
-        return self.trace(coset, word_to_letters(w))
+        rows = self.rows
+        for gen, exp in w.syllables:
+            x = 2 * gen if exp > 0 else 2 * gen + 1
+            steps = abs(exp)
+            start = coset
+            for k in range(1, steps + 1):
+                coset = rows[coset - 1][x]
+                if coset is None:
+                    return None
+                if coset == start:
+                    for _ in range((steps - k) % k):
+                        coset = rows[coset - 1][x]
+                    break
+        return coset
 
 
 def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                  max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Enumerate cosets of <subgroup_gens> in the group presented by p."""
+    """Enumerate cosets of <subgroup_gens> in the group presented by p.
+
+    ``max_cosets`` is inclusive: the live coset count never exceeds it.
+    When a new coset would be the (max_cosets + 1)-th live one, the
+    enumeration stops with status "budget-exceeded", and the returned
+    table has exactly ``max_cosets`` rows.
+    """
     if p.ngens == 0:
         raise EnumerationError("cannot enumerate over an empty alphabet")
     if max_cosets < 1:
@@ -112,14 +140,14 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
 
     def define(c: int, x: int) -> int:
         nonlocal live_count
+        if live_count >= max_cosets:
+            raise _BudgetExceeded
         d = len(table)
         table.append([None] * ncols)
         parent.append(d)
         table[c][x] = d
         table[d][letter_inverse(x)] = c
         live_count += 1
-        if live_count > max_cosets:
-            raise _BudgetExceeded
         return d
 
     def merge(a: int, b: int, queue: deque):

@@ -189,10 +189,10 @@ def substitute(h: GroupHom, w: Word) -> Word:
     """
     if w.alphabet != h.source.alphabet:
         raise PresentationError("word is not over the source alphabet")
-    out = Word.identity(h.target.alphabet)
+    sylls: list[tuple[int, int]] = []
     for gen, exp in w.syllables:
-        out = multiply(out, h.images[gen] ** exp)
-    return out
+        sylls.extend((h.images[gen] ** exp).syllables)
+    return Word.from_syllables(h.target.alphabet, sylls)
 
 
 @dataclass(frozen=True)

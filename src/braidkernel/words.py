@@ -121,13 +121,23 @@ class Word:
         return multiply(self, other)
 
     def __pow__(self, n: int) -> "Word":
+        # conjugator * core^n * conjugator^-1, normalized in one pass:
+        # a one-syllable core becomes one syllable, and a longer core
+        # repeats with at most one merge per seam, so the cost is linear
+        # in the output's syllable count
+        if not isinstance(n, int):
+            return NotImplemented
         if n == 0:
             return Word.identity(self.alphabet)
-        base = self if n > 0 else self.inverse()
-        result = base
-        for _ in range(abs(n) - 1):
-            result = multiply(result, base)
-        return result
+        core, conjugator = cyclic_reduce(self if n > 0 else self.inverse())
+        if len(core.syllables) == 1:
+            gen, exp = core.syllables[0]
+            middle = ((gen, exp * abs(n)),)
+        else:
+            middle = core.syllables * abs(n)
+        return Word.from_syllables(
+            self.alphabet,
+            conjugator.syllables + middle + conjugator.inverse().syllables)
 
     def __str__(self):
         return format_word(self)
@@ -155,15 +165,26 @@ def conjugate(u: Word, w: Word) -> Word:
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
-    """Split w as conjugator * core * conjugator^-1 with core cyclically reduced."""
-    letters = list(word_to_letters(w))
-    prefix: list[int] = []
-    while len(letters) >= 2 and letters[0] == letters[-1] ^ 1:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    core = letters_to_word(w.alphabet, letters)
-    conjugator = letters_to_word(w.alphabet, prefix)
-    return core, conjugator
+    """Split w as conjugator * core * conjugator^-1 with core cyclically reduced.
+
+    Works per syllable: matching end syllables (same generator, opposite
+    signs) are peeled by the smaller of their two exponents at a time.
+    """
+    sylls = list(w.syllables)
+    peeled: list[tuple[int, int]] = []
+    i, j = 0, len(sylls) - 1
+    while i < j and sylls[i][0] == sylls[j][0] and sylls[i][1] * sylls[j][1] < 0:
+        gen, a = sylls[i]
+        b = sylls[j][1]
+        step = min(abs(a), abs(b)) * (1 if a > 0 else -1)
+        peeled.append((gen, step))
+        sylls[i], sylls[j] = (gen, a - step), (gen, b + step)
+        if a == step:
+            i += 1
+        if b == -step:
+            j -= 1
+    core = Word(w.alphabet, tuple(sylls[i:j + 1]))
+    return core, Word.from_syllables(w.alphabet, peeled)
 
 
 # letter-level view -------------------------------------------------------

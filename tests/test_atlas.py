@@ -107,6 +107,11 @@ def test_strand_count_from_name():
     assert rp2_strand_count(quaternion_presentation()) is None
 
 
+def test_presentation_built_once():
+    assert pure_braid_rp2(5) is pure_braid_rp2(5)
+    assert forget_strands_hom(5, 3).source is pure_braid_rp2(5)
+
+
 def test_invalid_strand_counts():
     with pytest.raises(AtlasError):
         pure_braid_rp2(0)

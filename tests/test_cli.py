@@ -1,6 +1,9 @@
+import hashlib
 import pathlib
 import io
 import json
+
+import pytest
 
 from braidkernel.cli import run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
@@ -55,6 +58,34 @@ def test_central_tau_rejected_off_atlas(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["central", "--element", "tau"],
                           stdin=text, monkeypatch=monkeypatch)
     assert code == 3 and "error:" in err
+
+
+# sha256 of `build --surface rp2 --n k` for k = 1..8; relator order is part
+# of the chain-certificate format, so the text must not change
+BUILD_RP2_SHA256 = [
+    "46ad033195a63dbf910e3971a9e32ad337c810d311e8a7e735ea30a2c91130c0",
+    "df5c609406031355d915e1351aa340d20c9fbdf43e714ef9e54ff35a75f34257",
+    "324a275be3270614e1bcb4c3cdb9b7531daccd6c13b7b58c3e28ffd2d2697df9",
+    "3be100c1ed416c39a3f69bf69afd14fb11d0f0a0d1a44026e9a089170da459d7",
+    "f1bf8e3461ae81e74c8a39abad3a1a38249327c25013c462ad4f75ab5065730f",
+    "0f6eeaadd6152f00990cde143fac39f3027acd5a2ea373eadf45c55328bf58e8",
+    "b23a8143b40fbf7338d50e09e5d44b95366cd9c2a527a87e0fa5c2cfa5cc1878",
+    "b001e84311bc43e0cace2488f3dfb26c37313fc9847d18f7b201f0adec2904c6",
+]
+
+
+def test_build_rp2_output_pinned(capsys):
+    for k, digest in enumerate(BUILD_RP2_SHA256, start=1):
+        out = build_rp2(capsys, k)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, k
+
+
+def test_order_budget_is_inclusive(capsys, monkeypatch):
+    pres = build_rp2(capsys, 3)
+    code, _, err = invoke(capsys, ["order", "--max-cosets", "500"],
+                          stdin=pres, monkeypatch=monkeypatch)
+    assert code == 2
+    assert err == "undecided: enumeration budget exhausted at 500 live cosets\n"
 
 
 def test_order_budget_exhaustion_exits_2(capsys, monkeypatch):
@@ -266,3 +297,24 @@ def test_json_envelope_everywhere(capsys, monkeypatch, tmp_path):
         payload = json.loads(out)
         assert "result" in payload
         assert json.dumps(payload, indent=2) + "\n" == out
+
+
+EQUAL_ARGS = ["equal", "--lhs", "a", "--rhs", "a"]
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["order"], "group G\ngens\n"),
+    (["order", "--max-cosets", "0"], "group G\ngens a\nrel a^3\n"),
+    (["hom-check", "--map", "x.hom", "--max-cosets", "-1"], None),
+    (EQUAL_ARGS + ["--rewrite", "--max-rules", "0"], "group G\ngens a\nrel a^3\n"),
+    (EQUAL_ARGS + ["--rewrite", "--max-len", "0"], "group G\ngens a\nrel a^3\n"),
+    (EQUAL_ARGS + ["--search", "--max-nodes", "0"], "group G\ngens a\nrel a^3\n"),
+    (EQUAL_ARGS + ["--search", "--max-word-len", "0"], "group G\ngens a\nrel a^3\n"),
+    (EQUAL_ARGS + ["--search", "--max-nodes", "many"], "group G\ngens a\nrel a^3\n"),
+])
+def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    code, _, err = invoke(capsys, argv)
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -9,7 +9,7 @@ from braidkernel import (
     is_central_finite, perm_rep, presentation, pure_braid_rp2,
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
 )
-from braidkernel.words import letter_inverse, word_to_letters
+from braidkernel.words import Word, letter_inverse, word_to_letters
 
 
 def assert_table_invariants(table):
@@ -248,3 +248,51 @@ def test_budget_exceeded_is_status_not_exception():
     with pytest.raises(IncompleteTableError):
         word_equal_finite(table, torus_presentation().gen("a"),
                           torus_presentation().gen("b"))
+
+
+# syllable-level table reads ---------------------------------------------------------
+
+S5_RELATIONS = ["s1^2", "s2^2", "s3^2", "s4^2",
+                "s1 s2 s1 s2 s1 s2", "s2 s3 s2 s3 s2 s3", "s3 s4 s3 s4 s3 s4",
+                "s1 s3 s1 s3", "s1 s4 s1 s4", "s2 s4 s2 s4"]
+
+
+@pytest.fixture(scope="module")
+def read_tables(q8_table):
+    s5 = presentation("S5", ["s1", "s2", "s3", "s4"], S5_RELATIONS)
+    capped = todd_coxeter(pure_braid_rp2(3), max_cosets=500)
+    assert not capped.is_complete
+    return [q8_table, todd_coxeter(s5), capped]
+
+
+def test_trace_word_matches_letter_walk(read_tables):
+    # exponents up to +-1000 run far past every column cycle, so the
+    # cycle skip is exercised; the capped table also stops on undefined
+    # entries
+    rng = random.Random(11)
+    for table in read_tables:
+        p = table.presentation
+        stopped = 0
+        for _ in range(300):
+            sylls = [(rng.randrange(p.ngens), rng.randint(-1000, 1000))
+                     for _ in range(rng.randrange(5))]
+            w = Word.from_syllables(p.alphabet, sylls)
+            c = rng.randint(1, table.n_cosets)
+            expected = table.trace(c, word_to_letters(w))
+            assert table.trace_word(c, w) == expected
+            stopped += expected is None
+        assert stopped > 0 or table.is_complete
+
+
+def test_trace_word_large_exponents(q8, q8_table):
+    # rho1 has order 4 in Q8
+    u = q8.word("rho1^480000 rho2 rho1^470002")
+    assert word_equal_finite(q8_table, u, q8.word("rho2 rho1^2"))
+    assert not word_equal_finite(q8_table, u, q8.word("rho2"))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 17, 100, 500])
+def test_budget_is_inclusive(budget):
+    table = todd_coxeter(pure_braid_rp2(3), max_cosets=budget)
+    assert table.status == "budget-exceeded"
+    assert table.n_cosets == budget

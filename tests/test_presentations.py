@@ -8,8 +8,13 @@ from braidkernel import (
     quotient, substitute, table_equality_oracle, todd_coxeter,
     torus_presentation, group_order,
 )
+from hypothesis import given, strategies as st
+
 from braidkernel.presentations import parse_relation, PresentationFormatError
-from braidkernel.words import make_alphabet, parse_word
+from braidkernel.words import (
+    Word, free_reduce_letters, letters_to_word, make_alphabet, parse_word,
+    word_to_letters,
+)
 
 
 def test_relation_equals_form():
@@ -162,6 +167,40 @@ def test_substitute_is_multiplicative(q8, q8_table):
     u = klein.word("x y^-1")
     v = klein.word("y x x")
     assert substitute(hom, u * v) == substitute(hom, u) * substitute(hom, v)
+
+
+def substitute_by_letters(h, w):
+    """Reference: expand every image letter by letter, then reduce once."""
+    letters = []
+    for gen, exp in w.syllables:
+        image = h.images[gen] if exp > 0 else h.images[gen].inverse()
+        letters.extend(word_to_letters(image) * abs(exp))
+    return letters_to_word(h.target.alphabet, free_reduce_letters(letters))
+
+
+S4_GENS = ["s1", "s2", "s3", "s4"]
+_images = st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2)), max_size=5)
+
+
+@given(st.tuples(_images, _images),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(-30, 30)), max_size=6))
+def test_substitute_matches_letter_reference(images, sylls):
+    source = presentation("F2", ["x", "y"], [])
+    target = presentation("F4", S4_GENS, [])
+    hom = GroupHom(source, target, tuple(
+        Word.from_syllables(target.alphabet, img) for img in images))
+    word = Word.from_syllables(source.alphabet, sylls)
+    assert substitute(hom, word) == substitute_by_letters(hom, word)
+
+
+def test_substitute_scale():
+    source = presentation("Z", ["x"], [])
+    target = presentation("F4", S4_GENS, [])
+    hom = GroupHom(source, target, (target.word("s1 s2 s3 s4"),))
+    image = substitute(hom, source.word("x^1000"))
+    assert image == substitute_by_letters(hom, source.word("x^1000"))
+    assert image == target.word("s1 s2 s3 s4") ** 1000
+    assert image.letter_length == 4000
 
 
 # text format --------------------------------------------------------------------

@@ -216,3 +216,55 @@ def test_word_invariants_enforced():
         Word(AB, ((0, 1), (0, 2)))
     with pytest.raises(WordError):
         Word(AB, ((5, 1),))
+
+
+# syllable-level kernels against letter-level references -------------------------
+
+def cyclic_reduce_by_letters(word):
+    """Reference: strip matching end letters one pair at a time."""
+    letters = list(word_to_letters(word))
+    prefix = []
+    while len(letters) >= 2 and letters[0] == letters[-1] ^ 1:
+        prefix.append(letters[0])
+        letters = letters[1:-1]
+    return (letters_to_word(word.alphabet, letters),
+            letters_to_word(word.alphabet, prefix))
+
+
+# words shaped like conjugates, so the end syllables often cancel
+conjugate_shaped = st.tuples(syllable_lists, syllable_lists).map(
+    lambda cs: cs[0] + cs[1] + [(g, -e) for g, e in reversed(cs[0])])
+
+
+@given(st.one_of(syllable_lists, conjugate_shaped))
+def test_cyclic_reduce_matches_letter_reference(sylls):
+    word = Word.from_syllables(AB, sylls)
+    assert cyclic_reduce(word) == cyclic_reduce_by_letters(word)
+
+
+@given(st.one_of(syllable_lists, conjugate_shaped), st.integers(-8, 8))
+def test_power_is_repeated_product(sylls, n):
+    word = Word.from_syllables(AB, sylls)
+    expected = Word.identity(AB)
+    for _ in range(abs(n)):
+        expected = expected * (word if n > 0 else word.inverse())
+    assert word ** n == expected
+
+
+def test_power_examples():
+    assert w("a b a^-1") ** 3 == w("a b^3 a^-1")
+    assert w("a^2 b a^-1") ** 2 == w("a^2 b a b a^-1")
+    assert w("a b") ** -2 == w("b^-1 a^-1 b^-1 a^-1")
+    assert w("a b^2 a") ** 2 == w("a b^2 a^2 b^2 a")
+    assert w("1") ** 5 == w("1")
+    assert w("a") ** 0 == w("1")
+    with pytest.raises(TypeError):
+        w("a") ** 1.5
+
+
+def test_power_scale():
+    # a one-syllable core stays one syllable, whatever the exponent
+    assert w("a b^3 a^-1") ** 10 ** 9 == w("a b^3000000000 a^-1")
+    big = w("a b") ** 100000
+    assert big.letter_length == 200000
+    assert len(big.syllables) == 200000
