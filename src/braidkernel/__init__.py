@@ -2,8 +2,8 @@
 rewriting certificates, and covering arithmetic."""
 
 from .words import (
-    GeneratorSymbol, Word, WordError, conjugate, cyclic_reduce, format_word,
-    invert, make_alphabet, multiply, parse_word, shortlex_compare,
+    BraidkernelError, GeneratorSymbol, Word, WordError, conjugate, cyclic_reduce,
+    format_word, make_alphabet, multiply, parse_word, shortlex_compare,
 )
 from .presentations import (
     AbelianInvariants, GroupHom, HomCheckResult, Presentation,
@@ -11,7 +11,7 @@ from .presentations import (
     compose_hom, format_presentation, hom_check, parse_presentation,
     parse_relation, presentation, quotient, substitute,
 )
-from .snf import smith_normal_form
+from .snf import MatrixError, smith_normal_form
 from .coset import (
     CosetTable, EnumerationError, IncompleteTableError, center_order_finite,
     coset_representatives, group_order, is_central_finite, perm_rep,
@@ -37,9 +37,8 @@ from .atlas import (
     tau_component, tau_n, torus_presentation,
 )
 from .coverings import (
-    ActionSpec, CoverDecision, CoveringError, KernelDescription,
-    action_quotients, can_cover, kernel_description, quotient_candidates,
-    torus_action_forms,
+    CoverDecision, CoveringError, KernelDescription, can_cover,
+    kernel_description, quotient_candidates, torus_action_forms,
 )
 
 __version__ = "0.1.0"

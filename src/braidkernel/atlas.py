@@ -20,12 +20,12 @@ from typing import Optional
 
 from .presentations import GroupHom, Presentation, presentation
 from .surfaces import RP2, TORUS, SurfaceKind
-from .words import Alphabet, Word, make_alphabet
+from .words import Alphabet, BraidkernelError, Word, make_alphabet
 
 _RP2_NAME_RE = re.compile(r"P(\d+)\(RP2\)")
 
 
-class AtlasError(ValueError):
+class AtlasError(BraidkernelError):
     pass
 
 
@@ -248,20 +248,12 @@ def forget_strands_hom(n: int, m: int) -> GroupHom:
     """
     if not 1 <= m < n:
         raise AtlasError(f"need 1 <= m < n, got m={m}, n={n}")
-    source = pure_braid_rp2(n)
     target = pure_braid_rp2(m)
-    images = []
-    for i, j in _b_pairs(n):
-        if j <= m:
-            images.append(target.gen(_b_name(i, j)))
-        else:
-            images.append(Word.identity(target.alphabet))
-    for k in range(1, n + 1):
-        if k <= m:
-            images.append(target.gen(f"rho{k}"))
-        else:
-            images.append(Word.identity(target.alphabet))
-    return GroupHom(source, target, tuple(images))
+    B, rho = _rp2_word_helpers(target.alphabet)
+    one = Word.identity(target.alphabet)
+    images = [B(i, j) if j <= m else one for i, j in _b_pairs(n)]
+    images += [rho(k) if k <= m else one for k in range(1, n + 1)]
+    return GroupHom(pure_braid_rp2(n), target, tuple(images))
 
 
 __all__ = [

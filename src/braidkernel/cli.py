@@ -19,20 +19,20 @@ from typing import Optional
 
 from . import atlas, coverings
 from .coset import (
-    DEFAULT_MAX_COSETS, EnumerationError, group_order, is_central_finite,
-    table_equality_oracle, todd_coxeter, word_equal_finite,
+    DEFAULT_MAX_COSETS, group_order, is_central_finite, table_equality_oracle,
+    todd_coxeter, word_equal_finite,
 )
 from .derivations import (
     DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN, ChainError, check_derivation,
     format_chain, parse_chain_file, search_equality,
 )
 from .presentations import (
-    GroupHom, Presentation, PresentationError, abelianization,
-    format_presentation, hom_check, parse_presentation,
+    GroupHom, Presentation, abelianization, format_presentation, hom_check,
+    parse_presentation,
 )
-from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix, normal_form
-from .surfaces import TORUS, SurfaceError, describe_surface, parse_surface
-from .words import WordError, format_word, parse_word
+from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix, rewrite_equality_oracle
+from .surfaces import TORUS, describe_surface, parse_surface
+from .words import BraidkernelError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -72,9 +72,9 @@ def _build_parser() -> _Parser:
         if input_file:
             p.add_argument("--input", default=None,
                            help="presentation file (default: stdin)")
-            p.add_argument("--max-cosets", type=_budget_value, default=None,
-                           help="enumeration budget: most live cosets, inclusive "
-                                f"(default {DEFAULT_MAX_COSETS}, or ${ENV_MAX_COSETS})")
+        p.add_argument("--max-cosets", type=_budget_value, default=None,
+                       help="enumeration budget: most live cosets, inclusive "
+                            f"(default {DEFAULT_MAX_COSETS}, or ${ENV_MAX_COSETS})")
 
     p = sub.add_parser("build", help="print an atlas presentation")
     p.add_argument("--surface", required=True,
@@ -96,8 +96,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("hom-check", help="verify a homomorphism map file")
     p.add_argument("--map", required=True, dest="map_file")
     common(p, input_file=False)
-    p.add_argument("--max-cosets", type=_budget_value, default=None,
-                   help="enumeration budget: most live cosets, inclusive")
 
     p = sub.add_parser("equal", help="decide or certify a word equality")
     p.add_argument("--lhs", required=True)
@@ -258,7 +256,7 @@ def _parse_hom_file(text: str) -> GroupHom:
     ``begin target``/``end`` block in the presentation format, then one
     ``send <gen> = <word>`` line per source generator."""
     blocks: dict[str, list[str]] = {}
-    sends: list[tuple[str, str]] = []
+    sends: dict[str, str] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if current is not None:
@@ -277,13 +275,18 @@ def _parse_hom_file(text: str) -> GroupHom:
         elif key == "begin":
             if rest not in ("source", "target"):
                 raise UsageError(f"line {lineno}: begin must name source or target")
+            if rest in blocks:
+                raise UsageError(f"line {lineno}: duplicate begin {rest}")
             current = rest
             blocks[current] = []
         elif key == "send":
             gen, eq, image = rest.partition("=")
             if not eq:
                 raise UsageError(f"line {lineno}: send needs '<gen> = <word>'")
-            sends.append((gen.strip(), image.strip()))
+            gen = gen.strip()
+            if gen in sends:
+                raise UsageError(f"line {lineno}: duplicate send line for {gen}")
+            sends[gen] = image.strip()
         else:
             raise UsageError(f"line {lineno}: unknown directive {key!r}")
     if current is not None:
@@ -292,21 +295,22 @@ def _parse_hom_file(text: str) -> GroupHom:
         raise UsageError("map file needs source and target blocks")
     source = parse_presentation("\n".join(blocks["source"]))
     target = parse_presentation("\n".join(blocks["target"]))
-    by_name = dict(sends)
-    images = []
-    for sym in source.alphabet:
-        if sym.name not in by_name:
-            raise UsageError(f"no send line for generator {sym.name}")
-        images.append(parse_word(by_name[sym.name], target.alphabet))
-    return GroupHom(source, target, tuple(images))
+    names = [sym.name for sym in source.alphabet]
+    for gen in sends:
+        if gen not in names:
+            raise UsageError(f"send line for unknown source generator {gen}")
+    for name in names:
+        if name not in sends:
+            raise UsageError(f"no send line for generator {name}")
+    images = tuple(parse_word(sends[name], target.alphabet) for name in names)
+    return GroupHom(source, target, images)
 
 
 def _cmd_hom_check(args) -> int:
     with open(args.map_file, encoding="utf-8") as fh:
         hom = _parse_hom_file(fh.read())
-    table = todd_coxeter(hom.target, max_cosets=_budget(args))
-    if not table.is_complete:
-        print("undecided: target enumeration budget exhausted", file=sys.stderr)
+    table = _enumerate(args, hom.target)
+    if table is None:
         return EXIT_UNDECIDED
     result = hom_check(hom, table_equality_oracle(table))
     payload = {"status": result.status, "failing_relator": result.relator_index}
@@ -333,15 +337,13 @@ def _cmd_equal(args) -> int:
         return EXIT_OK
     if args.rewrite:
         rs = knuth_bendix(p, max_rules=args.max_rules, max_len=args.max_len)
-        same = normal_form(rs, lhs) == normal_form(rs, rhs)
-        if same:
-            _emit(args, {"equal": True, "confluent": rs.confluent}, ["equal"])
-            return EXIT_OK
-        if rs.confluent:
-            _emit(args, {"equal": False, "confluent": True}, ["not equal"])
-            return EXIT_NEGATIVE
-        print("undecided: rewriting system is not confluent", file=sys.stderr)
-        return EXIT_UNDECIDED
+        same = rewrite_equality_oracle(rs)(lhs, rhs)
+        if same is None:
+            print("undecided: rewriting system is not confluent", file=sys.stderr)
+            return EXIT_UNDECIDED
+        _emit(args, {"equal": same, "confluent": rs.confluent},
+              ["equal" if same else "not equal"])
+        return EXIT_OK if same else EXIT_NEGATIVE
     table = _enumerate(args, p)
     if table is None:
         return EXIT_UNDECIDED
@@ -389,8 +391,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_quotients(args) -> int:
-    spec = coverings.ActionSpec(parse_surface(args.surface), args.sheets)
-    candidates = coverings.action_quotients(spec, args.strict_orientability)
+    candidates = coverings.quotient_candidates(
+        parse_surface(args.surface), args.sheets, args.strict_orientability)
     lines = []
     payload = []
     for cand in candidates:
@@ -446,12 +448,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WordError, PresentationError, SurfaceError, ChainError,
-            EnumerationError, coverings.CoveringError, atlas.AtlasError,
-            OSError) as exc:
+    except (UsageError, BraidkernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

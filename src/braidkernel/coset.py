@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .presentations import Presentation
-from .words import Word, format_word, letter_inverse, letters_to_word, word_to_letters
+from .words import (
+    BraidkernelError, Word, format_word, letter_inverse, letters_to_word, word_to_letters)
 
 DEFAULT_MAX_COSETS = 100000
 CENTER_ENUM_CAP = 10000
 
 
-class EnumerationError(ValueError):
+class EnumerationError(BraidkernelError):
     pass
 
 

@@ -17,35 +17,15 @@ from typing import Optional
 
 from .atlas import pure_braid_rp2, tau_n, torus_presentation, quaternion_presentation, \
     klein_presentation
-from .coset import table_equality_oracle, todd_coxeter
-from .presentations import GroupHom, Presentation, hom_check, quotient, substitute
-from .rewriting import knuth_bendix, normal_form
+from .coset import table_equality_oracle, todd_coxeter, word_equal_finite
+from .presentations import GroupHom, Presentation, hom_check, quotient
+from .rewriting import knuth_bendix, rewrite_equality_oracle
 from .surfaces import KLEIN, RP2, SPHERE, TORUS, SurfaceKind, euler_char
+from .words import BraidkernelError
 
 
-class CoveringError(ValueError):
+class CoveringError(BraidkernelError):
     pass
-
-
-@dataclass(frozen=True)
-class ActionSpec:
-    """A free action of a group of order l on a closed surface; torus
-    quotients additionally carry the (q, r) shape of the group."""
-
-    total_space: SurfaceKind
-    order: int
-    torus_params: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise CoveringError("group order must be >= 1")
-        if self.torus_params is not None:
-            q, r = self.torus_params
-            if q < 1 or r < 1:
-                raise CoveringError("torus parameters must be positive")
-            if q * r != self.order:
-                raise CoveringError(
-                    f"torus parameters ({q},{r}) do not multiply to the order {self.order}")
 
 
 def quotient_candidates(m: SurfaceKind, l: int,
@@ -125,17 +105,14 @@ def _klein_over_torus_certificate() -> CoverDecision:
     index = todd_coxeter(q8, list(hom.images)).n_cosets
     if index != 1:
         raise CoveringError("quaternion witness is not surjective")
-    # non-abelian image: some commutator of generator images survives
-    commutator = substitute(hom, klein.gen("x") * klein.gen("y") *
-                            klein.gen("x", -1) * klein.gen("y", -1))
-    if table.trace_word(1, commutator) == 1:
+    # non-abelian image: the generator images do not commute
+    x, y = hom.images
+    if word_equal_finite(table, x * y, y * x):
         raise CoveringError("quaternion witness image is abelian")
     # the would-be base group is abelian: its generators commute
-    torus_rs = knuth_bendix(torus_presentation())
     tp = torus_presentation()
-    ab = normal_form(torus_rs, tp.gen("a") * tp.gen("b") *
-                     tp.gen("a", -1) * tp.gen("b", -1))
-    if not (torus_rs.confluent and ab.is_identity):
+    a, b = tp.gen("a"), tp.gen("b")
+    if rewrite_equality_oracle(knuth_bendix(tp))(a * b, b * a) is not True:
         raise CoveringError("torus group abelianity check failed")
     return CoverDecision(
         False, "nonabelian-quotient",
@@ -246,13 +223,8 @@ def kernel_description(quotient_surface: SurfaceKind, n: int, pure: bool,
                              f"{letter}{n}({lbl})")
 
 
-def action_quotients(spec: ActionSpec, strict_orientability: bool = False) -> list[SurfaceKind]:
-    """Quotient candidates for an action, validating torus parameters."""
-    return quotient_candidates(spec.total_space, spec.order, strict_orientability)
-
-
 __all__ = [
-    "ActionSpec", "CoverDecision", "CoveringError", "KernelDescription",
-    "action_quotients", "can_cover", "euler_char", "kernel_description",
+    "CoverDecision", "CoveringError", "KernelDescription",
+    "can_cover", "euler_char", "kernel_description",
     "quotient_candidates", "torus_action_forms",
 ]

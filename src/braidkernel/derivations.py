@@ -19,6 +19,7 @@ from typing import Optional
 
 from .presentations import Presentation
 from .words import (
+    BraidkernelError,
     Word,
     format_word,
     free_reduce_letters,
@@ -32,7 +33,7 @@ DEFAULT_MAX_WORD_LEN = 30
 DEFAULT_MAX_NODES = 200000
 
 
-class ChainError(ValueError):
+class ChainError(BraidkernelError):
     pass
 
 
@@ -137,7 +138,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
     check_derivation accepts, or None (inconclusive, not a disproof).
     """
     if max_word_len < 1 or max_nodes < 1:
-        raise ValueError("budgets must be >= 1")
+        raise BraidkernelError("budgets must be >= 1")
     if u.alphabet != p.alphabet or v.alphabet != p.alphabet:
         raise ChainError("words are not over the presentation's alphabet")
 
@@ -146,20 +147,13 @@ def search_equality(p: Presentation, u: Word, v: Word,
     if start == goal:
         return DerivationChain(p, (u,), ())
 
-    # precompute the distinct insertion strings with a representative step
-    variants: list[tuple[tuple[int, ...], int, int, int]] = []
-    seen_insertions = set()
-    for ri in range(len(p.relators)):
-        rel = _relator_letters(p, ri)
-        for rot in range(len(rel)):
+    # the distinct insertion strings, each with the first step that makes it
+    variants: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for ri, rel in enumerate(p.relators):
+        for rot in range(rel.letter_length):
             for direction in (1, -1):
-                ins = rel[rot:] + rel[:rot]
-                if direction == -1:
-                    ins = tuple(letter_inverse(x) for x in reversed(ins))
-                if ins in seen_insertions:
-                    continue
-                seen_insertions.add(ins)
-                variants.append((ins, ri, rot, direction))
+                ins = _step_insertion(p, DerivationStep(ri, rot, direction, 0))
+                variants.setdefault(ins, (ri, rot, direction))
 
     came_from: dict[tuple[int, ...], tuple[tuple[int, ...], DerivationStep]] = {start: None}
     frontier = deque([start])
@@ -167,7 +161,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
     found = None
     while frontier and found is None:
         word = frontier.popleft()
-        for ins, ri, rot, direction in variants:
+        for ins, (ri, rot, direction) in variants.items():
             if found is not None:
                 break
             for pos in range(len(word) + 1):

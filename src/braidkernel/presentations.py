@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .snf import smith_normal_form
 from .words import (
     Alphabet,
+    BraidkernelError,
     Word,
     WordError,
     cyclic_reduce,
@@ -25,7 +26,7 @@ from .words import (
 )
 
 
-class PresentationError(ValueError):
+class PresentationError(BraidkernelError):
     pass
 
 

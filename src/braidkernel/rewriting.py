@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .presentations import Presentation
-from .words import Alphabet, Word, letter_inverse, letters_to_word, word_to_letters
+from .words import (
+    Alphabet, BraidkernelError, Word, letter_inverse, letters_to_word, word_to_letters)
 
 DEFAULT_MAX_RULES = 500
 DEFAULT_MAX_LEN = 30
@@ -68,7 +69,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     confluent and its congruence is the group's word problem.
     """
     if max_rules < 1 or max_len < 1:
-        raise ValueError("budgets must be >= 1")
+        raise BraidkernelError("budgets must be >= 1")
 
     nletters = 2 * p.ngens
     rules: list[list] = []   # [lhs, rhs, active]
@@ -154,7 +155,7 @@ def _contains(haystack: Letters, needle: Letters) -> bool:
 def normal_form(rs: RewriteSystem, w: Word) -> Word:
     """Rewrite w to a fixpoint; canonical when rs is confluent."""
     if w.alphabet != rs.alphabet:
-        raise ValueError("word is not over the rewriting system's alphabet")
+        raise BraidkernelError("word is not over the rewriting system's alphabet")
     return letters_to_word(rs.alphabet, _rewrite(word_to_letters(w), rs.rules))
 
 
@@ -171,7 +172,7 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: Optional[int] = None,
     ``limit`` is hit (the count is then not the full language).
     """
     if max_letters is None and limit is None:
-        raise ValueError("need max_letters or limit to bound the enumeration")
+        raise BraidkernelError("need max_letters or limit to bound the enumeration")
     nletters = 2 * len(rs.alphabet)
     lhs_set = {lhs for lhs, _ in rs.rules}
     max_lhs = max((len(l) for l in lhs_set), default=0)
@@ -192,7 +193,7 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: Optional[int] = None,
                 nxt.append(cand)
                 found.append(cand)
                 if limit is not None and len(found) > limit:
-                    raise ValueError(f"more than {limit} normal forms")
+                    raise BraidkernelError(f"more than {limit} normal forms")
         level = nxt
     return [letters_to_word(rs.alphabet, w) for w in found]
 

@@ -9,8 +9,10 @@ asymptotics.
 
 from __future__ import annotations
 
+from .words import BraidkernelError
 
-class MatrixError(ValueError):
+
+class MatrixError(BraidkernelError):
     pass
 
 
@@ -124,29 +126,3 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]], list[list[int]]]
 
     diag = [a[j][j] if j < rows else 0 for j in range(cols)]
     return diag, left, right
-
-
-def mat_mul(a, b) -> list[list[int]]:
-    if not a or not b:
-        return []
-    assert len(a[0]) == len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
-def det(mat) -> int:
-    """Integer determinant by fraction-free cofactor expansion (small n)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in mat):
-        raise MatrixError("determinant of a non-square matrix")
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        if mat[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * det(minor)
-    return total

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .words import BraidkernelError
 
-class SurfaceError(ValueError):
+
+class SurfaceError(BraidkernelError):
     pass
 
 

@@ -23,7 +23,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-class WordError(ValueError):
+class BraidkernelError(ValueError):
+    """Base class of every error the library raises on bad input."""
+
+
+class WordError(BraidkernelError):
     """Malformed word text, bad symbol, or alphabet mismatch."""
 
 
@@ -154,10 +158,6 @@ def multiply(u: Word, v: Word) -> Word:
     return Word.from_syllables(u.alphabet, u.syllables + v.syllables)
 
 
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
 def conjugate(u: Word, w: Word) -> Word:
     """Conjugation u * w * u^-1 (the conjugator comes first)."""
     _require_same_alphabet(u, w)
@@ -214,11 +214,6 @@ def free_reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
         else:
             out.append(x)
     return tuple(out)
-
-
-def letter_name(alphabet: Alphabet, x: int) -> str:
-    sym = alphabet[x >> 1].name
-    return sym if x % 2 == 0 else sym + "^-1"
 
 
 # ordering ----------------------------------------------------------------

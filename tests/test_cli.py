@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import braidkernel
 from braidkernel.cli import run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -301,6 +302,32 @@ def test_json_envelope_everywhere(capsys, monkeypatch, tmp_path):
 
 EQUAL_ARGS = ["equal", "--lhs", "a", "--rhs", "a"]
 
+KLEIN_SOURCE = """begin source
+group pi1(Klein)
+gens x y
+rel x^2 = y^2
+end
+"""
+Q8_TARGET = """begin target
+group Q8
+gens rho1 rho2
+rel rho1^2 = rho2^2
+rel rho1^4
+rel rho1 rho2 rho1^-1 = rho2^-1
+end
+"""
+KLEIN_Q8_MAP = KLEIN_SOURCE + Q8_TARGET + "send x = rho1\nsend y = rho2\n"
+
+# files the exit-3 table reads, written to its working directory; each
+# hom map would verify if its defect were ignored
+BAD_INPUT_FILES = {
+    "unknown-send.hom": KLEIN_Q8_MAP + "send zzz = rho1\n",
+    "duplicate-send.hom": KLEIN_Q8_MAP + "send x = rho2\n",
+    "duplicate-source.hom": KLEIN_Q8_MAP + KLEIN_SOURCE,
+    "duplicate-target.hom": KLEIN_Q8_MAP + Q8_TARGET,
+    "unknown-gen.chain": "presentation G\nstart zzz\nend a\n",
+}
+
 
 @pytest.mark.parametrize("argv,stdin", [
     (["order"], "group G\ngens\n"),
@@ -311,10 +338,40 @@ EQUAL_ARGS = ["equal", "--lhs", "a", "--rhs", "a"]
     (EQUAL_ARGS + ["--search", "--max-nodes", "0"], "group G\ngens a\nrel a^3\n"),
     (EQUAL_ARGS + ["--search", "--max-word-len", "0"], "group G\ngens a\nrel a^3\n"),
     (EQUAL_ARGS + ["--search", "--max-nodes", "many"], "group G\ngens a\nrel a^3\n"),
+    (["hom-check", "--map", "unknown-send.hom"], None),
+    (["hom-check", "--map", "duplicate-send.hom"], None),
+    (["hom-check", "--map", "duplicate-source.hom"], None),
+    (["hom-check", "--map", "duplicate-target.hom"], None),
+    (["build", "--surface", "rp2", "--n", "0"], None),
+    (["kernel", "--quotient", "torus", "--n", "1"], None),
+    (["quotients", "--surface", "bogus", "--sheets", "2"], None),
+    (["cover", "--from", "torus", "--to", "sphere", "--sheets", "0"], None),
+    (["check-derivation", "unknown-gen.chain"], "group G\ngens a\nrel a^3\n"),
+    (["abelianize"], "group G\nrel a\ngens a\n"),
 ])
-def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, argv, stdin):
+def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv, stdin):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
     code, _, err = invoke(capsys, argv)
     assert code == 3
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_every_exported_error_is_a_braidkernel_error():
+    errors = [obj for name, obj in vars(braidkernel).items()
+              if name.endswith("Error") and isinstance(obj, type)]
+    assert len(errors) >= 8
+    for cls in errors:
+        assert issubclass(cls, braidkernel.BraidkernelError), cls
+    assert issubclass(braidkernel.BraidkernelError, ValueError)
+
+
+def test_hom_check_budget_line(capsys, tmp_path):
+    path = tmp_path / "map.hom"
+    path.write_text(KLEIN_Q8_MAP)
+    code, out, err = invoke(capsys, ["hom-check", "--map", str(path), "--max-cosets", "3"])
+    assert (code, out) == (2, "")
+    assert err == "undecided: enumeration budget exhausted at 3 live cosets\n"

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from braidkernel import (
-    KLEIN, RP2, SPHERE, TORUS, ActionSpec, CoveringError, SurfaceKind,
+    KLEIN, RP2, SPHERE, TORUS, CoveringError, SurfaceKind,
     can_cover, center_order_finite, euler_char, group_order, hom_check,
     kernel_description, quotient_candidates, table_equality_oracle,
     todd_coxeter, torus_action_forms,
@@ -83,14 +83,6 @@ def test_torus_action_forms():
     for l in range(1, 40):
         for q, r in torus_action_forms(l):
             assert q * r == l and r % q == 0
-
-
-def test_action_spec_validation():
-    ActionSpec(TORUS, 6, (2, 3))
-    with pytest.raises(CoveringError):
-        ActionSpec(TORUS, 6, (2, 2))
-    with pytest.raises(CoveringError):
-        ActionSpec(TORUS, 0)
 
 
 # covering decisions ---------------------------------------------------------------

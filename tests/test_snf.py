@@ -4,7 +4,33 @@ import random
 
 import pytest
 
-from braidkernel.snf import MatrixError, det, mat_mul, smith_normal_form
+from braidkernel.snf import MatrixError, smith_normal_form
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """Test oracle: integer matrix product."""
+    if not a or not b:
+        return []
+    assert len(a[0]) == len(b)
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def det(mat) -> int:
+    """Test oracle: integer determinant by cofactor expansion (small n)."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in mat), "determinant of a non-square matrix"
+    if n == 1:
+        return mat[0][0]
+    total = 0
+    for j in range(n):
+        if mat[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        total += (-1) ** j * mat[0][j] * det(minor)
+    return total
 
 
 def minors_gcd_invariants(mat, cols):

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from braidkernel.words import (
     Word, WordError, conjugate, cyclic_reduce, format_word,
-    free_reduce_letters, invert, letters_to_word, make_alphabet, multiply,
+    free_reduce_letters, letters_to_word, make_alphabet, multiply,
     parse_word, shortlex_compare, word_to_letters,
 )
 
@@ -85,8 +85,8 @@ def test_multiply_alphabet_mismatch():
 
 
 def test_invert_examples():
-    assert invert(w("1")) == w("1")
-    assert invert(w("a^2 * b^-1")) == w("b * a^-2")
+    assert w("1").inverse() == w("1")
+    assert w("a^2 * b^-1").inverse() == w("b * a^-2")
 
 
 def test_conjugate_examples():
