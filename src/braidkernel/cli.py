@@ -23,8 +23,8 @@ from .coset import (
     todd_coxeter, word_equal_finite,
 )
 from .derivations import (
-    DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN, ChainError, check_derivation,
-    format_chain, parse_chain_file, search_equality,
+    DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN, ChainError, ChainFormatError,
+    check_derivation, format_chain, parse_chain_file, search_equality,
 )
 from .presentations import (
     GroupHom, Presentation, abelianization, format_presentation, hom_check,
@@ -415,6 +415,8 @@ def _cmd_check_derivation(args) -> int:
         text = fh.read()
     try:
         chain, declared_end = parse_chain_file(text, p)
+    except ChainFormatError:
+        raise  # a malformed file is a usage error; only replay failures are answers
     except ChainError as exc:
         _emit(args, {"valid": False, "error": str(exc)}, [f"invalid: {exc}"])
         return EXIT_NEGATIVE

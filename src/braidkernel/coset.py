@@ -184,18 +184,12 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                     table[nu][letter_inverse(x)] = mu
 
     def scan_and_fill(alpha: int, word: Sequence[int]):
-        if not word:
-            return
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
             while i <= j and table[f][word[i]] is not None:
                 f = find(table[f][word[i]])
                 i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
             while j >= i and table[b][letter_inverse(word[j])] is not None:
                 b = find(table[b][letter_inverse(word[j])])
                 j -= 1

@@ -157,40 +157,24 @@ def search_equality(p: Presentation, u: Word, v: Word,
 
     came_from: dict[tuple[int, ...], tuple[tuple[int, ...], DerivationStep]] = {start: None}
     frontier = deque([start])
-    budget_hit = False
-    found = None
-    while frontier and found is None:
+    while frontier:
         word = frontier.popleft()
         for ins, (ri, rot, direction) in variants.items():
-            if found is not None:
-                break
             for pos in range(len(word) + 1):
                 new = free_reduce_letters(word[:pos] + ins + word[pos:])
                 if len(new) > max_word_len or new in came_from:
                     continue
                 came_from[new] = (word, DerivationStep(ri, rot, direction, pos))
                 if new == goal:
-                    found = new
-                    break
+                    steps = []
+                    while came_from[new] is not None:
+                        new, step = came_from[new]
+                        steps.append(step)
+                    return build_chain(p, u, reversed(steps))
                 if len(came_from) >= max_nodes:
-                    budget_hit = True
-                    break
+                    return None
                 frontier.append(new)
-            if budget_hit:
-                break
-        if budget_hit and found is None:
-            return None
-    if found is None:
-        return None
-
-    steps = []
-    cur = found
-    while came_from[cur] is not None:
-        prev, step = came_from[cur]
-        steps.append(step)
-        cur = prev
-    steps.reverse()
-    return build_chain(p, u, steps)
+    return None
 
 
 # text format ----------------------------------------------------------------

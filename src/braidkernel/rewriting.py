@@ -5,8 +5,9 @@ reduction rules x x^-1 -> empty are always present.  Rules are ordered
 by shortlex (letter order: generator i = 2i before its inverse 2i+1),
 so every rule strictly shrinks and rewriting terminates.  Critical
 pairs are processed FIFO by rule-pair age and the rule set is
-inter-reduced after every addition, which keeps runs deterministic and
-systems small.
+inter-reduced after every addition: a rule whose left side the new rule
+rewrites is deleted and its equation queued again.  This keeps runs
+deterministic and systems small.
 
 Budget exhaustion (too many rules, or a rule side over the length cap)
 is reported by ``confluent=False``; the partial system remains sound
@@ -15,9 +16,10 @@ for rewriting, it just cannot certify inequality.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional
 
 from .presentations import Presentation
 from .words import (
@@ -40,7 +42,7 @@ def _shortlex_less(u: Letters, v: Letters) -> bool:
     return (len(u), u) < (len(v), v)
 
 
-def _rewrite(word: Letters, rules: Sequence[tuple[Letters, Letters]]) -> Letters:
+def _rewrite(word: Letters, rules: Collection[tuple[Letters, Letters]]) -> Letters:
     """Leftmost rewriting to a fixpoint (rule order breaks position ties)."""
     if not rules:
         return tuple(word)
@@ -72,16 +74,14 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         raise BraidkernelError("budgets must be >= 1")
 
     nletters = 2 * p.ngens
-    rules: list[list] = []   # [lhs, rhs, active]
+    ids = itertools.count()   # never reused, so a queued pair cannot name a newer rule
+    rules: dict[int, tuple[Letters, Letters]] = {}
     pair_queue: deque[tuple[int, int]] = deque()
     eq_queue: deque[tuple[Letters, Letters]] = deque()
     discarded = False
 
-    def active_rules():
-        return [(lhs, rhs) for lhs, rhs, act in rules if act]
-
     def nf(word: Letters) -> Letters:
-        return _rewrite(word, active_rules())
+        return _rewrite(word, rules.values())
 
     def add_rule(u: Letters, v: Letters):
         nonlocal discarded
@@ -92,49 +92,41 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         if len(lhs) > max_len:
             discarded = True
             return
-        rid = len(rules)
-        rules.append([lhs, rhs, True])
+        older = list(rules.items())
+        rid = next(ids)
+        rules[rid] = (lhs, rhs)
         # inter-reduce: retire rules whose lhs the new rule rewrites,
         # and renormalize right-hand sides
-        for j in range(rid):
-            ljh, rjh, act = rules[j]
-            if not act:
-                continue
+        for j, (ljh, rjh) in older:
             if _contains(ljh, lhs):
-                rules[j][2] = False
+                del rules[j]
                 eq_queue.append((ljh, rjh))
             elif _contains(rjh, lhs):
-                rules[j][1] = nf(rjh)
-        for j in range(len(rules)):
-            if rules[j][2]:
-                pair_queue.append((rid, j))
-                if j != rid:
-                    pair_queue.append((j, rid))
+                rules[j] = (ljh, nf(rjh))
+        for j in rules:
+            pair_queue.append((rid, j))
+            if j != rid:
+                pair_queue.append((j, rid))
 
     # seed: free reduction, then the relators as equations
     for x in range(nletters):
-        rules.append([(x, letter_inverse(x)), (), True])
-    n_free = len(rules)
-    for i in range(n_free):
-        for j in range(n_free):
-            pair_queue.append((i, j))
+        rules[next(ids)] = ((x, letter_inverse(x)), ())
+    pair_queue.extend((i, j) for i in rules for j in rules)
     for rel in p.relators:
         eq_queue.append((word_to_letters(rel), ()))
 
     aborted = False
     while eq_queue or pair_queue:
-        if sum(1 for r in rules if r[2]) > max_rules:
+        if len(rules) > max_rules:
             aborted = True
             break
         if eq_queue:
-            u, v = eq_queue.popleft()
-            add_rule(u, v)
+            add_rule(*eq_queue.popleft())
             continue
         i, j = pair_queue.popleft()
-        if not (rules[i][2] and rules[j][2]):
+        if not (i in rules and j in rules):
             continue
-        l1, r1 = rules[i][0], rules[i][1]
-        l2, r2 = rules[j][0], rules[j][1]
+        (l1, r1), (l2, r2) = rules[i], rules[j]
         for k in range(1, min(len(l1), len(l2))):
             if l1[-k:] == l2[:k]:
                 # l1 and l2 overlap in a word A|O|B with l1 = A+O, l2 = O+B
@@ -142,9 +134,8 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 crit2 = l1[:-k] + r2
                 eq_queue.append((crit1, crit2))
 
-    confluent = not (aborted or discarded or eq_queue or pair_queue)
-    final = tuple((tuple(lhs), tuple(rhs)) for lhs, rhs, act in rules if act)
-    return RewriteSystem(p.alphabet, final, confluent)
+    # only the abort leaves a queue non-empty
+    return RewriteSystem(p.alphabet, tuple(rules.values()), not (aborted or discarded))
 
 
 def _contains(haystack: Letters, needle: Letters) -> bool:
@@ -157,10 +148,6 @@ def normal_form(rs: RewriteSystem, w: Word) -> Word:
     if w.alphabet != rs.alphabet:
         raise BraidkernelError("word is not over the rewriting system's alphabet")
     return letters_to_word(rs.alphabet, _rewrite(word_to_letters(w), rs.rules))
-
-
-def is_irreducible(rs: RewriteSystem, letters: Letters) -> bool:
-    return all(not _contains(letters, lhs) for lhs, _ in rs.rules)
 
 
 def enumerate_normal_forms(rs: RewriteSystem, max_letters: Optional[int] = None,

@@ -326,6 +326,10 @@ BAD_INPUT_FILES = {
     "duplicate-source.hom": KLEIN_Q8_MAP + KLEIN_SOURCE,
     "duplicate-target.hom": KLEIN_Q8_MAP + Q8_TARGET,
     "unknown-gen.chain": "presentation G\nstart zzz\nend a\n",
+    "three-fields.chain": "start a\nstep 1 2\nend a\n",
+    "non-integer.chain": "start a\nstep 0 0 1 x\nend a\n",
+    "no-start.chain": "step 0 0 1 0\nend a\n",
+    "other-presentation.chain": "presentation OTHER\nstart a\nend a\n",
 }
 
 
@@ -348,6 +352,10 @@ BAD_INPUT_FILES = {
     (["cover", "--from", "torus", "--to", "sphere", "--sheets", "0"], None),
     (["check-derivation", "unknown-gen.chain"], "group G\ngens a\nrel a^3\n"),
     (["abelianize"], "group G\nrel a\ngens a\n"),
+    (["check-derivation", "three-fields.chain"], "group G\ngens a\nrel a^3\n"),
+    (["check-derivation", "non-integer.chain"], "group G\ngens a\nrel a^3\n"),
+    (["check-derivation", "no-start.chain"], "group G\ngens a\nrel a^3\n"),
+    (["check-derivation", "other-presentation.chain"], "group G\ngens a\nrel a^3\n"),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv, stdin):
     for name, text in BAD_INPUT_FILES.items():

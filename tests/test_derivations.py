@@ -1,4 +1,7 @@
+import importlib.util
 import pathlib
+import sys
+
 import pytest
 
 from braidkernel import (
@@ -7,6 +10,7 @@ from braidkernel import (
     pure_braid_rp2, search_equality, word_equal_finite,
 )
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+CORPUS_TOOL = pathlib.Path(__file__).parents[1] / "tools" / "gen_chain_corpus.py"
 
 CORPUS = {
     # file -> (strand count, start, end)
@@ -107,6 +111,23 @@ def test_corpus_chain_replays(fname):
     assert declared_end == p.word(end)
     assert chain.end == declared_end
     assert check_derivation(chain).valid
+
+
+def test_corpus_tool_rederives_n2_chains(monkeypatch):
+    # the tool's case table must match the corpus, and a live search must
+    # reproduce each n=2 file byte for byte (the n=3 searches take minutes)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    spec = importlib.util.spec_from_file_location("gen_chain_corpus", CORPUS_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert {case[0]: case[1:4] for case in tool.CASES} == CORPUS
+    n2_cases = [case for case in tool.CASES if case[1] == 2]
+    assert n2_cases
+    for fname, n, lhs, rhs, cap, nodes in n2_cases:
+        p = pure_braid_rp2(n)
+        chain = search_equality(p, p.word(lhs), p.word(rhs),
+                                max_word_len=cap, max_nodes=nodes)
+        assert format_chain(chain) == (DATA_DIR / fname).read_text(), fname
 
 
 def test_corpus_chains_sound_in_finite_quotients(rp2_n2_table, rp2_n3_mod4_table):

@@ -1,14 +1,22 @@
+import hashlib
 import random
 
 import pytest
 
 from braidkernel import (
     enumerate_normal_forms, group_order, knuth_bendix, normal_form,
-    presentation, quotient, rewrite_equality_oracle, todd_coxeter,
-    torus_presentation,
+    presentation, pure_braid_rp2, quotient, rewrite_equality_oracle,
+    todd_coxeter, torus_presentation,
 )
-from braidkernel.rewriting import _rewrite, is_irreducible
+from braidkernel.rewriting import _rewrite
 from braidkernel.words import word_to_letters
+
+
+def is_irreducible(rs, letters):
+    """Test oracle: no left-hand side of rs occurs in letters."""
+    return not any(letters[i:i + len(lhs)] == lhs
+                   for lhs, _ in rs.rules
+                   for i in range(len(letters) - len(lhs) + 1))
 
 
 def test_free_group_completes_to_free_reduction():
@@ -142,3 +150,19 @@ def test_budget_validation(q8):
 
 def test_completion_deterministic(q8):
     assert knuth_bendix(q8).rules == knuth_bendix(q8).rules
+
+
+# rule order decides which rule _rewrite applies first, so pin it exactly
+@pytest.mark.parametrize("n,budget,nrules,confluent,digest", [
+    (2, {}, 24, True,
+     "a4f2e717e6c91c97af53c80a989676c58245d0f09405e0105d26538182704020"),
+    (3, {"max_rules": 3}, 12, False,
+     "525a67f1141a5595f9da2950476cba0b0f7042c3b0e75c7baab5cef68220a8ad"),
+    (3, {"max_rules": 150}, 151, False,
+     "3b699da8ca3c8c040887e19c7c7f821849b0c184c1f4e8a3f34b83302ddd467e"),
+], ids=["P2", "P3-rules3", "P3-rules150"])
+def test_knuth_bendix_output_pinned(n, budget, nrules, confluent, digest):
+    rs = knuth_bendix(pure_braid_rp2(n), **budget)
+    assert (len(rs.rules), rs.confluent) == (nrules, confluent)
+    text = repr((rs.rules, rs.confluent)).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
