@@ -8,7 +8,8 @@ The pure braid group of the projective plane has generators
 B_ij (1 <= i < j <= n) and rho_k (1 <= k <= n) with four relation
 families; exactly the listed index patterns are emitted, in a fixed
 order (family, then indices), because derivation certificates address
-relators by position.
+relators by position.  Every relation and atlas word is written in the
+word grammar and read by ``presentation()`` or ``Presentation.word``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .presentations import GroupHom, Presentation, presentation
 from .surfaces import RP2, TORUS, SurfaceKind
-from .words import Alphabet, BraidkernelError, Word, make_alphabet
+from .words import BraidkernelError, Word
 
 _RP2_NAME_RE = re.compile(r"P(\d+)\(RP2\)")
 
@@ -37,23 +38,6 @@ def _b_name(i: int, j: int) -> str:
     return f"B{i}_{j}"
 
 
-def _b_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _rp2_word_helpers(alphabet: Alphabet):
-    """B(i, j, exp) and rho(k, exp) generator words over a P_n(RP2) alphabet."""
-    index = {sym.name: sym.index for sym in alphabet}
-
-    def B(i: int, j: int, exp: int = 1) -> Word:
-        return Word.generator(alphabet, index[_b_name(i, j)], exp)
-
-    def rho(k: int, exp: int = 1) -> Word:
-        return Word.generator(alphabet, index[f"rho{k}"], exp)
-
-    return B, rho
-
-
 @functools.lru_cache
 def pure_braid_rp2(n: int) -> Presentation:
     """The n-strand pure braid group of the projective plane.
@@ -63,62 +47,51 @@ def pure_braid_rp2(n: int) -> Presentation:
     """
     if n < 1:
         raise AtlasError("strand count must be >= 1")
-    pairs = _b_pairs(n)
-    names = [_b_name(i, j) for i, j in pairs] + [f"rho{k}" for k in range(1, n + 1)]
-    alphabet = make_alphabet(names)
-    B, rho = _rp2_word_helpers(alphabet)
-
-    def prod(*ws: Word) -> Word:
-        out = Word.identity(alphabet)
-        for w in ws:
-            out = out * w
-        return out
-
-    relators: list[Word] = []
-
-    def relation(lhs: Word, rhs: Word):
-        relators.append(lhs * rhs.inverse())
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    B = {(i, j): _b_name(i, j) for i, j in pairs}
+    relations: list[str] = []
 
     # family (a): conjugation of B_ij by B_rs, four index patterns
     for r, s in pairs:
         for i, j in pairs:
-            lhs = prod(B(r, s), B(i, j), B(r, s, -1))
+            lhs = f"{B[r, s]} {B[i, j]} {B[r, s]}^-1"
             if i < r < s < j:
-                relation(lhs, B(i, j))
+                relations.append(f"{lhs} = {B[i, j]}")
             elif r < i == s < j:
-                relation(lhs, prod(B(i, j, -1), B(r, j, -1), B(i, j), B(r, j), B(i, j)))
+                relations.append(f"{lhs} = {B[i, j]}^-1 {B[r, j]}^-1 {B[i, j]} "
+                                 f"{B[r, j]} {B[i, j]}")
             elif i == r < s < j:
-                relation(lhs, prod(B(s, j, -1), B(i, j), B(s, j)))
+                relations.append(f"{lhs} = {B[s, j]}^-1 {B[i, j]} {B[s, j]}")
             elif r < i < s < j:
-                relation(lhs, prod(B(s, j, -1), B(r, j, -1), B(s, j), B(r, j),
-                                   B(i, j), B(r, j, -1), B(s, j, -1), B(r, j), B(s, j)))
+                relations.append(f"{lhs} = {B[s, j]}^-1 {B[r, j]}^-1 {B[s, j]} "
+                                 f"{B[r, j]} {B[i, j]} {B[r, j]}^-1 {B[s, j]}^-1 "
+                                 f"{B[r, j]} {B[s, j]}")
 
     # family (b): rho_i rho_j rho_i^-1 = rho_j^-1 B_ij^-1 rho_j^2
     for i, j in pairs:
-        relation(prod(rho(i), rho(j), rho(i, -1)),
-                 prod(rho(j, -1), B(i, j, -1), rho(j, 2)))
+        relations.append(f"rho{i} rho{j} rho{i}^-1 = rho{j}^-1 {B[i, j]}^-1 rho{j}^2")
 
     # family (c): rho_i^2 = B_1i ... B_(i-1)i B_i(i+1) ... B_in
     for i in range(1, n + 1):
-        right = prod(*[B(a, i) for a in range(1, i)],
-                     *[B(i, b) for b in range(i + 1, n + 1)])
-        relation(rho(i, 2), right)
+        right = [B[a, i] for a in range(1, i)] + [B[i, b] for b in range(i + 1, n + 1)]
+        relations.append(f"rho{i}^2 = {' '.join(right) or '1'}")
 
     # family (d): conjugation of B_ij by rho_k, k != j
     for i, j in pairs:
         for k in range(1, n + 1):
             if k == j:
                 continue
-            lhs = prod(rho(k), B(i, j), rho(k, -1))
+            lhs = f"rho{k} {B[i, j]} rho{k}^-1"
             if k < i or j < k:
-                relation(lhs, B(i, j))
+                relations.append(f"{lhs} = {B[i, j]}")
             elif k == i:
-                relation(lhs, prod(rho(j, -1), B(i, j, -1), rho(j)))
+                relations.append(f"{lhs} = rho{j}^-1 {B[i, j]}^-1 rho{j}")
             else:  # i < k < j
-                relation(lhs, prod(rho(j, -1), B(k, j, -1), rho(j), B(k, j, -1),
-                                   B(i, j), B(k, j), rho(j, -1), B(k, j), rho(j)))
+                relations.append(f"{lhs} = rho{j}^-1 {B[k, j]}^-1 rho{j} {B[k, j]}^-1 "
+                                 f"{B[i, j]} {B[k, j]} rho{j}^-1 {B[k, j]} rho{j}")
 
-    return Presentation(f"P{n}(RP2)", alphabet, tuple(relators))
+    gens = list(B.values()) + [f"rho{k}" for k in range(1, n + 1)]
+    return presentation(f"P{n}(RP2)", gens, relations)
 
 
 def rp2_strand_count(p: Presentation) -> Optional[int]:
@@ -131,8 +104,7 @@ def b_ij_as_rho(n: int, i: int, j: int) -> Word:
     """The rho-word rho_j rho_i^-1 rho_j^-1 rho_i equal to B_ij."""
     if not 1 <= i < j <= n:
         raise AtlasError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    _, rho = _rp2_word_helpers(pure_braid_rp2(n).alphabet)
-    return rho(j) * rho(i, -1) * rho(j, -1) * rho(i)
+    return pure_braid_rp2(n).word(f"rho{j} rho{i}^-1 rho{j}^-1 rho{i}")
 
 
 def tau_component(n: int, i: int, form: str = "B") -> Word:
@@ -145,17 +117,11 @@ def tau_component(n: int, i: int, form: str = "B") -> Word:
     if not 1 <= i <= n:
         raise AtlasError(f"need 1 <= i <= n, got i={i}, n={n}")
     p = pure_braid_rp2(n)
-    B, rho = _rp2_word_helpers(p.alphabet)
     if form == "B":
-        out = Word.identity(p.alphabet)
-        for j in range(i + 1, n + 1):
-            out = out * B(i, j)
-        return out
+        return p.word(" ".join(_b_name(i, j) for j in range(i + 1, n + 1)) or "1")
     if form == "rho":
-        out = Word.identity(p.alphabet)
-        for a in range(i - 1, 0, -1):
-            out = out * B(a, i, -1)
-        return out * rho(i, 2)
+        inverses = [f"{_b_name(a, i)}^-1" for a in range(i - 1, 0, -1)]
+        return p.word(" ".join(inverses + [f"rho{i}^2"]))
     raise AtlasError(f"form must be 'B' or 'rho', got {form!r}")
 
 
@@ -249,11 +215,11 @@ def forget_strands_hom(n: int, m: int) -> GroupHom:
     if not 1 <= m < n:
         raise AtlasError(f"need 1 <= m < n, got m={m}, n={n}")
     target = pure_braid_rp2(m)
-    B, rho = _rp2_word_helpers(target.alphabet)
-    one = Word.identity(target.alphabet)
-    images = [B(i, j) if j <= m else one for i, j in _b_pairs(n)]
-    images += [rho(k) if k <= m else one for k in range(1, n + 1)]
-    return GroupHom(pure_braid_rp2(n), target, tuple(images))
+    kept = {sym.name for sym in target.alphabet}
+    source = pure_braid_rp2(n)
+    images = [target.word(sym.name if sym.name in kept else "1")
+              for sym in source.alphabet]
+    return GroupHom(source, target, tuple(images))
 
 
 __all__ = [

@@ -180,8 +180,10 @@ def search_equality(p: Presentation, u: Word, v: Word,
 # text format ----------------------------------------------------------------
 
 class ChainFormatError(ChainError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """A malformed chain file; ``line`` is None for a whole-file error."""
+
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -229,8 +231,8 @@ def parse_chain_file(text: str, p: Presentation) -> tuple[DerivationChain, Word]
         else:
             raise ChainFormatError(lineno, f"unknown directive {key!r}")
     if start is None:
-        raise ChainFormatError(0, "missing start line")
+        raise ChainFormatError(None, "missing start line")
     if declared_end is None:
-        raise ChainFormatError(0, "missing end line")
+        raise ChainFormatError(None, "missing end line")
     chain = build_chain(p, start, steps)
     return chain, declared_end

@@ -61,9 +61,6 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.alphabet)
 
-    def identity(self) -> Word:
-        return Word.identity(self.alphabet)
-
     def gen(self, index_or_name, exponent: int = 1) -> Word:
         if isinstance(index_or_name, str):
             for sym in self.alphabet:
@@ -241,8 +238,10 @@ def compose_hom(outer: GroupHom, inner: GroupHom) -> GroupHom:
 # text format ---------------------------------------------------------------
 
 class PresentationFormatError(PresentationError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    """A malformed presentation file; ``line`` is None for a whole-file error."""
+
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -286,9 +285,9 @@ def parse_presentation(text: str) -> Presentation:
         else:
             raise PresentationFormatError(lineno, f"unknown directive {key!r}")
     if name is None:
-        raise PresentationFormatError(0, "missing group line")
+        raise PresentationFormatError(None, "missing group line")
     if alphabet is None:
-        raise PresentationFormatError(0, "missing gens line")
+        raise PresentationFormatError(None, "missing gens line")
     return Presentation(name, alphabet, tuple(relators))
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from braidkernel import (
@@ -6,7 +8,7 @@ from braidkernel import (
     is_central_finite, klein_presentation, pi1_nonorientable, pure_braid_rp2,
     quaternion_presentation, rp2_strand_count, table_equality_oracle,
     tau_component, tau_n, todd_coxeter, torus_presentation,
-    word_equal_finite, center_order_finite,
+    word_equal_finite, center_order_finite, format_word,
 )
 
 
@@ -278,3 +280,27 @@ def test_forget_strands_validation():
         forget_strands_hom(2, 2)
     with pytest.raises(AtlasError):
         forget_strands_hom(1, 0)
+
+
+# pinned atlas words ------------------------------------------------------------------
+
+def _atlas_words_text(n):
+    lines = [format_word(tau_n(n, form)) for form in ("B", "rho")]
+    lines += [format_word(tau_component(n, i, form))
+              for i in range(1, n + 1) for form in ("B", "rho")]
+    lines += [format_word(b_ij_as_rho(n, i, j))
+              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    lines += [format_word(w)
+              for m in range(1, n) for w in forget_strands_hom(n, m).images]
+    return "\n".join(lines) + "\n"
+
+
+def test_atlas_words_pinned():
+    # sha256 over n = 1..12 of tau_n and every tau_component in both forms,
+    # every b_ij_as_rho and every forget_strands_hom image; n >= 10 covers
+    # the B<i>_<j> generator names
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        digest.update(_atlas_words_text(n).encode())
+    assert digest.hexdigest() == (
+        "eb6f6bce9674604086e9a9cf6da7d18619f61cace49590a4c7be34038735b247")

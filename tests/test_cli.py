@@ -61,7 +61,7 @@ def test_central_tau_rejected_off_atlas(capsys, monkeypatch):
     assert code == 3 and "error:" in err
 
 
-# sha256 of `build --surface rp2 --n k` for k = 1..8; relator order is part
+# sha256 of `build --surface rp2 --n k` for k = 1..12; relator order is part
 # of the chain-certificate format, so the text must not change
 BUILD_RP2_SHA256 = [
     "46ad033195a63dbf910e3971a9e32ad337c810d311e8a7e735ea30a2c91130c0",
@@ -72,6 +72,10 @@ BUILD_RP2_SHA256 = [
     "0f6eeaadd6152f00990cde143fac39f3027acd5a2ea373eadf45c55328bf58e8",
     "b23a8143b40fbf7338d50e09e5d44b95366cd9c2a527a87e0fa5c2cfa5cc1878",
     "b001e84311bc43e0cace2488f3dfb26c37313fc9847d18f7b201f0adec2904c6",
+    "edd2469a24b5539f7ec272c8f5810e27facaa5be0c09c56bdf8a8e233fb97549",
+    "5fed04ade093d007bb2672a32bad394399379c3dd4e1db48f21b8aeaecd54849",
+    "c8ed25468ad6a7d43f1666328f0e33a70076c9c62e457cee1c430b305cf8bfbf",
+    "a59795c080bb1bc5b0ab17788d3c4b5d84531bf6f6e86db0e0ad12763a2407de",
 ]
 
 
@@ -317,6 +321,10 @@ rel rho1 rho2 rho1^-1 = rho2^-1
 end
 """
 KLEIN_Q8_MAP = KLEIN_SOURCE + Q8_TARGET + "send x = rho1\nsend y = rho2\n"
+# the target block's `rel d` sits on file line 10
+UNKNOWN_TARGET_GEN_MAP = (KLEIN_SOURCE + "begin target\ngroup Q8\ngens rho1 rho2\n"
+                          "rel rho1^2 = rho2^2\nrel d\nend\n"
+                          "send x = rho1\nsend y = rho2\n")
 
 # files the exit-3 table reads, written to its working directory; each
 # hom map would verify if its defect were ignored
@@ -330,6 +338,7 @@ BAD_INPUT_FILES = {
     "non-integer.chain": "start a\nstep 0 0 1 x\nend a\n",
     "no-start.chain": "step 0 0 1 0\nend a\n",
     "other-presentation.chain": "presentation OTHER\nstart a\nend a\n",
+    "unknown-target-gen.hom": UNKNOWN_TARGET_GEN_MAP,
 }
 
 
@@ -356,6 +365,7 @@ BAD_INPUT_FILES = {
     (["check-derivation", "non-integer.chain"], "group G\ngens a\nrel a^3\n"),
     (["check-derivation", "no-start.chain"], "group G\ngens a\nrel a^3\n"),
     (["check-derivation", "other-presentation.chain"], "group G\ngens a\nrel a^3\n"),
+    (["hom-check", "--map", "unknown-target-gen.hom"], None),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv, stdin):
     for name, text in BAD_INPUT_FILES.items():
@@ -366,6 +376,23 @@ def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv
     assert code == 3
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_hom_block_error_names_the_file_line(capsys, tmp_path):
+    path = tmp_path / "map.hom"
+    path.write_text(UNKNOWN_TARGET_GEN_MAP)
+    code, out, err = invoke(capsys, ["hom-check", "--map", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "error: line 10: unknown generator 'd' at position 0\n"
+
+
+def test_chain_file_without_end_line_has_no_line_number(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "no-end.chain"
+    path.write_text("presentation G\nstart a\n")
+    code, out, err = invoke(capsys, ["check-derivation", str(path)],
+                            stdin="group G\ngens a\nrel a^3\n", monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err == "error: missing end line\n"
 
 
 def test_every_exported_error_is_a_braidkernel_error():

@@ -113,13 +113,14 @@ def test_corpus_chain_replays(fname):
     assert check_derivation(chain).valid
 
 
-def test_corpus_tool_rederives_n2_chains(monkeypatch):
+def test_corpus_tool_rederives_n2_chains():
     # the tool's case table must match the corpus, and a live search must
     # reproduce each n=2 file byte for byte (the n=3 searches take minutes)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    path_before = list(sys.path)
     spec = importlib.util.spec_from_file_location("gen_chain_corpus", CORPUS_TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    assert sys.path == path_before  # loading CASES has no side effects
     assert {case[0]: case[1:4] for case in tool.CASES} == CORPUS
     n2_cases = [case for case in tool.CASES if case[1] == 2]
     assert n2_cases

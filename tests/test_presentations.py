@@ -233,3 +233,10 @@ rel rho1 rho2 rho1^-1 = rho2^-1
 def test_parse_presentation_errors(text, match):
     with pytest.raises(PresentationFormatError, match=match):
         parse_presentation(text)
+
+
+def test_whole_file_error_has_no_line_number():
+    with pytest.raises(PresentationFormatError) as info:
+        parse_presentation("# c\n")
+    assert str(info.value) == "missing group line"
+    assert info.value.line is None

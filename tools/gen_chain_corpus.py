@@ -10,12 +10,8 @@ their endpoints are mathematically meaningful.
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from braidkernel.atlas import pure_braid_rp2
-from braidkernel.derivations import check_derivation, format_chain, search_equality
-
-DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 CASES = [
     ("b12_as_rho_n2.chain", 2, "B12", "rho2 rho1^-1 rho2^-1 rho1", 12, 200000),
@@ -28,6 +24,9 @@ CASES = [
 
 
 def main():
+    from braidkernel.atlas import pure_braid_rp2
+    from braidkernel.derivations import check_derivation, format_chain, search_equality
+
     DATA.mkdir(parents=True, exist_ok=True)
     for fname, n, lhs, rhs, cap, nodes in CASES:
         p = pure_braid_rp2(n)
@@ -41,4 +40,5 @@ def main():
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     main()
