@@ -1,9 +1,11 @@
 """Batch command-line interface.
 
-Exit codes: 0 success, 1 negative mathematical answer (not equal, not
-central, covering impossible, invalid chain), 2 inconclusive (budget
-exhausted), 3 usage or parse error.  With ``--json``, each command
-prints a single JSON object carrying a ``result`` field.
+Each command returns a tri-state answer; ``run`` alone prints and
+picks the exit code: 0 success (True), 1 negative mathematical answer
+(False: not equal, not central, covering impossible, invalid chain),
+2 inconclusive (a budget ran out: one ``undecided: <reason>`` line on
+stderr, nothing on stdout), 3 usage or parse error.  With ``--json``,
+each command prints a single JSON object carrying a ``result`` field.
 
 Presentations are read from ``--input FILE`` or stdin, so commands
 pipe: ``braidkernel build --surface rp2 --n 2 | braidkernel order``.
@@ -19,7 +21,7 @@ from typing import Optional
 
 from . import atlas, coverings
 from .coset import (
-    DEFAULT_MAX_COSETS, group_order, is_central_finite, table_equality_oracle,
+    DEFAULT_MAX_COSETS, CosetTable, group_order, is_central_finite, table_equality_oracle,
     todd_coxeter, word_equal_finite,
 )
 from .derivations import (
@@ -32,7 +34,7 @@ from .presentations import (
 )
 from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix, rewrite_equality_oracle
 from .surfaces import TORUS, describe_surface, parse_surface
-from .words import BraidkernelError, format_word, parse_word
+from .words import BraidkernelError, WordError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -44,6 +46,10 @@ ENV_MAX_COSETS = "BRAIDKERNEL_MAX_COSETS"
 
 class UsageError(Exception):
     pass
+
+
+class _Undecided(Exception):
+    """A budget ran out before the answer was known; the message says which."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,14 +73,15 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, input_file=True):
+    def common(p, input_file=True, max_cosets=True):
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if input_file:
             p.add_argument("--input", default=None,
                            help="presentation file (default: stdin)")
-        p.add_argument("--max-cosets", type=_budget_value, default=None,
-                       help="enumeration budget: most live cosets, inclusive "
-                            f"(default {DEFAULT_MAX_COSETS}, or ${ENV_MAX_COSETS})")
+        if max_cosets:
+            p.add_argument("--max-cosets", type=_budget_value, default=None,
+                           help="enumeration budget: most live cosets, inclusive "
+                                f"(default {DEFAULT_MAX_COSETS}, or ${ENV_MAX_COSETS})")
 
     p = sub.add_parser("build", help="print an atlas presentation")
     p.add_argument("--surface", required=True,
@@ -91,7 +98,7 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("abelianize", help="abelian invariants")
-    common(p)
+    common(p, max_cosets=False)
 
     p = sub.add_parser("hom-check", help="verify a homomorphism map file")
     p.add_argument("--map", required=True, dest="map_file")
@@ -135,17 +142,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check-derivation", help="replay a derivation chain file")
     p.add_argument("chain_file")
-    common(p)
+    common(p, max_cosets=False)
 
     return parser
-
-
-def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps({"result": payload}, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
 
 
 def _load_presentation(args) -> Presentation:
@@ -158,26 +157,21 @@ def _load_presentation(args) -> Presentation:
 
 
 def _budget(args) -> int:
-    if getattr(args, "max_cosets", None) is not None:
+    if args.max_cosets is not None:
         return args.max_cosets
     env = os.environ.get(ENV_MAX_COSETS)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise UsageError(f"bad {ENV_MAX_COSETS} value {env!r}") from exc
-        if value < 1:
-            raise UsageError(f"{ENV_MAX_COSETS} must be positive")
-        return value
-    return DEFAULT_MAX_COSETS
+    if env is None:
+        return DEFAULT_MAX_COSETS
+    try:
+        return _budget_value(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{ENV_MAX_COSETS}: {exc}") from None
 
 
-def _enumerate(args, p: Presentation):
+def _enumerate(args, p: Presentation) -> CosetTable:
     table = todd_coxeter(p, max_cosets=_budget(args))
     if not table.is_complete:
-        print(f"undecided: enumeration budget exhausted at {table.n_cosets} live cosets",
-              file=sys.stderr)
-        return None
+        raise _Undecided(f"enumeration budget exhausted at {table.n_cosets} live cosets")
     return table
 
 
@@ -192,10 +186,12 @@ def _resolve_element(args, p: Presentation):
     return parse_word(args.element, p.alphabet)
 
 
-# command bodies ---------------------------------------------------------------
+# command bodies: each returns (answer, JSON payload, text lines) -------------
 
-def _cmd_build(args) -> int:
+def _cmd_build(args):
     spec = args.surface.strip().lower()
+    if args.n is not None and spec != "rp2":
+        raise UsageError("--n applies to --surface rp2 only")
     if spec == "rp2":
         if args.n is None:
             raise UsageError("--surface rp2 needs --n")
@@ -214,41 +210,26 @@ def _cmd_build(args) -> int:
     else:
         raise UsageError(f"unknown atlas surface {args.surface!r}")
     text = format_presentation(p)
-    if args.json:
-        _emit(args, {"presentation": text}, [])
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return True, {"presentation": text}, text.splitlines()
 
 
-def _cmd_order(args) -> int:
-    p = _load_presentation(args)
-    table = _enumerate(args, p)
-    if table is None:
-        return EXIT_UNDECIDED
-    order = group_order(table)
-    _emit(args, {"order": order}, [str(order)])
-    return EXIT_OK
+def _cmd_order(args):
+    order = group_order(_enumerate(args, _load_presentation(args)))
+    return True, {"order": order}, [str(order)]
 
 
-def _cmd_central(args) -> int:
+def _cmd_central(args):
     p = _load_presentation(args)
     w = _resolve_element(args, p)
-    table = _enumerate(args, p)
-    if table is None:
-        return EXIT_UNDECIDED
-    central = is_central_finite(table, w)
-    _emit(args, {"element": format_word(w), "central": central},
-          [f"{format_word(w)} is {'central' if central else 'not central'}"])
-    return EXIT_OK if central else EXIT_NEGATIVE
+    central = is_central_finite(_enumerate(args, p), w)
+    return (central, {"element": format_word(w), "central": central},
+            [f"{format_word(w)} is {'central' if central else 'not central'}"])
 
 
-def _cmd_abelianize(args) -> int:
-    p = _load_presentation(args)
-    inv = abelianization(p)
-    _emit(args, {"rank": inv.rank, "torsion": list(inv.torsion)},
-          [f"rank {inv.rank}, torsion {list(inv.torsion)}"])
-    return EXIT_OK
+def _cmd_abelianize(args):
+    inv = abelianization(_load_presentation(args))
+    return (True, {"rank": inv.rank, "torsion": list(inv.torsion)},
+            [f"rank {inv.rank}, torsion {list(inv.torsion)}"])
 
 
 def _parse_hom_file(text: str) -> GroupHom:
@@ -256,7 +237,7 @@ def _parse_hom_file(text: str) -> GroupHom:
     ``begin target``/``end`` block in the presentation format, then one
     ``send <gen> = <word>`` line per source generator."""
     blocks: dict[str, list[str]] = {}
-    sends: dict[str, str] = {}
+    sends: dict[str, tuple[int, str]] = {}  # gen -> (line number, image text)
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if current is not None:
@@ -288,7 +269,7 @@ def _parse_hom_file(text: str) -> GroupHom:
             gen = gen.strip()
             if gen in sends:
                 raise UsageError(f"line {lineno}: duplicate send line for {gen}")
-            sends[gen] = image.strip()
+            sends[gen] = (lineno, image.strip())
         else:
             raise UsageError(f"line {lineno}: unknown directive {key!r}")
     if current is not None:
@@ -298,32 +279,31 @@ def _parse_hom_file(text: str) -> GroupHom:
     source = parse_presentation("\n".join(blocks["source"]))
     target = parse_presentation("\n".join(blocks["target"]))
     names = [sym.name for sym in source.alphabet]
-    for gen in sends:
+    images = {}
+    for gen, (lineno, image) in sends.items():
         if gen not in names:
-            raise UsageError(f"send line for unknown source generator {gen}")
+            raise UsageError(f"line {lineno}: send line for unknown source generator {gen}")
+        try:
+            images[gen] = parse_word(image, target.alphabet)
+        except WordError as exc:
+            raise UsageError(f"line {lineno}: {exc}") from None
     for name in names:
-        if name not in sends:
+        if name not in images:
             raise UsageError(f"no send line for generator {name}")
-    images = tuple(parse_word(sends[name], target.alphabet) for name in names)
-    return GroupHom(source, target, images)
+    return GroupHom(source, target, tuple(images[name] for name in names))
 
 
-def _cmd_hom_check(args) -> int:
+def _cmd_hom_check(args):
     with open(args.map_file, encoding="utf-8") as fh:
         hom = _parse_hom_file(fh.read())
-    table = _enumerate(args, hom.target)
-    if table is None:
-        return EXIT_UNDECIDED
-    result = hom_check(hom, table_equality_oracle(table))
-    payload = {"status": result.status, "failing_relator": result.relator_index}
-    _emit(args, payload, [result.status if result.verified else
-                          f"{result.status} at relator {result.relator_index}"])
-    if result.verified:
-        return EXIT_OK
-    return EXIT_UNDECIDED if result.status == "undecided" else EXIT_NEGATIVE
+    result = hom_check(hom, table_equality_oracle(_enumerate(args, hom.target)))
+    answer = {"verified": True, "failed": False}.get(result.status)  # None if undecided
+    return (answer, {"status": result.status, "failing_relator": result.relator_index},
+            [result.status if result.verified else
+             f"{result.status} at relator {result.relator_index}"])
 
 
-def _cmd_equal(args) -> int:
+def _cmd_equal(args):
     p = _load_presentation(args)
     lhs = parse_word(args.lhs, p.alphabet)
     rhs = parse_word(args.rhs, p.alphabet)
@@ -331,30 +311,22 @@ def _cmd_equal(args) -> int:
         chain = search_equality(p, lhs, rhs, max_word_len=args.max_word_len,
                                 max_nodes=args.max_nodes)
         if chain is None:
-            print("undecided: no chain found within budget", file=sys.stderr)
-            return EXIT_UNDECIDED
-        _emit(args, {"equal": True, "steps": len(chain.steps),
-                     "chain": format_chain(chain)},
-              ["equal", format_chain(chain).rstrip()])
-        return EXIT_OK
+            raise _Undecided("no chain found within budget")
+        text = format_chain(chain)
+        return (True, {"equal": True, "steps": len(chain.steps), "chain": text},
+                ["equal", text.rstrip()])
     if args.rewrite:
         rs = knuth_bendix(p, max_rules=args.max_rules, max_len=args.max_len)
         same = rewrite_equality_oracle(rs)(lhs, rhs)
         if same is None:
-            print("undecided: rewriting system is not confluent", file=sys.stderr)
-            return EXIT_UNDECIDED
-        _emit(args, {"equal": same, "confluent": rs.confluent},
-              ["equal" if same else "not equal"])
-        return EXIT_OK if same else EXIT_NEGATIVE
-    table = _enumerate(args, p)
-    if table is None:
-        return EXIT_UNDECIDED
-    same = word_equal_finite(table, lhs, rhs)
-    _emit(args, {"equal": same}, ["equal" if same else "not equal"])
-    return EXIT_OK if same else EXIT_NEGATIVE
+            raise _Undecided("rewriting system is not confluent")
+        return (same, {"equal": same, "confluent": rs.confluent},
+                ["equal" if same else "not equal"])
+    same = word_equal_finite(_enumerate(args, p), lhs, rhs)
+    return same, {"equal": same}, ["equal" if same else "not equal"]
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args):
     surface = parse_surface(args.quotient)
     params = None
     if args.q is not None or args.r is not None:
@@ -373,11 +345,10 @@ def _cmd_kernel(args) -> int:
     if desc.presentation is not None:
         lines.append("explicit presentation: available"
                      + (f" (written to {pres_file})" if pres_file else ""))
-    _emit(args, desc.to_json_dict(pres_file), lines)
-    return EXIT_OK
+    return True, desc.to_json_dict(pres_file), lines
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args):
     cover = parse_surface(args.cover_surface)
     base = parse_surface(args.base_surface)
     decision = coverings.can_cover(cover, base, args.sheets)
@@ -387,12 +358,12 @@ def _cmd_cover(args) -> int:
     if decision.certificate:
         lines.append(f"certificate: {decision.certificate}")
         lines.append(decision.detail)
-    _emit(args, {"possible": decision.possible, "certificate": decision.certificate,
-                 "detail": decision.detail}, lines)
-    return EXIT_OK if decision.possible else EXIT_NEGATIVE
+    return (decision.possible, {"possible": decision.possible,
+                                "certificate": decision.certificate,
+                                "detail": decision.detail}, lines)
 
 
-def _cmd_quotients(args) -> int:
+def _cmd_quotients(args):
     candidates = coverings.quotient_candidates(
         parse_surface(args.surface), args.sheets, args.strict_orientability)
     lines = []
@@ -407,11 +378,10 @@ def _cmd_quotients(args) -> int:
             note += "; acting group Z/q + Z/r with (q,r) in " + str(forms)
         lines.append(note)
         payload.append(entry)
-    _emit(args, payload, lines if lines else ["(no candidates)"])
-    return EXIT_OK
+    return True, payload, lines if lines else ["(no candidates)"]
 
 
-def _cmd_check_derivation(args) -> int:
+def _cmd_check_derivation(args):
     p = _load_presentation(args)
     with open(args.chain_file, encoding="utf-8") as fh:
         text = fh.read()
@@ -420,16 +390,14 @@ def _cmd_check_derivation(args) -> int:
     except ChainFormatError:
         raise  # a malformed file is a usage error; only replay failures are answers
     except ChainError as exc:
-        _emit(args, {"valid": False, "error": str(exc)}, [f"invalid: {exc}"])
-        return EXIT_NEGATIVE
+        return False, {"valid": False, "error": str(exc)}, [f"invalid: {exc}"]
     # parse_chain_file has replayed every step; only the endpoint is left
     valid = chain.end == declared_end
     message = f"{len(chain.steps)} steps replayed" if valid else (
         f"chain replays but ends at {format_word(chain.end)}, "
         f"file declares {format_word(declared_end)}")
-    _emit(args, {"valid": valid, "steps": len(chain.steps), "message": message},
-          [("valid: " if valid else "invalid: ") + message])
-    return EXIT_OK if valid else EXIT_NEGATIVE
+    return (valid, {"valid": valid, "steps": len(chain.steps), "message": message},
+            [("valid: " if valid else "invalid: ") + message])
 
 
 _COMMANDS = {
@@ -450,10 +418,19 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        answer, payload, lines = _COMMANDS[args.command](args)
+        if args.json:
+            print(json.dumps({"result": payload}, indent=2))
+        else:
+            for line in lines:
+                print(line)
+    except _Undecided as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (UsageError, BraidkernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return {True: EXIT_OK, False: EXIT_NEGATIVE, None: EXIT_UNDECIDED}[answer]
 
 
 def main() -> None:

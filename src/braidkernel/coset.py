@@ -70,13 +70,6 @@ class CosetTable:
     def entry(self, coset: int, letter: int) -> Optional[int]:
         return self.rows[coset - 1][letter]
 
-    def trace(self, coset: int, letters: Sequence[int]) -> Optional[int]:
-        for x in letters:
-            coset = self.rows[coset - 1][x]
-            if coset is None:
-                return None
-        return coset
-
     def trace_word(self, coset: int, w: Word) -> Optional[int]:
         """The coset reached from ``coset`` by reading w, or None where an
         undefined entry stops the walk.

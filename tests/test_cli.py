@@ -6,7 +6,7 @@ import json
 import pytest
 
 import braidkernel
-from braidkernel.cli import run
+from braidkernel.cli import _COMMANDS, run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
@@ -105,9 +105,10 @@ def test_env_var_budget(capsys, monkeypatch):
     monkeypatch.setenv("BRAIDKERNEL_MAX_COSETS", "10")
     code, _, err = invoke(capsys, ["order"], stdin=text, monkeypatch=monkeypatch)
     assert code == 2
-    monkeypatch.setenv("BRAIDKERNEL_MAX_COSETS", "bogus")
-    code, _, err = invoke(capsys, ["order"], stdin=text, monkeypatch=monkeypatch)
-    assert code == 3
+    for value in ("bogus", "0", "-3"):
+        monkeypatch.setenv("BRAIDKERNEL_MAX_COSETS", value)
+        code, _, err = invoke(capsys, ["order"], stdin=text, monkeypatch=monkeypatch)
+        assert code == 3 and err.startswith("error: BRAIDKERNEL_MAX_COSETS: "), value
 
 
 def test_abelianize(capsys, monkeypatch):
@@ -137,9 +138,11 @@ def test_equal_table_modes(capsys, monkeypatch, tmp_path):
                                           "--rhs", "rho2 rho1^-1 rho2^-1 rho1",
                                           "--search", "--max-word-len", "12"])
     assert code == 0 and "step" in out
-    code, _, err = invoke(capsys, base + ["--lhs", "rho1", "--rhs", "rho2",
-                                          "--search", "--max-nodes", "50"])
-    assert code == 2 and err.startswith("undecided:")
+    for mode in ([], ["--json"]):
+        code, out, err = invoke(capsys, base + ["--lhs", "rho1", "--rhs", "rho2",
+                                                "--search", "--max-nodes", "50"] + mode)
+        assert (code, out) == (2, "")
+        assert err == "undecided: no chain found within budget\n"
 
 
 def test_equal_parse_error(capsys, monkeypatch):
@@ -197,10 +200,12 @@ def test_equal_rewrite_undecided_when_not_confluent(capsys, monkeypatch, tmp_pat
     pres = build_rp2(capsys, 2)
     path = tmp_path / "p2.pres"
     path.write_text(pres)
-    code, _, err = invoke(capsys, ["equal", "--input", str(path),
-                                   "--lhs", "rho1", "--rhs", "rho2",
-                                   "--rewrite", "--max-rules", "3"])
-    assert code == 2 and err.startswith("undecided:")
+    for mode in ([], ["--json"]):
+        code, out, err = invoke(capsys, ["equal", "--input", str(path),
+                                         "--lhs", "rho1", "--rhs", "rho2",
+                                         "--rewrite", "--max-rules", "3"] + mode)
+        assert (code, out) == (2, "")
+        assert err == "undecided: rewriting system is not confluent\n"
 
 
 def test_kernel_usage_errors(capsys):
@@ -293,14 +298,31 @@ def test_json_envelope_everywhere(capsys, monkeypatch, tmp_path):
     pres = build_rp2(capsys, 2)
     path = tmp_path / "p2.pres"
     path.write_text(pres)
-    for argv in (["order", "--input", str(path), "--json"],
-                 ["central", "--element", "tau", "--input", str(path), "--json"],
-                 ["cover", "--from", "torus", "--to", "sphere", "--sheets", "2",
-                  "--json"],
-                 ["quotients", "--surface", "S2", "--sheets", "2", "--json"]):
-        code, out, _ = invoke(capsys, argv)
+    map_path = tmp_path / "map.hom"
+    map_path.write_text(KLEIN_Q8_MAP)
+    p2 = ["--input", str(path)]
+    equal = ["equal", *p2, "--lhs", "B12", "--rhs", "rho2 rho1^-1 rho2^-1 rho1"]
+    cases = [
+        (["build", "--surface", "rp2", "--n", "2"], 0),
+        (["order", *p2], 0),
+        (["central", "--element", "tau", *p2], 0),
+        (["abelianize", *p2], 0),
+        (["hom-check", "--map", str(map_path)], 0),
+        (equal, 0),
+        (equal + ["--table"], 0),
+        (equal + ["--search", "--max-word-len", "12"], 0),
+        (equal + ["--rewrite"], 0),
+        (["kernel", "--quotient", "rp2", "--n", "2"], 0),
+        (["cover", "--from", "torus", "--to", "sphere", "--sheets", "2"], 1),
+        (["quotients", "--surface", "S2", "--sheets", "2"], 0),
+        (["check-derivation", str(DATA_DIR / "b12_as_rho_n2.chain"), *p2], 0),
+    ]
+    assert {argv[0] for argv, _ in cases} == set(_COMMANDS)
+    for argv, expected in cases:
+        code, out, err = invoke(capsys, argv + ["--json"])
+        assert (code, err) == (expected, ""), argv
         payload = json.loads(out)
-        assert "result" in payload
+        assert list(payload) == ["result"]
         assert json.dumps(payload, indent=2) + "\n" == out
 
 
@@ -327,7 +349,8 @@ UNKNOWN_TARGET_GEN_MAP = (KLEIN_SOURCE + "begin target\ngroup Q8\ngens rho1 rho2
                           "send x = rho1\nsend y = rho2\n")
 
 # files the exit-3 table reads, written to its working directory; each
-# hom map would verify if its defect were ignored
+# hom map would verify if its defect were ignored, and trivial.chain is
+# valid, so its row fails only on the flag
 BAD_INPUT_FILES = {
     "unknown-send.hom": KLEIN_Q8_MAP + "send zzz = rho1\n",
     "duplicate-send.hom": KLEIN_Q8_MAP + "send x = rho2\n",
@@ -339,6 +362,7 @@ BAD_INPUT_FILES = {
     "no-start.chain": "step 0 0 1 0\nend a\n",
     "other-presentation.chain": "presentation OTHER\nstart a\nend a\n",
     "unknown-target-gen.hom": UNKNOWN_TARGET_GEN_MAP,
+    "trivial.chain": "start a\nend a\n",
 }
 
 
@@ -366,6 +390,10 @@ BAD_INPUT_FILES = {
     (["check-derivation", "no-start.chain"], "group G\ngens a\nrel a^3\n"),
     (["check-derivation", "other-presentation.chain"], "group G\ngens a\nrel a^3\n"),
     (["hom-check", "--map", "unknown-target-gen.hom"], None),
+    (["abelianize", "--max-cosets", "1"], "group G\ngens a\nrel a^3\n"),
+    (["check-derivation", "trivial.chain", "--max-cosets", "5"],
+     "group G\ngens a\nrel a^3\n"),
+    (["build", "--surface", "torus", "--n", "7"], None),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv, stdin):
     for name, text in BAD_INPUT_FILES.items():
@@ -378,12 +406,21 @@ def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv
     assert "Traceback" not in err
 
 
-def test_hom_block_error_names_the_file_line(capsys, tmp_path):
+@pytest.mark.parametrize("map_text,expected", [
+    (UNKNOWN_TARGET_GEN_MAP, "error: line 10: unknown generator 'd' at position 0\n"),
+    # the source and target blocks fill file lines 1-12; send lines follow
+    (KLEIN_SOURCE + Q8_TARGET + "send x = rho1\nsend y = zzz\n",
+     "error: line 14: unknown generator 'zzz' at position 0\n"),
+    (KLEIN_Q8_MAP + "send zzz = rho1\n",
+     "error: line 15: send line for unknown source generator zzz\n"),
+    (KLEIN_SOURCE + Q8_TARGET + "send x = rho1\n", "error: no send line for generator y\n"),
+], ids=["target-block", "send-image", "send-source", "whole-file"])
+def test_hom_block_error_names_the_file_line(capsys, tmp_path, map_text, expected):
     path = tmp_path / "map.hom"
-    path.write_text(UNKNOWN_TARGET_GEN_MAP)
+    path.write_text(map_text)
     code, out, err = invoke(capsys, ["hom-check", "--map", str(path)])
     assert (code, out) == (3, "")
-    assert err == "error: line 10: unknown generator 'd' at position 0\n"
+    assert err == expected
 
 
 def test_chain_file_without_end_line_has_no_line_number(capsys, monkeypatch, tmp_path):
