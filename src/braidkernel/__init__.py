@@ -6,10 +6,10 @@ from .words import (
     format_word, make_alphabet, multiply, parse_word, shortlex_compare,
 )
 from .presentations import (
-    AbelianInvariants, GroupHom, HomCheckResult, Presentation,
+    AbelianInvariants, FormatError, GroupHom, HomCheckResult, Presentation,
     PresentationError, UnverifiedHomError, abelianization, apply_hom,
-    compose_hom, format_presentation, hom_check, parse_presentation,
-    parse_relation, presentation, quotient, substitute,
+    compose_hom, format_presentation, hom_check, parse_hom_file,
+    parse_presentation, parse_relation, presentation, quotient, substitute,
 )
 from .snf import MatrixError, smith_normal_form
 from .coset import (

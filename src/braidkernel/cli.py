@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import atlas, coverings
 from .coset import (
@@ -29,12 +28,12 @@ from .derivations import (
     format_chain, parse_chain_file, search_equality,
 )
 from .presentations import (
-    GroupHom, Presentation, abelianization, format_presentation, hom_check,
+    Presentation, abelianization, format_presentation, hom_check, parse_hom_file,
     parse_presentation,
 )
 from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix, rewrite_equality_oracle
 from .surfaces import TORUS, describe_surface, parse_surface
-from .words import BraidkernelError, WordError, format_word, parse_word
+from .words import BraidkernelError, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -232,75 +231,15 @@ def _cmd_abelianize(args):
             [f"rank {inv.rank}, torsion {list(inv.torsion)}"])
 
 
-def _parse_hom_file(text: str) -> GroupHom:
-    """Self-contained map files: a ``begin source``/``end`` block and a
-    ``begin target``/``end`` block in the presentation format, then one
-    ``send <gen> = <word>`` line per source generator."""
-    blocks: dict[str, list[str]] = {}
-    sends: dict[str, tuple[int, str]] = {}  # gen -> (line number, image text)
-    current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if current is not None:
-            if raw.strip() == "end":
-                current = None
-            else:
-                blocks[current].append(raw)
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "hom":
-            pass  # label only
-        elif key == "begin":
-            if rest not in ("source", "target"):
-                raise UsageError(f"line {lineno}: begin must name source or target")
-            if rest in blocks:
-                raise UsageError(f"line {lineno}: duplicate begin {rest}")
-            current = rest
-            # pad with the lines above the block, so the presentation
-            # parser (which skips blank lines) reports file line numbers
-            blocks[current] = [""] * lineno
-        elif key == "send":
-            gen, eq, image = rest.partition("=")
-            if not eq:
-                raise UsageError(f"line {lineno}: send needs '<gen> = <word>'")
-            gen = gen.strip()
-            if gen in sends:
-                raise UsageError(f"line {lineno}: duplicate send line for {gen}")
-            sends[gen] = (lineno, image.strip())
-        else:
-            raise UsageError(f"line {lineno}: unknown directive {key!r}")
-    if current is not None:
-        raise UsageError(f"unterminated begin {current}")
-    if "source" not in blocks or "target" not in blocks:
-        raise UsageError("map file needs source and target blocks")
-    source = parse_presentation("\n".join(blocks["source"]))
-    target = parse_presentation("\n".join(blocks["target"]))
-    names = [sym.name for sym in source.alphabet]
-    images = {}
-    for gen, (lineno, image) in sends.items():
-        if gen not in names:
-            raise UsageError(f"line {lineno}: send line for unknown source generator {gen}")
-        try:
-            images[gen] = parse_word(image, target.alphabet)
-        except WordError as exc:
-            raise UsageError(f"line {lineno}: {exc}") from None
-    for name in names:
-        if name not in images:
-            raise UsageError(f"no send line for generator {name}")
-    return GroupHom(source, target, tuple(images[name] for name in names))
-
-
 def _cmd_hom_check(args):
     with open(args.map_file, encoding="utf-8") as fh:
-        hom = _parse_hom_file(fh.read())
+        hom = parse_hom_file(fh.read())
     result = hom_check(hom, table_equality_oracle(_enumerate(args, hom.target)))
-    answer = {"verified": True, "failed": False}.get(result.status)  # None if undecided
-    return (answer, {"status": result.status, "failing_relator": result.relator_index},
-            [result.status if result.verified else
-             f"{result.status} at relator {result.relator_index}"])
+    if result.status == "undecided":
+        raise _Undecided(f"target oracle could not decide relator {result.relator_index}")
+    payload = {"status": result.status, "failing_relator": result.relator_index}
+    return (result.verified, payload, [result.status if result.verified else
+                                       f"{result.status} at relator {result.relator_index}"])
 
 
 def _cmd_equal(args):

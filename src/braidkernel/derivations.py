@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .presentations import Presentation
+from .presentations import FormatError, Presentation, directives, read_directives
 from .words import (
     BraidkernelError,
     Word,
@@ -179,12 +179,8 @@ def search_equality(p: Presentation, u: Word, v: Word,
 
 # text format ----------------------------------------------------------------
 
-class ChainFormatError(ChainError):
-    """A malformed chain file; ``line`` is None for a whole-file error."""
-
-    def __init__(self, line: Optional[int], message: str):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+class ChainFormatError(FormatError, ChainError):
+    """A malformed chain file."""
 
 
 def format_chain(chain: DerivationChain) -> str:
@@ -202,37 +198,26 @@ def parse_chain_file(text: str, p: Presentation) -> tuple[DerivationChain, Word]
     Returns the replayed chain and the file's declared end word; the
     caller compares ``chain.end`` against the declaration.
     """
-    start = None
-    declared_end = None
+    words: dict[str, Word] = {}
     steps: list[DerivationStep] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "presentation":
-            if rest != p.name:
-                raise ChainFormatError(
-                    lineno, f"chain is over {rest!r}, not {p.name!r}")
-        elif key == "start":
-            start = parse_word(rest, p.alphabet)
-        elif key == "step":
-            fields = rest.split()
-            if len(fields) != 4:
-                raise ChainFormatError(lineno, "step needs 4 integers")
-            try:
-                ints = [int(f) for f in fields]
-            except ValueError as exc:
-                raise ChainFormatError(lineno, str(exc)) from exc
-            steps.append(DerivationStep(*ints))
-        elif key == "end":
-            declared_end = parse_word(rest, p.alphabet)
-        else:
-            raise ChainFormatError(lineno, f"unknown directive {key!r}")
-    if start is None:
-        raise ChainFormatError(None, "missing start line")
-    if declared_end is None:
-        raise ChainFormatError(None, "missing end line")
-    chain = build_chain(p, start, steps)
-    return chain, declared_end
+
+    def presentation(rest):
+        if rest != p.name:
+            raise ChainError(f"chain is over {rest!r}, not {p.name!r}")
+
+    def step(rest):
+        fields = rest.split()
+        if len(fields) != 4:
+            raise ChainError("step needs 4 integers")
+        steps.append(DerivationStep(*(int(f) for f in fields)))
+
+    read_directives(directives(text), {
+        "presentation": presentation,
+        "start": lambda rest: words.update(start=parse_word(rest, p.alphabet)),
+        "step": step,
+        "end": lambda rest: words.update(end=parse_word(rest, p.alphabet)),
+    }, ChainFormatError)
+    for key in ("start", "end"):
+        if key not in words:
+            raise ChainFormatError(None, f"missing {key} line")
+    return build_chain(p, words["start"], steps), words["end"]

@@ -1,5 +1,5 @@
 """Finitely presented groups: construction, quotients, homomorphisms,
-abelianization.
+abelianization, and the line-oriented text formats.
 
 Relations ``u = v`` are ingested as the single relator ``u*v^-1``;
 relators are stored freely and cyclically reduced with duplicates
@@ -10,14 +10,13 @@ rewriting engine's derivation certificates refer to relators by index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .snf import smith_normal_form
 from .words import (
     Alphabet,
     BraidkernelError,
     Word,
-    WordError,
     cyclic_reduce,
     format_word,
     make_alphabet,
@@ -235,60 +234,141 @@ def compose_hom(outer: GroupHom, inner: GroupHom) -> GroupHom:
     return GroupHom(inner.source, outer.target, images)
 
 
-# text format ---------------------------------------------------------------
+# text formats: presentation, map and chain files share one line syntax ------
 
-class PresentationFormatError(PresentationError):
-    """A malformed presentation file; ``line`` is None for a whole-file error."""
+Directive = tuple[int, str, str]  # (file line, key, rest)
+
+
+class FormatError(BraidkernelError):
+    """A malformed file; ``line`` is None for a whole-file error."""
 
     def __init__(self, line: Optional[int], message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
-def parse_presentation(text: str) -> Presentation:
-    """Parse the line-oriented presentation format.
+class PresentationFormatError(FormatError, PresentationError):
+    """A malformed presentation or map file."""
 
-    ``group <name>`` then ``gens <name>+`` then ``rel <word>`` or
-    ``rel <word> = <word>`` lines; ``#`` starts a comment.
-    """
-    name = None
-    alphabet = None
-    relators: list[Word] = []
+
+def directives(text: str) -> Iterator[Directive]:
+    """The numbered ``<key> <rest>`` lines of a text; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "group":
-            if name is not None:
-                raise PresentationFormatError(lineno, "duplicate group line")
-            if not rest:
-                raise PresentationFormatError(lineno, "missing group name")
-            name = rest
-        elif key == "gens":
-            if name is None:
-                raise PresentationFormatError(lineno, "gens before group line")
-            if alphabet is not None:
-                raise PresentationFormatError(lineno, "duplicate gens line")
-            try:
-                alphabet = make_alphabet(rest.split())
-            except WordError as exc:
-                raise PresentationFormatError(lineno, str(exc)) from exc
-        elif key == "rel":
-            if alphabet is None:
-                raise PresentationFormatError(lineno, "rel before gens line")
-            try:
-                relators.append(parse_relation(rest, alphabet))
-            except (WordError, PresentationError) as exc:
-                raise PresentationFormatError(lineno, str(exc)) from exc
-        else:
-            raise PresentationFormatError(lineno, f"unknown directive {key!r}")
+        if line:
+            key, _, rest = line.partition(" ")
+            yield lineno, key, rest.strip()
+
+
+def read_directives(lines: Iterable[Directive], handlers: dict[str, Callable[[str], None]],
+                    error: type[FormatError]) -> None:
+    """Hand each directive's rest to the handler of its key.
+
+    An unknown key, or a ``ValueError`` (every library error is one) that
+    a handler raises, becomes ``error`` naming the directive's line.
+    """
+    for lineno, key, rest in lines:
+        if key not in handlers:
+            raise error(lineno, f"unknown directive {key!r}")
+        try:
+            handlers[key](rest)
+        except FormatError:  # a nested reader has named the line already
+            raise
+        except ValueError as exc:
+            raise error(lineno, str(exc)) from exc
+
+
+def _read_presentation(lines: Iterable[Directive]) -> Presentation:
+    name = alphabet = None
+    relators: list[Word] = []
+
+    def group(rest):
+        nonlocal name
+        if name is not None:
+            raise PresentationError("duplicate group line")
+        if not rest:
+            raise PresentationError("missing group name")
+        name = rest
+
+    def gens(rest):
+        nonlocal alphabet
+        if name is None:
+            raise PresentationError("gens before group line")
+        if alphabet is not None:
+            raise PresentationError("duplicate gens line")
+        alphabet = make_alphabet(rest.split())
+
+    def rel(rest):
+        if alphabet is None:
+            raise PresentationError("rel before gens line")
+        relators.append(parse_relation(rest, alphabet))
+
+    read_directives(lines, {"group": group, "gens": gens, "rel": rel},
+                    PresentationFormatError)
     if name is None:
         raise PresentationFormatError(None, "missing group line")
     if alphabet is None:
         raise PresentationFormatError(None, "missing gens line")
     return Presentation(name, alphabet, tuple(relators))
+
+
+def parse_presentation(text: str) -> Presentation:
+    """Parse the line-oriented presentation format.
+
+    ``group <name>`` then ``gens <name>+`` then ``rel <word>`` or
+    ``rel <word> = <word>`` lines.
+    """
+    return _read_presentation(directives(text))
+
+
+def parse_hom_file(text: str) -> GroupHom:
+    """Parse a self-contained map file.
+
+    A ``begin source``/``end`` block and a ``begin target``/``end`` block
+    in the presentation format, and one ``send <gen> = <word>`` line per
+    source generator; an optional ``hom <label>`` line is ignored.
+    """
+    found = list(directives(text))
+    lines = iter(found)
+    blocks: dict[str, Presentation] = {}
+
+    def begin(rest):
+        if rest not in ("source", "target"):
+            raise PresentationError("begin must name source or target")
+        if rest in blocks:
+            raise PresentationError(f"duplicate begin {rest}")
+        block = []
+        for directive in lines:  # the block's lines leave the outer reader
+            if directive[1:] == ("end", ""):
+                blocks[rest] = _read_presentation(block)
+                return
+            block.append(directive)
+        raise PresentationFormatError(None, f"unterminated begin {rest}")
+
+    # sends are read once both blocks are known
+    read_directives(lines, {"hom": lambda rest: None, "begin": begin,
+                            "send": lambda rest: None}, PresentationFormatError)
+    if "source" not in blocks or "target" not in blocks:
+        raise PresentationFormatError(None, "map file needs source and target blocks")
+    names = [sym.name for sym in blocks["source"].alphabet]
+    images: dict[str, Word] = {}
+
+    def send(rest):
+        gen, eq, image = (part.strip() for part in rest.partition("="))
+        if not eq:
+            raise PresentationError("send needs '<gen> = <word>'")
+        if gen in images:
+            raise PresentationError(f"duplicate send line for {gen}")
+        if gen not in names:
+            raise PresentationError(f"send line for unknown source generator {gen}")
+        images[gen] = parse_word(image, blocks["target"].alphabet)
+
+    read_directives((d for d in found if d[1] == "send"), {"send": send},
+                    PresentationFormatError)
+    for name in names:
+        if name not in images:
+            raise PresentationFormatError(None, f"no send line for generator {name}")
+    return GroupHom(blocks["source"], blocks["target"], tuple(images[n] for n in names))
 
 
 def format_presentation(p: Presentation) -> str:

@@ -29,10 +29,6 @@ class SurfaceKind:
             raise SurfaceError("nonorientable genus (crosscaps) must be >= 1")
 
     @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus if self.orientable else 2 - self.genus
-
-    @property
     def label(self) -> str:
         return f"S{self.genus}" if self.orientable else f"N{self.genus}"
 
@@ -63,7 +59,7 @@ _ALIASES = {
 
 
 def euler_char(s: SurfaceKind) -> int:
-    return s.euler_characteristic
+    return 2 - 2 * s.genus if s.orientable else 2 - s.genus
 
 
 def describe_surface(s: SurfaceKind) -> str:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import braidkernel
+from braidkernel import cli
 from braidkernel.cli import _COMMANDS, run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -414,7 +415,16 @@ def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv
     (KLEIN_Q8_MAP + "send zzz = rho1\n",
      "error: line 15: send line for unknown source generator zzz\n"),
     (KLEIN_SOURCE + Q8_TARGET + "send x = rho1\n", "error: no send line for generator y\n"),
-], ids=["target-block", "send-image", "send-source", "whole-file"])
+    (KLEIN_SOURCE + "begin middle\n" + Q8_TARGET + "send x = rho1\nsend y = rho2\n",
+     "error: line 6: begin must name source or target\n"),
+    (KLEIN_SOURCE + Q8_TARGET + "send x rho1\nsend y = rho2\n",
+     "error: line 13: send needs '<gen> = <word>'\n"),
+    (KLEIN_Q8_MAP + "map x\n", "error: line 15: unknown directive 'map'\n"),
+    (KLEIN_SOURCE + Q8_TARGET[:-len("end\n")] + "send x = rho1\nsend y = rho2\n",
+     "error: unterminated begin target\n"),
+    ("send x = rho1\nsend y = rho2\n", "error: map file needs source and target blocks\n"),
+], ids=["target-block", "send-image", "send-source", "whole-file", "begin-neither",
+        "send-without-equals", "unknown-directive", "unterminated", "no-blocks"])
 def test_hom_block_error_names_the_file_line(capsys, tmp_path, map_text, expected):
     path = tmp_path / "map.hom"
     path.write_text(map_text)
@@ -447,3 +457,52 @@ def test_hom_check_budget_line(capsys, tmp_path):
     code, out, err = invoke(capsys, ["hom-check", "--map", str(path), "--max-cosets", "3"])
     assert (code, out) == (2, "")
     assert err == "undecided: enumeration budget exhausted at 3 live cosets\n"
+
+
+def test_hom_block_end_may_carry_a_comment(capsys, tmp_path):
+    path = tmp_path / "map.hom"
+    path.write_text(KLEIN_SOURCE + Q8_TARGET[:-len("end\n")] + "end   # done\n"
+                    + "send x = rho1\nsend y = rho2\n")
+    assert invoke(capsys, ["hom-check", "--map", str(path)]) == (0, "verified\n", "")
+
+
+G_ORDER_3 = "group G\ngens a\nrel a^3\n"
+
+
+@pytest.mark.parametrize("argv,text,stdin,expected", [
+    (["order"], None, "group G\ngroup H\ngens a\n", "error: line 2: duplicate group line\n"),
+    (["order"], None, "group\ngens a\n", "error: line 1: missing group name\n"),
+    (["order"], None, "group G\ngens a\ngens b\n", "error: line 3: duplicate gens line\n"),
+    (["order"], None, "group G\n", "error: missing gens line\n"),
+    (["check-derivation", "x.chain"], "start a\nfoo 1\nend a\n", G_ORDER_3,
+     "error: line 2: unknown directive 'foo'\n"),
+    (["check-derivation", "x.chain"], "presentation G\nstart zzz\nend a\n", G_ORDER_3,
+     "error: line 2: unknown generator 'zzz' at position 0\n"),
+], ids=["second-group", "empty-group", "second-gens", "missing-gens",
+        "chain-unknown-directive", "chain-start-word"])
+def test_format_error_names_the_file_line(capsys, monkeypatch, tmp_path, argv, text, stdin,
+                                          expected):
+    if text is not None:
+        (tmp_path / "x.chain").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (3, "", expected)
+
+
+def test_hom_check_undecided_oracle_exits_2(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "map.hom"
+    path.write_text(KLEIN_Q8_MAP)
+    monkeypatch.setattr(cli, "table_equality_oracle", lambda table: lambda u, v: None)
+    for mode in ([], ["--json"]):
+        code, out, err = invoke(capsys, ["hom-check", "--map", str(path)] + mode)
+        assert (code, out) == (2, "")
+        assert err == "undecided: target oracle could not decide relator 0\n"
+
+
+def test_equal_rewrite_length_cap_is_undecided(capsys, monkeypatch):
+    q8 = invoke(capsys, ["build", "--surface", "quaternion"])[1]
+    code, out, err = invoke(capsys, ["equal", "--rewrite", "--max-len", "2",
+                                     "--lhs", "rho1", "--rhs", "rho2"],
+                            stdin=q8, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == "undecided: rewriting system is not confluent\n"

@@ -10,7 +10,10 @@ from braidkernel import (
 )
 from hypothesis import given, strategies as st
 
-from braidkernel.presentations import parse_relation, PresentationFormatError
+from braidkernel.derivations import ChainError, ChainFormatError
+from braidkernel.presentations import (
+    FormatError, PresentationFormatError, directives, parse_hom_file, parse_relation,
+)
 from braidkernel.words import (
     Word, free_reduce_letters, letters_to_word, make_alphabet, parse_word,
     word_to_letters,
@@ -240,3 +243,52 @@ def test_whole_file_error_has_no_line_number():
         parse_presentation("# c\n")
     assert str(info.value) == "missing group line"
     assert info.value.line is None
+
+
+def test_format_errors_share_one_base():
+    assert PresentationFormatError.__init__ is ChainFormatError.__init__ is FormatError.__init__
+    assert issubclass(PresentationFormatError, PresentationError)
+    assert issubclass(ChainFormatError, ChainError)
+    assert str(ChainFormatError(4, "bad step")) == "line 4: bad step"
+    assert str(ChainFormatError(None, "missing end line")) == "missing end line"
+
+
+def test_directives_skip_comments_and_blank_lines():
+    text = "# head\n\ngroup  G  # name\n   \nrel a b\nend#x\n"
+    assert list(directives(text)) == [(3, "group", "G"), (5, "rel", "a b"), (6, "end", "")]
+
+
+KLEIN_Q8_HOM = """hom klein-to-q8
+send x = rho1   # sends may come before the blocks
+begin source
+group pi1(Klein)
+gens x y
+rel x^2 = y^2
+end
+begin target
+group Q8
+gens rho1 rho2
+rel rho1^2 = rho2^2
+rel rho1^4
+rel rho1 rho2 rho1^-1 = rho2^-1
+end  # target
+send y = rho2
+"""
+
+
+def test_parse_hom_file(q8):
+    hom = parse_hom_file(KLEIN_Q8_HOM)
+    assert (hom.source, hom.target) == (klein_presentation(), q8)
+    assert hom.images == (q8.gen("rho1"), q8.gen("rho2"))
+    assert not hom.verified
+
+
+# the CLI tests cover send lines and a target block; "end target" ends no block
+@pytest.mark.parametrize("old,new,line", [
+    ("gens x y", "gens x x", 5),
+    ("end  # target", "end target", None),
+])
+def test_parse_hom_file_errors_name_the_file_line(old, new, line):
+    with pytest.raises(PresentationFormatError) as info:
+        parse_hom_file(KLEIN_Q8_HOM.replace(old, new))
+    assert info.value.line == line

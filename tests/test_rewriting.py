@@ -166,3 +166,10 @@ def test_knuth_bendix_output_pinned(n, budget, nrules, confluent, digest):
     assert (len(rs.rules), rs.confluent) == (nrules, confluent)
     text = repr((rs.rules, rs.confluent)).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_len,confluent,nrules", [(3, False, 4), (4, True, 16)])
+def test_knuth_bendix_length_cap(q8, max_len, confluent, nrules):
+    # at max_len 3 a rule is discarded for length, well inside max_rules
+    rs = knuth_bendix(q8, max_len=max_len)
+    assert (rs.confluent, len(rs.rules)) == (confluent, nrules)
