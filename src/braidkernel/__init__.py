@@ -2,7 +2,7 @@
 rewriting certificates, and covering arithmetic."""
 
 from .words import (
-    BraidkernelError, GeneratorSymbol, Word, WordError, conjugate, cyclic_reduce,
+    BraidkernelError, Word, WordError, conjugate, cyclic_reduce,
     format_word, make_alphabet, multiply, parse_word, shortlex_compare,
 )
 from .presentations import (

@@ -215,10 +215,9 @@ def forget_strands_hom(n: int, m: int) -> GroupHom:
     if not 1 <= m < n:
         raise AtlasError(f"need 1 <= m < n, got m={m}, n={n}")
     target = pure_braid_rp2(m)
-    kept = {sym.name for sym in target.alphabet}
     source = pure_braid_rp2(n)
-    images = [target.word(sym.name if sym.name in kept else "1")
-              for sym in source.alphabet]
+    images = [target.word(name if name in target.alphabet else "1")
+              for name in source.alphabet]
     return GroupHom(source, target, tuple(images))
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .atlas import pure_braid_rp2, tau_n, torus_presentation, quaternion_presentation, \
-    klein_presentation
+from .atlas import center_table, klein_presentation, pure_braid_rp2, quaternion_presentation, \
+    torus_presentation
 from .coset import table_equality_oracle, todd_coxeter, word_equal_finite
 from .presentations import GroupHom, Presentation, hom_check, quotient
 from .rewriting import knuth_bendix, rewrite_equality_oracle
@@ -30,9 +30,8 @@ class CoveringError(BraidkernelError):
 
 def quotient_candidates(m: SurfaceKind, l: int,
                         strict_orientability: bool = False) -> list[SurfaceKind]:
-    """Surfaces M/G allowed by the two-case genus formulas for an
-    l-sheeted quotient of m; each candidate satisfies
-    l * chi(candidate) == chi(m) exactly.
+    """Surfaces M/G of an l-sheeted quotient of m: the closed surfaces
+    of Euler characteristic chi(m) / l, orientable first.
 
     ``strict_orientability`` additionally filters patterns that cannot
     occur along a covering: a nonorientable cover of an orientable
@@ -42,18 +41,12 @@ def quotient_candidates(m: SurfaceKind, l: int,
     if l < 1:
         raise CoveringError("sheet count must be >= 1")
     out: list[SurfaceKind] = []
-    if m.orientable:
-        g = m.genus
-        if (g - 1) % l == 0 and (g - 1) // l + 1 >= 0:
-            out.append(SurfaceKind(True, (g - 1) // l + 1))
-        if (2 * (g - 1)) % l == 0 and 2 * (g - 1) // l + 2 >= 1:
-            out.append(SurfaceKind(False, 2 * (g - 1) // l + 2))
-    else:
-        k = m.genus
-        if (k - 2) % (2 * l) == 0 and (k - 2) // (2 * l) + 1 >= 0:
-            out.append(SurfaceKind(True, (k - 2) // (2 * l) + 1))
-        if (k - 2) % l == 0 and (k - 2) // l + 2 >= 1:
-            out.append(SurfaceKind(False, (k - 2) // l + 2))
+    if euler_char(m) % l == 0:  # chi(S_g) = 2 - 2g, chi(N_k) = 2 - k
+        chi = euler_char(m) // l
+        if chi <= 2 and chi % 2 == 0:
+            out.append(SurfaceKind(True, (2 - chi) // 2))
+        if chi <= 1:
+            out.append(SurfaceKind(False, 2 - chi))
     for cand in out:
         assert l * euler_char(cand) == euler_char(m)
     if strict_orientability:
@@ -211,12 +204,7 @@ def kernel_description(quotient_surface: SurfaceKind, n: int, pure: bool,
         if quotient_surface == SPHERE and n <= 2:
             desc += "  [center trivial for n <= 2]"
         if quotient_surface == RP2 and pure:
-            base = pure_braid_rp2(n)
-            if n == 1:
-                # the n = 1 group is abelian, so the center is everything
-                pres = quotient(base, [base.gen("rho1")])
-            else:
-                pres = quotient(base, [tau_n(n)])
+            pres = quotient(pure_braid_rp2(n), center_table(RP2, n).generator_words)
         return KernelDescription("mod-center", quotient_surface, n, pure, None, None, pres, desc)
 
     return KernelDescription("full", quotient_surface, n, pure, None, None, None,

@@ -206,17 +206,18 @@ def parse_chain_file(text: str, p: Presentation) -> tuple[DerivationChain, Word]
             raise ChainError(f"chain is over {rest!r}, not {p.name!r}")
 
     def step(rest):
-        fields = rest.split()
-        if len(fields) != 4:
-            raise ChainError("step needs 4 integers")
-        steps.append(DerivationStep(*(int(f) for f in fields)))
+        try:  # a wrong field count fails the unpacking, a non-integer int()
+            relator, rotation, direction, position = map(int, rest.split())
+        except ValueError:
+            raise ChainError("step needs 4 integers") from None
+        steps.append(DerivationStep(relator, rotation, direction, position))
 
     read_directives(directives(text), {
         "presentation": presentation,
         "start": lambda rest: words.update(start=parse_word(rest, p.alphabet)),
         "step": step,
         "end": lambda rest: words.update(end=parse_word(rest, p.alphabet)),
-    }, ChainFormatError)
+    }, ChainFormatError, once=("presentation", "start", "end"))
     for key in ("start", "end"):
         if key not in words:
             raise ChainFormatError(None, f"missing {key} line")

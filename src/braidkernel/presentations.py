@@ -10,7 +10,7 @@ rewriting engine's derivation certificates refer to relators by index.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .snf import smith_normal_form
 from .words import (
@@ -40,9 +40,7 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        names = [s.name for s in self.alphabet]
-        if len(set(names)) != len(names):
-            raise PresentationError("duplicate generator names")
+        make_alphabet(self.alphabet)
         normalized = []
         seen = set()
         for rel in self.relators:
@@ -62,10 +60,9 @@ class Presentation:
 
     def gen(self, index_or_name, exponent: int = 1) -> Word:
         if isinstance(index_or_name, str):
-            for sym in self.alphabet:
-                if sym.name == index_or_name:
-                    return Word.generator(self.alphabet, sym.index, exponent)
-            raise PresentationError(f"no generator named {index_or_name!r}")
+            if index_or_name not in self.alphabet:
+                raise PresentationError(f"no generator named {index_or_name!r}")
+            index_or_name = self.alphabet.index(index_or_name)
         return Word.generator(self.alphabet, index_or_name, exponent)
 
     def word(self, text: str) -> Word:
@@ -261,15 +258,20 @@ def directives(text: str) -> Iterator[Directive]:
 
 
 def read_directives(lines: Iterable[Directive], handlers: dict[str, Callable[[str], None]],
-                    error: type[FormatError]) -> None:
+                    error: type[FormatError], once: Container[str] = ()) -> None:
     """Hand each directive's rest to the handler of its key.
 
-    An unknown key, or a ``ValueError`` (every library error is one) that
-    a handler raises, becomes ``error`` naming the directive's line.
+    An unknown key, a second line of a key in ``once``, or a
+    ``ValueError`` (every library error is one) that a handler raises,
+    becomes ``error`` naming the directive's line.
     """
+    seen = set()
     for lineno, key, rest in lines:
         if key not in handlers:
             raise error(lineno, f"unknown directive {key!r}")
+        if key in once and key in seen:
+            raise error(lineno, f"duplicate {key} line")
+        seen.add(key)
         try:
             handlers[key](rest)
         except FormatError:  # a nested reader has named the line already
@@ -284,8 +286,6 @@ def _read_presentation(lines: Iterable[Directive]) -> Presentation:
 
     def group(rest):
         nonlocal name
-        if name is not None:
-            raise PresentationError("duplicate group line")
         if not rest:
             raise PresentationError("missing group name")
         name = rest
@@ -294,8 +294,6 @@ def _read_presentation(lines: Iterable[Directive]) -> Presentation:
         nonlocal alphabet
         if name is None:
             raise PresentationError("gens before group line")
-        if alphabet is not None:
-            raise PresentationError("duplicate gens line")
         alphabet = make_alphabet(rest.split())
 
     def rel(rest):
@@ -304,7 +302,7 @@ def _read_presentation(lines: Iterable[Directive]) -> Presentation:
         relators.append(parse_relation(rest, alphabet))
 
     read_directives(lines, {"group": group, "gens": gens, "rel": rel},
-                    PresentationFormatError)
+                    PresentationFormatError, once=("group", "gens"))
     if name is None:
         raise PresentationFormatError(None, "missing group line")
     if alphabet is None:
@@ -350,7 +348,7 @@ def parse_hom_file(text: str) -> GroupHom:
                             "send": lambda rest: None}, PresentationFormatError)
     if "source" not in blocks or "target" not in blocks:
         raise PresentationFormatError(None, "map file needs source and target blocks")
-    names = [sym.name for sym in blocks["source"].alphabet]
+    names = blocks["source"].alphabet
     images: dict[str, Word] = {}
 
     def send(rest):
@@ -372,6 +370,6 @@ def parse_hom_file(text: str) -> GroupHom:
 
 
 def format_presentation(p: Presentation) -> str:
-    lines = [f"group {p.name}", "gens " + " ".join(s.name for s in p.alphabet)]
+    lines = [f"group {p.name}", "gens " + " ".join(p.alphabet)]
     lines.extend(f"rel {format_word(r)}" for r in p.relators)
     return "\n".join(lines) + "\n"

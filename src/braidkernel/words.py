@@ -1,6 +1,7 @@
 """Free-group word arithmetic over named generator alphabets.
 
-Words are stored as normalized syllable lists: sequences of
+An alphabet is a tuple of generator names: generator i is the name at
+position i.  Words are stored as normalized syllable lists: sequences of
 (generator index, exponent) pairs with nonzero exponents and no two
 adjacent syllables on the same generator.  The empty sequence is the
 identity.  Exponents are plain Python ints, so large powers cost one
@@ -31,35 +32,21 @@ class WordError(BraidkernelError):
     """Malformed word text, bad symbol, or alphabet mismatch."""
 
 
-@dataclass(frozen=True)
-class GeneratorSymbol:
-    """A named generator at a fixed position in its alphabet."""
-
-    name: str
-    index: int
-
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise WordError(f"invalid generator name {self.name!r}")
-        if self.index < 0:
-            raise WordError(f"negative generator index {self.index}")
-
-    def __str__(self):
-        return self.name
-
-
-Alphabet = tuple[GeneratorSymbol, ...]
+Alphabet = tuple[str, ...]
 
 
 def make_alphabet(names: Iterable[str]) -> Alphabet:
-    """Build an alphabet from generator names; names must be unique."""
-    symbols = tuple(GeneratorSymbol(name, i) for i, name in enumerate(names))
+    """Build an alphabet from generator names: each must match the word
+    grammar's name rule, and no name may repeat."""
+    alphabet = tuple(names)
     seen = set()
-    for sym in symbols:
-        if sym.name in seen:
-            raise WordError(f"duplicate generator name {sym.name!r}")
-        seen.add(sym.name)
-    return symbols
+    for name in alphabet:
+        if not _NAME_RE.fullmatch(name):
+            raise WordError(f"invalid generator name {name!r}")
+        if name in seen:
+            raise WordError(f"duplicate generator name {name!r}")
+        seen.add(name)
+    return alphabet
 
 
 def _normalize_syllables(raw: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -243,7 +230,7 @@ def shortlex_compare(u: Word, v: Word, letter_order: Sequence[int] | None = None
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse the word grammar: ``"1"`` or ``name(^int)?`` terms joined by
     ``*`` or whitespace.  Errors report the offending position."""
-    lookup = {sym.name: sym.index for sym in alphabet}
+    lookup = {name: i for i, name in enumerate(alphabet)}
     if text.strip() == "1":
         return Word.identity(alphabet)
 
@@ -299,6 +286,6 @@ def format_word(w: Word) -> str:
         return "1"
     terms = []
     for gen, exp in w.syllables:
-        name = w.alphabet[gen].name
+        name = w.alphabet[gen]
         terms.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(terms)

@@ -478,8 +478,17 @@ G_ORDER_3 = "group G\ngens a\nrel a^3\n"
      "error: line 2: unknown directive 'foo'\n"),
     (["check-derivation", "x.chain"], "presentation G\nstart zzz\nend a\n", G_ORDER_3,
      "error: line 2: unknown generator 'zzz' at position 0\n"),
+    (["check-derivation", "x.chain"], "start a\nstart a^2\nend a^2\n", G_ORDER_3,
+     "error: line 2: duplicate start line\n"),
+    (["check-derivation", "x.chain"], "start a\nend a\nend a^2\n", G_ORDER_3,
+     "error: line 3: duplicate end line\n"),
+    (["check-derivation", "x.chain"], "presentation G\npresentation G\nstart a\nend a\n",
+     G_ORDER_3, "error: line 2: duplicate presentation line\n"),
+    (["check-derivation", "x.chain"], "start a\nstep 0 0 1 x\nend a\n", G_ORDER_3,
+     "error: line 2: step needs 4 integers\n"),
 ], ids=["second-group", "empty-group", "second-gens", "missing-gens",
-        "chain-unknown-directive", "chain-start-word"])
+        "chain-unknown-directive", "chain-start-word", "chain-second-start",
+        "chain-second-end", "chain-second-presentation", "chain-step-not-integer"])
 def test_format_error_names_the_file_line(capsys, monkeypatch, tmp_path, argv, text, stdin,
                                           expected):
     if text is not None:

@@ -1,11 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from braidkernel import (
     KLEIN, RP2, SPHERE, TORUS, CoveringError, SurfaceKind,
-    can_cover, center_order_finite, euler_char, group_order, hom_check,
-    kernel_description, quotient_candidates, table_equality_oracle,
+    can_cover, center_order_finite, euler_char, format_presentation, group_order,
+    hom_check, kernel_description, quotient_candidates, table_equality_oracle,
     todd_coxeter, torus_action_forms,
 )
 
@@ -68,6 +69,39 @@ def test_quotient_candidates_satisfy_multiplicativity():
         for l in range(1, 7):
             for cand in quotient_candidates(m, l):
                 assert l * euler_char(cand) == euler_char(m)
+
+
+def _genus_formula_candidates(m, l, strict_orientability=False):
+    # the four genus formulas quotient_candidates used before it read the
+    # Euler characteristic; kept as the reference it is compared against
+    out = []
+    if m.orientable:
+        g = m.genus
+        if (g - 1) % l == 0 and (g - 1) // l + 1 >= 0:
+            out.append(SurfaceKind(True, (g - 1) // l + 1))
+        if (2 * (g - 1)) % l == 0 and 2 * (g - 1) // l + 2 >= 1:
+            out.append(SurfaceKind(False, 2 * (g - 1) // l + 2))
+    else:
+        k = m.genus
+        if (k - 2) % (2 * l) == 0 and (k - 2) // (2 * l) + 1 >= 0:
+            out.append(SurfaceKind(True, (k - 2) // (2 * l) + 1))
+        if (k - 2) % l == 0 and (k - 2) // l + 2 >= 1:
+            out.append(SurfaceKind(False, (k - 2) // l + 2))
+    if strict_orientability:
+        if not m.orientable:
+            out = [c for c in out if not c.orientable]
+        elif l % 2 == 1:
+            out = [c for c in out if c.orientable]
+    return out
+
+
+def test_quotient_candidates_match_genus_formulas():
+    surfaces = [S(g) for g in range(0, 60)] + [N(k) for k in range(1, 60)]
+    for m in surfaces:
+        for l in range(1, 60):
+            for strict in (False, True):
+                assert quotient_candidates(m, l, strict) == \
+                    _genus_formula_candidates(m, l, strict), (m, l, strict)
 
 
 def test_quotient_candidates_validation():
@@ -187,6 +221,25 @@ def test_kernel_rp2_lagrange_cross_check(rp2_n2_table):
     desc = kernel_description(RP2, 2, True)
     kernel_order = group_order(todd_coxeter(desc.presentation))
     assert kernel_order * center_order_finite(rp2_n2_table) == group_order(rp2_n2_table)
+
+
+# sha256 of format_presentation(kernel_description(RP2, n, True).presentation)
+KERNEL_RP2_SHA256 = {
+    1: "0dd12c8133f314adda0a7c5ed4e7a5b000e1d8636906f384ed342df70c54cc44",
+    2: "9c82306f1f726b762337cb35d03f210c8109d12910b2237efe9b0c37d9c3191d",
+    3: "f7542f5594863b415e6d56194693d82ecb93652eae11f73daecb291f4f8c46d2",
+    4: "db75e9881963fb20c36c5c05e6798b4669c6f3c2b8dbdb0e73d4d45585905aff",
+    5: "56c3dab1657c90f9ba2dd5b044191c68f236c5db74434f91933b53317ce355d1",
+    6: "432c83f87d0994bbaab4b0055b3933eba8d681cc320ebbc90b1cfa07115c24b7",
+    7: "bc14f90ad61744117ab9dddeb7067332b54126bf177f97d657ce1ad14116a544",
+    8: "633955267644da4b6f8deed5d5f6fe76f6105a4018a7e44e9fec6eeee9e0994c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(KERNEL_RP2_SHA256))
+def test_kernel_rp2_presentation_pinned(n):
+    text = format_presentation(kernel_description(RP2, n, True).presentation)
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_RP2_SHA256[n]
 
 
 def test_kernel_rp2_n1_whole_group_case():

@@ -1,7 +1,7 @@
 import pytest
 
 from braidkernel import (
-    AbelianInvariants, GroupHom, Presentation, PresentationError,
+    AbelianInvariants, BraidkernelError, GroupHom, Presentation, PresentationError,
     UnverifiedHomError, abelianization, apply_hom, compose_hom,
     format_presentation, forget_strands_hom, hom_check, klein_presentation,
     parse_presentation, presentation, pure_braid_rp2, quaternion_presentation,
@@ -37,6 +37,13 @@ def test_relator_wrong_alphabet_rejected():
     alphabet = make_alphabet(["a"])
     with pytest.raises(PresentationError):
         Presentation("t", alphabet, (parse_word("z", other),))
+
+
+def test_presentation_validates_generator_names():
+    with pytest.raises(BraidkernelError, match="duplicate generator name 'a'"):
+        Presentation("G", ("a", "a"), ())
+    with pytest.raises(BraidkernelError, match="invalid generator name '2b'"):
+        Presentation("G", ("2b",), ())
 
 
 def test_quotient_examples():
@@ -108,7 +115,7 @@ def test_hom_check_klein_to_q8(q8, q8_table):
 
 
 def test_hom_check_identity_endomorphism(q8, q8_table):
-    hom = GroupHom(q8, q8, tuple(q8.gen(s.name) for s in q8.alphabet))
+    hom = GroupHom(q8, q8, tuple(q8.gen(name) for name in q8.alphabet))
     assert hom_check(hom, table_equality_oracle(q8_table)).verified
 
 

@@ -57,6 +57,12 @@ def test_print_parse_round_trip():
         assert parse_word(format_word(word), AB) == word
 
 
+def test_alphabet_is_a_tuple_of_names():
+    # generator i is the name at position i
+    assert format_word(parse_word("a", ("a", "b"))) == "a"
+    assert parse_word("b", ("a", "b")).syllables == ((1, 1),)
+
+
 def test_duplicate_generator_names_rejected():
     with pytest.raises(WordError):
         make_alphabet(["a", "a"])
