@@ -127,6 +127,29 @@ def check_derivation(chain: DerivationChain) -> DerivationReport:
     return DerivationReport(True, None, f"{len(chain.steps)} steps replayed")
 
 
+def _splice(word: tuple[int, ...], ins: tuple[int, ...], pos: int) -> tuple[int, int, int, int]:
+    """Spans (i, j, k, r) with ``word[:i] + ins[j:k] + word[r:]`` equal to
+    ``free_reduce_letters(word[:pos] + ins + word[pos:])``.
+
+    Both word and ins must be freely reduced, so letters cancel only at
+    the two junctions, and the halves of word meet only once ins has
+    cancelled completely.
+    """
+    i, j, k, r = pos, 0, len(ins), pos
+    while j < k and i and word[i - 1] == ins[j] ^ 1:
+        i -= 1
+        j += 1
+    end = len(word)
+    while j < k and r < end and word[r] == ins[k - 1] ^ 1:
+        r += 1
+        k -= 1
+    if j == k:
+        while i and r < end and word[i - 1] == word[r] ^ 1:
+            i -= 1
+            r += 1
+    return i, j, k, r
+
+
 def search_equality(p: Presentation, u: Word, v: Word,
                     max_word_len: int = DEFAULT_MAX_WORD_LEN,
                     max_nodes: int = DEFAULT_MAX_NODES) -> Optional[DerivationChain]:
@@ -136,6 +159,15 @@ def search_equality(p: Presentation, u: Word, v: Word,
     every position), pruning words longer than ``max_word_len`` and
     stopping after ``max_nodes`` distinct words.  Returns a chain that
     check_derivation accepts, or None (inconclusive, not a disproof).
+    The chain is replayed through apply_step before it is returned, and
+    a replay that does not end at v raises ChainError.
+
+    The visit order is part of the contract: from each word, the
+    distinct insertions in order of first occurrence (relator, then
+    rotation, then direction +1 before -1), and for each insertion the
+    positions in ascending order.  It decides which chain is returned
+    and where ``max_nodes`` cuts the search; the chain corpus under
+    ``tests/data`` pins it.
     """
     if max_word_len < 1 or max_nodes < 1:
         raise BraidkernelError("budgets must be >= 1")
@@ -146,31 +178,52 @@ def search_equality(p: Presentation, u: Word, v: Word,
     goal = word_to_letters(v)
     if start == goal:
         return DerivationChain(p, (u,), ())
+    if len(goal) > max_word_len:
+        return None  # every word longer than the cap is pruned
 
-    # the distinct insertion strings, each with the first step that makes it
+    # the distinct (freely reduced) insertion strings, each with the
+    # first step that makes it
     variants: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for ri, rel in enumerate(p.relators):
         for rot in range(rel.letter_length):
             for direction in (1, -1):
-                ins = _step_insertion(p, DerivationStep(ri, rot, direction, 0))
-                variants.setdefault(ins, (ri, rot, direction))
+                ins = free_reduce_letters(
+                    _step_insertion(p, DerivationStep(ri, rot, direction, 0)))
+                if ins:
+                    variants.setdefault(ins, (ri, rot, direction))
 
-    came_from: dict[tuple[int, ...], tuple[tuple[int, ...], DerivationStep]] = {start: None}
+    came_from: dict[tuple[int, ...], Optional[tuple]] = {start: None}
     frontier = deque([start])
     while frontier:
         word = frontier.popleft()
-        for ins, (ri, rot, direction) in variants.items():
-            for pos in range(len(word) + 1):
-                new = free_reduce_letters(word[:pos] + ins + word[pos:])
-                if len(new) > max_word_len or new in came_from:
+        end = len(word)
+        at: dict[int, list[int]] = {}  # letter -> its positions in word
+        for q, x in enumerate(word):
+            at.setdefault(x, []).append(q)
+        for ins, how in variants.items():
+            if end + len(ins) <= max_word_len:
+                positions = range(end + 1)
+            else:  # only a cancelling junction can bring the length under the cap
+                positions = sorted({q + 1 for q in at.get(ins[0] ^ 1, ())}
+                                   .union(at.get(ins[-1] ^ 1, ())))
+            for pos in positions:
+                i, j, k, r = _splice(word, ins, pos)
+                if i + k - j + end - r > max_word_len:
                     continue
-                came_from[new] = (word, DerivationStep(ri, rot, direction, pos))
+                new = word[:i] + ins[j:k] + word[r:]
+                if new in came_from:
+                    continue
+                came_from[new] = (word, *how, pos)
                 if new == goal:
                     steps = []
                     while came_from[new] is not None:
-                        new, step = came_from[new]
-                        steps.append(step)
-                    return build_chain(p, u, reversed(steps))
+                        new, *step = came_from[new]
+                        steps.append(DerivationStep(*step))
+                    chain = build_chain(p, u, reversed(steps))
+                    if chain.end != v:  # the replay uses full free reduction
+                        raise ChainError(f"search chain replays to {format_word(chain.end)}, "
+                                         f"not {format_word(v)}")
+                    return chain
                 if len(came_from) >= max_nodes:
                     return None
                 frontier.append(new)

@@ -146,6 +146,16 @@ def test_equal_table_modes(capsys, monkeypatch, tmp_path):
         assert err == "undecided: no chain found within budget\n"
 
 
+def test_equal_search_never_prints_an_unchecked_chain(capsys, monkeypatch):
+    # a splice that wrongly cancels everything "reaches" the identity at once
+    monkeypatch.setattr(braidkernel.derivations, "_splice",
+                        lambda word, ins, pos: (0, 0, 0, len(word)))
+    code, out, err = invoke(capsys, ["equal", "--lhs", "a", "--rhs", "1", "--search"],
+                            stdin="group G\ngens a\nrel a^3\n", monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err == "error: search chain replays to a^4, not 1\n"
+
+
 def test_equal_parse_error(capsys, monkeypatch):
     text = "group K\ngens x y\nrel x^2 = y^2\n"
     code, _, err = invoke(capsys, ["equal", "--lhs", "z", "--rhs", "x"],

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the derivation-chain corpus under tests/data/.
 
-The n=3 searches take a minute or two, which is why the chains are
-checked in as data instead of being searched during the test run.
+A full run takes about 30 s on a 2-core machine, most of it in the
+two conj_rho_squared_n3 searches.  The test run re-derives the n=2
+files and braidlike_n3; CI reruns this tool and fails if any file
+under tests/data changes, which pins the search's visit order.
 Chain step sequences are whatever the bounded search finds first; only
 their endpoints are mathematically meaningful.
 """
