@@ -15,19 +15,22 @@ define-on-first-gap, FIFO coincidence queue) so results are
 deterministic for a fixed input.  Budget exhaustion is a status on the
 returned table, not an exception.
 
-Internally cosets are 0-based; the compacted table is published with
-1-based indices and coset 1 is the subgroup coset.
+Internally cosets are 1-based with 0 for an undefined entry, and coset 1
+is the subgroup coset.  Once a coincidence has been processed, every
+entry of a live row names a live coset, so scans walk the table without
+the union-find.  The published table renumbers the live cosets 1, 2, ...
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .presentations import Presentation
 from .words import (
-    BraidkernelError, Word, format_word, letter_inverse, letters_to_word, word_to_letters)
+    BraidkernelError, Word, format_word, letters_to_word, word_to_letters)
 
 DEFAULT_MAX_COSETS = 100000
 CENTER_ENUM_CAP = 10000
@@ -120,8 +123,8 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     relator_paths = [word_to_letters(r) for r in p.relators]
     subgroup_paths = [word_to_letters(w) for w in subgroup_gens if not w.is_identity]
 
-    table: list[list[Optional[int]]] = [[None] * ncols]
-    parent = [0]
+    table: list[list[int]] = [[], [0] * ncols]
+    parent = [0, 1]
     live_count = 1
 
     def find(c: int) -> int:
@@ -132,17 +135,16 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             parent[c], c = root, parent[c]
         return root
 
-    def define(c: int, x: int) -> int:
+    def define(c: int, x: int):
         nonlocal live_count
         if live_count >= max_cosets:
             raise _BudgetExceeded
         d = len(table)
-        table.append([None] * ncols)
+        table.append([0] * ncols)
         parent.append(d)
         table[c][x] = d
-        table[d][letter_inverse(x)] = c
+        table[d][x ^ 1] = c
         live_count += 1
-        return d
 
     def merge(a: int, b: int, queue: deque):
         nonlocal live_count
@@ -162,29 +164,31 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             dead = queue.popleft()
             for x in range(ncols):
                 d = table[dead][x]
-                if d is None:
+                if not d:
                     continue
                 # drop the stale back-pointer, then replant the edge on
                 # the class representatives (or queue a further merge)
-                table[d][letter_inverse(x)] = None
+                table[d][x ^ 1] = 0
                 mu, nu = find(dead), find(d)
-                if table[mu][x] is not None:
+                if table[mu][x]:
                     merge(nu, table[mu][x], queue)
-                elif table[nu][letter_inverse(x)] is not None:
-                    merge(mu, table[nu][letter_inverse(x)], queue)
+                elif table[nu][x ^ 1]:
+                    merge(mu, table[nu][x ^ 1], queue)
                 else:
                     table[mu][x] = nu
-                    table[nu][letter_inverse(x)] = mu
+                    table[nu][x ^ 1] = mu
+        # live-entry invariant: replaying each dead coset moved every live
+        # entry naming it onto a live coset, so scans need no find
 
     def scan_and_fill(alpha: int, word: Sequence[int]):
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = find(table[f][word[i]])
+            while i <= j and (e := table[f][word[i]]):
+                f = e
                 i += 1
-            while j >= i and table[b][letter_inverse(word[j])] is not None:
-                b = find(table[b][letter_inverse(word[j])])
+            while j >= i and (e := table[b][word[j] ^ 1]):
+                b = e
                 j -= 1
             if j < i:
                 if f != b:
@@ -193,35 +197,37 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             if j == i:
                 # the two scans meet across a single undefined letter
                 table[f][word[i]] = b
-                table[b][letter_inverse(word[i])] = f
+                table[b][word[i] ^ 1] = f
                 return
             define(f, word[i])
 
     status = "complete"
     try:
         for path in subgroup_paths:
-            scan_and_fill(0, path)
-        idx = 0
+            scan_and_fill(1, path)
+        idx = 1
         while idx < len(table):
-            if find(idx) == idx:
+            if parent[idx] == idx:
                 for path in relator_paths:
                     scan_and_fill(idx, path)
-                    if find(idx) != idx:
+                    if parent[idx] != idx:
                         break
-                if find(idx) == idx:
+                if parent[idx] == idx:
                     for x in range(ncols):
-                        if table[idx][x] is None:
+                        if not table[idx][x]:
                             define(idx, x)
             idx += 1
     except _BudgetExceeded:
         status = "budget-exceeded"
 
-    live = [c for c in range(len(table)) if find(c) == c]
-    renumber = {c: k + 1 for k, c in enumerate(live)}
-    rows = tuple(
-        tuple(renumber[find(e)] if e is not None else None for e in table[c])
-        for c in live
-    )
+    # renumber[0] is None, so undefined entries publish as None; zip cuts
+    # the renumbered live rows, read as one stream, back into rows
+    live = [c for c in range(1, len(table)) if parent[c] == c]
+    renumber: list[Optional[int]] = [None] * len(table)
+    for k, c in enumerate(live, 1):
+        renumber[c] = k
+    entries = map(renumber.__getitem__, chain.from_iterable(map(table.__getitem__, live)))
+    rows = tuple(zip(*[entries] * ncols))
     return CosetTable(p, tuple(subgroup_gens), rows, status)
 
 

@@ -23,7 +23,6 @@ from .words import (
     Word,
     format_word,
     free_reduce_letters,
-    letter_inverse,
     letters_to_word,
     parse_word,
     word_to_letters,
@@ -81,7 +80,7 @@ def _step_insertion(p: Presentation, step: DerivationStep) -> tuple[int, ...]:
         raise ChainError(f"direction must be +1 or -1, got {step.direction}")
     rotated = rel[step.rotation:] + rel[:step.rotation]
     if step.direction == -1:
-        rotated = tuple(letter_inverse(x) for x in reversed(rotated))
+        rotated = tuple(x ^ 1 for x in reversed(rotated))
     return rotated
 
 

@@ -19,16 +19,19 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Optional
+from functools import cached_property
+from typing import Optional
 
 from .presentations import Presentation
 from .words import (
-    Alphabet, BraidkernelError, Word, letter_inverse, letters_to_word, word_to_letters)
+    Alphabet, BraidkernelError, Word, letters_to_word, word_to_letters)
 
 DEFAULT_MAX_RULES = 500
 DEFAULT_MAX_LEN = 30
 
 Letters = tuple[int, ...]
+# left side length -> {left side: (rule id, right side)}
+RuleIndex = dict[int, dict[Letters, tuple[int, Letters]]]
 
 
 @dataclass(frozen=True)
@@ -37,29 +40,39 @@ class RewriteSystem:
     rules: tuple[tuple[Letters, Letters], ...]
     confluent: bool
 
+    @cached_property
+    def index(self) -> RuleIndex:
+        """The rules by left side, with their positions as rule ids."""
+        index: RuleIndex = {}
+        for rid, (lhs, rhs) in enumerate(self.rules):
+            index.setdefault(len(lhs), {}).setdefault(lhs, (rid, rhs))
+        return index
+
 
 def _shortlex_less(u: Letters, v: Letters) -> bool:
     return (len(u), u) < (len(v), v)
 
 
-def _rewrite(word: Letters, rules: Collection[tuple[Letters, Letters]]) -> Letters:
-    """Leftmost rewriting to a fixpoint (rule order breaks position ties)."""
-    if not rules:
-        return tuple(word)
+def _rewrite(word: Letters, index: RuleIndex) -> Letters:
+    """Leftmost rewriting to a fixpoint; of the rules whose left sides
+    match at one position, the one with the lowest id applies."""
     out = list(word)
-    max_lhs = max(len(l) for l, _ in rules)
+    lengths = sorted(index)
+    max_lhs = lengths[-1] if lengths else 0
     pos = 0
     while pos < len(out):
-        applied = False
-        for lhs, rhs in rules:
-            end = pos + len(lhs)
-            if end <= len(out) and tuple(out[pos:end]) == lhs:
-                out[pos:end] = rhs
-                pos = max(0, pos - max_lhs + 1)
-                applied = True
+        best = None
+        for n in lengths:
+            if pos + n > len(out):
                 break
-        if not applied:
+            hit = index[n].get(tuple(out[pos:pos + n]))
+            if hit is not None and (best is None or hit[0] < best[0]):
+                best, end = hit, pos + n
+        if best is None:
             pos += 1
+        else:
+            out[pos:end] = best[1]
+            pos = max(0, pos - max_lhs + 1)
     return tuple(out)
 
 
@@ -76,12 +89,24 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     nletters = 2 * p.ngens
     ids = itertools.count()   # never reused, so a queued pair cannot name a newer rule
     rules: dict[int, tuple[Letters, Letters]] = {}
+    index: RuleIndex = {}   # the live rules again, by left side
     pair_queue: deque[tuple[int, int]] = deque()
     eq_queue: deque[tuple[Letters, Letters]] = deque()
     discarded = False
 
+    def put(rid: int, lhs: Letters, rhs: Letters):
+        rules[rid] = (lhs, rhs)
+        index.setdefault(len(lhs), {})[lhs] = (rid, rhs)
+
+    def drop(rid: int):
+        lhs, _ = rules.pop(rid)
+        bucket = index[len(lhs)]
+        del bucket[lhs]
+        if not bucket:
+            del index[len(lhs)]
+
     def nf(word: Letters) -> Letters:
-        return _rewrite(word, rules.values())
+        return _rewrite(word, index)
 
     def add_rule(u: Letters, v: Letters):
         nonlocal discarded
@@ -94,15 +119,15 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
             return
         older = list(rules.items())
         rid = next(ids)
-        rules[rid] = (lhs, rhs)
+        put(rid, lhs, rhs)
         # inter-reduce: retire rules whose lhs the new rule rewrites,
         # and renormalize right-hand sides
         for j, (ljh, rjh) in older:
             if _contains(ljh, lhs):
-                del rules[j]
+                drop(j)
                 eq_queue.append((ljh, rjh))
             elif _contains(rjh, lhs):
-                rules[j] = (ljh, nf(rjh))
+                put(j, ljh, nf(rjh))
         for j in rules:
             pair_queue.append((rid, j))
             if j != rid:
@@ -110,7 +135,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
 
     # seed: free reduction, then the relators as equations
     for x in range(nletters):
-        rules[next(ids)] = ((x, letter_inverse(x)), ())
+        put(next(ids), (x, x ^ 1), ())
     pair_queue.extend((i, j) for i in rules for j in rules)
     for rel in p.relators:
         eq_queue.append((word_to_letters(rel), ()))
@@ -139,6 +164,8 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
 
 
 def _contains(haystack: Letters, needle: Letters) -> bool:
+    if needle and needle[0] not in haystack:   # rejects most pairs without slicing
+        return False
     n = len(needle)
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
@@ -147,7 +174,7 @@ def normal_form(rs: RewriteSystem, w: Word) -> Word:
     """Rewrite w to a fixpoint; canonical when rs is confluent."""
     if w.alphabet != rs.alphabet:
         raise BraidkernelError("word is not over the rewriting system's alphabet")
-    return letters_to_word(rs.alphabet, _rewrite(word_to_letters(w), rs.rules))
+    return letters_to_word(rs.alphabet, _rewrite(word_to_letters(w), rs.index))
 
 
 def enumerate_normal_forms(rs: RewriteSystem, max_letters: Optional[int] = None,

@@ -176,10 +176,6 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 # letter-level view -------------------------------------------------------
 
-def letter_inverse(x: int) -> int:
-    return x ^ 1
-
-
 def word_to_letters(w: Word) -> tuple[int, ...]:
     out: list[int] = []
     for gen, exp in w.syllables:

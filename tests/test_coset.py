@@ -1,15 +1,18 @@
+import hashlib
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
     EnumerationError, IncompleteTableError, Presentation, abelianization,
     center_order_finite, coset_representatives, group_order,
-    is_central_finite, perm_rep, presentation, pure_braid_rp2,
+    is_central_finite, perm_rep, presentation, pure_braid_rp2, quaternion_presentation,
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
 )
-from braidkernel.words import Word, letter_inverse, word_to_letters
+from braidkernel.words import Word, letters_to_word, word_to_letters
 
 
 def trace(table, coset, letters):
@@ -31,7 +34,7 @@ def assert_table_invariants(table):
         for x in range(ncols):
             d = table.entry(c, x)
             assert d is not None and 1 <= d <= n
-            assert table.entry(d, letter_inverse(x)) == c
+            assert table.entry(d, x ^ 1) == c
     for rel in table.presentation.relators:
         path = word_to_letters(rel)
         for c in range(1, n + 1):
@@ -262,14 +265,18 @@ def test_budget_exceeded_is_status_not_exception():
 
 # syllable-level table reads ---------------------------------------------------------
 
-S5_RELATIONS = ["s1^2", "s2^2", "s3^2", "s4^2",
-                "s1 s2 s1 s2 s1 s2", "s2 s3 s2 s3 s2 s3", "s3 s4 s3 s4 s3 s4",
-                "s1 s3 s1 s3", "s1 s4 s1 s4", "s2 s4 s2 s4"]
+def symmetric(n):
+    """The Coxeter presentation of S_n on the transpositions s1 .. s(n-1)."""
+    gens = [f"s{i}" for i in range(1, n)]
+    rels = [f"s{i}^2" for i in range(1, n)]
+    rels += [f"s{i} s{i + 1} " * 3 for i in range(1, n - 1)]
+    rels += [f"s{i} s{j} " * 2 for i in range(1, n) for j in range(i + 2, n)]
+    return presentation(f"S{n}", gens, rels)
 
 
 @pytest.fixture(scope="module")
 def read_tables(q8_table):
-    s5 = presentation("S5", ["s1", "s2", "s3", "s4"], S5_RELATIONS)
+    s5 = symmetric(5)
     capped = todd_coxeter(pure_braid_rp2(3), max_cosets=500)
     assert not capped.is_complete
     return [q8_table, todd_coxeter(s5), capped]
@@ -306,3 +313,201 @@ def test_budget_is_inclusive(budget):
     table = todd_coxeter(pure_braid_rp2(3), max_cosets=budget)
     assert table.status == "budget-exceeded"
     assert table.n_cosets == budget
+
+
+# the enumerator against its reference ----------------------------------------------
+
+def reference_todd_coxeter(p, subgroup_gens=(), max_cosets=100000):
+    """Reference oracle for ``todd_coxeter``: the same HLT enumeration
+    with 0-based cosets, a union-find lookup on every table read and a
+    dict renumbering.  Returns the published (rows, status)."""
+    ncols = 2 * p.ngens
+    paths = [word_to_letters(r) for r in p.relators]
+    table = [[None] * ncols]
+    parent = [0]
+    live = [1]
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    def define(c, x):
+        if live[0] >= max_cosets:
+            raise OverflowError
+        d = len(table)
+        table.append([None] * ncols)
+        parent.append(d)
+        table[c][x], table[d][x ^ 1] = d, c
+        live[0] += 1
+
+    def merge(a, b, queue):
+        a, b = sorted((find(a), find(b)))
+        if a != b:
+            parent[b] = a
+            live[0] -= 1
+            queue.append(b)
+
+    def coincidence(a, b):
+        queue = deque()
+        merge(a, b, queue)
+        while queue:
+            dead = queue.popleft()
+            for x in range(ncols):
+                d = table[dead][x]
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = find(dead), find(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x], table[nu][x ^ 1] = nu, mu
+
+    def scan_and_fill(alpha, word):
+        f, i, b, j = alpha, 0, alpha, len(word) - 1
+        while True:
+            while i <= j and table[f][word[i]] is not None:
+                f, i = find(table[f][word[i]]), i + 1
+            while j >= i and table[b][word[j] ^ 1] is not None:
+                b, j = find(table[b][word[j] ^ 1]), j - 1
+            if j < i:
+                if f != b:
+                    coincidence(f, b)
+                return
+            if j == i:
+                table[f][word[i]], table[b][word[i] ^ 1] = b, f
+                return
+            define(f, word[i])
+
+    status = "complete"
+    try:
+        for w in subgroup_gens:
+            scan_and_fill(0, word_to_letters(w))
+        idx = 0
+        while idx < len(table):
+            for path in paths:
+                if find(idx) == idx:
+                    scan_and_fill(idx, path)
+            if find(idx) == idx:
+                for x in range(ncols):
+                    if table[idx][x] is None:
+                        define(idx, x)
+            idx += 1
+    except OverflowError:
+        status = "budget-exceeded"
+    cosets = [c for c in range(len(table)) if find(c) == c]
+    renumber = {c: k + 1 for k, c in enumerate(cosets)}
+    rows = tuple(tuple(None if e is None else renumber[find(e)] for e in table[c])
+                 for c in cosets)
+    return rows, status
+
+
+def assert_partial_table_consistent(table):
+    """Every defined entry names a published coset, and the entries pair
+    up: entry(c, x) == d iff entry(d, x^-1) == c (checking one direction
+    on every column checks both).  An entry left naming a merged-away
+    coset would publish as None on one side of a pair."""
+    n = table.n_cosets
+    for c in range(1, n + 1):
+        for x in range(2 * table.presentation.ngens):
+            d = table.entry(c, x)
+            if d is not None:
+                assert 1 <= d <= n
+                assert table.entry(d, x ^ 1) == c
+
+
+def rp2_power_quotient(n, k):
+    p = pure_braid_rp2(n)
+    return quotient(p, [p.word(f"rho{i}^{k}") for i in range(1, n + 1)])
+
+
+PINNED_GROUPS = {
+    "S5": lambda: symmetric(5),
+    "S6": lambda: symmetric(6),
+    "S7": lambda: symmetric(7),
+    "Q8": quaternion_presentation,
+    "P2": lambda: pure_braid_rp2(2),
+    "P3": lambda: pure_braid_rp2(3),
+    "P3/rho^4": lambda: rp2_power_quotient(3, 4),
+    "P3/rho^6": lambda: rp2_power_quotient(3, 6),
+    "P4/rho^2": lambda: rp2_power_quotient(4, 2),
+}
+
+
+# every published table is pinned: rows, status and the renumbering all count
+PINNED_TABLES = [
+    ("S5", "", None, 120, "complete",
+     "4242fd9b8d5cdeb3aa7032f81ccc4a8a0107011a2ede0fafd4ed27916f8b05d3"),
+    ("S6", "", None, 720, "complete",
+     "069b9549da6989d06d938d595ab0e2601030657cd8aed1b92efaacc5055a6904"),
+    ("S7", "", None, 5040, "complete",
+     "4cdcbec097ece3e29b447471da2a904bea0dc85e9041b0a82fe854353a45f717"),
+    ("Q8", "", None, 8, "complete",
+     "d3a6d87c0d7b6c34001b9545c2d115ddf05a747fc4746eef46ec7fd83e5efc91"),
+    ("P2", "", None, 8, "complete",
+     "61188f252ef4992873d7eab82fa759fbbe64a2f9e8a4a2cab138ac8056e37355"),
+    ("P3", "", 40000, 40000, "budget-exceeded",
+     "a67ada5ef5130227a8c08a57fe6e5269054a06b5aef579dac5af39b5b75b62cc"),
+    ("P3", "", 1000, 1000, "budget-exceeded",
+     "16ba160cc9953d493852696cc86832a6e692121ae338c4ff3e3650ab2e6150f7"),
+    ("P3", "", 37, 37, "budget-exceeded",
+     "f0b0b1efd9e0d04f8646257cfa682e53de59bad1716e3ac53af8bb8fff3ba915"),
+    ("P3", "", 1, 1, "budget-exceeded",
+     "8d45c5f4b372c623a47e9eb2d76cd76d81d27913d5d2c323f8d0fc654bfa649e"),
+    ("P3/rho^4", "", None, 128, "complete",
+     "0dbab732a878f1171707a99671c10e33d4d989e02bd504e1afdc2fb0f6cf5dcc"),
+    ("P3/rho^6", "", 40000, 40000, "budget-exceeded",
+     "d722626ebe008b5655e9896c411158f7e9fc073a07e6c5bd2fe6a79b6169c5ed"),
+    ("P4/rho^2", "", None, 128, "complete",
+     "deb5a785e5ac6097ffd679d70dae21df8d678dc7d1805e3cc0cdeef4be67c4c1"),
+    ("S7", "s1", None, 2520, "complete",
+     "a53c66b9d55af7892e8c8ba28a347edc330663d0930cc475ffaad33f143c35a8"),
+    ("P3", "B13 B23 rho3", None, 8, "complete",
+     "618aea6a376eefa5572a5deabbc072c0fd11c91f444f551a46e75b00ac295a9b"),
+]
+
+
+@pytest.mark.parametrize("group,subgroup,max_cosets,n_cosets,status,digest", PINNED_TABLES,
+                         ids=[f"{g}<{h}>@{m}" for g, h, m, *_ in PINNED_TABLES])
+def test_todd_coxeter_output_pinned(group, subgroup, max_cosets, n_cosets, status, digest):
+    p = PINNED_GROUPS[group]()
+    budget = {} if max_cosets is None else {"max_cosets": max_cosets}
+    table = todd_coxeter(p, [p.word(name) for name in subgroup.split()], **budget)
+    assert (table.n_cosets, table.status) == (n_cosets, status)
+    text = repr((table.rows, table.status)).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A presentation on 1-3 generators with 0-4 random relators, and up
+    to two random subgroup words (possibly trivial)."""
+    names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    letters = st.integers(0, 2 * len(names) - 1)
+    rels = draw(st.lists(st.lists(letters, min_size=1, max_size=8), max_size=4))
+    subgroup = draw(st.lists(st.lists(letters, max_size=6), max_size=2))
+    p = Presentation("random", names, tuple(letters_to_word(names, r) for r in rels))
+    return p, [letters_to_word(names, w) for w in subgroup]
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumeration_cases(), st.integers(1, 400))
+def test_todd_coxeter_matches_reference(case, max_cosets):
+    p, subgroup = case
+    table = todd_coxeter(p, subgroup, max_cosets=max_cosets)
+    assert (table.rows, table.status) == reference_todd_coxeter(p, subgroup, max_cosets)
+    assert_partial_table_consistent(table)
+
+
+@pytest.mark.parametrize("group,max_cosets", [
+    ("P3", 1000), ("P3/rho^4", 127), ("P3/rho^6", 300), ("P4/rho^2", 127),
+    ("S6", 100), ("S6", 400)])
+def test_capped_tables_keep_live_entries(group, max_cosets):
+    # each run merges cosets (3 to 116 times) before it hits the cap, so
+    # the scans after those merges walked entries without the union-find
+    table = todd_coxeter(PINNED_GROUPS[group](), max_cosets=max_cosets)
+    assert table.status == "budget-exceeded"
+    assert_partial_table_consistent(table)

@@ -2,13 +2,14 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidkernel import (
     enumerate_normal_forms, group_order, knuth_bendix, normal_form,
     presentation, pure_braid_rp2, quotient, rewrite_equality_oracle,
     todd_coxeter, torus_presentation,
 )
-from braidkernel.rewriting import _rewrite
+from braidkernel.rewriting import RewriteSystem, _rewrite
 from braidkernel.words import word_to_letters
 
 
@@ -83,7 +84,38 @@ def test_confluent_normal_forms_unique_by_random_multipath(q8):
     gens = list(range(4))
     for _ in range(60):
         letters = tuple(rng.choice(gens) for _ in range(rng.randint(0, 10)))
-        assert random_rewrite(letters) == _rewrite(letters, rs.rules)
+        assert random_rewrite(letters) == _rewrite(letters, rs.index)
+
+
+def reference_rewrite(word, rules):
+    """Reference oracle for ``_rewrite``: try every rule, in order, at
+    every position."""
+    out = list(word)
+    pos = 0
+    while pos < len(out):
+        for lhs, rhs in rules:
+            if tuple(out[pos:pos + len(lhs)]) == lhs:
+                out[pos:pos + len(lhs)] = rhs
+                pos = 0
+                break
+        else:
+            pos += 1
+    return tuple(out)
+
+
+# two letters and short left sides, so left sides of several lengths
+# often match at one position and the rule order has to break the tie
+shrinking_rules = st.lists(
+    st.lists(st.integers(0, 1), min_size=1, max_size=4).flatmap(
+        lambda lhs: st.tuples(st.just(tuple(lhs)), st.lists(
+            st.integers(0, 1), max_size=len(lhs) - 1).map(tuple))),
+    max_size=8, unique_by=lambda rule: rule[0])
+
+
+@given(shrinking_rules, st.lists(st.integers(0, 1), max_size=12).map(tuple))
+def test_indexed_rewrite_matches_reference(rules, word):
+    index = RewriteSystem(("a",), tuple(rules), False).index
+    assert _rewrite(word, index) == reference_rewrite(word, rules)
 
 
 def test_rules_strictly_decrease_shortlex(q8):
