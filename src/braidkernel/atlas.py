@@ -171,7 +171,7 @@ class CenterDescription:
     presentation; otherwise the generators stay symbolic.
     """
 
-    kind: str  # "trivial" | "free-abelian-rank-2" | "cyclic-generated" | "finite-as-stated"
+    kind: str  # "trivial" | "free-abelian-rank-2" | "cyclic-generated" | "cyclic-order-2"
     generator_words: tuple[Word, ...]
     symbolic_generators: tuple[str, ...]
     label: str
@@ -187,10 +187,11 @@ def center_table(surface: SurfaceKind, n: int) -> CenterDescription:
             return CenterDescription(
                 "free-abelian-rank-2", (), ("a~", "b~"),
                 "free abelian of rank 2 on the central loops a~, b~")
-        # sphere
+        # sphere: Z/2 on the full twist for n >= 3 (Gillette-Van Buskirk 1968)
         if n >= 3:
             return CenterDescription(
-                "finite-as-stated", (), (), "Z_2^2 (as stated)")
+                "cyclic-order-2", (), ("Delta^2",),
+                "cyclic of order 2, generated by the full twist Delta^2")
         return CenterDescription("trivial", (), (), "trivial")
     if surface == RP2:
         if n == 1:

@@ -14,25 +14,13 @@ pipe: ``braidkernel build --surface rp2 --n 2 | braidkernel order``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import atlas, coverings
-from .coset import (
-    DEFAULT_MAX_COSETS, CosetTable, group_order, is_central_finite, table_equality_oracle,
-    todd_coxeter, word_equal_finite,
+from . import (
+    DEFAULT_MAX_COSETS, DEFAULT_MAX_LEN, DEFAULT_MAX_NODES, DEFAULT_MAX_RULES, DEFAULT_MAX_WORD_LEN,
+    atlas, coset, coverings, derivations, presentations, rewriting, surfaces,
 )
-from .derivations import (
-    DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN, ChainError, ChainFormatError,
-    format_chain, parse_chain_file, search_equality,
-)
-from .presentations import (
-    Presentation, abelianization, format_presentation, hom_check, parse_hom_file,
-    parse_presentation,
-)
-from .rewriting import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES, knuth_bendix, rewrite_equality_oracle
-from .surfaces import TORUS, describe_surface, parse_surface
 from .words import BraidkernelError, format_word, parse_word
 
 EXIT_OK = 0
@@ -146,13 +134,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_presentation(args) -> Presentation:
+def _load_presentation(args) -> presentations.Presentation:
     if getattr(args, "input", None):
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return parse_presentation(text)
+    return presentations.parse_presentation(text)
 
 
 def _budget(args) -> int:
@@ -167,14 +155,14 @@ def _budget(args) -> int:
         raise UsageError(f"{ENV_MAX_COSETS}: {exc}") from None
 
 
-def _enumerate(args, p: Presentation) -> CosetTable:
-    table = todd_coxeter(p, max_cosets=_budget(args))
+def _enumerate(args, p: presentations.Presentation) -> coset.CosetTable:
+    table = coset.todd_coxeter(p, max_cosets=_budget(args))
     if not table.is_complete:
         raise _Undecided(f"enumeration budget exhausted at {table.n_cosets} live cosets")
     return table
 
 
-def _resolve_element(args, p: Presentation):
+def _resolve_element(args, p: presentations.Presentation):
     if args.element == "tau":
         n = atlas.rp2_strand_count(p)
         if n is None:
@@ -208,33 +196,34 @@ def _cmd_build(args):
         p = atlas.pi1_nonorientable(int(k))
     else:
         raise UsageError(f"unknown atlas surface {args.surface!r}")
-    text = format_presentation(p)
+    text = presentations.format_presentation(p)
     return True, {"presentation": text}, text.splitlines()
 
 
 def _cmd_order(args):
-    order = group_order(_enumerate(args, _load_presentation(args)))
+    order = coset.group_order(_enumerate(args, _load_presentation(args)))
     return True, {"order": order}, [str(order)]
 
 
 def _cmd_central(args):
     p = _load_presentation(args)
     w = _resolve_element(args, p)
-    central = is_central_finite(_enumerate(args, p), w)
+    central = coset.is_central_finite(_enumerate(args, p), w)
     return (central, {"element": format_word(w), "central": central},
             [f"{format_word(w)} is {'central' if central else 'not central'}"])
 
 
 def _cmd_abelianize(args):
-    inv = abelianization(_load_presentation(args))
+    inv = presentations.abelianization(_load_presentation(args))
     return (True, {"rank": inv.rank, "torsion": list(inv.torsion)},
             [f"rank {inv.rank}, torsion {list(inv.torsion)}"])
 
 
 def _cmd_hom_check(args):
     with open(args.map_file, encoding="utf-8") as fh:
-        hom = parse_hom_file(fh.read())
-    result = hom_check(hom, table_equality_oracle(_enumerate(args, hom.target)))
+        hom = presentations.parse_hom_file(fh.read())
+    oracle = coset.table_equality_oracle(_enumerate(args, hom.target))
+    result = presentations.hom_check(hom, oracle)
     if result.status == "undecided":
         raise _Undecided(f"target oracle could not decide relator {result.relator_index}")
     payload = {"status": result.status, "failing_relator": result.relator_index}
@@ -247,26 +236,26 @@ def _cmd_equal(args):
     lhs = parse_word(args.lhs, p.alphabet)
     rhs = parse_word(args.rhs, p.alphabet)
     if args.search:
-        chain = search_equality(p, lhs, rhs, max_word_len=args.max_word_len,
-                                max_nodes=args.max_nodes)
+        chain = derivations.search_equality(p, lhs, rhs, max_word_len=args.max_word_len,
+                                            max_nodes=args.max_nodes)
         if chain is None:
             raise _Undecided("no chain found within budget")
-        text = format_chain(chain)
+        text = derivations.format_chain(chain)
         return (True, {"equal": True, "steps": len(chain.steps), "chain": text},
                 ["equal", text.rstrip()])
     if args.rewrite:
-        rs = knuth_bendix(p, max_rules=args.max_rules, max_len=args.max_len)
-        same = rewrite_equality_oracle(rs)(lhs, rhs)
+        rs = rewriting.knuth_bendix(p, max_rules=args.max_rules, max_len=args.max_len)
+        same = rewriting.rewrite_equality_oracle(rs)(lhs, rhs)
         if same is None:
             raise _Undecided("rewriting system is not confluent")
         return (same, {"equal": same, "confluent": rs.confluent},
                 ["equal" if same else "not equal"])
-    same = word_equal_finite(_enumerate(args, p), lhs, rhs)
+    same = coset.word_equal_finite(_enumerate(args, p), lhs, rhs)
     return same, {"equal": same}, ["equal" if same else "not equal"]
 
 
 def _cmd_kernel(args):
-    surface = parse_surface(args.quotient)
+    surface = surfaces.parse_surface(args.quotient)
     params = None
     if args.q is not None or args.r is not None:
         if args.q is None or args.r is None:
@@ -276,11 +265,11 @@ def _cmd_kernel(args):
     pres_file = None
     if desc.presentation is not None and args.presentation_out:
         with open(args.presentation_out, "w", encoding="utf-8") as fh:
-            fh.write(format_presentation(desc.presentation))
+            fh.write(presentations.format_presentation(desc.presentation))
         pres_file = args.presentation_out
     lines = [f"case: {desc.case}",
              f"kernel: {desc.description}",
-             f"base surface: {describe_surface(surface)}"]
+             f"base surface: {surfaces.describe_surface(surface)}"]
     if desc.presentation is not None:
         lines.append("explicit presentation: available"
                      + (f" (written to {pres_file})" if pres_file else ""))
@@ -288,11 +277,11 @@ def _cmd_kernel(args):
 
 
 def _cmd_cover(args):
-    cover = parse_surface(args.cover_surface)
-    base = parse_surface(args.base_surface)
+    cover = surfaces.parse_surface(args.cover_surface)
+    base = surfaces.parse_surface(args.base_surface)
     decision = coverings.can_cover(cover, base, args.sheets)
     verdict = "not excluded" if decision.possible else "impossible"
-    lines = [f"{describe_surface(cover)} over {describe_surface(base)}, "
+    lines = [f"{surfaces.describe_surface(cover)} over {surfaces.describe_surface(base)}, "
              f"{args.sheets} sheets: {verdict}"]
     if decision.certificate:
         lines.append(f"certificate: {decision.certificate}")
@@ -304,14 +293,14 @@ def _cmd_cover(args):
 
 def _cmd_quotients(args):
     candidates = coverings.quotient_candidates(
-        parse_surface(args.surface), args.sheets, args.strict_orientability)
+        surfaces.parse_surface(args.surface), args.sheets, args.strict_orientability)
     lines = []
     payload = []
     for cand in candidates:
         entry = {"surface": cand.label, "orientable": cand.orientable,
                  "genus": cand.genus}
-        note = describe_surface(cand)
-        if cand == TORUS:
+        note = surfaces.describe_surface(cand)
+        if cand == surfaces.TORUS:
             forms = coverings.torus_action_forms(args.sheets)
             entry["group_forms"] = [list(f) for f in forms]
             note += "; acting group Z/q + Z/r with (q,r) in " + str(forms)
@@ -325,10 +314,10 @@ def _cmd_check_derivation(args):
     with open(args.chain_file, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        chain, declared_end = parse_chain_file(text, p)
-    except ChainFormatError:
+        chain, declared_end = derivations.parse_chain_file(text, p)
+    except derivations.ChainFormatError:
         raise  # a malformed file is a usage error; only replay failures are answers
-    except ChainError as exc:
+    except derivations.ChainError as exc:
         return False, {"valid": False, "error": str(exc)}, [f"invalid: {exc}"]
     # parse_chain_file has replayed every step; only the endpoint is left
     valid = chain.end == declared_end
@@ -359,6 +348,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         answer, payload, lines = _COMMANDS[args.command](args)
         if args.json:
+            import json  # only --json output needs it
             print(json.dumps({"result": payload}, indent=2))
         else:
             for line in lines:

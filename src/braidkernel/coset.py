@@ -28,11 +28,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
+from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
 from .words import (
     BraidkernelError, Word, format_word, letters_to_word, word_to_letters)
 
-DEFAULT_MAX_COSETS = 100000
 CENTER_ENUM_CAP = 10000
 
 

@@ -15,11 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .atlas import center_table, klein_presentation, pure_braid_rp2, quaternion_presentation, \
-    torus_presentation
-from .coset import table_equality_oracle, todd_coxeter, word_equal_finite
-from .presentations import GroupHom, Presentation, hom_check, quotient
-from .rewriting import knuth_bendix, rewrite_equality_oracle
+from . import atlas, coset, presentations, rewriting
 from .surfaces import KLEIN, RP2, SPHERE, TORUS, SurfaceKind, euler_char
 from .words import BraidkernelError
 
@@ -78,7 +74,7 @@ class CoverDecision:
     possible: bool  # True means "not excluded", never an existence claim
     certificate: Optional[str]
     detail: str
-    witness: Optional[GroupHom] = None
+    witness: Optional[presentations.GroupHom] = None
 
 
 def _klein_over_torus_certificate() -> CoverDecision:
@@ -86,26 +82,26 @@ def _klein_over_torus_certificate() -> CoverDecision:
     # quaternion group, which is non-abelian, while the torus group is
     # abelian; subgroups of abelian groups are abelian, so no injection
     # pi_1(Klein) -> pi_1(T2) exists.  Every ingredient is machine-checked.
-    klein = klein_presentation()
-    q8 = quaternion_presentation()
-    table = todd_coxeter(q8)
-    hom = GroupHom(klein, q8, (q8.gen("rho1"), q8.gen("rho2")))
-    result = hom_check(hom, table_equality_oracle(table))
+    klein = atlas.klein_presentation()
+    q8 = atlas.quaternion_presentation()
+    table = coset.todd_coxeter(q8)
+    hom = presentations.GroupHom(klein, q8, (q8.gen("rho1"), q8.gen("rho2")))
+    result = presentations.hom_check(hom, coset.table_equality_oracle(table))
     if not result.verified:
         raise CoveringError("quaternion witness failed verification")
     hom = result.hom
     # surjectivity: the images generate a subgroup of index 1
-    index = todd_coxeter(q8, list(hom.images)).n_cosets
+    index = coset.todd_coxeter(q8, list(hom.images)).n_cosets
     if index != 1:
         raise CoveringError("quaternion witness is not surjective")
     # non-abelian image: the generator images do not commute
     x, y = hom.images
-    if word_equal_finite(table, x * y, y * x):
+    if coset.word_equal_finite(table, x * y, y * x):
         raise CoveringError("quaternion witness image is abelian")
     # the would-be base group is abelian: its generators commute
-    tp = torus_presentation()
+    tp = atlas.torus_presentation()
     a, b = tp.gen("a"), tp.gen("b")
-    if rewrite_equality_oracle(knuth_bendix(tp))(a * b, b * a) is not True:
+    if rewriting.rewrite_equality_oracle(rewriting.knuth_bendix(tp))(a * b, b * a) is not True:
         raise CoveringError("torus group abelianity check failed")
     return CoverDecision(
         False, "nonabelian-quotient",
@@ -145,7 +141,7 @@ class KernelDescription:
     pure: bool
     q: Optional[int]
     r: Optional[int]
-    presentation: Optional[Presentation]
+    presentation: Optional[presentations.Presentation]
     description: str
 
     def to_json_dict(self, presentation_file: Optional[str] = None) -> dict:
@@ -191,8 +187,8 @@ def kernel_description(quotient_surface: SurfaceKind, n: int, pure: bool,
         desc = f"{letter}{n}(T2) / <a~^{q}, b~^{r}>"
         pres = None
         if n == 1:
-            tp = torus_presentation()
-            pres = quotient(tp, [tp.gen("a") ** q, tp.gen("b") ** r])
+            tp = atlas.torus_presentation()
+            pres = presentations.quotient(tp, [tp.gen("a") ** q, tp.gen("b") ** r])
         return KernelDescription("mod-lattice", quotient_surface, n, pure, q, r, pres, desc)
 
     if torus_params is not None:
@@ -204,7 +200,8 @@ def kernel_description(quotient_surface: SurfaceKind, n: int, pure: bool,
         if quotient_surface == SPHERE and n <= 2:
             desc += "  [center trivial for n <= 2]"
         if quotient_surface == RP2 and pure:
-            pres = quotient(pure_braid_rp2(n), center_table(RP2, n).generator_words)
+            pres = presentations.quotient(atlas.pure_braid_rp2(n),
+                                          atlas.center_table(RP2, n).generator_words)
         return KernelDescription("mod-center", quotient_surface, n, pure, None, None, pres, desc)
 
     return KernelDescription("full", quotient_surface, n, pure, None, None, None,

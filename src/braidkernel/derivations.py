@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from . import DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN
 from .presentations import FormatError, Presentation, directives, read_directives
 from .words import (
     BraidkernelError,
@@ -27,9 +28,6 @@ from .words import (
     parse_word,
     word_to_letters,
 )
-
-DEFAULT_MAX_WORD_LEN = 30
-DEFAULT_MAX_NODES = 200000
 
 
 class ChainError(BraidkernelError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
-from .snf import smith_normal_form
+from . import snf
 from .words import (
     Alphabet,
     BraidkernelError,
@@ -147,7 +147,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     mat = relator_matrix(p)
     if not mat:
         return AbelianInvariants(p.ngens, ())
-    diag, _, _ = smith_normal_form(mat)
+    diag, _, _ = snf.smith_normal_form(mat)
     rank = sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d >= 2)
     return AbelianInvariants(rank, torsion)

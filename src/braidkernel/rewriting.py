@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
 from .words import (
     Alphabet, BraidkernelError, Word, letters_to_word, word_to_letters)
-
-DEFAULT_MAX_RULES = 500
-DEFAULT_MAX_LEN = 30
 
 Letters = tuple[int, ...]
 # left side length -> {left side: (rule id, right side)}

@@ -244,7 +244,10 @@ def test_center_table_other_surfaces():
     assert torus_desc.kind == "free-abelian-rank-2"
     assert torus_desc.symbolic_generators == ("a~", "b~")
     assert torus_desc.generator_words == ()
-    assert center_table(SPHERE, 3).kind == "finite-as-stated"
+    sphere_desc = center_table(SPHERE, 3)
+    assert sphere_desc.kind == "cyclic-order-2"
+    assert sphere_desc.symbolic_generators == ("Delta^2",)
+    assert sphere_desc.generator_words == ()
     assert center_table(SPHERE, 2).kind == "trivial"
     assert center_table(SPHERE, 1).kind == "trivial"
     assert center_table(KLEIN, 2).kind == "trivial"

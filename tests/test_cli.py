@@ -6,7 +6,6 @@ import json
 import pytest
 
 import braidkernel
-from braidkernel import cli
 from braidkernel.cli import _COMMANDS, run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -453,8 +452,8 @@ def test_chain_file_without_end_line_has_no_line_number(capsys, monkeypatch, tmp
 
 
 def test_every_exported_error_is_a_braidkernel_error():
-    errors = [obj for name, obj in vars(braidkernel).items()
-              if name.endswith("Error") and isinstance(obj, type)]
+    errors = [getattr(braidkernel, name) for name in braidkernel.__all__
+              if name.endswith("Error") and isinstance(getattr(braidkernel, name), type)]
     assert len(errors) >= 8
     for cls in errors:
         assert issubclass(cls, braidkernel.BraidkernelError), cls
@@ -511,7 +510,8 @@ def test_format_error_names_the_file_line(capsys, monkeypatch, tmp_path, argv, t
 def test_hom_check_undecided_oracle_exits_2(capsys, monkeypatch, tmp_path):
     path = tmp_path / "map.hom"
     path.write_text(KLEIN_Q8_MAP)
-    monkeypatch.setattr(cli, "table_equality_oracle", lambda table: lambda u, v: None)
+    monkeypatch.setattr(braidkernel.coset, "table_equality_oracle",
+                        lambda table: lambda u, v: None)
     for mode in ([], ["--json"]):
         code, out, err = invoke(capsys, ["hom-check", "--map", str(path)] + mode)
         assert (code, out) == (2, "")
