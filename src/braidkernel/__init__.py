@@ -35,8 +35,8 @@ _EXPORTS = {
     "rewriting": ("RewriteSystem", "enumerate_normal_forms", "knuth_bendix", "normal_form",
                   "rewrite_equality_oracle"),
     "derivations": ("ChainError", "DerivationChain", "DerivationReport", "DerivationStep",
-                    "apply_step", "build_chain", "check_derivation", "format_chain",
-                    "parse_chain_file", "search_equality"),
+                    "apply_step", "check_derivation", "format_chain", "parse_chain_file",
+                    "search_equality"),
     "surfaces": ("KLEIN", "RP2", "SPHERE", "TORUS", "SurfaceError", "SurfaceKind",
                  "describe_surface", "euler_char", "parse_surface"),
     "atlas": ("AtlasError", "CenterDescription", "b_ij_as_rho", "center_table",

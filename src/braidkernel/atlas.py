@@ -220,11 +220,3 @@ def forget_strands_hom(n: int, m: int) -> GroupHom:
     images = [target.word(name if name in target.alphabet else "1")
               for name in source.alphabet]
     return GroupHom(source, target, tuple(images))
-
-
-__all__ = [
-    "AtlasError", "CenterDescription", "b_ij_as_rho", "center_table",
-    "forget_strands_hom", "klein_presentation", "pi1_nonorientable",
-    "pure_braid_rp2", "quaternion_presentation", "rp2_strand_count",
-    "tau_component", "tau_n", "torus_presentation",
-]

@@ -312,20 +312,13 @@ def _cmd_quotients(args):
 def _cmd_check_derivation(args):
     p = _load_presentation(args)
     with open(args.chain_file, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        chain, declared_end = derivations.parse_chain_file(text, p)
-    except derivations.ChainFormatError:
-        raise  # a malformed file is a usage error; only replay failures are answers
-    except derivations.ChainError as exc:
-        return False, {"valid": False, "error": str(exc)}, [f"invalid: {exc}"]
-    # parse_chain_file has replayed every step; only the endpoint is left
-    valid = chain.end == declared_end
-    message = f"{len(chain.steps)} steps replayed" if valid else (
-        f"chain replays but ends at {format_word(chain.end)}, "
-        f"file declares {format_word(declared_end)}")
-    return (valid, {"valid": valid, "steps": len(chain.steps), "message": message},
-            [("valid: " if valid else "invalid: ") + message])
+        chain = derivations.parse_chain_file(fh.read(), p)
+    report = derivations.check_derivation(chain)
+    if report.failing_step is not None:
+        return False, {"valid": False, "error": report.message}, [f"invalid: {report.message}"]
+    return (report.valid, {"valid": report.valid, "steps": len(chain.steps),
+                           "message": report.message},
+            [("valid: " if report.valid else "invalid: ") + report.message])
 
 
 _COMMANDS = {

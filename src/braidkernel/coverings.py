@@ -206,10 +206,3 @@ def kernel_description(quotient_surface: SurfaceKind, n: int, pure: bool,
 
     return KernelDescription("full", quotient_surface, n, pure, None, None, None,
                              f"{letter}{n}({lbl})")
-
-
-__all__ = [
-    "CoverDecision", "CoveringError", "KernelDescription",
-    "can_cover", "euler_char", "kernel_description",
-    "quotient_candidates", "torus_action_forms",
-]

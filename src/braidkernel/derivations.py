@@ -44,24 +44,19 @@ class DerivationStep:
 
 @dataclass(frozen=True)
 class DerivationChain:
+    """A claim that the steps turn ``start`` into ``end``; check_derivation checks it."""
     presentation: Presentation
-    words: tuple[Word, ...]
+    start: Word
     steps: tuple[DerivationStep, ...]
-
-    @property
-    def start(self) -> Word:
-        return self.words[0]
-
-    @property
-    def end(self) -> Word:
-        return self.words[-1]
+    end: Word
 
 
 @dataclass(frozen=True)
 class DerivationReport:
     valid: bool
-    failing_step: Optional[int]
+    failing_step: Optional[int]  # the step that does not apply, if one does not
     message: str
+    end: Optional[Word] = None   # the word the replay reached, if every step applies
 
 
 def _relator_letters(p: Presentation, index: int) -> tuple[int, ...]:
@@ -95,33 +90,33 @@ def apply_step(p: Presentation, w: Word, step: DerivationStep) -> Word:
     return letters_to_word(p.alphabet, new)
 
 
-def build_chain(p: Presentation, start: Word, steps) -> DerivationChain:
-    """Replay steps from ``start``, recording every intermediate word."""
-    words = [start]
-    steps = tuple(steps)
-    for step in steps:
-        words.append(apply_step(p, words[-1], step))
-    return DerivationChain(p, tuple(words), steps)
-
-
 def check_derivation(chain: DerivationChain) -> DerivationReport:
-    """Accept iff every step replays exactly; report the first failure."""
-    if not chain.words:
-        raise ChainError("chain has no words")
-    if len(chain.words) != len(chain.steps) + 1:
-        raise ChainError(
-            f"chain has {len(chain.words)} words but {len(chain.steps)} steps")
-    for w in chain.words:
-        if w.alphabet != chain.presentation.alphabet:
-            raise ChainError("chain word over the wrong alphabet")
+    """Replay the steps from the start word.  The chain is valid iff every
+    step applies and the replay ends at the chain's end word."""
+    p, word = chain.presentation, chain.start
+    if word.alphabet != p.alphabet or chain.end.alphabet != p.alphabet:
+        raise ChainError("chain word over the wrong alphabet")
     for t, step in enumerate(chain.steps):
-        computed = apply_step(chain.presentation, chain.words[t], step)
-        if computed != chain.words[t + 1]:
-            return DerivationReport(
-                False, t,
-                f"step {t} produced {format_word(computed)}, "
-                f"chain claims {format_word(chain.words[t + 1])}")
-    return DerivationReport(True, None, f"{len(chain.steps)} steps replayed")
+        try:
+            word = apply_step(p, word, step)
+        except ChainError as exc:
+            return DerivationReport(False, t, str(exc))
+    if word != chain.end:
+        return DerivationReport(False, None, f"chain replays but ends at {format_word(word)}, "
+                                             f"file declares {format_word(chain.end)}", word)
+    return DerivationReport(True, None, f"{len(chain.steps)} steps replayed", word)
+
+
+def _checked(chain: DerivationChain) -> DerivationChain:
+    """A chain the search built, once check_derivation accepts it."""
+    report = check_derivation(chain)
+    if report.failing_step is not None:
+        raise ChainError(f"search chain step {report.failing_step} does not apply: "
+                         f"{report.message}")
+    if not report.valid:  # the replay uses full free reduction, the search splices
+        raise ChainError(f"search chain replays to {format_word(report.end)}, "
+                         f"not {format_word(chain.end)}")
+    return chain
 
 
 def _splice(word: tuple[int, ...], ins: tuple[int, ...], pos: int) -> tuple[int, int, int, int]:
@@ -156,8 +151,8 @@ def search_equality(p: Presentation, u: Word, v: Word,
     every position), pruning words longer than ``max_word_len`` and
     stopping after ``max_nodes`` distinct words.  Returns a chain that
     check_derivation accepts, or None (inconclusive, not a disproof).
-    The chain is replayed through apply_step before it is returned, and
-    a replay that does not end at v raises ChainError.
+    The chain goes through check_derivation before it is returned, and
+    one that it rejects raises ChainError.
 
     The visit order is part of the contract: from each word, the
     distinct insertions in order of first occurrence (relator, then
@@ -174,7 +169,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
     start = word_to_letters(u)
     goal = word_to_letters(v)
     if start == goal:
-        return DerivationChain(p, (u,), ())
+        return _checked(DerivationChain(p, u, (), v))
     if len(goal) > max_word_len:
         return None  # every word longer than the cap is pruned
 
@@ -216,11 +211,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
                     while came_from[new] is not None:
                         new, *step = came_from[new]
                         steps.append(DerivationStep(*step))
-                    chain = build_chain(p, u, reversed(steps))
-                    if chain.end != v:  # the replay uses full free reduction
-                        raise ChainError(f"search chain replays to {format_word(chain.end)}, "
-                                         f"not {format_word(v)}")
-                    return chain
+                    return _checked(DerivationChain(p, u, tuple(reversed(steps)), v))
                 if len(came_from) >= max_nodes:
                     return None
                 frontier.append(new)
@@ -242,12 +233,8 @@ def format_chain(chain: DerivationChain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_chain_file(text: str, p: Presentation) -> tuple[DerivationChain, Word]:
-    """Parse a chain file and replay it over p.
-
-    Returns the replayed chain and the file's declared end word; the
-    caller compares ``chain.end`` against the declaration.
-    """
+def parse_chain_file(text: str, p: Presentation) -> DerivationChain:
+    """Parse a chain file over p without replaying it; check_derivation checks it."""
     words: dict[str, Word] = {}
     steps: list[DerivationStep] = []
 
@@ -271,4 +258,4 @@ def parse_chain_file(text: str, p: Presentation) -> tuple[DerivationChain, Word]
     for key in ("start", "end"):
         if key not in words:
             raise ChainFormatError(None, f"missing {key} line")
-    return build_chain(p, words["start"], steps), words["end"]
+    return DerivationChain(p, words["start"], tuple(steps), words["end"])

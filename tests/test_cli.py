@@ -226,29 +226,43 @@ def test_kernel_usage_errors(capsys):
     assert code == 3
 
 
+def check_chain(capsys, monkeypatch, pres, path):
+    """Exit code, stdout and --json stdout of check-derivation on one chain file."""
+    code, out, err = invoke(capsys, ["check-derivation", str(path)],
+                            stdin=pres, monkeypatch=monkeypatch)
+    json_code, json_out, json_err = invoke(capsys, ["check-derivation", str(path), "--json"],
+                                           stdin=pres, monkeypatch=monkeypatch)
+    assert json_code == code and err == json_err == ""
+    return code, out, json_out
+
+
 def test_check_derivation_corpus(capsys, tmp_path, monkeypatch):
     pres = build_rp2(capsys, 2)
     chain_path = DATA_DIR / "b12_as_rho_n2.chain"
-    code, out, _ = invoke(capsys, ["check-derivation", str(chain_path)],
-                          stdin=pres, monkeypatch=monkeypatch)
-    assert code == 0 and out.startswith("valid")
+    assert check_chain(capsys, monkeypatch, pres, chain_path) == (
+        0, "valid: 2 steps replayed\n",
+        '{\n  "result": {\n    "valid": true,\n    "steps": 2,\n'
+        '    "message": "2 steps replayed"\n  }\n}\n')
     # corrupt the declared endpoint
     bad = chain_path.read_text().replace("end rho2*rho1^-1*rho2^-1*rho1",
                                          "end rho1")
     bad_path = tmp_path / "bad.chain"
     bad_path.write_text(bad)
-    code, out, _ = invoke(capsys, ["check-derivation", str(bad_path)],
-                          stdin=pres, monkeypatch=monkeypatch)
-    assert code == 1 and out.startswith("invalid")
+    message = "chain replays but ends at rho2*rho1^-1*rho2^-1*rho1, file declares rho1"
+    assert check_chain(capsys, monkeypatch, pres, bad_path) == (
+        1, f"invalid: {message}\n",
+        '{\n  "result": {\n    "valid": false,\n    "steps": 2,\n'
+        f'    "message": "{message}"\n  }}\n}}\n')
 
 
 def test_check_derivation_out_of_range_is_negative(capsys, tmp_path, monkeypatch):
     pres = build_rp2(capsys, 2)
     bad_path = tmp_path / "oob.chain"
     bad_path.write_text("start B12\nstep 99 0 1 0\nend B12\n")
-    code, out, _ = invoke(capsys, ["check-derivation", str(bad_path)],
-                          stdin=pres, monkeypatch=monkeypatch)
-    assert code == 1 and out.startswith("invalid")
+    assert check_chain(capsys, monkeypatch, pres, bad_path) == (
+        1, "invalid: relator index 99 out of range\n",
+        '{\n  "result": {\n    "valid": false,\n'
+        '    "error": "relator index 99 out of range"\n  }\n}\n')
 
 
 def test_hom_check_map_file(capsys, tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
-    ChainError, DerivationChain, DerivationStep, Presentation, apply_step,
-    b_ij_as_rho, build_chain, check_derivation, derivations, format_chain,
+    ChainError, DerivationChain, DerivationReport, DerivationStep, Presentation, apply_step,
+    b_ij_as_rho, check_derivation, derivations, format_chain,
     parse_chain_file, pure_braid_rp2, quaternion_presentation, search_equality,
     word_equal_finite,
 )
@@ -27,10 +27,18 @@ CORPUS = {
 }
 
 
+def chain_words(chain):
+    """The words a chain passes through, replayed step by step."""
+    words = [chain.start]
+    for step in chain.steps:
+        words.append(apply_step(chain.presentation, words[-1], step))
+    return words
+
+
 def test_single_word_chain_is_valid(rp2_n2):
-    chain = DerivationChain(rp2_n2, (rp2_n2.word("B12 rho1"),), ())
-    report = check_derivation(chain)
-    assert report.valid and report.failing_step is None
+    w = rp2_n2.word("B12 rho1")
+    report = check_derivation(DerivationChain(rp2_n2, w, (), w))
+    assert report == DerivationReport(True, None, "0 steps replayed", w)
 
 
 def test_apply_step_inserts_rotated_relator(rp2_n2):
@@ -44,13 +52,19 @@ def test_apply_step_inserts_rotated_relator(rp2_n2):
 
 
 def test_wrong_chain_reports_first_failing_step(rp2_n2):
-    good = build_chain(rp2_n2, rp2_n2.word("B12"),
-                       [DerivationStep(1, 0, 1, 0)])
-    tampered = DerivationChain(
-        rp2_n2, (good.words[0], rp2_n2.word("rho2^2")), good.steps)
-    report = check_derivation(tampered)
-    assert not report.valid
-    assert report.failing_step == 0
+    # step 0 applies (B12 -> rho1^2), step 1 names a relator that does not exist
+    steps = (DerivationStep(1, 0, 1, 0), DerivationStep(99, 0, 1, 0), DerivationStep(1, 0, 1, 0))
+    chain = DerivationChain(rp2_n2, rp2_n2.word("B12"), steps, rp2_n2.word("rho1^2"))
+    assert check_derivation(chain) == DerivationReport(
+        False, 1, "relator index 99 out of range")
+
+
+def test_wrong_end_reports_the_replayed_word(rp2_n2):
+    chain = DerivationChain(rp2_n2, rp2_n2.word("B12"), (DerivationStep(1, 0, 1, 0),),
+                            rp2_n2.word("rho2^2"))
+    assert check_derivation(chain) == DerivationReport(
+        False, None, "chain replays but ends at rho1^2, file declares rho2^2",
+        rp2_n2.word("rho1^2"))
 
 
 def test_range_errors_raise(rp2_n2):
@@ -65,12 +79,13 @@ def test_range_errors_raise(rp2_n2):
         apply_step(rp2_n2, w, DerivationStep(1, 0, 2, 0))
 
 
-def test_malformed_chain_structure_raises(rp2_n2):
-    with pytest.raises(ChainError):
-        check_derivation(DerivationChain(rp2_n2, (), ()))
-    with pytest.raises(ChainError):
-        check_derivation(DerivationChain(
-            rp2_n2, (rp2_n2.word("B12"),), (DerivationStep(1, 0, 1, 0),)))
+def test_malformed_chain_structure_raises(rp2_n2, q8):
+    # a chain with no steps compares its two words only; both must still
+    # be over the presentation's alphabet
+    for start, end in ((q8.word("rho1"), q8.word("rho1")),
+                       (rp2_n2.word("B12"), q8.word("rho1"))):
+        with pytest.raises(ChainError, match="wrong alphabet"):
+            check_derivation(DerivationChain(rp2_n2, start, (), end))
 
 
 # search ------------------------------------------------------------------------
@@ -177,6 +192,14 @@ def test_search_checks_its_chain(q8, monkeypatch):
         search_equality(q8, q8.word("rho1"), q8.word("1"), max_word_len=6)
 
 
+def test_search_reports_a_step_that_does_not_apply(q8, monkeypatch):
+    def broken(p, w, step):
+        raise ChainError("no such insertion")
+    monkeypatch.setattr(derivations, "apply_step", broken)
+    with pytest.raises(ChainError, match="^search chain step 0 does not apply: no such insertion$"):
+        search_equality(q8, q8.word("rho1"), q8.word("rho1^-3"), max_word_len=6)
+
+
 def test_search_goal_over_cap_is_undecided_at_once(rp2_n2, monkeypatch):
     def no_splice(word, ins, pos):
         raise AssertionError("searched for a goal longer than the cap")
@@ -212,7 +235,8 @@ def test_search_finds_b12_identity(rp2_n2, rp2_n2_table):
     assert check_derivation(chain).valid
     assert chain.start == lhs and chain.end == rhs
     # soundness: consecutive chain words are equal in the finite group
-    for a, b in zip(chain.words, chain.words[1:]):
+    words = chain_words(chain)
+    for a, b in zip(words, words[1:]):
         assert word_equal_finite(rp2_n2_table, a, b)
 
 
@@ -242,10 +266,9 @@ def load_corpus_tool():
 def test_corpus_chain_replays(fname):
     n, start, end = CORPUS[fname]
     p = pure_braid_rp2(n)
-    chain, declared_end = parse_chain_file((DATA_DIR / fname).read_text(), p)
+    chain = parse_chain_file((DATA_DIR / fname).read_text(), p)
     assert chain.start == p.word(start)
-    assert declared_end == p.word(end)
-    assert chain.end == declared_end
+    assert chain.end == p.word(end)
     assert check_derivation(chain).valid
 
 
@@ -280,8 +303,8 @@ def test_corpus_chains_sound_in_finite_quotients(rp2_n2_table, rp2_n3_mod4_table
     tables = {2: rp2_n2_table, 3: rp2_n3_mod4_table}
     for fname, (n, _, _) in CORPUS.items():
         p = pure_braid_rp2(n)
-        chain, _ = parse_chain_file((DATA_DIR / fname).read_text(), p)
-        for a, b in zip(chain.words, chain.words[1:]):
+        words = chain_words(parse_chain_file((DATA_DIR / fname).read_text(), p))
+        for a, b in zip(words, words[1:]):
             assert word_equal_finite(tables[n], a, b)
 
 
@@ -289,9 +312,15 @@ def test_chain_round_trip(rp2_n2):
     chain = search_equality(rp2_n2, rp2_n2.gen("B12"), rp2_n2.word("rho1^2"),
                             max_word_len=10)
     assert chain is not None
-    reparsed, end = parse_chain_file(format_chain(chain), rp2_n2)
-    assert reparsed == chain
-    assert end == chain.end
+    assert parse_chain_file(format_chain(chain), rp2_n2) == chain
+
+
+def test_parse_chain_file_does_not_replay(rp2_n2):
+    # the file holds a step that does not apply; parsing keeps it for the checker
+    chain = parse_chain_file("start B12\nstep 99 0 1 0\nend B12\n", rp2_n2)
+    assert chain == DerivationChain(rp2_n2, rp2_n2.word("B12"),
+                                    (DerivationStep(99, 0, 1, 0),), rp2_n2.word("B12"))
+    assert check_derivation(chain).failing_step == 0
 
 
 def test_chain_file_presentation_mismatch(rp2_n2):

@@ -11,6 +11,7 @@ import pytest
 import braidkernel
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 PUBLIC_NAMES = {
     "words": ["BraidkernelError", "Word", "WordError", "conjugate", "cyclic_reduce",
@@ -27,8 +28,8 @@ PUBLIC_NAMES = {
     "rewriting": ["RewriteSystem", "enumerate_normal_forms", "knuth_bendix", "normal_form",
                   "rewrite_equality_oracle"],
     "derivations": ["ChainError", "DerivationChain", "DerivationReport", "DerivationStep",
-                    "apply_step", "build_chain", "check_derivation", "format_chain",
-                    "parse_chain_file", "search_equality"],
+                    "apply_step", "check_derivation", "format_chain", "parse_chain_file",
+                    "search_equality"],
     "surfaces": ["KLEIN", "RP2", "SPHERE", "TORUS", "SurfaceError", "SurfaceKind",
                  "describe_surface", "euler_char", "parse_surface"],
     "atlas": ["AtlasError", "CenterDescription", "b_ij_as_rho", "center_table",
@@ -42,7 +43,7 @@ PUBLIC_NAMES = {
 
 def test_public_names_are_pinned():
     expected = [name for names in PUBLIC_NAMES.values() for name in names]
-    assert len(expected) == 85
+    assert len(expected) == 84
     assert braidkernel.__all__ == expected
     assert set(expected) <= set(dir(braidkernel))
 
@@ -62,6 +63,14 @@ def test_star_import_and_unknown_names():
         braidkernel.no_such_name
     with pytest.raises(ImportError):
         exec("from braidkernel import no_such_name", {})
+
+
+def test_readme_library_snippet_runs():
+    # the python block of the README's Library section, run as written
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1].split("\n## ")[0]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "check_derivation(chain).valid" in snippet
+    exec(compile(snippet, str(README), "exec"), {})
 
 
 # Runs one command in process, then prints the braidkernel submodules that
