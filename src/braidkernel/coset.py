@@ -24,14 +24,13 @@ the union-find.  The published table renumbers the live cosets 1, 2, ...
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
 from .words import (
-    BraidkernelError, Word, format_word, letters_to_word, word_to_letters)
+    BraidkernelError, Word, format_word, letters_to_word, record, word_to_letters)
 
 CENTER_ENUM_CAP = 10000
 
@@ -48,7 +47,7 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CosetTable:
     """Result of an enumeration.
 

@@ -12,12 +12,11 @@ asserts that a covering exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import atlas, coset, presentations, rewriting
 from .surfaces import KLEIN, RP2, SPHERE, TORUS, SurfaceKind, euler_char
-from .words import BraidkernelError
+from .words import BraidkernelError, record
 
 
 class CoveringError(BraidkernelError):
@@ -69,7 +68,7 @@ def torus_action_forms(l: int) -> list[tuple[int, int]]:
 
 # covering impossibility -------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CoverDecision:
     possible: bool  # True means "not excluded", never an existence claim
     certificate: Optional[str]
@@ -130,7 +129,7 @@ def can_cover(cover: SurfaceKind, base: SurfaceKind, l: int) -> CoverDecision:
 
 # kernel descriptions -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class KernelDescription:
     """Structured statement of ker(i*) (pure) or ker(j*) (full braid)
     for an l-sheeted free action with the given quotient surface."""

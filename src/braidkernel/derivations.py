@@ -14,7 +14,6 @@ insertion) so fixed proof chains can live in a test corpus as data.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from . import DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN
@@ -26,6 +25,7 @@ from .words import (
     free_reduce_letters,
     letters_to_word,
     parse_word,
+    record,
     word_to_letters,
 )
 
@@ -34,7 +34,7 @@ class ChainError(BraidkernelError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DerivationStep:
     relator: int
     rotation: int
@@ -42,7 +42,7 @@ class DerivationStep:
     position: int   # letter position in the current word, 0..len
 
 
-@dataclass(frozen=True)
+@record
 class DerivationChain:
     """A claim that the steps turn ``start`` into ``end``; check_derivation checks it."""
     presentation: Presentation
@@ -51,7 +51,7 @@ class DerivationChain:
     end: Word
 
 
-@dataclass(frozen=True)
+@record
 class DerivationReport:
     valid: bool
     failing_step: Optional[int]  # the step that does not apply, if one does not

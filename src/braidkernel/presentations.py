@@ -9,7 +9,6 @@ rewriting engine's derivation certificates refer to relators by index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from . import snf
@@ -22,6 +21,7 @@ from .words import (
     make_alphabet,
     multiply,
     parse_word,
+    record,
 )
 
 
@@ -33,7 +33,7 @@ class UnverifiedHomError(PresentationError):
     """A homomorphism was applied before hom_check verified it."""
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     name: str
     alphabet: Alphabet
@@ -103,7 +103,7 @@ def quotient(p: Presentation, extra: Sequence[Word]) -> Presentation:
 
 # abelianization -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AbelianInvariants:
     """Free rank plus torsion coefficients d1 | d2 | ... (each >= 2)."""
 
@@ -160,7 +160,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 EqualityOracle = Callable[[Word, Word], Optional[bool]]
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     source: Presentation
     target: Presentation
@@ -189,7 +189,7 @@ def substitute(h: GroupHom, w: Word) -> Word:
     return Word.from_syllables(h.target.alphabet, sylls)
 
 
-@dataclass(frozen=True)
+@record
 class HomCheckResult:
     status: str  # "verified" | "failed" | "undecided"
     hom: Optional[GroupHom]
@@ -214,7 +214,7 @@ def hom_check(h: GroupHom, oracle: EqualityOracle) -> HomCheckResult:
             return HomCheckResult("undecided", None, i)
         if not answer:
             return HomCheckResult("failed", None, i)
-    return HomCheckResult("verified", replace(h, verified=True))
+    return HomCheckResult("verified", GroupHom(h.source, h.target, h.images, verified=True))
 
 
 def apply_hom(h: GroupHom, w: Word) -> Word:

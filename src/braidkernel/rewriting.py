@@ -18,21 +18,20 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
 from .words import (
-    Alphabet, BraidkernelError, Word, letters_to_word, word_to_letters)
+    Alphabet, BraidkernelError, Word, letters_to_word, record, word_to_letters)
 
 Letters = tuple[int, ...]
 # left side length -> {left side: (rule id, right side)}
 RuleIndex = dict[int, dict[Letters, tuple[int, Letters]]]
 
 
-@dataclass(frozen=True)
+@record
 class RewriteSystem:
     alphabet: Alphabet
     rules: tuple[tuple[Letters, Letters], ...]

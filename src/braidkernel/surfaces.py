@@ -8,16 +8,14 @@ label and name together since nonorientable indexing conventions vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import BraidkernelError
+from .words import BraidkernelError, record
 
 
 class SurfaceError(BraidkernelError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceKind:
     orientable: bool
     genus: int

@@ -16,8 +16,9 @@ alphabet order.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -33,6 +34,86 @@ class WordError(BraidkernelError):
 
 
 Alphabet = tuple[str, ...]
+
+
+def record(cls):
+    """Class decorator: a frozen record over the class's annotated fields.
+
+    The contract of ``@dataclass(frozen=True)``, built from closures so
+    that no command imports ``dataclasses`` (and with it ``inspect``):
+    positional or keyword construction with the class-level defaults,
+    then ``__post_init__`` when the class defines one; equality only
+    between instances of the same class, on the field tuple; the hash of
+    the field tuple; the ``Name(field=value, ...)`` repr; and
+    ``AttributeError`` on assignment or deletion.  Instances keep a
+    ``__dict__``, so ``__post_init__`` can normalise a field with
+    ``object.__setattr__`` and ``functools.cached_property`` works.
+    """
+    name = cls.__qualname__
+    names = tuple(cls.__annotations__)
+    arity = len(names)
+    positions = tuple(enumerate(names))
+    defaults = {field: cls.__dict__[field] for field in names if field in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    # the field tuple: attrgetter returns a tuple for two or more names
+    if arity > 1:
+        fields = attrgetter(*names)
+    else:
+        def fields(self):
+            return tuple(getattr(self, field) for field in names)
+    # object.__setattr__ keeps the instance's inline attribute values, so
+    # attribute reads stay as fast as on a dataclass; filling __dict__
+    # directly would turn it into a real dict and slow every read
+    store = object.__setattr__
+
+    def bind(args, kwargs):
+        if len(args) > arity:
+            raise TypeError(f"{name}() takes {arity} positional arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for field in names[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in defaults:
+                values.append(defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        for field in kwargs:
+            raise TypeError(f"{name}() got multiple values for argument {field!r}"
+                            if field in names else
+                            f"{name}() got an unexpected keyword argument {field!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = bind(args, kwargs)
+        for i, field in positions:
+            store(self, field, args[i])
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{field}={value!r}" for field, value in zip(names, fields(self)))
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{name}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
 
 
 def make_alphabet(names: Iterable[str]) -> Alphabet:
@@ -66,7 +147,7 @@ def _normalize_syllables(raw: Iterable[tuple[int, int]]) -> tuple[tuple[int, int
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     """A freely reduced word over a fixed alphabet."""
 
@@ -223,10 +304,17 @@ def shortlex_compare(u: Word, v: Word, letter_order: Sequence[int] | None = None
 
 # text form ---------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def _name_lookup(alphabet: Alphabet) -> dict[str, int]:
+    # generator name -> index, built once per alphabet rather than per
+    # word: a presentation's relators all share its alphabet
+    return {name: i for i, name in enumerate(alphabet)}
+
+
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse the word grammar: ``"1"`` or ``name(^int)?`` terms joined by
     ``*`` or whitespace.  Errors report the offending position."""
-    lookup = {name: i for i, name in enumerate(alphabet)}
+    lookup = _name_lookup(alphabet)
     if text.strip() == "1":
         return Word.identity(alphabet)
 

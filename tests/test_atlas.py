@@ -10,6 +10,7 @@ from braidkernel import (
     tau_component, tau_n, todd_coxeter, torus_presentation,
     word_equal_finite, center_order_finite, format_word,
 )
+from braidkernel.atlas import RP2_MAX_STRANDS
 
 
 # independent oracle: quaternion arithmetic on {+-1, +-i, +-j, +-k} ------------
@@ -119,6 +120,18 @@ def test_invalid_strand_counts():
         pure_braid_rp2(0)
     with pytest.raises(AtlasError):
         tau_n(0)
+
+
+def test_strand_count_ceiling():
+    # P_n(RP2) has O(n^4) relators; past a fixed ceiling the builder refuses
+    # before it allocates anything, whatever the size of n
+    assert RP2_MAX_STRANDS >= 12
+    assert pure_braid_rp2(12).ngens == 78
+    for n in (RP2_MAX_STRANDS + 1, 10 ** 5, 2 * 10 ** 8):
+        with pytest.raises(AtlasError, match=f"strand count must be <= {RP2_MAX_STRANDS}"):
+            pure_braid_rp2(n)
+    with pytest.raises(AtlasError, match="strand count must be <="):
+        tau_n(10 ** 5)
 
 
 # b_ij and tau -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import braidkernel
+from braidkernel.atlas import RP2_MAX_STRANDS
 from braidkernel.cli import _COMMANDS, run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -428,6 +429,22 @@ def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv
     assert code == 3
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--surface", "rp2", "--n", "200000000"],
+    ["kernel", "--quotient", "rp2", "--n", "100000"],
+    ["kernel", "--quotient", "rp2", "--n", "13", "--json"],
+])
+def test_oversized_strand_count_exits_3(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: strand count must be <= 12 for rp2, got {argv[4]}\n"
+
+
+def test_readme_states_the_strand_ceiling():
+    readme = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"`--n` from 1 to {RP2_MAX_STRANDS}" in readme
 
 
 @pytest.mark.parametrize("map_text,expected", [

@@ -133,3 +133,30 @@ def test_command_executes_only_the_modules_it_uses(argv, stdin, runs, skips):
     executed = executed_modules(argv, stdin)
     assert runs <= executed
     assert not executed & skips, executed & skips
+
+
+# Runs one command in process and prints the modules it added to
+# sys.modules; whatever site imported before the command does not count.
+ADDED = """\
+import sys
+before = set(sys.modules)
+from braidkernel import cli
+code = cli.run(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["quotients", "--surface", "S2", "--sheets", "1"], ""),
+    (["build", "--surface", "rp2", "--n", "3"], ""),
+    (["abelianize"], Q8),
+    (EQUAL + ["--search"], Q8),
+], ids=["quotients", "build", "abelianize", "equal-search"])
+def test_command_imports_neither_dataclasses_nor_inspect(argv, stdin):
+    proc = subprocess.run([sys.executable, "-c", ADDED, *argv], input=stdin,
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    code, *added = proc.stdout.splitlines()[-1].split()
+    assert (code, proc.stderr) == ("0", "")
+    assert "braidkernel.words" in added
+    assert not {"dataclasses", "inspect"} & set(added), added

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -68,6 +69,82 @@ def test_duplicate_generator_names_rejected():
         make_alphabet(["a", "a"])
     with pytest.raises(WordError):
         make_alphabet(["a", "2b"])
+
+
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_parse_word(text, alphabet):
+    """The word grammar as parse_word first read it, with a name lookup
+    built on every call: the oracle for the cached lookup."""
+    lookup = {name: i for i, name in enumerate(alphabet)}
+    if text.strip() == "1":
+        return Word.identity(alphabet)
+    sylls = []
+    i, n = 0, len(text)
+    have_term, separated, star_pending = False, True, False
+    while i < n:
+        if text[i].isspace():
+            separated = True
+            i += 1
+            continue
+        if text[i] == "*":
+            if not have_term or star_pending:
+                raise WordError(f"unexpected '*' at position {i}")
+            separated = star_pending = True
+            i += 1
+            continue
+        m = _NAME.match(text, i)
+        if not m:
+            raise WordError(f"expected generator name at position {i}")
+        if have_term and not separated:
+            raise WordError(f"missing separator before position {i}")
+        name = m.group()
+        if name not in lookup:
+            raise WordError(f"unknown generator {name!r} at position {i}")
+        i = m.end()
+        exp = 1
+        if i < n and text[i] == "^":
+            i += 1
+            em = _INT.match(text, i)
+            if not em:
+                raise WordError(f"malformed exponent at position {i}")
+            exp = int(em.group())
+            i = em.end()
+        sylls.append((lookup[name], exp))
+        have_term, separated, star_pending = True, False, False
+    if not have_term:
+        raise WordError("empty word text (use \"1\" for the identity)")
+    if star_pending:
+        raise WordError("trailing '*' without a term")
+    return Word.from_syllables(alphabet, sylls)
+
+
+def parse_outcome(parse, text, alphabet):
+    try:
+        return parse(text, alphabet)
+    except WordError as exc:
+        return str(exc)
+
+
+# two alphabets over overlapping names, so a lookup cached for one cannot
+# stand in for the other
+PARSE_ALPHABETS = (make_alphabet(["a", "b", "rho1", "B1_2"]), make_alphabet(["rho1", "a", "c"]))
+_TOKENS = ["a", "b", "c", "rho1", "B1_2", "rho", "x9", "1", "0", "^", "^2", "^-3", "^+1", "^x",
+           "*", " ", "  ", "\t", "-", "_", "!"]
+_terms = st.tuples(st.sampled_from(["a", "b", "c", "rho1", "B1_2"]),
+                   st.one_of(st.just(""), st.integers(-20, 20).map(lambda e: f"^{e}")))
+_valid_texts = st.lists(st.tuples(_terms, st.sampled_from([" ", " * ", "*", "\t"])),
+                        min_size=1, max_size=8).map(
+    lambda terms: "".join(name + exp + sep for (name, exp), sep in terms)[:-1])
+
+
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join), _valid_texts),
+       st.sampled_from(PARSE_ALPHABETS))
+def test_parse_word_matches_reference_parser(text, alphabet):
+    assert parse_outcome(parse_word, text, alphabet) == \
+        parse_outcome(reference_parse_word, text, alphabet)
 
 
 # arithmetic ------------------------------------------------------------------
