@@ -24,8 +24,8 @@ the union-find.  The published table renumbers the live cosets 1, 2, ...
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from itertools import chain
-from typing import Optional, Sequence
 
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
@@ -58,7 +58,7 @@ class CosetTable:
 
     presentation: Presentation
     subgroup_gens: tuple[Word, ...]
-    rows: tuple[tuple[Optional[int], ...], ...]
+    rows: tuple[tuple[int | None, ...], ...]
     status: str  # "complete" | "budget-exceeded"
 
     @property
@@ -69,10 +69,10 @@ class CosetTable:
     def is_complete(self) -> bool:
         return self.status == "complete"
 
-    def entry(self, coset: int, letter: int) -> Optional[int]:
+    def entry(self, coset: int, letter: int) -> int | None:
         return self.rows[coset - 1][letter]
 
-    def trace_word(self, coset: int, w: Word) -> Optional[int]:
+    def trace_word(self, coset: int, w: Word) -> int | None:
         """The coset reached from ``coset`` by reading w, or None where an
         undefined entry stops the walk.
 
@@ -222,7 +222,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     # renumber[0] is None, so undefined entries publish as None; zip cuts
     # the renumbered live rows, read as one stream, back into rows
     live = [c for c in range(1, len(table)) if parent[c] == c]
-    renumber: list[Optional[int]] = [None] * len(table)
+    renumber: list[int | None] = [None] * len(table)
     for k, c in enumerate(live, 1):
         renumber[c] = k
     entries = map(renumber.__getitem__, chain.from_iterable(map(table.__getitem__, live)))

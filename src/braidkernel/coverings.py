@@ -12,8 +12,6 @@ asserts that a covering exists.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from . import atlas, coset, presentations, rewriting
 from .surfaces import KLEIN, RP2, SPHERE, TORUS, SurfaceKind, euler_char
 from .words import BraidkernelError, record
@@ -45,11 +43,20 @@ def quotient_candidates(m: SurfaceKind, l: int,
     for cand in out:
         assert l * euler_char(cand) == euler_char(m)
     if strict_orientability:
-        if not m.orientable:
-            out = [c for c in out if not c.orientable]
-        elif l % 2 == 1:
-            out = [c for c in out if c.orientable]
+        out = [c for c in out if _orientation_obstruction(m, c, l) is None]
     return out
+
+
+def _orientation_obstruction(cover: SurfaceKind, base: SurfaceKind, l: int) -> str | None:
+    """Why orientability rules out an l-sheeted covering cover -> base,
+    or None when it does not."""
+    if base.orientable and not cover.orientable:
+        return (f"a cover of the orientable base {base} must be orientable, "
+                f"but {cover} is not")
+    if cover.orientable and not base.orientable and l % 2:
+        return (f"an orientable cover of the nonorientable base {base} factors "
+                f"through its orientation double cover, so its degree {l} must be even")
+    return None
 
 
 def torus_action_forms(l: int) -> list[tuple[int, int]]:
@@ -71,9 +78,9 @@ def torus_action_forms(l: int) -> list[tuple[int, int]]:
 @record
 class CoverDecision:
     possible: bool  # True means "not excluded", never an existence claim
-    certificate: Optional[str]
+    certificate: str | None
     detail: str
-    witness: Optional[presentations.GroupHom] = None
+    witness: presentations.GroupHom | None = None
 
 
 def _klein_over_torus_certificate() -> CoverDecision:
@@ -119,11 +126,9 @@ def can_cover(cover: SurfaceKind, base: SurfaceKind, l: int) -> CoverDecision:
             f"{l} * chi({base}) = {l * euler_char(base)} != chi({cover}) = {euler_char(cover)}")
     if cover == KLEIN and base == TORUS:
         return _klein_over_torus_certificate()
-    if base.orientable and not cover.orientable:
-        return CoverDecision(
-            False, "orientation-lift",
-            f"a cover of the orientable base {base} must be orientable, "
-            f"but {cover} is not")
+    obstruction = _orientation_obstruction(cover, base, l)
+    if obstruction is not None:
+        return CoverDecision(False, "orientation-lift", obstruction)
     return CoverDecision(True, None, "no necessary condition excludes this covering")
 
 
@@ -138,12 +143,12 @@ class KernelDescription:
     quotient_surface: SurfaceKind
     n: int
     pure: bool
-    q: Optional[int]
-    r: Optional[int]
-    presentation: Optional[presentations.Presentation]
+    q: int | None
+    r: int | None
+    presentation: presentations.Presentation | None
     description: str
 
-    def to_json_dict(self, presentation_file: Optional[str] = None) -> dict:
+    def to_json_dict(self, presentation_file: str | None = None) -> dict:
         out = {
             "case": self.case,
             "base": {
@@ -162,7 +167,7 @@ class KernelDescription:
 
 
 def kernel_description(quotient_surface: SurfaceKind, n: int, pure: bool,
-                       torus_params: Optional[tuple[int, int]] = None) -> KernelDescription:
+                       torus_params: tuple[int, int] | None = None) -> KernelDescription:
     """Case dispatch over the quotient surface.
 
     S_g (g >= 2) and N_k (k >= 2): the kernel is the whole (pure) braid

@@ -14,7 +14,6 @@ insertion) so fixed proof chains can live in a test corpus as data.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from . import DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN
 from .presentations import FormatError, Presentation, directives, read_directives
@@ -54,9 +53,9 @@ class DerivationChain:
 @record
 class DerivationReport:
     valid: bool
-    failing_step: Optional[int]  # the step that does not apply, if one does not
+    failing_step: int | None  # the step that does not apply, if one does not
     message: str
-    end: Optional[Word] = None   # the word the replay reached, if every step applies
+    end: Word | None = None   # the word the replay reached, if every step applies
 
 
 def _relator_letters(p: Presentation, index: int) -> tuple[int, ...]:
@@ -144,7 +143,7 @@ def _splice(word: tuple[int, ...], ins: tuple[int, ...], pos: int) -> tuple[int,
 
 def search_equality(p: Presentation, u: Word, v: Word,
                     max_word_len: int = DEFAULT_MAX_WORD_LEN,
-                    max_nodes: int = DEFAULT_MAX_NODES) -> Optional[DerivationChain]:
+                    max_nodes: int = DEFAULT_MAX_NODES) -> DerivationChain | None:
     """Breadth-first search for a derivation chain from u to v.
 
     Explores every relator insertion (all rotations, both directions,
@@ -166,17 +165,22 @@ def search_equality(p: Presentation, u: Word, v: Word,
     if u.alphabet != p.alphabet or v.alphabet != p.alphabet:
         raise ChainError("words are not over the presentation's alphabet")
 
+    if u == v:
+        return _checked(DerivationChain(p, u, (), v))
+    if v.letter_length > max_word_len:
+        return None  # every word longer than the cap is pruned
     start = word_to_letters(u)
     goal = word_to_letters(v)
-    if start == goal:
-        return _checked(DerivationChain(p, u, (), v))
-    if len(goal) > max_word_len:
-        return None  # every word longer than the cap is pruned
 
     # the distinct (freely reduced) insertion strings, each with the
-    # first step that makes it
+    # first step that makes it.  Inserting L letters into a word of w
+    # leaves at least L - w, and every popped word but the start has at
+    # most max_word_len letters, so a longer relator never makes a kept word.
+    longest = max_word_len + max(len(start), max_word_len)
     variants: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for ri, rel in enumerate(p.relators):
+        if rel.letter_length > longest:
+            continue
         for rot in range(rel.letter_length):
             for direction in (1, -1):
                 ins = free_reduce_letters(
@@ -184,7 +188,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
                 if ins:
                     variants.setdefault(ins, (ri, rot, direction))
 
-    came_from: dict[tuple[int, ...], Optional[tuple]] = {start: None}
+    came_from: dict[tuple[int, ...], tuple | None] = {start: None}
     frontier = deque([start])
     while frontier:
         word = frontier.popleft()

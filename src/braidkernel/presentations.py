@@ -9,7 +9,7 @@ rewriting engine's derivation certificates refer to relators by index.
 
 from __future__ import annotations
 
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 from . import snf
 from .words import (
@@ -122,7 +122,7 @@ class AbelianInvariants:
             prev = d
 
     @property
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         """Group order when finite (rank 0), else None."""
         if self.rank:
             return None
@@ -144,7 +144,8 @@ def relator_matrix(p: Presentation) -> list[list[int]]:
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    mat = relator_matrix(p)
+    # a zero row (a relator in the commutator subgroup) adds no invariant
+    mat = [row for row in relator_matrix(p) if any(row)]
     if not mat:
         return AbelianInvariants(p.ngens, ())
     diag, _, _ = snf.smith_normal_form(mat)
@@ -157,7 +158,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 # An equality oracle decides u = v in a fixed group: True / False, or
 # None when its budget cannot settle the question.
-EqualityOracle = Callable[[Word, Word], Optional[bool]]
+EqualityOracle = Callable[[Word, Word], bool | None]
 
 
 @record
@@ -192,8 +193,8 @@ def substitute(h: GroupHom, w: Word) -> Word:
 @record
 class HomCheckResult:
     status: str  # "verified" | "failed" | "undecided"
-    hom: Optional[GroupHom]
-    relator_index: Optional[int] = None
+    hom: GroupHom | None
+    relator_index: int | None = None
 
     @property
     def verified(self) -> bool:
@@ -239,7 +240,7 @@ Directive = tuple[int, str, str]  # (file line, key, rest)
 class FormatError(BraidkernelError):
     """A malformed file; ``line`` is None for a whole-file error."""
 
-    def __init__(self, line: Optional[int], message: str):
+    def __init__(self, line: int | None, message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property
-from typing import Optional
 
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
@@ -174,8 +173,8 @@ def normal_form(rs: RewriteSystem, w: Word) -> Word:
     return letters_to_word(rs.alphabet, _rewrite(word_to_letters(w), rs.index))
 
 
-def enumerate_normal_forms(rs: RewriteSystem, max_letters: Optional[int] = None,
-                           limit: Optional[int] = None) -> list[Word]:
+def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,
+                           limit: int | None = None) -> list[Word]:
     """All irreducible words, breadth-first by length.
 
     Terminates when the language is finite; otherwise one of
@@ -212,7 +211,7 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: Optional[int] = None,
 def rewrite_equality_oracle(rs: RewriteSystem):
     """Equality oracle for hom_check: decisive iff rs is confluent."""
 
-    def oracle(u: Word, v: Word) -> Optional[bool]:
+    def oracle(u: Word, v: Word) -> bool | None:
         if normal_form(rs, u) == normal_form(rs, v):
             return True
         return False if rs.confluent else None

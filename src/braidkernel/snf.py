@@ -2,9 +2,11 @@
 
 Pure-int row/column reduction tracking unimodular transforms on both
 sides.  Python integers are unbounded, so the arithmetic is exact by
-construction and no overflow case exists.  The matrices fed to this
-module (relator exponent-sum matrices) are tiny; clarity wins over
-asymptotics.
+construction and no overflow case exists.  Each pivot is the smallest
+nonzero entry in absolute value of the remaining submatrix; choosing it
+afresh after every round keeps entries and transforms small, where
+reducing against a fixed pivot lets them grow without bound
+(Kannan-Bachem 1979; Havas-Holt-Rees 1993).
 """
 
 from __future__ import annotations
@@ -39,90 +41,49 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]], list[list[int]]]
     the diagonal matrix whose entries are ``diag`` (one entry per
     column; entries past the row count are zero).  The diagonal is
     nonnegative and each entry divides the next.
+
+    Step t takes as pivot the smallest nonzero |entry| in rows and
+    columns t onward, moves it to (t, t), and clears its column and row
+    with floor quotients.  It repeats while a remainder survives, or
+    while the pivot fails to divide some entry of the rest (after adding
+    that entry's row to row t).
     """
     rows, cols = _validate(mat)
     a = [list(row) for row in mat]
     left = _identity(rows)
     right = _identity(cols)
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, factor):
-        # row dst += factor * row src
-        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + factor * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src, dst, factor):
-        for row in a:
-            row[dst] += factor * row[src]
-        for row in right:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    def pick_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+    def sub_row(src, dst, q):  # row dst -= q * row src
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x - q * y for x, y in zip(left[dst], left[src])]
 
     for t in range(min(rows, cols)):
-        pos = pick_pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-
         while True:
-            # clear column t below the pivot
-            dirty = False
+            pivot = min(((abs(x), i, j) for i in range(t, rows)
+                         for j, x in enumerate(a[i][t:], t) if x), default=None)
+            if pivot is None:
+                break
+            _, i, j = pivot
+            a[t], a[i], left[t], left[i] = a[i], a[t], left[i], left[t]
+            for row in a + right:
+                row[t], row[j] = row[j], row[t]
+            p = a[t][t]
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        # remainder is a smaller pivot candidate
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
+                if a[i][t]:
+                    sub_row(t, i, a[i][t] // p)
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
+                if a[t][j]:
+                    q = a[t][j] // p
+                    for row in a + right:
+                        row[j] -= q * row[t]
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1:]):
                 continue
-            # pivot cross is clear; force divisibility over the rest
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in a[i][t + 1:])), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-
+            sub_row(offender, t, -1)
         if a[t][t] < 0:
-            negate_row(t)
-
-    diag = [a[j][j] if j < rows else 0 for j in range(cols)]
-    return diag, left, right
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+    return [a[j][j] if j < rows else 0 for j in range(cols)], left, right

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Iterable, Sequence
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -201,6 +201,10 @@ class Word:
             return NotImplemented
         if n == 0:
             return Word.identity(self.alphabet)
+        if n == 1:
+            return self
+        if n == -1:
+            return self.inverse()
         core, conjugator = cyclic_reduce(self if n > 0 else self.inverse())
         if len(core.syllables) == 1:
             gen, exp = core.syllables[0]

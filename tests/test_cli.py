@@ -1,7 +1,11 @@
 import hashlib
+import os
 import pathlib
 import io
 import json
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +13,7 @@ import braidkernel
 from braidkernel.atlas import RP2_MAX_STRANDS
 from braidkernel.cli import _COMMANDS, run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, argv, stdin=None, monkeypatch=None):
@@ -170,6 +175,35 @@ def test_cover_exit_codes(capsys):
     code, out, _ = invoke(capsys, ["cover", "--from", "S3", "--to", "S2",
                                    "--sheets", "2"])
     assert code == 0 and "not excluded" in out
+    code, out, _ = invoke(capsys, ["cover", "--from", "torus", "--to", "klein",
+                                   "--sheets", "1"])
+    assert code == 1 and "orientation-lift" in out
+
+
+def run_cli(argv, stdin):
+    """The CLI in a child process, killed after 30 s."""
+    return subprocess.run([sys.executable, "-m", "braidkernel", *argv], input=stdin,
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def test_abelianize_dense_random_presentation_finishes():
+    # 14 relators over 10 generators with exponents in [-9, 9]: reducing
+    # against a fixed pivot blows the entries up past any time limit
+    rng = random.Random(0)
+    lines = ["group dense", "gens " + " ".join(f"x{j}" for j in range(10))]
+    for _ in range(14):
+        exps = [rng.randint(-9, 9) for _ in range(10)]
+        lines.append("rel " + " ".join(f"x{j}^{e}" for j, e in enumerate(exps) if e))
+    proc = run_cli(["abelianize"], "\n".join(lines) + "\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rank 0, torsion []\n", "")
+
+
+def test_equal_search_skips_a_relator_longer_than_any_kept_word():
+    proc = run_cli(["equal", "--search", "--lhs", "a", "--rhs", "b", "--max-nodes", "5"],
+                   "group G\ngens a b\nrel a^30000000\n")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "undecided: no chain found within budget\n"
 
 
 def test_quotients_output(capsys):

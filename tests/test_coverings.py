@@ -44,6 +44,15 @@ def test_quotient_candidates_spec_cases():
     assert quotient_candidates(S(2), 1, strict_orientability=True) == [S(2)]
 
 
+def test_can_cover_agrees_with_strict_quotient_candidates():
+    surfaces = [S(g) for g in range(7)] + [N(k) for k in range(1, 7)]
+    for cover in surfaces:
+        for l in range(1, 7):
+            strict = quotient_candidates(cover, l, strict_orientability=True)
+            for base in surfaces:
+                assert can_cover(cover, base, l).possible == (base in strict), (cover, base, l)
+
+
 def test_quotient_candidates_sphere():
     assert quotient_candidates(SPHERE, 1) == [SPHERE]
     assert quotient_candidates(SPHERE, 2) == [RP2]

@@ -160,3 +160,28 @@ def test_command_imports_neither_dataclasses_nor_inspect(argv, stdin):
     assert (code, proc.stderr) == ("0", "")
     assert "braidkernel.words" in added
     assert not {"dataclasses", "inspect"} & set(added), added
+
+
+# Runs one command in process under -S, so that site imports nothing, and
+# prints which of the slow-to-import modules ended up loaded.
+LOADED = """\
+import sys
+from braidkernel import cli
+code = cli.run(sys.argv[1:])
+print(code, *sorted({"typing", "dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["quotients", "--surface", "S2", "--sheets", "1"], ""),
+    (["build", "--surface", "rp2", "--n", "3"], ""),
+    (["abelianize"], Q8),
+    (EQUAL + ["--search"], Q8),
+    (EQUAL + ["--table"], Q8),
+    (EQUAL + ["--rewrite"], Q8),
+], ids=["quotients", "build", "abelianize", "equal-search", "equal-table", "equal-rewrite"])
+def test_command_without_site_loads_no_typing(argv, stdin):
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED, *argv], input=stdin,
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.stdout.splitlines()[-1], proc.stderr) == ("0", "")

@@ -32,6 +32,17 @@ def test_relators_normalized():
     assert [str(r) for r in p.relators] == ["b"]
 
 
+def test_abelianization_of_commutator_relators_is_free():
+    # every relator row is zero, so nothing reaches the Smith normal form
+    p = presentation("Z2", ["a", "b"], ["a b a^-1 b^-1"])
+    assert abelianization(p) == AbelianInvariants(2, ())
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pure_braid_rp2_abelianization(n):
+    assert abelianization(pure_braid_rp2(n)) == AbelianInvariants(0, (2,) * n)
+
+
 def test_relator_wrong_alphabet_rejected():
     other = make_alphabet(["z"])
     alphabet = make_alphabet(["a"])

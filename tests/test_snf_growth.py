@@ -1,0 +1,30 @@
+"""Smith normal form beyond the fixed cases of test_snf: the diagonal and
+certificate on random matrices, and transforms that stay small where a
+fixed-pivot reduction lets them grow without bound."""
+
+import random
+
+from hypothesis import given, strategies as st
+
+from braidkernel.snf import smith_normal_form
+from test_snf import check_snf, mat_mul, minors_gcd_invariants
+
+matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                          min_size=1, max_size=5))
+
+
+@given(matrices)
+def test_diagonal_matches_minors_and_certificate_holds(mat):
+    assert check_snf(mat) == minors_gcd_invariants(mat, len(mat[0]))
+
+
+def test_transforms_stay_small_on_dense_random_matrices():
+    for seed in range(10):
+        rng = random.Random(seed)
+        mat = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(10)]
+        diag, left, right = smith_normal_form(mat)
+        bits = max(abs(x).bit_length() for m in (left, right) for row in m for x in row)
+        assert bits <= 256, (seed, bits)
+        assert mat_mul(mat_mul(left, mat), right) == [
+            [diag[j] if i == j else 0 for j in range(7)] for i in range(10)]
