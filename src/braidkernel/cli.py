@@ -9,13 +9,16 @@ each command prints a single JSON object carrying a ``result`` field.
 
 Presentations are read from ``--input FILE`` or stdin, so commands
 pipe: ``braidkernel build --surface rp2 --n 2 | braidkernel order``.
+Options are ``--flag value`` or ``--flag=value``, and the last of a repeated
+flag wins; ``braidkernel COMMAND --help`` lists the command's options.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from . import (
     DEFAULT_MAX_COSETS, DEFAULT_MAX_LEN, DEFAULT_MAX_NODES, DEFAULT_MAX_RULES, DEFAULT_MAX_WORD_LEN,
@@ -39,99 +42,12 @@ class _Undecided(Exception):
     """A budget ran out before the answer was known; the message says which."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _budget_value(text: str) -> int:
-    """argparse type of the budget flags: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """The kind of the budget flags: an integer >= 1."""
+    value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise ValueError(text)
     return value
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="braidkernel", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, input_file=True, max_cosets=True):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        if input_file:
-            p.add_argument("--input", default=None,
-                           help="presentation file (default: stdin)")
-        if max_cosets:
-            p.add_argument("--max-cosets", type=_budget_value, default=None,
-                           help="enumeration budget: most live cosets, inclusive "
-                                f"(default {DEFAULT_MAX_COSETS}, or ${ENV_MAX_COSETS})")
-
-    p = sub.add_parser("build", help="print an atlas presentation")
-    p.add_argument("--surface", required=True,
-                   help="rp2 | torus | klein | nonorientable:k | quaternion")
-    p.add_argument("--n", type=int, default=None, help="strand count (rp2)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("order", help="group order by coset enumeration")
-    common(p)
-
-    p = sub.add_parser("central", help="test centrality in the finite group")
-    p.add_argument("--element", required=True,
-                   help='a word, or "tau" on an atlas rp2 presentation')
-    common(p)
-
-    p = sub.add_parser("abelianize", help="abelian invariants")
-    common(p, max_cosets=False)
-
-    p = sub.add_parser("hom-check", help="verify a homomorphism map file")
-    p.add_argument("--map", required=True, dest="map_file")
-    common(p, input_file=False)
-
-    p = sub.add_parser("equal", help="decide or certify a word equality")
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--table", action="store_true", help="coset-table oracle (default)")
-    mode.add_argument("--search", action="store_true", help="derivation-chain search")
-    mode.add_argument("--rewrite", action="store_true", help="Knuth-Bendix normal forms")
-    p.add_argument("--max-word-len", type=_budget_value, default=DEFAULT_MAX_WORD_LEN)
-    p.add_argument("--max-nodes", type=_budget_value, default=DEFAULT_MAX_NODES)
-    p.add_argument("--max-rules", type=_budget_value, default=DEFAULT_MAX_RULES)
-    p.add_argument("--max-len", type=_budget_value, default=DEFAULT_MAX_LEN)
-    common(p)
-
-    p = sub.add_parser("kernel", help="kernel description for a quotient surface")
-    p.add_argument("--quotient", required=True, help="quotient surface")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--full-braid", action="store_true",
-                   help="describe ker j* (full braid group) instead of ker i*")
-    p.add_argument("--presentation-out", default=None,
-                   help="write the explicit presentation here when available")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("cover", help="covering impossibility certificates")
-    p.add_argument("--from", required=True, dest="cover_surface")
-    p.add_argument("--to", required=True, dest="base_surface")
-    p.add_argument("--sheets", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("quotients", help="quotient-surface candidates of a free action")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--sheets", type=int, required=True)
-    p.add_argument("--strict-orientability", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("check-derivation", help="replay a derivation chain file")
-    p.add_argument("chain_file")
-    common(p, max_cosets=False)
-
-    return parser
 
 
 def _load_presentation(args) -> presentations.Presentation:
@@ -151,8 +67,8 @@ def _budget(args) -> int:
         return DEFAULT_MAX_COSETS
     try:
         return _budget_value(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"{ENV_MAX_COSETS}: {exc}") from None
+    except ValueError:
+        raise UsageError(f"{ENV_MAX_COSETS}: expected an integer >= 1, got {env!r}") from None
 
 
 def _enumerate(args, p: presentations.Presentation) -> coset.CosetTable:
@@ -321,25 +237,119 @@ def _cmd_check_derivation(args):
             [("valid: " if report.valid else "invalid: ") + report.message])
 
 
+# command -> (handler, help line, options); an option is flag -> (dest, kind, default, help).
+# The kind bool is a switch; str, int and _budget_value convert a value.  No dashes: positional.
+_REQUIRED = object()
+_JSON = {"--json": ("json", bool, False, "machine-readable output")}
+_INPUT = {"--input": ("input", str, None, "presentation file (default: stdin)")}
+_MAX_COSETS = {"--max-cosets": ("max_cosets", _budget_value, None, "enumeration budget: most live "
+                                f"cosets (default ${ENV_MAX_COSETS}, else {DEFAULT_MAX_COSETS})")}
 _COMMANDS = {
-    "build": _cmd_build,
-    "order": _cmd_order,
-    "central": _cmd_central,
-    "abelianize": _cmd_abelianize,
-    "hom-check": _cmd_hom_check,
-    "equal": _cmd_equal,
-    "kernel": _cmd_kernel,
-    "cover": _cmd_cover,
-    "quotients": _cmd_quotients,
-    "check-derivation": _cmd_check_derivation,
+    "build": (_cmd_build, "print an atlas presentation", {
+        "--surface": ("surface", str, _REQUIRED, "rp2, torus, klein, quaternion, nonorientable:k"),
+        "--n": ("n", int, None, "strand count (rp2)"), **_JSON}),
+    "order": (_cmd_order, "group order by coset enumeration", {**_INPUT, **_MAX_COSETS, **_JSON}),
+    "central": (_cmd_central, "test centrality in the finite group", {
+        "--element": ("element", str, _REQUIRED, 'a word, or "tau" on an atlas rp2 presentation'),
+        **_INPUT, **_MAX_COSETS, **_JSON}),
+    "abelianize": (_cmd_abelianize, "abelian invariants", {**_INPUT, **_JSON}),
+    "hom-check": (_cmd_hom_check, "verify a homomorphism map file", {
+        "--map": ("map_file", str, _REQUIRED, "map file"), **_MAX_COSETS, **_JSON}),
+    "equal": (_cmd_equal, "decide or certify a word equality", {
+        "--lhs": ("lhs", str, _REQUIRED, "a word"), "--rhs": ("rhs", str, _REQUIRED, "a word"),
+        "--table": ("table", bool, False, "coset-table oracle (default)"),
+        "--search": ("search", bool, False, "derivation-chain search"),
+        "--rewrite": ("rewrite", bool, False, "Knuth-Bendix normal forms"),
+        "--max-word-len": ("max_word_len", _budget_value, DEFAULT_MAX_WORD_LEN, "search budget"),
+        "--max-nodes": ("max_nodes", _budget_value, DEFAULT_MAX_NODES, "search budget"),
+        "--max-rules": ("max_rules", _budget_value, DEFAULT_MAX_RULES, "rewrite budget"),
+        "--max-len": ("max_len", _budget_value, DEFAULT_MAX_LEN, "rewrite budget"),
+        **_INPUT, **_MAX_COSETS, **_JSON}),
+    "kernel": (_cmd_kernel, "kernel description for a quotient surface", {
+        "--quotient": ("quotient", str, _REQUIRED, "quotient surface"),
+        "--n": ("n", int, _REQUIRED, "strand count"),
+        "--q": ("q", int, None, "torus action Z/q + Z/r"), "--r": ("r", int, None, "with --q"),
+        "--full-braid": ("full_braid", bool, False, "ker j* (full braid group), not ker i*"),
+        "--presentation-out": ("presentation_out", str, None, "write the presentation here"),
+        **_JSON}),
+    "cover": (_cmd_cover, "covering impossibility certificates", {
+        "--from": ("cover_surface", str, _REQUIRED, "covering surface"),
+        "--to": ("base_surface", str, _REQUIRED, "base surface"),
+        "--sheets": ("sheets", int, _REQUIRED, "number of sheets"), **_JSON}),
+    "quotients": (_cmd_quotients, "quotient-surface candidates of a free action", {
+        "--surface": ("surface", str, _REQUIRED, "surface acted on"),
+        "--sheets": ("sheets", int, _REQUIRED, "order of the acting group"),
+        "--strict-orientability": ("strict_orientability", bool, False,
+                                   "keep only quotients the orientation rule allows"), **_JSON}),
+    "check-derivation": (_cmd_check_derivation, "replay a derivation chain file", {
+        "CHAIN_FILE": ("chain_file", str, _REQUIRED, "derivation chain file"), **_INPUT, **_JSON}),
 }
 
 
+def _parse(argv: list[str]):
+    """The handler argv names and its options as attributes, read against _COMMANDS."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _help, SimpleNamespace(command=None, json=False)
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError(f"unknown command {argv[0]!r}" if argv else "no command given")
+    name, tokens = argv[0], iter(argv[1:])
+    handler, _, options = _COMMANDS[name]
+    values = {dest: default for dest, _, default, _ in options.values()}
+    positionals = []
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help, SimpleNamespace(command=name, json=False)
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, text = token.partition("=")
+        if flag not in options:
+            raise UsageError(f"{name}: unknown option {flag}")
+        dest, kind, _, _ = options[flag]
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{name}: {flag} takes no value")
+            values[dest] = True
+            continue
+        if not eq and (text := next(tokens, None)) is None:
+            raise UsageError(f"{name}: {flag} needs a value")
+        try:
+            values[dest] = kind(text)
+        except ValueError:
+            raise UsageError(f"{name}: {flag} expected an integer"
+                             f"{' >= 1' if kind is _budget_value else ''}, got {text!r}") from None
+    slots = [dest for flag, (dest, *_) in options.items() if not flag.startswith("-")]
+    if len(positionals) > len(slots):
+        raise UsageError(f"{name}: unexpected argument {positionals[len(slots)]!r}")
+    values.update(zip(slots, positionals))
+    missing = [flag for flag, (dest, *_) in options.items() if values[dest] is _REQUIRED]
+    if missing:
+        raise UsageError(f"{name}: missing {', '.join(missing)}")
+    modes = [flag for flag in ("--table", "--search", "--rewrite") if values.get(flag[2:])]
+    if len(modes) > 1:
+        raise UsageError(f"{name}: {' and '.join(modes)} exclude each other")
+    return handler, SimpleNamespace(**values)
+
+
+def _help(args):
+    """The program's help, or one command's: a command body whose answer is the text."""
+    if args.command is None:
+        lines = ["usage: braidkernel COMMAND [options]", "", *__doc__.splitlines(), "", "commands:"]
+        rows = [(command, line) for command, (_, line, _) in _COMMANDS.items()]
+    else:
+        _, line, options = _COMMANDS[args.command]
+        lines = [f"usage: braidkernel {args.command} [options]", "", line, "", "options:"]
+        rows = [(flag if kind is bool or not flag.startswith("-") else f"{flag} {dest.upper()}",
+                 text + (" (required)" if default is _REQUIRED else
+                         f" (default {default})" if default not in (None, False) else ""))
+                for flag, (dest, kind, default, text) in options.items()]
+    return True, None, lines + [f"  {left:<26} {right}" for left, right in rows]
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        answer, payload, lines = _COMMANDS[args.command](args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        answer, payload, lines = handler(args)
         if args.json:
             import json  # only --json output needs it
             print(json.dumps({"result": payload}, indent=2))
@@ -356,6 +366,10 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # One process runs one command and exits, and no command leaves reference cycles behind
+    # but the json encoder's few closures (tests/test_cli.py counts them), so the cyclic
+    # collector would only cost time.  run() leaves it on for in-process callers.
+    gc.disable()
     sys.exit(run())
 
 

@@ -590,3 +590,126 @@ def test_equal_rewrite_length_cap_is_undecided(capsys, monkeypatch):
                             stdin=q8, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == "undecided: rewriting system is not confluent\n"
+
+
+# every budget flag, with a command line that is complete without it
+BUDGET_FLAGS = [(["order"], "--max-cosets"), (["central", "--element", "a"], "--max-cosets"),
+                (["hom-check", "--map", "x.hom"], "--max-cosets"),
+                *((EQUAL_ARGS, flag) for flag in ("--max-cosets", "--max-word-len",
+                                                  "--max-nodes", "--max-rules", "--max-len"))]
+
+
+USAGE_ERRORS = [
+    ([], "no command"),
+    (["bogus"], "'bogus'"),
+    (["order", "--bogus"], "--bogus"),
+    (["order", "--max-c", "5"], "--max-c"),  # no prefix abbreviations
+    (["equal", "--rhs", "a", "--lhs"], "--lhs"),
+    (["build", "--surface", "rp2", "--n", "x"], "--n"),
+    (["kernel", "--quotient", "rp2", "--n", "x"], "--n"),
+    (["cover", "--from", "S3", "--to", "S2", "--sheets", "x"], "--sheets"),
+    *((argv + [flag, value], flag) for argv, flag in BUDGET_FLAGS for value in ("0", "-1", "x")),
+    *((["order", "--max-cosets=" + value], "--max-cosets") for value in ("0", "-1", "x")),
+    (["build"], "--surface"),
+    (["central"], "--element"),
+    (["hom-check"], "--map"),
+    (["equal"], "--lhs, --rhs"),
+    (["equal", "--rhs", "a"], "--lhs"),
+    (["kernel"], "--quotient, --n"),
+    (["cover", "--to", "S2"], "--from, --sheets"),
+    (["quotients"], "--surface, --sheets"),
+    (["check-derivation"], "CHAIN_FILE"),
+    (["check-derivation", "a.chain", "b.chain"], "'b.chain'"),
+    (["order", "extra"], "'extra'"),
+    (EQUAL_ARGS + ["--table", "--search"], "--table and --search"),
+    (EQUAL_ARGS + ["--rewrite", "--search", "--table"], "--search and --rewrite"),
+    (["order", "--json=1"], "--json"),
+]
+
+
+@pytest.mark.parametrize("argv,named", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no-command" for argv, _ in USAGE_ERRORS])
+def test_usage_error_is_one_line_naming_the_culprit(capsys, monkeypatch, argv, named):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = invoke(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
+
+
+def test_option_syntax(capsys, monkeypatch):
+    p2 = build_rp2(capsys, 2)
+    budget_line = "undecided: enumeration budget exhausted at 5 live cosets\n"
+    for argv, expected in [(["--max-cosets=5"], (2, "", budget_line)),
+                           (["--max-cosets", "5", "--max-cosets", "500"], (0, "8\n", "")),
+                           (["--max-cosets=500", "--max-cosets=5"], (2, "", budget_line)),
+                           (["--json", "--json"], (0, '{\n  "result": {\n    "order": 8\n  }\n}\n', ""))]:
+        assert invoke(capsys, ["order", *argv], stdin=p2, monkeypatch=monkeypatch) == expected
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_prints_the_table_to_stdout(capsys, command):
+    for flag in ("--help", "-h"):
+        argv = [flag] if command is None else [command, flag]
+        code, out, err = invoke(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        if command is None:
+            names = list(_COMMANDS)
+        else:
+            names = [_COMMANDS[command][1], *_COMMANDS[command][2]]
+        for name in names:
+            assert name in out, (argv, name)
+    # help wins over the required flags it would otherwise miss
+    if command is not None:
+        assert invoke(capsys, [command, "--json", "--help"])[:2] == (0, out)
+
+
+# Runs each (argv, stdin) of a JSON list through cli.run with the cyclic
+# collector off, and prints how many unreachable objects each one left.
+GARBAGE = """\
+import gc, io, json, sys
+gc.disable()
+from braidkernel import cli
+gc.collect()
+counts = []
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    code = cli.run(argv)
+    counts.append((code, gc.collect()))
+print(json.dumps(counts), file=sys.__stdout__)
+"""
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
+    # the console script turns the cyclic collector off; this is what makes that safe
+    p2, p3 = build_rp2(capsys, 2), build_rp2(capsys, 3)
+    (tmp_path / "map.hom").write_text(KLEIN_Q8_MAP)
+    chain = str(DATA_DIR / "b12_as_rho_n2.chain")
+    cases = [
+        (["build", "--surface", "rp2", "--n", "2"], "", 0),
+        (["order"], p2, 0),
+        (["central", "--element", "tau"], p2, 0),
+        (["abelianize"], p2, 0),
+        (["hom-check", "--map", "map.hom"], "", 0),
+        (["equal", "--lhs", "B12", "--rhs", "rho1^2"], p2, 0),
+        (["kernel", "--quotient", "rp2", "--n", "2", "--presentation-out", "k.pres"], "", 0),
+        (["cover", "--from", "klein", "--to", "torus", "--sheets", "2"], "", 1),
+        (["quotients", "--surface", "torus", "--sheets", "4"], "", 0),
+        (["check-derivation", chain], p2, 0),
+        (["order", "--max-cosets", "40000"], p3, 2),
+        (["equal", "--rewrite", "--max-rules", "150", "--lhs", "rho1", "--rhs", "rho2"], p3, 2),
+        (["equal", "--search", "--max-nodes", "4000", "--lhs", "rho1", "--rhs", "rho2"], p3, 2),
+        (["order", "--bogus"], "", 3),
+    ]
+    assert {argv[0] for argv, _, _ in cases} == set(_COMMANDS)
+    json_cases = [(["build", "--surface", "rp2", "--n", str(n), "--json"], "") for n in (2, 8)]
+    proc = subprocess.run(
+        [sys.executable, "-c", GARBAGE,
+         json.dumps([(argv, stdin) for argv, stdin, _ in cases] + json_cases)],
+        capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.stderr == ""
+    *counts, (small_code, small), (large_code, large) = json.loads(proc.stdout)
+    assert counts == [[code, 0] for _, _, code in cases]
+    # the json encoder's closures refer to each other: a fixed few per
+    # --json print, however large the payload
+    assert (small_code, large_code) == (0, 0) and small == large < 100
