@@ -59,18 +59,36 @@ def _orientation_obstruction(cover: SurfaceKind, base: SurfaceKind, l: int) -> s
     return None
 
 
+# torus_action_forms trial-divides up to the cube root of the order, so
+# about 10^6 divisions at the ceiling
+TORUS_MAX_ORDER = 10**18
+
+
 def torus_action_forms(l: int) -> list[tuple[int, int]]:
     """The (q, r) shapes with q | r and q*r = l: the abelian groups of
-    order l and rank at most 2."""
+    order l and rank at most 2.  q runs over the divisors of the largest
+    s with s*s | l, read off the factorisation of l."""
     if l < 1:
         raise CoveringError("group order must be >= 1")
-    forms = []
-    q = 1
-    while q * q <= l:
-        if l % q == 0 and (l // q) % q == 0:
-            forms.append((q, l // q))
-        q += 1
-    return forms
+    if l > TORUS_MAX_ORDER:
+        raise CoveringError(f"group order must be <= {TORUS_MAX_ORDER}, got {l}")
+    qs = [1]   # the divisors of s found so far
+    rest, p = l, 2
+    while p * p * p <= rest:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e > 1:
+            qs = [q * p**k for q in qs for k in range(e // 2 + 1)]
+        p += 1
+    # no prime below p divides rest and p**3 > rest, so rest is 1, a
+    # prime, a product of two primes or the square of one
+    from math import isqrt  # only a torus quotient needs it
+    root = isqrt(rest)
+    if root > 1 and root * root == rest:
+        qs += [q * root for q in qs]
+    return [(q, l // q) for q in sorted(qs)]
 
 
 # covering impossibility -------------------------------------------------------

@@ -12,22 +12,27 @@ deterministic and systems small.
 Budget exhaustion (too many rules, or a rule side over the length cap)
 is reported by ``confluent=False``; the partial system remains sound
 for rewriting, it just cannot certify inequality.
+
+Inside this module a word is a str with one character per letter,
+``chr(letter)``, so substring tests, slices and hashes run in C; str
+order is code-point order, so shortlex is the same as on letter tuples.
+``RewriteSystem.rules`` holds letter tuples.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
+from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import chain, count, product, repeat
 
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
-from .words import (
-    Alphabet, BraidkernelError, Word, letters_to_word, record, word_to_letters)
+from .words import Alphabet, BraidkernelError, Word, letters_to_word, record
 
 Letters = tuple[int, ...]
-# left side length -> {left side: (rule id, right side)}
-RuleIndex = dict[int, dict[Letters, tuple[int, Letters]]]
+# left side length -> {left side: (rule id, right side)}, sides encoded as str
+RuleIndex = dict[int, dict[str, tuple[int, str]]]
 
 
 @record
@@ -41,35 +46,83 @@ class RewriteSystem:
         """The rules by left side, with their positions as rule ids."""
         index: RuleIndex = {}
         for rid, (lhs, rhs) in enumerate(self.rules):
-            index.setdefault(len(lhs), {}).setdefault(lhs, (rid, rhs))
+            index.setdefault(len(lhs), {}).setdefault(_encode(lhs), (rid, _encode(rhs)))
         return index
 
 
-def _shortlex_less(u: Letters, v: Letters) -> bool:
+def _shortlex_less(u: str, v: str) -> bool:
     return (len(u), u) < (len(v), v)
 
 
-def _rewrite(word: Letters, index: RuleIndex) -> Letters:
+def _encode(letters: Iterable[int]) -> str:
+    return "".join(map(chr, letters))
+
+
+def _decode(word: str) -> Letters:
+    return tuple(map(ord, word))
+
+
+def _encode_word(w: Word) -> str:
+    return "".join(chr(2 * gen + (exp < 0)) * abs(exp) for gen, exp in w.syllables)
+
+
+def _rewrite(word: str, index: RuleIndex) -> str:
     """Leftmost rewriting to a fixpoint; of the rules whose left sides
-    match at one position, the one with the lowest id applies."""
-    out = list(word)
+    match at one position, the one with the lowest id applies.  After a
+    rewrite the scan backs up by the longest left side less one, the
+    furthest back a new match can start.
+
+    Linear in the length of the word.  The scan runs over ``buf``, a str
+    of at most a few times ``span`` letters, so a splice costs O(span);
+    ``done`` holds the letters before it, one per entry, so that a
+    back-up can take them again, and the letters after it are the chunks
+    of ``later`` (nearest last), then ``word[i:]``.  A word of up to
+    ``span`` letters stays in ``buf`` whole.
+    """
     lengths = sorted(index)
-    max_lhs = lengths[-1] if lengths else 0
-    pos = 0
-    while pos < len(out):
+    if not lengths:
+        return word
+    width = lengths[-1]
+    span = 4 * width + 64
+    done: list[str] = []
+    later: list[str] = []
+    buf, i = word[:span], span
+    pos, size = 0, len(buf)
+    while True:
+        if size - pos < width:
+            if later or i < len(word):
+                done.extend(buf[:pos])
+                if later:
+                    buf = buf[pos:] + later.pop()
+                else:
+                    buf = buf[pos:] + word[i:i + span]
+                    i += span
+                pos, size = 0, len(buf)
+            elif pos == size:
+                return "".join(done) + buf
         best = None
         for n in lengths:
-            if pos + n > len(out):
+            if pos + n > size:
                 break
-            hit = index[n].get(tuple(out[pos:pos + n]))
+            hit = index[n].get(buf[pos:pos + n])
             if hit is not None and (best is None or hit[0] < best[0]):
                 best, end = hit, pos + n
         if best is None:
             pos += 1
-        else:
-            out[pos:end] = best[1]
-            pos = max(0, pos - max_lhs + 1)
-    return tuple(out)
+            continue
+        buf = buf[:pos] + best[1] + buf[end:]
+        pos -= width - 1
+        if pos < 0:
+            back = min(-pos, len(done))
+            if back:
+                buf = "".join(done[-back:]) + buf
+                del done[-back:]
+            pos = max(0, pos + back)
+        size = len(buf)
+        if size - pos > 3 * span:
+            later.append(buf[pos + span:])
+            buf = buf[:pos + span]
+            size = len(buf)
 
 
 def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
@@ -82,15 +135,16 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     if max_rules < 1 or max_len < 1:
         raise BraidkernelError("budgets must be >= 1")
 
-    nletters = 2 * p.ngens
-    ids = itertools.count()   # never reused, so a queued pair cannot name a newer rule
-    rules: dict[int, tuple[Letters, Letters]] = {}
+    ids = count()   # never reused, so a queued pair cannot name a newer rule
+    rules: dict[int, tuple[str, str]] = {}
     index: RuleIndex = {}   # the live rules again, by left side
-    pair_queue: deque[tuple[int, int]] = deque()
-    eq_queue: deque[tuple[Letters, Letters]] = deque()
+    # rule pairs to overlap, FIFO: one iterator per added rule, made
+    # when it is added and run when it comes up
+    pair_queue: deque[Iterator[tuple[int, int]]] = deque()
+    eq_queue: deque[tuple[str, str]] = deque()
     discarded = False
 
-    def put(rid: int, lhs: Letters, rhs: Letters):
+    def put(rid: int, lhs: str, rhs: str):
         rules[rid] = (lhs, rhs)
         index.setdefault(len(lhs), {})[lhs] = (rid, rhs)
 
@@ -101,76 +155,78 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         if not bucket:
             del index[len(lhs)]
 
-    def nf(word: Letters) -> Letters:
+    def nf(word: str) -> str:
         return _rewrite(word, index)
 
-    def add_rule(u: Letters, v: Letters):
+    def add_rule(u: str, v: str) -> bool:
         nonlocal discarded
         u, v = nf(u), nf(v)
         if u == v:
-            return
+            return False
         lhs, rhs = (u, v) if _shortlex_less(v, u) else (v, u)
         if len(lhs) > max_len:
             discarded = True
-            return
-        older = list(rules.items())
+            return False
+        touched = [(j, ljh, rjh) for j, (ljh, rjh) in rules.items() if lhs in ljh or lhs in rjh]
         rid = next(ids)
         put(rid, lhs, rhs)
         # inter-reduce: retire rules whose lhs the new rule rewrites,
         # and renormalize right-hand sides
-        for j, (ljh, rjh) in older:
-            if _contains(ljh, lhs):
+        for j, ljh, rjh in touched:
+            if lhs in ljh:
                 drop(j)
                 eq_queue.append((ljh, rjh))
-            elif _contains(rjh, lhs):
+            else:
                 put(j, ljh, nf(rjh))
-        for j in rules:
-            pair_queue.append((rid, j))
-            if j != rid:
-                pair_queue.append((j, rid))
+        # (rid, j) and (j, rid) for every older j, then (rid, rid)
+        older = list(rules)[:-1]   # rid is the newest key
+        pairs = zip(zip(repeat(rid), older), zip(older, repeat(rid)))
+        pair_queue.append(chain(chain.from_iterable(pairs), [(rid, rid)]))
+        return True
+
+    def over_budget() -> bool:
+        """Add the queued equations; True once the rules outnumber
+        max_rules.  The budget is checked after each added rule: only
+        an addition changes the count, and it always leaves work queued,
+        at least the pair (rid, rid)."""
+        while eq_queue:
+            if add_rule(*eq_queue.popleft()) and len(rules) > max_rules:
+                return True
+        return False
 
     # seed: free reduction, then the relators as equations
-    for x in range(nletters):
-        put(next(ids), (x, x ^ 1), ())
-    pair_queue.extend((i, j) for i in rules for j in rules)
-    for rel in p.relators:
-        eq_queue.append((word_to_letters(rel), ()))
+    for x in range(2 * p.ngens):
+        put(next(ids), chr(x) + chr(x ^ 1), "")
+    pair_queue.append(product(rules, repeat=2))
+    eq_queue.extend((_encode_word(rel), "") for rel in p.relators)
 
-    aborted = False
-    while eq_queue or pair_queue:
-        if len(rules) > max_rules:
-            aborted = True
-            break
-        if eq_queue:
-            add_rule(*eq_queue.popleft())
-            continue
-        i, j = pair_queue.popleft()
-        if not (i in rules and j in rules):
-            continue
-        (l1, r1), (l2, r2) = rules[i], rules[j]
-        for k in range(1, min(len(l1), len(l2))):
-            if l1[-k:] == l2[:k]:
-                # l1 and l2 overlap in a word A|O|B with l1 = A+O, l2 = O+B
-                crit1 = r1 + l2[k:]
-                crit2 = l1[:-k] + r2
-                eq_queue.append((crit1, crit2))
+    aborted = len(rules) > max_rules or over_budget()
+    while pair_queue and not aborted:
+        for i, j in pair_queue.popleft():
+            if not (i in rules and j in rules):
+                continue
+            (l1, r1), (l2, r2) = rules[i], rules[j]
+            # l1 and l2 overlap in a word A|O|B with l1 = A+O, l2 = O+B and
+            # 0 < |O| = k < min(|l1|, |l2|); O ends in the last letter of l1
+            last, stop = l1[-1], min(len(l1), len(l2)) - 1
+            k = l2.find(last, 0, stop) + 1
+            while k:
+                if l1.endswith(l2[:k]):
+                    eq_queue.append((r1 + l2[k:], l1[:-k] + r2))
+                k = l2.find(last, k, stop) + 1
+            if over_budget():
+                aborted = True
+                break
 
-    # only the abort leaves a queue non-empty
-    return RewriteSystem(p.alphabet, tuple(rules.values()), not (aborted or discarded))
-
-
-def _contains(haystack: Letters, needle: Letters) -> bool:
-    if needle and needle[0] not in haystack:   # rejects most pairs without slicing
-        return False
-    n = len(needle)
-    return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
+    return RewriteSystem(p.alphabet, tuple((_decode(lhs), _decode(rhs)) for lhs, rhs in rules.values()),
+                         not (aborted or discarded))
 
 
 def normal_form(rs: RewriteSystem, w: Word) -> Word:
     """Rewrite w to a fixpoint; canonical when rs is confluent."""
     if w.alphabet != rs.alphabet:
         raise BraidkernelError("word is not over the rewriting system's alphabet")
-    return letters_to_word(rs.alphabet, _rewrite(word_to_letters(w), rs.index))
+    return letters_to_word(rs.alphabet, _decode(_rewrite(_encode_word(w), rs.index)))
 
 
 def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,
@@ -183,29 +239,28 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,
     """
     if max_letters is None and limit is None:
         raise BraidkernelError("need max_letters or limit to bound the enumeration")
-    nletters = 2 * len(rs.alphabet)
-    lhs_set = {lhs for lhs, _ in rs.rules}
-    max_lhs = max((len(l) for l in lhs_set), default=0)
-    found: list[Letters] = [()]
-    level: list[Letters] = [()]
+    lhs_set = {_encode(lhs) for lhs, _ in rs.rules}
+    max_lhs = max(map(len, lhs_set), default=0)
+    letters = [chr(x) for x in range(2 * len(rs.alphabet))]
+    found = [""]
+    level = [""]
     while level:
         if max_letters is not None and len(level[0]) >= max_letters:
             break
         nxt = []
         for word in level:
-            for x in range(nletters):
-                cand = word + (x,)
+            for x in letters:
+                cand = word + x
                 # word itself is irreducible, so only suffixes of the
                 # extension can match a left-hand side
-                tail = cand[-max_lhs:] if max_lhs else ()
-                if any(tail[len(tail) - k:] in lhs_set for k in range(1, len(tail) + 1)):
+                if any(cand[-k:] in lhs_set for k in range(1, min(max_lhs, len(cand)) + 1)):
                     continue
                 nxt.append(cand)
                 found.append(cand)
                 if limit is not None and len(found) > limit:
                     raise BraidkernelError(f"more than {limit} normal forms")
         level = nxt
-    return [letters_to_word(rs.alphabet, w) for w in found]
+    return [letters_to_word(rs.alphabet, _decode(w)) for w in found]
 
 
 def rewrite_equality_oracle(rs: RewriteSystem):

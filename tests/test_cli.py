@@ -476,6 +476,12 @@ def test_oversized_strand_count_exits_3(capsys, argv):
     assert err == f"error: strand count must be <= 12 for rp2, got {argv[4]}\n"
 
 
+def test_oversized_sheet_count_exits_3(capsys):
+    code, out, err = invoke(capsys, ["quotients", "--surface", "S1", "--sheets", str(10**18 + 1)])
+    assert (code, out) == (3, "")
+    assert err == f"error: group order must be <= {10**18}, got {10**18 + 1}\n"
+
+
 def test_readme_states_the_strand_ceiling():
     readme = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
     assert f"`--n` from 1 to {RP2_MAX_STRANDS}" in readme

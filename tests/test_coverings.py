@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from braidkernel import (
     hom_check, kernel_description, quotient_candidates, table_equality_oracle,
     todd_coxeter, torus_action_forms,
 )
+from braidkernel.coverings import TORUS_MAX_ORDER
 
 
 def S(g):
@@ -126,6 +129,33 @@ def test_torus_action_forms():
     for l in range(1, 40):
         for q, r in torus_action_forms(l):
             assert q * r == l and r % q == 0
+
+
+def torus_action_forms_by_search(l):
+    """Reference oracle for ``torus_action_forms``: every q with q*q <= l."""
+    return [(q, l // q) for q in range(1, math.isqrt(l) + 1) if l % (q * q) == 0]
+
+
+def test_torus_action_forms_match_search():
+    for l in range(1, 20001):
+        assert torus_action_forms(l) == torus_action_forms_by_search(l), l
+
+
+def test_torus_action_forms_large_order():
+    l = 10**14
+    start = time.perf_counter()
+    forms = torus_action_forms(l)
+    assert time.perf_counter() - start < 1
+    # 10^14 = 2^14 * 5^14, so q runs over the 64 divisors of 10^7
+    assert forms == sorted((2**a * 5**b, l // (2**a * 5**b)) for a in range(8) for b in range(8))
+
+
+def test_torus_action_forms_ceiling():
+    assert torus_action_forms(TORUS_MAX_ORDER)[:2] == [(1, 10**18), (2, 5 * 10**17)]
+    # a prime just below the ceiling: the slowest order to factor
+    assert torus_action_forms(999999999999999989) == [(1, 999999999999999989)]
+    with pytest.raises(CoveringError, match=f"must be <= {TORUS_MAX_ORDER}, got "):
+        torus_action_forms(TORUS_MAX_ORDER + 1)
 
 
 # covering decisions ---------------------------------------------------------------

@@ -1,16 +1,19 @@
 import hashlib
+import itertools
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
     enumerate_normal_forms, group_order, knuth_bendix, normal_form,
     presentation, pure_braid_rp2, quotient, rewrite_equality_oracle,
     todd_coxeter, torus_presentation,
 )
-from braidkernel.rewriting import RewriteSystem, _rewrite
-from braidkernel.words import word_to_letters
+from braidkernel.presentations import Presentation
+from braidkernel.rewriting import RewriteSystem, _decode, _encode, _rewrite
+from braidkernel.words import letters_to_word, word_to_letters
 
 
 def is_irreducible(rs, letters):
@@ -84,7 +87,7 @@ def test_confluent_normal_forms_unique_by_random_multipath(q8):
     gens = list(range(4))
     for _ in range(60):
         letters = tuple(rng.choice(gens) for _ in range(rng.randint(0, 10)))
-        assert random_rewrite(letters) == _rewrite(letters, rs.index)
+        assert random_rewrite(letters) == _decode(_rewrite(_encode(letters), rs.index))
 
 
 def reference_rewrite(word, rules):
@@ -115,7 +118,32 @@ shrinking_rules = st.lists(
 @given(shrinking_rules, st.lists(st.integers(0, 1), max_size=12).map(tuple))
 def test_indexed_rewrite_matches_reference(rules, word):
     index = RewriteSystem(("a",), tuple(rules), False).index
-    assert _rewrite(word, index) == reference_rewrite(word, rules)
+    assert _decode(_rewrite(_encode(word), index)) == reference_rewrite(word, rules)
+
+
+# words a few times longer than _rewrite's scan buffer (4 * 4 + 64
+# letters for these rules), so back-ups reach letters already passed
+@settings(max_examples=40, deadline=None)
+@given(shrinking_rules, st.lists(st.integers(0, 1), min_size=150, max_size=300).map(tuple))
+def test_long_word_rewrite_matches_reference(rules, word):
+    index = RewriteSystem(("a",), tuple(rules), False).index
+    assert _decode(_rewrite(_encode(word), index)) == reference_rewrite(word, rules)
+
+
+def test_rewrite_keeps_letters_piling_up_behind_the_scan():
+    # b a -> a b moves each a to the front one letter at a time, so the
+    # rewritten b's pile up after the scan position
+    index = RewriteSystem(("a", "b"), (((2, 0), (0, 2)),), False).index
+    word = (2,) * 700 + (0,) + (2,) * 700 + (0,) + (2,) * 600 + (0,)
+    assert _decode(_rewrite(_encode(word), index)) == (0,) * 3 + (2,) * 2000
+
+
+def test_rewrite_is_linear_in_word_length():
+    # equal --rewrite --lhs a^N --rhs 1 on <a | a^5>: a rewriter that
+    # splices the middle of the word is quadratic and takes minutes here
+    p = presentation("G", ["a"], ["a^5"])
+    oracle = rewrite_equality_oracle(knuth_bendix(p))
+    assert oracle(p.word("a^1000000"), p.word("a^0")) is True
 
 
 def test_rules_strictly_decrease_shortlex(q8):
@@ -205,3 +233,82 @@ def test_knuth_bendix_length_cap(q8, max_len, confluent, nrules):
     # at max_len 3 a rule is discarded for length, well inside max_rules
     rs = knuth_bendix(q8, max_len=max_len)
     assert (rs.confluent, len(rs.rules)) == (confluent, nrules)
+
+
+def reference_knuth_bendix(p, max_rules, max_len):
+    """Reference oracle for ``knuth_bendix``: the completion on tuples of
+    letters, pair by pair, rewriting with ``reference_rewrite``.
+    Returns the rules and the confluence flag."""
+    ids = itertools.count()
+    rules = {}
+    pair_queue = deque()
+    eq_queue = deque()
+    discarded = False
+
+    def nf(word):
+        return reference_rewrite(word, list(rules.values()))
+
+    def contains(haystack, needle):
+        n = len(needle)
+        return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
+
+    def add_rule(u, v):
+        nonlocal discarded
+        u, v = nf(u), nf(v)
+        if u == v:
+            return
+        lhs, rhs = (u, v) if (len(v), v) < (len(u), u) else (v, u)
+        if len(lhs) > max_len:
+            discarded = True
+            return
+        older = list(rules.items())
+        rid = next(ids)
+        rules[rid] = (lhs, rhs)
+        for j, (ljh, rjh) in older:
+            if contains(ljh, lhs):
+                del rules[j]
+                eq_queue.append((ljh, rjh))
+            elif contains(rjh, lhs):
+                rules[j] = (ljh, nf(rjh))
+        for j in rules:
+            pair_queue.append((rid, j))
+            if j != rid:
+                pair_queue.append((j, rid))
+
+    for x in range(2 * p.ngens):
+        rules[next(ids)] = ((x, x ^ 1), ())
+    pair_queue.extend((i, j) for i in rules for j in rules)
+    for rel in p.relators:
+        eq_queue.append((word_to_letters(rel), ()))
+    aborted = False
+    while eq_queue or pair_queue:
+        if len(rules) > max_rules:
+            aborted = True
+            break
+        if eq_queue:
+            add_rule(*eq_queue.popleft())
+            continue
+        i, j = pair_queue.popleft()
+        if not (i in rules and j in rules):
+            continue
+        (l1, r1), (l2, r2) = rules[i], rules[j]
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] == l2[:k]:
+                eq_queue.append((r1 + l2[k:], l1[:-k] + r2))
+    return tuple(rules.values()), not (aborted or discarded)
+
+
+@st.composite
+def small_presentations(draw):
+    """1-3 generators and 0-4 relators of up to 8 letters."""
+    alphabet = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    relator = st.lists(st.integers(0, 2 * len(alphabet) - 1), min_size=1, max_size=8)
+    relators = draw(st.lists(relator, max_size=4))
+    return Presentation("G", alphabet, tuple(letters_to_word(alphabet, r) for r in relators))
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_presentations(), st.integers(1, 40), st.integers(1, 12))
+def test_knuth_bendix_matches_reference(p, max_rules, max_len):
+    rs = knuth_bendix(p, max_rules=max_rules, max_len=max_len)
+    assert (rs.rules, rs.confluent) == reference_knuth_bendix(p, max_rules, max_len)
