@@ -29,6 +29,10 @@ _RP2_NAME_RE = re.compile(r"P(\d+)\(RP2\)")
 # n = 20 on that machine; the ceiling stays until it has a work budget.
 RP2_MAX_STRANDS = 12
 
+# pi1(N_k) is one relator of k syllables: k = 10^5 builds in about 0.5 s
+# and 49 MB on that machine, and the cost grows linearly in k
+NONORIENTABLE_MAX_CROSSCAPS = 10**5
+
 
 class AtlasError(BraidkernelError):
     pass
@@ -148,6 +152,8 @@ def pi1_nonorientable(k: int) -> Presentation:
     """Fundamental group of the nonorientable surface with k crosscaps."""
     if k < 1:
         raise AtlasError("crosscap count must be >= 1")
+    if k > NONORIENTABLE_MAX_CROSSCAPS:
+        raise AtlasError(f"crosscap count must be <= {NONORIENTABLE_MAX_CROSSCAPS}, got {k}")
     gens = [f"rho{j}" for j in range(1, k + 1)]
     rel = " ".join(f"rho{j}^2" for j in range(1, k + 1))
     return presentation(f"pi1(N{k})", gens, [rel])

@@ -3,9 +3,10 @@
 Each command returns a tri-state answer; ``run`` alone prints and
 picks the exit code: 0 success (True), 1 negative mathematical answer
 (False: not equal, not central, covering impossible, invalid chain),
-2 inconclusive (a budget ran out: one ``undecided: <reason>`` line on
-stderr, nothing on stdout), 3 usage or parse error.  With ``--json``,
-each command prints a single JSON object carrying a ``result`` field.
+2 inconclusive (``words.Undecided``: a budget ran out, or a word is over
+the letter-expansion limit; one ``undecided: <reason>`` line on stderr,
+nothing on stdout), 3 usage or parse error.  With ``--json``, each
+command prints a single JSON object carrying a ``result`` field.
 
 Presentations are read from ``--input FILE`` or stdin, so commands
 pipe: ``braidkernel build --surface rp2 --n 2 | braidkernel order``.
@@ -16,7 +17,6 @@ flag wins; ``braidkernel COMMAND --help`` lists the command's options.
 from __future__ import annotations
 
 import gc
-import os
 import sys
 from types import SimpleNamespace
 
@@ -24,22 +24,16 @@ from . import (
     DEFAULT_MAX_COSETS, DEFAULT_MAX_LEN, DEFAULT_MAX_NODES, DEFAULT_MAX_RULES, DEFAULT_MAX_WORD_LEN,
     atlas, coset, coverings, derivations, presentations, rewriting, surfaces,
 )
-from .words import BraidkernelError, format_word, parse_word
+from .words import BraidkernelError, Undecided, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
 
-ENV_MAX_COSETS = "BRAIDKERNEL_MAX_COSETS"
-
 
 class UsageError(Exception):
     pass
-
-
-class _Undecided(Exception):
-    """A budget ran out before the answer was known; the message says which."""
 
 
 def _budget_value(text: str) -> int:
@@ -57,25 +51,6 @@ def _load_presentation(args) -> presentations.Presentation:
     else:
         text = sys.stdin.read()
     return presentations.parse_presentation(text)
-
-
-def _budget(args) -> int:
-    if args.max_cosets is not None:
-        return args.max_cosets
-    env = os.environ.get(ENV_MAX_COSETS)
-    if env is None:
-        return DEFAULT_MAX_COSETS
-    try:
-        return _budget_value(env)
-    except ValueError:
-        raise UsageError(f"{ENV_MAX_COSETS}: expected an integer >= 1, got {env!r}") from None
-
-
-def _enumerate(args, p: presentations.Presentation) -> coset.CosetTable:
-    table = coset.todd_coxeter(p, max_cosets=_budget(args))
-    if not table.is_complete:
-        raise _Undecided(f"enumeration budget exhausted at {table.n_cosets} live cosets")
-    return table
 
 
 def _resolve_element(args, p: presentations.Presentation):
@@ -107,7 +82,7 @@ def _cmd_build(args):
         p = atlas.quaternion_presentation()
     elif spec.startswith("nonorientable:"):
         k = spec.split(":", 1)[1]
-        if not k.isdigit() or int(k) < 1:
+        if not k.isdecimal() or int(k) < 1:
             raise UsageError(f"bad crosscap count {k!r}")
         p = atlas.pi1_nonorientable(int(k))
     else:
@@ -117,14 +92,15 @@ def _cmd_build(args):
 
 
 def _cmd_order(args):
-    order = coset.group_order(_enumerate(args, _load_presentation(args)))
+    table = coset.todd_coxeter(_load_presentation(args), max_cosets=args.max_cosets)
+    order = coset.group_order(table)
     return True, {"order": order}, [str(order)]
 
 
 def _cmd_central(args):
     p = _load_presentation(args)
     w = _resolve_element(args, p)
-    central = coset.is_central_finite(_enumerate(args, p), w)
+    central = coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w)
     return (central, {"element": format_word(w), "central": central},
             [f"{format_word(w)} is {'central' if central else 'not central'}"])
 
@@ -138,10 +114,10 @@ def _cmd_abelianize(args):
 def _cmd_hom_check(args):
     with open(args.map_file, encoding="utf-8") as fh:
         hom = presentations.parse_hom_file(fh.read())
-    oracle = coset.table_equality_oracle(_enumerate(args, hom.target))
-    result = presentations.hom_check(hom, oracle)
+    table = coset.todd_coxeter(hom.target, max_cosets=args.max_cosets)
+    result = presentations.hom_check(hom, coset.table_equality_oracle(table))
     if result.status == "undecided":
-        raise _Undecided(f"target oracle could not decide relator {result.relator_index}")
+        raise Undecided(f"target oracle could not decide relator {result.relator_index}")
     payload = {"status": result.status, "failing_relator": result.relator_index}
     return (result.verified, payload, [result.status if result.verified else
                                        f"{result.status} at relator {result.relator_index}"])
@@ -155,7 +131,7 @@ def _cmd_equal(args):
         chain = derivations.search_equality(p, lhs, rhs, max_word_len=args.max_word_len,
                                             max_nodes=args.max_nodes)
         if chain is None:
-            raise _Undecided("no chain found within budget")
+            raise Undecided("no chain found within budget")
         text = derivations.format_chain(chain)
         return (True, {"equal": True, "steps": len(chain.steps), "chain": text},
                 ["equal", text.rstrip()])
@@ -163,10 +139,10 @@ def _cmd_equal(args):
         rs = rewriting.knuth_bendix(p, max_rules=args.max_rules, max_len=args.max_len)
         same = rewriting.rewrite_equality_oracle(rs)(lhs, rhs)
         if same is None:
-            raise _Undecided("rewriting system is not confluent")
+            raise Undecided("rewriting system is not confluent")
         return (same, {"equal": same, "confluent": rs.confluent},
                 ["equal" if same else "not equal"])
-    same = coset.word_equal_finite(_enumerate(args, p), lhs, rhs)
+    same = coset.word_equal_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), lhs, rhs)
     return same, {"equal": same}, ["equal" if same else "not equal"]
 
 
@@ -242,8 +218,8 @@ def _cmd_check_derivation(args):
 _REQUIRED = object()
 _JSON = {"--json": ("json", bool, False, "machine-readable output")}
 _INPUT = {"--input": ("input", str, None, "presentation file (default: stdin)")}
-_MAX_COSETS = {"--max-cosets": ("max_cosets", _budget_value, None, "enumeration budget: most live "
-                                f"cosets (default ${ENV_MAX_COSETS}, else {DEFAULT_MAX_COSETS})")}
+_MAX_COSETS = {"--max-cosets": ("max_cosets", _budget_value, DEFAULT_MAX_COSETS,
+                                "enumeration budget: most live cosets")}
 _COMMANDS = {
     "build": (_cmd_build, "print an atlas presentation", {
         "--surface": ("surface", str, _REQUIRED, "rp2, torus, klein, quaternion, nonorientable:k"),
@@ -356,7 +332,7 @@ def run(argv=None) -> int:
         else:
             for line in lines:
                 print(line)
-    except _Undecided as exc:
+    except Undecided as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except (UsageError, BraidkernelError, OSError) as exc:

@@ -13,7 +13,8 @@ dead coset's row so the two table invariants survive every merge:
 The strategy is sealed (relator scanning in presentation order,
 define-on-first-gap, FIFO coincidence queue) so results are
 deterministic for a fixed input.  Budget exhaustion is a status on the
-returned table, not an exception.
+returned table, not an exception; a query that needs the whole table
+raises ``IncompleteTableError``, an ``Undecided``.
 
 Internally cosets are 1-based with 0 for an undefined entry, and coset 1
 is the subgroup coset.  Once a coincidence has been processed, every
@@ -30,7 +31,7 @@ from itertools import chain
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
 from .words import (
-    BraidkernelError, Word, format_word, letters_to_word, record, word_to_letters)
+    BraidkernelError, Undecided, Word, format_word, letters_to_word, record, word_to_letters)
 
 CENTER_ENUM_CAP = 10000
 
@@ -39,11 +40,13 @@ class EnumerationError(BraidkernelError):
     pass
 
 
-class IncompleteTableError(EnumerationError):
+class IncompleteTableError(EnumerationError, Undecided):
     """Raised when a query needs a complete table."""
 
 
 class _BudgetExceeded(Exception):
+    # private, not an Undecided, so that todd_coxeter's except clause
+    # catches the spent budget and never a letter-limit refusal
     pass
 
 
@@ -234,7 +237,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
 
 def _require_complete(t: CosetTable):
     if not t.is_complete:
-        raise IncompleteTableError("coset table is incomplete (budget exceeded)")
+        raise IncompleteTableError(f"enumeration budget exhausted at {t.n_cosets} live cosets")
 
 
 def _require_regular(t: CosetTable):

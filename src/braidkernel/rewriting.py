@@ -28,7 +28,7 @@ from itertools import chain, count, product, repeat
 
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
-from .words import Alphabet, BraidkernelError, Word, letters_to_word, record
+from .words import Alphabet, BraidkernelError, Word, letters_to_word, record, word_to_letters
 
 Letters = tuple[int, ...]
 # left side length -> {left side: (rule id, right side)}, sides encoded as str
@@ -60,10 +60,6 @@ def _encode(letters: Iterable[int]) -> str:
 
 def _decode(word: str) -> Letters:
     return tuple(map(ord, word))
-
-
-def _encode_word(w: Word) -> str:
-    return "".join(chr(2 * gen + (exp < 0)) * abs(exp) for gen, exp in w.syllables)
 
 
 def _rewrite(word: str, index: RuleIndex) -> str:
@@ -184,7 +180,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         pair_queue.append(chain(chain.from_iterable(pairs), [(rid, rid)]))
         return True
 
-    def over_budget() -> bool:
+    def budget_spent() -> bool:
         """Add the queued equations; True once the rules outnumber
         max_rules.  The budget is checked after each added rule: only
         an addition changes the count, and it always leaves work queued,
@@ -198,9 +194,9 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     for x in range(2 * p.ngens):
         put(next(ids), chr(x) + chr(x ^ 1), "")
     pair_queue.append(product(rules, repeat=2))
-    eq_queue.extend((_encode_word(rel), "") for rel in p.relators)
+    eq_queue.extend((_encode(word_to_letters(rel)), "") for rel in p.relators)
 
-    aborted = len(rules) > max_rules or over_budget()
+    aborted = len(rules) > max_rules or budget_spent()
     while pair_queue and not aborted:
         for i, j in pair_queue.popleft():
             if not (i in rules and j in rules):
@@ -214,7 +210,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 if l1.endswith(l2[:k]):
                     eq_queue.append((r1 + l2[k:], l1[:-k] + r2))
                 k = l2.find(last, k, stop) + 1
-            if over_budget():
+            if budget_spent():
                 aborted = True
                 break
 
@@ -226,7 +222,7 @@ def normal_form(rs: RewriteSystem, w: Word) -> Word:
     """Rewrite w to a fixpoint; canonical when rs is confluent."""
     if w.alphabet != rs.alphabet:
         raise BraidkernelError("word is not over the rewriting system's alphabet")
-    return letters_to_word(rs.alphabet, _decode(_rewrite(_encode_word(w), rs.index)))
+    return letters_to_word(rs.alphabet, _decode(_rewrite(_encode(word_to_letters(w)), rs.index)))
 
 
 def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,

@@ -24,9 +24,17 @@ from operator import attrgetter
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
+# the most letters word_to_letters expands, and the most syllables a power repeats
+MAX_LETTERS = 10**7
+
 
 class BraidkernelError(ValueError):
     """Base class of every error the library raises on bad input."""
+
+
+class Undecided(Exception):
+    """A budget or expansion limit ran out before the answer was known;
+    the message says which.  The CLI prints it as ``undecided: <message>``."""
 
 
 class WordError(BraidkernelError):
@@ -196,7 +204,7 @@ class Word:
         # conjugator * core^n * conjugator^-1, normalized in one pass:
         # a one-syllable core becomes one syllable, and a longer core
         # repeats with at most one merge per seam, so the cost is linear
-        # in the output's syllable count
+        # in the output's syllable count, which MAX_LETTERS bounds
         if not isinstance(n, int):
             return NotImplemented
         if n == 0:
@@ -209,6 +217,9 @@ class Word:
         if len(core.syllables) == 1:
             gen, exp = core.syllables[0]
             middle = ((gen, exp * abs(n)),)
+        elif (count := len(core.syllables) * abs(n)) > MAX_LETTERS:
+            raise Undecided(f"a power of {count} syllables is over the {MAX_LETTERS}-letter "
+                            "expansion limit")
         else:
             middle = core.syllables * abs(n)
         return Word.from_syllables(
@@ -262,10 +273,14 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 # letter-level view -------------------------------------------------------
 
 def word_to_letters(w: Word) -> tuple[int, ...]:
+    """One letter per generator or inverse occurrence; raises Undecided,
+    before it allocates, for a word over MAX_LETTERS letters."""
+    if (length := w.letter_length) > MAX_LETTERS:
+        raise Undecided(f"a word of {length} letters is over the {MAX_LETTERS}-letter "
+                        "expansion limit")
     out: list[int] = []
     for gen, exp in w.syllables:
-        letter = 2 * gen if exp > 0 else 2 * gen + 1
-        out.extend([letter] * abs(exp))
+        out.extend([2 * gen + (exp < 0)] * abs(exp))
     return tuple(out)
 
 
@@ -355,7 +370,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             em = _INT_RE.match(text, i)
             if not em:
                 raise WordError(f"malformed exponent at position {i}")
-            exp = int(em.group())
+            try:
+                exp = int(em.group())
+            except ValueError:  # more digits than the interpreter converts
+                raise WordError(f"exponent too long at position {i}") from None
             i = em.end()
         sylls.append((lookup[name], exp))
         have_term = True

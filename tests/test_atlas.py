@@ -10,6 +10,7 @@ from braidkernel import (
     tau_component, tau_n, todd_coxeter, torus_presentation,
     word_equal_finite, center_order_finite, format_word,
 )
+from braidkernel import atlas
 from braidkernel.atlas import RP2_MAX_STRANDS
 
 
@@ -206,6 +207,16 @@ def test_pi1_nonorientable_abelianizations():
         assert (inv.rank, inv.torsion) == (rank, torsion)
     with pytest.raises(AtlasError):
         pi1_nonorientable(0)
+
+
+def test_crosscap_ceiling_is_checked_first(monkeypatch):
+    monkeypatch.setattr(atlas, "NONORIENTABLE_MAX_CROSSCAPS", 3)
+    assert pi1_nonorientable(3).ngens == 3
+    with pytest.raises(AtlasError, match=r"^crosscap count must be <= 3, got 4$"):
+        pi1_nonorientable(4)
+    # refused before the k generator names are built
+    with pytest.raises(AtlasError):
+        pi1_nonorientable(10**18)
 
 
 def test_klein_presentation_facts(q8, q8_table):

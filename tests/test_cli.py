@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,17 +105,6 @@ def test_order_budget_exhaustion_exits_2(capsys, monkeypatch):
     code, _, err = invoke(capsys, ["order", "--max-cosets", "10"],
                           stdin=text, monkeypatch=monkeypatch)
     assert code == 2 and err.startswith("undecided:")
-
-
-def test_env_var_budget(capsys, monkeypatch):
-    text = "group T2\ngens a b\nrel a b a^-1 b^-1\n"
-    monkeypatch.setenv("BRAIDKERNEL_MAX_COSETS", "10")
-    code, _, err = invoke(capsys, ["order"], stdin=text, monkeypatch=monkeypatch)
-    assert code == 2
-    for value in ("bogus", "0", "-3"):
-        monkeypatch.setenv("BRAIDKERNEL_MAX_COSETS", value)
-        code, _, err = invoke(capsys, ["order"], stdin=text, monkeypatch=monkeypatch)
-        assert code == 3 and err.startswith("error: BRAIDKERNEL_MAX_COSETS: "), value
 
 
 def test_abelianize(capsys, monkeypatch):
@@ -480,6 +470,63 @@ def test_oversized_sheet_count_exits_3(capsys):
     code, out, err = invoke(capsys, ["quotients", "--surface", "S1", "--sheets", str(10**18 + 1)])
     assert (code, out) == (3, "")
     assert err == f"error: group order must be <= {10**18}, got {10**18 + 1}\n"
+
+
+HUGE_GROUP = "group G\ngens a\nrel a^100000000000\n"
+HUGE_TORUS = "group T2\ngens a b\nrel a b a^-1 b^-1\n"
+HUGE_CHAIN = "start a^100000000000\nstep 0 0 1 0\nend a^100000000000\n"
+HUGE_MAP = """begin source
+group G
+gens x
+rel x^100000000000
+end
+begin target
+group Q8
+gens rho1 rho2
+rel rho1^2 = rho2^2
+rel rho1^4
+rel rho1 rho2 rho1^-1 = rho2^-1
+end
+send x = rho1 rho2
+"""
+HUGE_WORD = "a^100000000000"
+WORD_LIMIT = ("undecided: a word of 100000000000 letters is over the "
+              "10000000-letter expansion limit\n")
+
+
+@pytest.mark.parametrize("argv,stdin,code,err", [
+    (["order", "--max-cosets", "5"], HUGE_GROUP, 2, WORD_LIMIT),
+    (["equal", "--rewrite", "--lhs", "a", "--rhs", "1"], HUGE_GROUP, 2, WORD_LIMIT),
+    (["equal", "--search", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
+    (["equal", "--rewrite", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
+    (["check-derivation", "chain.txt"], HUGE_GROUP, 2, WORD_LIMIT),
+    (["hom-check", "--map", "map.txt"], "", 2, "undecided: a power of 200000000000 syllables "
+                                               "is over the 10000000-letter expansion limit\n"),
+    (["build", "--surface", "nonorientable:100000000"], "", 3,
+     "error: crosscap count must be <= 100000, got 100000000\n"),
+], ids=["order", "rewrite-relator", "search", "rewrite-word", "chain", "hom-power", "crosscaps"])
+def test_huge_input_is_refused_fast_in_bounded_memory(tmp_path, argv, stdin, code, err):
+    # each of these ended in a MemoryError traceback under a 1.5 GB
+    # address-space limit before the letter-expansion and crosscap limits
+    resource = pytest.importorskip("resource")
+    limit = 1500 * 2**20
+    (tmp_path / "chain.txt").write_text(HUGE_CHAIN)
+    (tmp_path / "map.txt").write_text(HUGE_MAP)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidkernel", *argv], input=stdin, capture_output=True,
+        text=True, timeout=30, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("count", ["0", "x", "\u00b2", "-2"])
+def test_bad_crosscap_count_exits_3(capsys, count):
+    # "\u00b2" (superscript two) passes str.isdigit but not int()
+    code, out, err = invoke(capsys, ["build", "--surface", f"nonorientable:{count}"])
+    assert (code, out, err) == (3, "", f"error: bad crosscap count {count!r}\n")
 
 
 def test_readme_states_the_strand_ceiling():

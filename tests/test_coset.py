@@ -12,7 +12,7 @@ from braidkernel import (
     is_central_finite, perm_rep, presentation, pure_braid_rp2, quaternion_presentation,
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
 )
-from braidkernel.words import Word, letters_to_word, word_to_letters
+from braidkernel.words import Undecided, Word, letters_to_word, word_to_letters
 
 
 def trace(table, coset, letters):
@@ -511,3 +511,11 @@ def test_capped_tables_keep_live_entries(group, max_cosets):
     table = todd_coxeter(PINNED_GROUPS[group](), max_cosets=max_cosets)
     assert table.status == "budget-exceeded"
     assert_partial_table_consistent(table)
+
+
+def test_incomplete_table_error_is_undecided():
+    table = todd_coxeter(torus_presentation(), max_cosets=10)
+    with pytest.raises(IncompleteTableError) as info:
+        group_order(table)
+    assert isinstance(info.value, Undecided) and isinstance(info.value, EnumerationError)
+    assert str(info.value) == "enumeration budget exhausted at 10 live cosets"

@@ -1,11 +1,13 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from braidkernel import words
 from braidkernel.words import (
-    Word, WordError, conjugate, cyclic_reduce, format_word,
+    Undecided, Word, WordError, conjugate, cyclic_reduce, format_word,
     free_reduce_letters, letters_to_word, make_alphabet, multiply,
     parse_word, shortlex_compare, word_to_letters,
 )
@@ -45,6 +47,14 @@ def test_parse_errors_report_position():
         w("a^2b")
     with pytest.raises(WordError):
         w("")
+
+
+def test_overlong_exponent_is_a_word_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    with pytest.raises(WordError, match=r"^exponent too long at position 2$"):
+        w("a^" + "9" * (limit + 1))
 
 
 def test_identity_literal_only_stands_alone():
@@ -351,3 +361,27 @@ def test_power_scale():
     big = w("a b") ** 100000
     assert big.letter_length == 200000
     assert len(big.syllables) == 200000
+
+
+def test_letter_expansion_limit(monkeypatch):
+    monkeypatch.setattr(words, "MAX_LETTERS", 6)
+    assert word_to_letters(w("a^4 b^-2")) == (0, 0, 0, 0, 3, 3)
+    with pytest.raises(Undecided, match=r"^a word of 7 letters is over the 6-letter "
+                                        r"expansion limit$"):
+        word_to_letters(w("a^4 b^-3"))
+
+
+def test_power_syllable_limit(monkeypatch):
+    monkeypatch.setattr(words, "MAX_LETTERS", 6)
+    assert (w("a b") ** 3).syllables == ((0, 1), (1, 1)) * 3
+    assert (w("a b") ** -3).syllables == ((1, -1), (0, -1)) * 3
+    with pytest.raises(Undecided, match=r"^a power of 8 syllables is over the 6-letter "
+                                        r"expansion limit$"):
+        w("a b") ** 4
+    with pytest.raises(Undecided):
+        w("a b") ** -4
+    # only the repeated core counts: here b a * (a b^-2)^3 * a^-1 b^-1
+    u = w("b a^2 b^-2 a^-1 b^-1")
+    assert u ** 3 == u * u * u
+    # a one-syllable core stays one syllable, whatever the exponent
+    assert w("b a b^-1") ** 10 ** 20 == w(f"b a^{10 ** 20} b^-1")
