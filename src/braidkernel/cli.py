@@ -82,9 +82,9 @@ def _cmd_build(args):
         p = atlas.quaternion_presentation()
     elif spec.startswith("nonorientable:"):
         k = spec.split(":", 1)[1]
-        if not k.isdecimal() or int(k) < 1:
+        if not (count := surfaces.parse_count(k)):
             raise UsageError(f"bad crosscap count {k!r}")
-        p = atlas.pi1_nonorientable(int(k))
+        p = atlas.pi1_nonorientable(count)
     else:
         raise UsageError(f"unknown atlas surface {args.surface!r}")
     text = presentations.format_presentation(p)

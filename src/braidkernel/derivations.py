@@ -177,7 +177,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
     # leaves at least L - w, and every popped word but the start has at
     # most max_word_len letters, so a longer relator never makes a kept word.
     longest = max_word_len + max(len(start), max_word_len)
-    variants: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    first_step: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for ri, rel in enumerate(p.relators):
         if rel.letter_length > longest:
             continue
@@ -186,7 +186,18 @@ def search_equality(p: Presentation, u: Word, v: Word,
                 ins = free_reduce_letters(
                     _step_insertion(p, DerivationStep(ri, rot, direction, 0)))
                 if ins:
-                    variants.setdefault(ins, (ri, rot, direction))
+                    first_step.setdefault(ins, (ri, rot, direction))
+    # Letters cancel in pairs, so an insertion 3 or more letters over the
+    # cap must cancel twice.  When it has 2 or more letters, both of the
+    # first two cancellations are at its junctions, so the word holds the
+    # inverses of ins[1], ins[0] side by side (both cancel on the left), of
+    # ins[0], ins[-1] (one on each side) or of ins[-1], ins[-2] (both on
+    # the right).  After a one-letter insertion cancels, the word's halves
+    # can meet, so it gets no pairs (None) and is never skipped this way.
+    variants = [(ins, how, (ins[0], ins[-1]),
+                 None if len(ins) < 2 else {(ins[1] ^ 1, ins[0] ^ 1), (ins[0] ^ 1, ins[-1] ^ 1),
+                                            (ins[-1] ^ 1, ins[-2] ^ 1)})
+                for ins, how in first_step.items()]
 
     came_from: dict[tuple[int, ...], tuple | None] = {start: None}
     frontier = deque([start])
@@ -196,12 +207,18 @@ def search_equality(p: Presentation, u: Word, v: Word,
         at: dict[int, list[int]] = {}  # letter -> its positions in word
         for q, x in enumerate(word):
             at.setdefault(x, []).append(q)
-        for ins, how in variants.items():
-            if end + len(ins) <= max_word_len:
+        adjacent = set(zip(word, word[1:]))
+        junctions: dict[tuple[int, int], list[int]] = {}  # (ins[0], ins[-1]) -> positions
+        for ins, how, ends, pairs in variants:
+            over = end + len(ins) - max_word_len
+            if over <= 0:
                 positions = range(end + 1)
-            else:  # only a cancelling junction can bring the length under the cap
-                positions = sorted({q + 1 for q in at.get(ins[0] ^ 1, ())}
-                                   .union(at.get(ins[-1] ^ 1, ())))
+            elif over > 2 and pairs is not None and adjacent.isdisjoint(pairs):
+                continue
+            elif (positions := junctions.get(ends)) is None:
+                # only a cancelling junction can bring the length under the cap
+                positions = junctions[ends] = sorted({q + 1 for q in at.get(ends[0] ^ 1, ())}
+                                                     .union(at.get(ends[1] ^ 1, ())))
             for pos in positions:
                 i, j, k, r = _splice(word, ins, pos)
                 if i + k - j + end - r > max_word_len:

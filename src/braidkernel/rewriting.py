@@ -135,8 +135,9 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     rules: dict[int, tuple[str, str]] = {}
     index: RuleIndex = {}   # the live rules again, by left side
     # rule pairs to overlap, FIFO: one iterator per added rule, made
-    # when it is added and run when it comes up
-    pair_queue: deque[Iterator[tuple[int, int]]] = deque()
+    # when it is added and run when it comes up.  Each pair in a rule's
+    # iterator names the rule, so drop() discards the iterator unrun
+    pair_queue: dict[int, Iterator[tuple[int, int]]] = {}
     eq_queue: deque[tuple[str, str]] = deque()
     discarded = False
 
@@ -146,6 +147,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
 
     def drop(rid: int):
         lhs, _ = rules.pop(rid)
+        pair_queue.pop(rid, None)
         bucket = index[len(lhs)]
         del bucket[lhs]
         if not bucket:
@@ -177,7 +179,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
         # (rid, j) and (j, rid) for every older j, then (rid, rid)
         older = list(rules)[:-1]   # rid is the newest key
         pairs = zip(zip(repeat(rid), older), zip(older, repeat(rid)))
-        pair_queue.append(chain(chain.from_iterable(pairs), [(rid, rid)]))
+        pair_queue[rid] = chain(chain.from_iterable(pairs), [(rid, rid)])
         return True
 
     def budget_spent() -> bool:
@@ -193,13 +195,13 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     # seed: free reduction, then the relators as equations
     for x in range(2 * p.ngens):
         put(next(ids), chr(x) + chr(x ^ 1), "")
-    pair_queue.append(product(rules, repeat=2))
+    pair_queue[-1] = product(rules, repeat=2)  # -1 names no rule: ids count from 0
     eq_queue.extend((_encode(word_to_letters(rel)), "") for rel in p.relators)
 
     aborted = len(rules) > max_rules or budget_spent()
     while pair_queue and not aborted:
-        for i, j in pair_queue.popleft():
-            if not (i in rules and j in rules):
+        for i, j in pair_queue.pop(next(iter(pair_queue))):
+            if not (i in rules and j in rules):  # retired since the iterator was made
                 continue
             (l1, r1), (l2, r2) = rules[i], rules[j]
             # l1 and l2 overlap in a word A|O|B with l1 = A+O, l2 = O+B and

@@ -11,6 +11,9 @@ from __future__ import annotations
 from .words import BraidkernelError, record
 
 
+COUNT_MAX_DIGITS = 18  # digits in a genus or crosscap count
+
+
 class SurfaceError(BraidkernelError):
     pass
 
@@ -69,6 +72,18 @@ def describe_surface(s: SurfaceKind) -> str:
     return f"{s.label} ({name})"
 
 
+def parse_count(text: str) -> int | None:
+    """The genus or crosscap count a string of decimal digits spells, or
+    None if text is not one.  Over COUNT_MAX_DIGITS digits raise
+    SurfaceError before int() converts them (it refuses over 4300)."""
+    if not text.isdecimal():
+        return None
+    if len(text) > COUNT_MAX_DIGITS:
+        raise SurfaceError(f"a count of {len(text)} digits is over the "
+                           f"{COUNT_MAX_DIGITS}-digit limit")
+    return int(text)
+
+
 def parse_surface(text: str) -> SurfaceKind:
     """Accepts S<g>/N<k> labels, common names, and orientable:<g> /
     nonorientable:<k> forms."""
@@ -77,6 +92,6 @@ def parse_surface(text: str) -> SurfaceKind:
         return _ALIASES[t]
     for prefix, orientable in (("orientable:", True), ("nonorientable:", False),
                                ("s", True), ("n", False)):
-        if t.startswith(prefix) and t[len(prefix):].isdigit():
-            return SurfaceKind(orientable, int(t[len(prefix):]))
+        if t.startswith(prefix) and (genus := parse_count(t[len(prefix):])) is not None:
+            return SurfaceKind(orientable, genus)
     raise SurfaceError(f"unrecognized surface {text!r}")

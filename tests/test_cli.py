@@ -529,6 +529,32 @@ def test_bad_crosscap_count_exits_3(capsys, count):
     assert (code, out, err) == (3, "", f"error: bad crosscap count {count!r}\n")
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["quotients", "--surface", "S\u00b2", "--sheets", "2"], "unrecognized surface 'S\u00b2'"),
+    (["cover", "--from", "N\u00b2", "--to", "S2", "--sheets", "2"],
+     "unrecognized surface 'N\u00b2'"),
+    (["quotients", "--surface", f"S{NINES}", "--sheets", "2"],
+     "a count of 5000 digits is over the 18-digit limit"),
+    (["build", "--surface", f"nonorientable:{NINES}"],
+     "a count of 5000 digits is over the 18-digit limit"),
+], ids=["superscript-genus", "superscript-crosscaps", "long-genus", "long-crosscaps"])
+def test_bad_surface_count_exits_3(capsys, argv, err):
+    # "\u00b2" passes str.isdigit but not int(), and int() refuses over
+    # 4300 digits: both ended in a ValueError traceback
+    code, out, stderr = invoke(capsys, argv)
+    assert (code, out, stderr) == (3, "", f"error: {err}\n")
+
+
+def test_surface_count_digit_limit(capsys):
+    code, out, _ = invoke(capsys, ["quotients", "--surface", "S" + "9" * 18, "--sheets", "2"])
+    assert code == 0 and out.startswith("S500000000000000000 ")
+    code, out, err = invoke(capsys, ["quotients", "--surface", "S" + "1" * 19, "--sheets", "2"])
+    assert (code, out, err) == (3, "", "error: a count of 19 digits is over the 18-digit limit\n")
+
+
 def test_readme_states_the_strand_ceiling():
     readme = (DATA_DIR.parent.parent / "README.md").read_text(encoding="utf-8")
     assert f"`--n` from 1 to {RP2_MAX_STRANDS}" in readme

@@ -1,5 +1,7 @@
 import importlib.util
+import itertools
 import pathlib
+import random
 import sys
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from braidkernel import (
     ChainError, DerivationChain, DerivationReport, DerivationStep, Presentation, apply_step,
     b_ij_as_rho, check_derivation, derivations, format_chain,
-    parse_chain_file, pure_braid_rp2, quaternion_presentation, search_equality,
-    word_equal_finite,
+    parse_chain_file, presentation, pure_braid_rp2, quaternion_presentation,
+    search_equality, tau_n, word_equal_finite,
 )
 from braidkernel.words import Word, free_reduce_letters, letters_to_word, word_to_letters
 
@@ -90,13 +92,11 @@ def test_malformed_chain_structure_raises(rp2_n2, q8):
 
 # search ------------------------------------------------------------------------
 
-def reference_search(p, u, v, max_word_len, max_nodes):
-    """Reference oracle for ``search_equality``: the same breadth-first
-    walk, rebuilding and freely reducing every candidate word.  Returns
-    the steps of the chain found, or None."""
-    start, goal = word_to_letters(u), word_to_letters(v)
-    if start == goal:
-        return ()
+def reference_walk(p, u, max_word_len):
+    """Reference for the breadth-first walk of ``search_equality``:
+    every insertion at every position, each candidate rebuilt and freely
+    reduced.  Yields each new word under the cap, in visit order, with
+    the word and the step it came from."""
     identity = Word.identity(p.alphabet)
     variants = {}
     for ri, rel in enumerate(p.relators):
@@ -105,29 +105,46 @@ def reference_search(p, u, v, max_word_len, max_nodes):
                 step = DerivationStep(ri, rot, direction, 0)
                 ins = word_to_letters(apply_step(p, identity, step))
                 variants.setdefault(ins, step)
-    came_from = {start: None}
+    start = word_to_letters(u)
+    seen = {start}
     frontier = [start]
     for word in frontier:
         for ins, step in variants.items():
             for pos in range(len(word) + 1):
                 new = free_reduce_letters(word[:pos] + ins + word[pos:])
-                if len(new) > max_word_len or new in came_from:
+                if len(new) > max_word_len or new in seen:
                     continue
-                came_from[new] = (word, DerivationStep(step.relator, step.rotation,
-                                                       step.direction, pos))
-                if new == goal:
-                    steps = []
-                    while came_from[new] is not None:
-                        new, step = came_from[new]
-                        steps.append(step)
-                    return tuple(reversed(steps))
-                if len(came_from) >= max_nodes:
-                    return None
+                seen.add(new)
+                yield new, word, DerivationStep(step.relator, step.rotation, step.direction, pos)
                 frontier.append(new)
+
+
+def reference_search(p, u, v, max_word_len, max_nodes):
+    """Reference oracle for ``search_equality`` on ``reference_walk``.
+    Returns the steps of the chain found, or None."""
+    start, goal = word_to_letters(u), word_to_letters(v)
+    if start == goal:
+        return ()
+    came_from = {start: None}
+    for new, word, step in reference_walk(p, u, max_word_len):
+        came_from[new] = (word, step)
+        if new == goal:
+            steps = []
+            while came_from[new] is not None:
+                new, step = came_from[new]
+                steps.append(step)
+            return tuple(reversed(steps))
+        if len(came_from) >= max_nodes:
+            return None
     return None
 
 
-SEARCH_GROUPS = (quaternion_presentation(), pure_braid_rp2(2), pure_braid_rp2(3))
+# beside the paper's groups, a one-letter relator (its insertions have no
+# second letter) and a two-letter one (its insertions' left and right
+# cancelling pairs are the same pair)
+Z3 = presentation("Z3", ["a", "b"], ["a", "b^3"])
+SEARCH_GROUPS = (quaternion_presentation(), pure_braid_rp2(2), pure_braid_rp2(3), Z3,
+                 presentation("Z2xZ", ["a", "b"], ["a^2", "a b a^-1 b^-1"]))
 
 
 @st.composite
@@ -166,6 +183,87 @@ def test_search_max_nodes_cut_matches_reference(rp2_n2):
     assert search_equality(rp2_n2, u, v, max_word_len=12, max_nodes=504) is None
     chain = search_equality(rp2_n2, u, v, max_word_len=12, max_nodes=505)
     assert chain.steps == reference_search(rp2_n2, u, v, 12, 505)
+
+
+def test_one_letter_insertion_cancels_two_pairs():
+    # b a b^-1 a^2 is 2 letters over cap 3; inserting a^-1 at 1 cancels a
+    # and then b with b^-1, the only way under the cap
+    chain = search_equality(Z3, Z3.word("b a b^-1 a^2"), Z3.word("a^2"), max_word_len=3)
+    assert chain.steps == (DerivationStep(0, 0, -1, 1),)
+    assert chain.steps == reference_search(Z3, chain.start, chain.end, 3, 10)
+
+
+def certify_pairs():
+    """The P3(RP2) identity pairs the benchmark's certify workload searches:
+    B_ij as rhos, its conjugation of rho_j, the braid-like rho_i rho_j
+    relation and tau_3 central, for each strand pair."""
+    p = pure_braid_rp2(3)
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        ri, rj, bij = f"rho{i}", f"rho{j}", f"B{i}{j}"
+        yield p.word(bij), p.word(f"{rj} {ri}^-1 {rj}^-1 {ri}")
+        yield p.word(f"{bij}^-1 {rj} {bij}"), p.word(f"{ri}^-2 {rj} {ri}^2")
+        yield p.word(f"{ri} {rj} {ri} {rj}"), p.word(f"{rj} {ri} {rj} {ri}")
+        yield tau_n(3) * p.word(rj), p.word(rj) * tau_n(3)
+
+
+def assert_same_walk(p, u, max_word_len, max_nodes):
+    """The search visits the first max_nodes words of the reference walk
+    from u: it finds the last of them at exactly that node count, by the
+    reference's path.  Skipping a word before it, or visiting one the
+    reference does not, would move the count."""
+    walk = list(itertools.islice(reference_walk(p, u, max_word_len), max_nodes - 1))
+    if not walk:
+        return
+    nodes = len(walk) + 1  # the start is node 1
+    goal = letters_to_word(p.alphabet, walk[-1][0])
+    chain = search_equality(p, u, goal, max_word_len=max_word_len, max_nodes=nodes)
+    assert chain is not None and chain.steps == reference_search(p, u, goal, max_word_len, nodes)
+    if nodes > 2:  # with one budget node the first new word is still compared to the goal
+        assert search_equality(p, u, goal, max_word_len=max_word_len, max_nodes=nodes - 1) is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_matches_reference_on_certify_pairs(seed):
+    # At cap 12 the walk reaches words near the cap within a few hundred
+    # nodes, so insertions 3 or more letters over it go through the
+    # adjacent-pair filter.  The certify pairs are not found within 1000
+    # words, so the walk is also compared up to a seeded node count
+    p, rng = pure_braid_rp2(3), random.Random(seed)
+    for u, v in certify_pairs():
+        max_nodes = rng.randint(100, 1000)
+        chain = search_equality(p, u, v, max_word_len=12, max_nodes=max_nodes)
+        assert (None if chain is None else chain.steps) == \
+            reference_search(p, u, v, 12, max_nodes)
+        assert_same_walk(p, u, 12, rng.randint(max_nodes // 2, max_nodes))
+
+
+@pytest.mark.parametrize("p", SEARCH_GROUPS, ids=lambda p: p.name)
+def test_search_walk_matches_reference(p):
+    # seeded starts of 3-8 letters, the cap from 3 below to 2 above them
+    rng = random.Random(p.name)
+    for _ in range(30):
+        u = letters_to_word(p.alphabet, free_reduce_letters(
+            [rng.randrange(2 * p.ngens) for _ in range(rng.randint(3, 8))]))
+        cap = max(1, u.letter_length + rng.randint(-3, 2))
+        assert_same_walk(p, u, cap, 300)
+
+
+def test_search_skips_splices_that_cannot_fit_the_cap(monkeypatch):
+    # the braid-like P3(RP2) pair exhausts 4000 words at cap 12; splicing
+    # every junction position made 78416 _splice calls, of which 11120 fit
+    p = pure_braid_rp2(3)
+    calls = 0
+    splice = derivations._splice
+
+    def counting(word, ins, pos):
+        nonlocal calls
+        calls += 1
+        return splice(word, ins, pos)
+
+    monkeypatch.setattr(derivations, "_splice", counting)
+    assert search_equality(p, p.word("rho2 rho3 rho2 rho3"), p.word("rho3 rho2 rho3 rho2"),
+                           max_word_len=12, max_nodes=4000) is None
+    assert calls < 45000
 
 
 reduced_letters = st.lists(st.integers(0, 3), max_size=10).map(free_reduce_letters)

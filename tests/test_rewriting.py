@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
     enumerate_normal_forms, group_order, knuth_bendix, normal_form,
-    presentation, pure_braid_rp2, quotient, rewrite_equality_oracle,
-    todd_coxeter, torus_presentation,
+    presentation, pure_braid_rp2, quaternion_presentation, quotient,
+    rewrite_equality_oracle, todd_coxeter, torus_presentation,
 )
 from braidkernel.presentations import Presentation
 from braidkernel.rewriting import RewriteSystem, _decode, _encode, _rewrite
@@ -212,17 +212,30 @@ def test_completion_deterministic(q8):
     assert knuth_bendix(q8).rules == knuth_bendix(q8).rules
 
 
-# rule order decides which rule _rewrite applies first, so pin it exactly
-@pytest.mark.parametrize("n,budget,nrules,confluent,digest", [
-    (2, {}, 24, True,
+def coxeter_s5():
+    gens = [f"s{i}" for i in range(1, 5)]
+    rels = [f"s{i}^2" for i in range(1, 5)]
+    rels += [f"s{i} s{i + 1} " * 3 for i in range(1, 4)]
+    rels += [f"s{i} s{j} " * 2 for i in range(1, 5) for j in range(i + 2, 5)]
+    return presentation("S5", gens, rels)
+
+
+# rule order decides which rule _rewrite applies first, so pin it exactly;
+# the pair queue's order decides the rules and their order
+@pytest.mark.parametrize("group,budget,nrules,confluent,digest", [
+    (lambda: pure_braid_rp2(2), {}, 24, True,
      "a4f2e717e6c91c97af53c80a989676c58245d0f09405e0105d26538182704020"),
-    (3, {"max_rules": 3}, 12, False,
+    (lambda: pure_braid_rp2(3), {"max_rules": 3}, 12, False,
      "525a67f1141a5595f9da2950476cba0b0f7042c3b0e75c7baab5cef68220a8ad"),
-    (3, {"max_rules": 150}, 151, False,
+    (lambda: pure_braid_rp2(3), {"max_rules": 150}, 151, False,
      "3b699da8ca3c8c040887e19c7c7f821849b0c184c1f4e8a3f34b83302ddd467e"),
-], ids=["P2", "P3-rules3", "P3-rules150"])
-def test_knuth_bendix_output_pinned(n, budget, nrules, confluent, digest):
-    rs = knuth_bendix(pure_braid_rp2(n), **budget)
+    (quaternion_presentation, {}, 16, True,
+     "5b01556a60ba4f5875deac89af6c65cc58676998115186d4da6ed85525a0644b"),
+    (coxeter_s5, {}, 17, True,
+     "630585089741f7d771e40adef2ba96d37afd46b52e01149352c8c75ebbd425b2"),
+], ids=["P2", "P3-rules3", "P3-rules150", "Q8", "S5"])
+def test_knuth_bendix_output_pinned(group, budget, nrules, confluent, digest):
+    rs = knuth_bendix(group(), **budget)
     assert (len(rs.rules), rs.confluent) == (nrules, confluent)
     text = repr((rs.rules, rs.confluent)).encode()
     assert hashlib.sha256(text).hexdigest() == digest

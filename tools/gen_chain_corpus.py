@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the derivation-chain corpus under tests/data/.
 
-A full run takes about 30 s on a 2-core machine, most of it in the
+A full run takes about 12 s on a 2-core machine, most of it in the
 two conj_rho_squared_n3 searches.  The test run re-derives the n=2
 files and braidlike_n3; CI reruns this tool and fails if any file
 under tests/data changes, which pins the search's visit order.
