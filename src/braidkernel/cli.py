@@ -116,14 +116,15 @@ def _cmd_hom_check(args):
         hom = presentations.parse_hom_file(fh.read())
     table = coset.todd_coxeter(hom.target, max_cosets=args.max_cosets)
     result = presentations.hom_check(hom, coset.table_equality_oracle(table))
-    if result.status == "undecided":
-        raise Undecided(f"target oracle could not decide relator {result.relator_index}")
     payload = {"status": result.status, "failing_relator": result.relator_index}
     return (result.verified, payload, [result.status if result.verified else
                                        f"{result.status} at relator {result.relator_index}"])
 
 
 def _cmd_equal(args):
+    modes = [flag for flag in ("--table", "--search", "--rewrite") if getattr(args, flag[2:])]
+    if len(modes) > 1:
+        raise UsageError(f"equal: {' and '.join(modes)} exclude each other")
     p = _load_presentation(args)
     lhs = parse_word(args.lhs, p.alphabet)
     rhs = parse_word(args.rhs, p.alphabet)
@@ -138,8 +139,6 @@ def _cmd_equal(args):
     if args.rewrite:
         rs = rewriting.knuth_bendix(p, max_rules=args.max_rules, max_len=args.max_len)
         same = rewriting.rewrite_equality_oracle(rs)(lhs, rhs)
-        if same is None:
-            raise Undecided("rewriting system is not confluent")
         return (same, {"equal": same, "confluent": rs.confluent},
                 ["equal" if same else "not equal"])
     same = coset.word_equal_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), lhs, rhs)
@@ -153,19 +152,24 @@ def _cmd_kernel(args):
         if args.q is None or args.r is None:
             raise UsageError("--q and --r must be given together")
         params = (args.q, args.r)
-    desc = coverings.kernel_description(surface, args.n, not args.full_braid, params)
-    pres_file = None
-    if desc.presentation is not None and args.presentation_out:
-        with open(args.presentation_out, "w", encoding="utf-8") as fh:
-            fh.write(presentations.format_presentation(desc.presentation))
-        pres_file = args.presentation_out
+    pure = not args.full_braid
+    desc = coverings.kernel_description(surface, args.n, pure, params)
+    payload = {"case": desc.case,
+               "base": {"surface": surface.label, "orientable": surface.orientable,
+                        "genus": surface.genus, "n": args.n, "pure": pure},
+               "q": args.q, "r": args.r}
     lines = [f"case: {desc.case}",
              f"kernel: {desc.description}",
              f"base surface: {surfaces.describe_surface(surface)}"]
     if desc.presentation is not None:
-        lines.append("explicit presentation: available"
-                     + (f" (written to {pres_file})" if pres_file else ""))
-    return True, desc.to_json_dict(pres_file), lines
+        written = ""
+        if args.presentation_out:
+            with open(args.presentation_out, "w", encoding="utf-8") as fh:
+                fh.write(presentations.format_presentation(desc.presentation))
+            payload["presentation_file"] = args.presentation_out
+            written = f" (written to {args.presentation_out})"
+        lines.append("explicit presentation: available" + written)
+    return True, payload, lines
 
 
 def _cmd_cover(args):
@@ -301,9 +305,6 @@ def _parse(argv: list[str]):
     missing = [flag for flag, (dest, *_) in options.items() if values[dest] is _REQUIRED]
     if missing:
         raise UsageError(f"{name}: missing {', '.join(missing)}")
-    modes = [flag for flag in ("--table", "--search", "--rewrite") if values.get(flag[2:])]
-    if len(modes) > 1:
-        raise UsageError(f"{name}: {' and '.join(modes)} exclude each other")
     return handler, SimpleNamespace(**values)
 
 
@@ -335,10 +336,10 @@ def run(argv=None) -> int:
     except Undecided as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except (UsageError, BraidkernelError, OSError) as exc:
+    except (UsageError, BraidkernelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return {True: EXIT_OK, False: EXIT_NEGATIVE, None: EXIT_UNDECIDED}[answer]
+    return EXIT_OK if answer else EXIT_NEGATIVE
 
 
 def main() -> None:

@@ -156,9 +156,9 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 # homomorphisms ------------------------------------------------------------
 
-# An equality oracle decides u = v in a fixed group: True / False, or
-# None when its budget cannot settle the question.
-EqualityOracle = Callable[[Word, Word], bool | None]
+# An equality oracle decides u = v in a fixed group: True or False; it
+# raises words.Undecided when its budget cannot settle the question.
+EqualityOracle = Callable[[Word, Word], bool]
 
 
 @record
@@ -192,7 +192,7 @@ def substitute(h: GroupHom, w: Word) -> Word:
 
 @record
 class HomCheckResult:
-    status: str  # "verified" | "failed" | "undecided"
+    status: str  # "verified" | "failed"
     hom: GroupHom | None
     relator_index: int | None = None
 
@@ -204,16 +204,12 @@ class HomCheckResult:
 def hom_check(h: GroupHom, oracle: EqualityOracle) -> HomCheckResult:
     """Check that every source relator maps to the identity of the target.
 
-    The oracle decides equality in the target group; an inconclusive
-    oracle answer yields status "undecided", never a silent pass.
+    The oracle decides equality in the target group; its ``Undecided``
+    propagates, so an inconclusive oracle never yields a silent pass.
     """
     target_id = Word.identity(h.target.alphabet)
     for i, rel in enumerate(h.source.relators):
-        image = substitute(h, rel)
-        answer = oracle(image, target_id)
-        if answer is None:
-            return HomCheckResult("undecided", None, i)
-        if not answer:
+        if not oracle(substitute(h, rel), target_id):
             return HomCheckResult("failed", None, i)
     return HomCheckResult("verified", GroupHom(h.source, h.target, h.images, verified=True))
 

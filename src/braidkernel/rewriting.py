@@ -28,7 +28,8 @@ from itertools import chain, count, product, repeat
 
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
-from .words import Alphabet, BraidkernelError, Word, letters_to_word, record, word_to_letters
+from .words import (
+    Alphabet, BraidkernelError, Undecided, Word, letters_to_word, record, word_to_letters)
 
 Letters = tuple[int, ...]
 # left side length -> {left side: (rule id, right side)}, sides encoded as str
@@ -262,11 +263,14 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,
 
 
 def rewrite_equality_oracle(rs: RewriteSystem):
-    """Equality oracle for hom_check: decisive iff rs is confluent."""
+    """Equality oracle for hom_check: equal normal forms prove u = v; unequal
+    ones prove u != v only when rs is confluent, and raise Undecided otherwise."""
 
-    def oracle(u: Word, v: Word) -> bool | None:
+    def oracle(u: Word, v: Word) -> bool:
         if normal_form(rs, u) == normal_form(rs, v):
             return True
-        return False if rs.confluent else None
+        if not rs.confluent:
+            raise Undecided("rewriting system is not confluent")
+        return False
 
     return oracle

@@ -189,6 +189,15 @@ def test_abelianize_dense_random_presentation_finishes():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "rank 0, torsion []\n", "")
 
 
+def test_stdin_that_is_not_utf8_exits_3():
+    proc = subprocess.run([sys.executable, "-m", "braidkernel", "order"],
+                          input=b"group G\ngens a\nrel a^\xff3\n", capture_output=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=str(SRC),
+                                               PYTHONIOENCODING="utf-8"))
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
 def test_equal_search_skips_a_relator_longer_than_any_kept_word():
     proc = run_cli(["equal", "--search", "--lhs", "a", "--rhs", "b", "--max-nodes", "5"],
                    "group G\ngens a b\nrel a^30000000\n")
@@ -219,6 +228,29 @@ def test_kernel_json_round_trip(capsys, tmp_path):
     # the written file is a loadable presentation
     code, out2, _ = invoke(capsys, ["order", "--input", str(out_file)])
     assert code == 0 and out2.strip() == "4"
+
+
+def test_kernel_json_schema(capsys, tmp_path):
+    code, out, _ = invoke(capsys, ["kernel", "--quotient", "torus", "--n", "5",
+                                   "--q", "2", "--r", "3", "--json"])
+    assert code == 0
+    payload = json.loads(out)["result"]
+    assert list(payload) == ["case", "base", "q", "r"]
+    assert payload == {"case": "mod-lattice",
+                       "base": {"surface": "S1", "orientable": True, "genus": 1, "n": 5,
+                                "pure": True},
+                       "q": 2, "r": 3}
+    assert list(payload["base"]) == ["surface", "orientable", "genus", "n", "pure"]
+    out_file = str(tmp_path / "out.pres")
+    code, out, _ = invoke(capsys, ["kernel", "--quotient", "rp2", "--n", "2",
+                                   "--presentation-out", out_file, "--json"])
+    assert code == 0
+    payload = json.loads(out)["result"]
+    assert list(payload) == ["case", "base", "q", "r", "presentation_file"]
+    assert payload == {"case": "mod-center",
+                       "base": {"surface": "N1", "orientable": False, "genus": 1, "n": 2,
+                                "pure": True},
+                       "q": None, "r": None, "presentation_file": out_file}
 
 
 def test_kernel_full_braid(capsys):
@@ -412,6 +444,9 @@ BAD_INPUT_FILES = {
     "other-presentation.chain": "presentation OTHER\nstart a\nend a\n",
     "unknown-target-gen.hom": UNKNOWN_TARGET_GEN_MAP,
     "trivial.chain": "start a\nend a\n",
+    "not-utf8.pres": b"group G\ngens a\nrel a^\xff3\n",
+    "not-utf8.hom": KLEIN_Q8_MAP.encode() + b"# \xff\n",
+    "not-utf8.chain": b"start a\xff\nend a\n",
 }
 
 
@@ -443,10 +478,13 @@ BAD_INPUT_FILES = {
     (["check-derivation", "trivial.chain", "--max-cosets", "5"],
      "group G\ngens a\nrel a^3\n"),
     (["build", "--surface", "torus", "--n", "7"], None),
+    (["order", "--input", "not-utf8.pres"], None),
+    (["hom-check", "--map", "not-utf8.hom"], None),
+    (["check-derivation", "not-utf8.chain"], "group G\ngens a\nrel a^3\n"),
 ])
 def test_bad_input_exits_3_without_traceback(capsys, monkeypatch, tmp_path, argv, stdin):
     for name, text in BAD_INPUT_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
     code, _, err = invoke(capsys, argv)
@@ -639,9 +677,12 @@ G_ORDER_3 = "group G\ngens a\nrel a^3\n"
      G_ORDER_3, "error: line 2: duplicate presentation line\n"),
     (["check-derivation", "x.chain"], "start a\nstep 0 0 1 x\nend a\n", G_ORDER_3,
      "error: line 2: step needs 4 integers\n"),
+    (["order"], None, "group G\ngens a b c\nrel a = b = c\n",
+     "error: line 3: more than one '=' in relation 'a = b = c'\n"),
 ], ids=["second-group", "empty-group", "second-gens", "missing-gens",
         "chain-unknown-directive", "chain-start-word", "chain-second-start",
-        "chain-second-end", "chain-second-presentation", "chain-step-not-integer"])
+        "chain-second-end", "chain-second-presentation", "chain-step-not-integer",
+        "two-equals"])
 def test_format_error_names_the_file_line(capsys, monkeypatch, tmp_path, argv, text, stdin,
                                           expected):
     if text is not None:
@@ -654,12 +695,15 @@ def test_format_error_names_the_file_line(capsys, monkeypatch, tmp_path, argv, t
 def test_hom_check_undecided_oracle_exits_2(capsys, monkeypatch, tmp_path):
     path = tmp_path / "map.hom"
     path.write_text(KLEIN_Q8_MAP)
-    monkeypatch.setattr(braidkernel.coset, "table_equality_oracle",
-                        lambda table: lambda u, v: None)
+
+    def oracle(u, v):
+        raise braidkernel.words.Undecided("oracle budget spent")
+
+    monkeypatch.setattr(braidkernel.coset, "table_equality_oracle", lambda table: oracle)
     for mode in ([], ["--json"]):
         code, out, err = invoke(capsys, ["hom-check", "--map", str(path)] + mode)
         assert (code, out) == (2, "")
-        assert err == "undecided: target oracle could not decide relator 0\n"
+        assert err == "undecided: oracle budget spent\n"
 
 
 def test_equal_rewrite_length_cap_is_undecided(capsys, monkeypatch):

@@ -135,6 +135,11 @@ def test_group_order_requires_complete_trivial(q8, s3_presentation):
         group_order(with_subgroup)
 
 
+def test_coset_budget_must_be_positive(q8):
+    with pytest.raises(EnumerationError, match="max_cosets must be >= 1"):
+        todd_coxeter(q8, max_cosets=0)
+
+
 def test_empty_alphabet_rejected():
     with pytest.raises(EnumerationError):
         todd_coxeter(presentation("trivial", [], []))

@@ -87,12 +87,12 @@ Q8 = "group Q8\ngens rho1 rho2\nrel rho1^2 = rho2^2\nrel rho1^4\nrel rho1 rho2 r
 EQUAL = ["equal", "--lhs", "rho1^2", "--rhs", "rho2^2"]
 
 
-def executed_modules(argv, stdin):
+def executed_modules(argv, stdin, exit_code):
     proc = subprocess.run([sys.executable, "-c", EXECUTED, *argv], input=stdin,
                           capture_output=True, text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     code, *names = proc.stdout.splitlines()[-1].split()
-    assert (code, proc.stderr) == ("0", "")
+    assert (code, proc.stderr) == (str(exit_code), "")
     return set(names)
 
 
@@ -119,18 +119,22 @@ def test_first_touch_from_several_threads():
     assert (proc.stdout, proc.stderr) == ("4\n", "")
 
 
-@pytest.mark.parametrize("argv,stdin,runs,skips", [
-    (["quotients", "--surface", "S2", "--sheets", "1"], "",
+@pytest.mark.parametrize("argv,stdin,exit_code,runs,skips", [
+    (["quotients", "--surface", "S2", "--sheets", "1"], "", 0,
      {"cli", "words", "surfaces", "coverings"},
      {"presentations", "snf", "coset", "rewriting", "derivations", "atlas"}),
-    (["abelianize"], Q8, {"presentations", "snf"},
+    (["abelianize"], Q8, 0, {"presentations", "snf"},
      {"coset", "rewriting", "derivations", "atlas", "coverings"}),
-    (EQUAL + ["--rewrite"], Q8, {"rewriting"}, {"coset", "derivations", "atlas", "snf"}),
-    (EQUAL + ["--table"], Q8, {"coset"}, {"rewriting", "derivations", "snf"}),
-    (EQUAL + ["--search"], Q8, {"derivations"}, {"coset", "rewriting", "snf"}),
-], ids=["quotients", "abelianize", "equal-rewrite", "equal-table", "equal-search"])
-def test_command_executes_only_the_modules_it_uses(argv, stdin, runs, skips):
-    executed = executed_modules(argv, stdin)
+    (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"}, {"coset", "derivations", "atlas", "snf"}),
+    (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
+    (EQUAL + ["--search"], Q8, 0, {"derivations"}, {"coset", "rewriting", "snf"}),
+    # the klein-over-torus certificate: exit 1, the covering is impossible
+    (["cover", "--from", "klein", "--to", "torus", "--sheets", "2"], "", 1,
+     {"coverings", "coset"}, {"rewriting", "derivations"}),
+], ids=["quotients", "abelianize", "equal-rewrite", "equal-table", "equal-search",
+        "cover-klein-torus"])
+def test_command_executes_only_the_modules_it_uses(argv, stdin, exit_code, runs, skips):
+    executed = executed_modules(argv, stdin, exit_code)
     assert runs <= executed
     assert not executed & skips, executed & skips
 

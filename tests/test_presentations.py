@@ -15,7 +15,7 @@ from braidkernel.presentations import (
     FormatError, PresentationFormatError, directives, parse_hom_file, parse_relation,
 )
 from braidkernel.words import (
-    Word, free_reduce_letters, letters_to_word, make_alphabet, parse_word,
+    Undecided, Word, free_reduce_letters, letters_to_word, make_alphabet, parse_word,
     word_to_letters,
 )
 
@@ -144,9 +144,12 @@ def test_hom_check_reports_first_failing_relator(s3_presentation):
 def test_hom_check_undecided_oracle(q8):
     klein = klein_presentation()
     hom = GroupHom(klein, q8, (q8.gen("rho1"), q8.gen("rho2")))
-    result = hom_check(hom, lambda u, v: None)
-    assert result.status == "undecided"
-    assert result.hom is None
+
+    def oracle(u, v):
+        raise Undecided("budget spent")
+
+    with pytest.raises(Undecided, match="budget spent"):
+        hom_check(hom, oracle)
 
 
 def test_apply_hom_requires_verification():
