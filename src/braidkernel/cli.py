@@ -17,6 +17,7 @@ flag wins; ``braidkernel COMMAND --help`` lists the command's options.
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from types import SimpleNamespace
 
@@ -169,6 +170,9 @@ def _cmd_kernel(args):
             payload["presentation_file"] = args.presentation_out
             written = f" (written to {args.presentation_out})"
         lines.append("explicit presentation: available" + written)
+    elif args.presentation_out:
+        raise UsageError(f"kernel: case {desc.case} ({desc.description}) has no explicit "
+                         "presentation for --presentation-out")
     return True, payload, lines
 
 
@@ -329,10 +333,12 @@ def run(argv=None) -> int:
         answer, payload, lines = handler(args)
         if args.json:
             import json  # only --json output needs it
-            print(json.dumps({"result": payload}, indent=2))
+            text = json.dumps({"result": payload}, indent=2)
         else:
-            for line in lines:
-                print(line)
+            text = "\n".join(lines)
+        # flushed here, a failed write is an error (exit 3), not a message at interpreter exit;
+        # print does nothing when the process has no stdout (sys.stdout is None)
+        print(text, flush=True)
     except Undecided as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
@@ -345,9 +351,15 @@ def run(argv=None) -> int:
 def main() -> None:
     # One process runs one command and exits, and no command leaves reference cycles behind
     # but the json encoder's few closures (tests/test_cli.py counts them), so the cyclic
-    # collector would only cost time.  run() leaves it on for in-process callers.
+    # collector would only cost time.  For the same reason the process ends at its answer:
+    # run() has flushed stdout, and os._exit skips interpreter teardown (module cleanup,
+    # the finalizer's collections, freeing every object), which a finished command does not
+    # need.  run() leaves the collector on and the interpreter alive for in-process callers.
     gc.disable()
-    sys.exit(run())
+    code = run()
+    if sys.stderr is not None:  # None when the process started without fd 2
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

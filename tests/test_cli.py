@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import pathlib
@@ -836,3 +837,127 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     # the json encoder's closures refer to each other: a fixed few per
     # --json print, however large the payload
     assert (small_code, large_code) == (0, 0) and small == large < 100
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["kernel", "--quotient", "S2", "--n", "3"], "case full (P3(S2))"),
+    (["kernel", "--quotient", "sphere", "--n", "3"], "case mod-center (P3(S0) / Z(P3(S0)))"),
+    (["kernel", "--quotient", "rp2", "--n", "2", "--full-braid"],
+     "case mod-center (B2(RP2) / Z(P2(RP2)))"),
+    (["kernel", "--quotient", "torus", "--n", "2", "--q", "2", "--r", "3"],
+     "case mod-lattice (P2(T2) / <a~^2, b~^3>)"),
+], ids=["full", "sphere", "full-braid", "torus-n2"])
+def test_presentation_out_without_a_presentation_exits_3(capsys, tmp_path, argv, err):
+    out_file = tmp_path / "k.pres"
+    for mode in ([], ["--json"]):
+        code, out, stderr = invoke(capsys, argv + ["--presentation-out", str(out_file)] + mode)
+        assert (code, out, stderr) == (
+            3, "", f"error: kernel: {err} has no explicit presentation for --presentation-out\n")
+        assert not out_file.exists()
+
+
+# cli.main() ends the process with os._exit, so what it printed must be out of
+# the stdout buffer by then; these children run with stdout buffered, as it is
+# unless PYTHONUNBUFFERED is set
+def buffered_env():
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=str(SRC))
+
+
+class FailingFlush(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_run_reports_a_failed_stdout_flush(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", FailingFlush())
+    code = run(["build", "--surface", "rp2", "--n", "1"])
+    assert (code, capsys.readouterr().err) == (
+        3, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_failed_stdout_write_exits_3_with_buffering_on(sink):
+    # the write happens at the flush; unflushed, it failed at interpreter exit
+    # with a two-line "Exception ignored" message and exit 120
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout, err = open("/dev/full", "wb"), errno.ENOSPC
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout, err = os.fdopen(write_end, "wb"), errno.EPIPE
+    with stdout:
+        proc = subprocess.run([sys.executable, "-m", "braidkernel", "build", "--surface", "rp2",
+                               "--n", "3"], stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              timeout=30, env=buffered_env())
+    assert (proc.returncode, proc.stderr) == (3, f"error: [Errno {err}] {os.strerror(err)}\n")
+
+
+def test_output_survives_the_exit_path(capsys, tmp_path):
+    out_file = tmp_path / "k.pres"
+    for argv in (["build", "--surface", "rp2", "--n", "12"],
+                 ["build", "--surface", "rp2", "--n", "8", "--json"],
+                 ["kernel", "--quotient", "rp2", "--n", "3", "--presentation-out", str(out_file)]):
+        code, out, err = invoke(capsys, argv)
+        out_file.unlink(missing_ok=True)  # the child writes the file anew
+        proc = subprocess.run([sys.executable, "-m", "braidkernel", *argv], capture_output=True,
+                              timeout=30, env=buffered_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    # n = 12 is more than a pipe buffer holds, so the child wrote while the parent read
+    assert len(build_rp2(capsys, 12)) > 65536
+    kernel = braidkernel.kernel_description(braidkernel.RP2, 3, True)
+    assert (out_file.read_text(encoding="utf-8")
+            == braidkernel.format_presentation(kernel.presentation))
+
+
+MAIN_CHILD = """
+import atexit, sys
+atexit.register(lambda: sys.stderr.write("teardown ran\\n"))
+from braidkernel import cli
+if sys.argv[1] == "escape":
+    del sys.argv[1]
+    cli._parse = lambda argv: 1 / 0
+cli.main()
+"""
+
+
+def test_main_skips_teardown_and_passes_exit_codes(capsys, monkeypatch):
+    # a return to sys.exit would run the hook; run() returns the same answer in process
+    cases = [
+        (["quotients", "--surface", "torus", "--sheets", "4"], ""),
+        (["cover", "--from", "torus", "--to", "klein", "--sheets", "1"], ""),
+        (["order", "--max-cosets", "5"], "group Z\ngens a\n"),
+        (["order", "--bogus"], ""),
+    ]
+    codes = []
+    for argv, stdin in cases:
+        code, out, err = invoke(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        proc = subprocess.run([sys.executable, "-c", MAIN_CHILD, *argv], input=stdin,
+                              capture_output=True, text=True, timeout=30, env=buffered_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        codes.append(code)
+    assert codes == [0, 1, 2, 3]
+    # an exception that escapes run() still ends in a traceback, exit 1 and a normal teardown
+    proc = subprocess.run([sys.executable, "-c", MAIN_CHILD, "escape", "order"],
+                          capture_output=True, text=True, timeout=30, env=buffered_env())
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback")
+    assert proc.stderr.endswith("ZeroDivisionError: division by zero\nteardown ran\n")
+
+
+@pytest.mark.parametrize("argv,fd,code", [
+    (["cover", "--from", "torus", "--to", "klein", "--sheets", "1"], 1, 1),
+    (["cover", "--from", "torus", "--to", "klein", "--sheets", "1"], 2, 1),
+    (["order", "--bogus"], 2, 3),
+], ids=["no-stdout-negative", "no-stderr-negative", "no-stderr-usage"])
+def test_exit_code_without_stdout_or_stderr(capsys, argv, fd, code):
+    # a process started without fd 1 or 2 has sys.stdout or sys.stderr None:
+    # what goes there is dropped, and the other stream and the exit code are unchanged
+    _, out, err = invoke(capsys, argv)
+    proc = subprocess.run([sys.executable, "-m", "braidkernel", *argv], capture_output=True,
+                          text=True, timeout=30, env=buffered_env(),
+                          preexec_fn=lambda: os.close(fd))
+    assert proc.returncode == code
+    assert (proc.stderr == err) if fd == 1 else (proc.stdout == out)
