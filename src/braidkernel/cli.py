@@ -340,12 +340,23 @@ def run(argv=None) -> int:
         # print does nothing when the process has no stdout (sys.stdout is None)
         print(text, flush=True)
     except Undecided as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
+        _complain(f"undecided: {exc}")
         return EXIT_UNDECIDED
     except (UsageError, BraidkernelError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return EXIT_USAGE
     return EXIT_OK if answer else EXIT_NEGATIVE
+
+
+def _complain(line: str) -> None:
+    """One line on stderr, flushed.  A process whose stderr is missing
+    (sys.stderr None: print would fall back to stdout) or cannot be written
+    (fd 2 closed and reused, a full disk) loses the line, not its exit code."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:
+            pass
 
 
 def main() -> None:
@@ -358,7 +369,10 @@ def main() -> None:
     gc.disable()
     code = run()
     if sys.stderr is not None:  # None when the process started without fd 2
-        sys.stderr.flush()
+        try:
+            sys.stderr.flush()
+        except OSError:  # fd 2 cannot be written; the exit code still stands
+            pass
     os._exit(code)
 
 

@@ -20,12 +20,20 @@ Internally cosets are 1-based with 0 for an undefined entry, and coset 1
 is the subgroup coset.  Once a coincidence has been processed, every
 entry of a live row names a live coset, so scans walk the table without
 the union-find.  The published table renumbers the live cosets 1, 2, ...
+
+A table ``todd_coxeter`` returns publishes its rows on their first read
+(``rows``, ``entry``, ``trace_word``, ``==``, ``hash``, ``repr``), once,
+and then drops the live internal rows it kept until then.
+``n_cosets``, ``is_complete``, ``status`` and the
+``IncompleteTableError`` message never publish, so a query that stops
+at a spent budget never builds the rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import chain
 
 from . import DEFAULT_MAX_COSETS
@@ -57,6 +65,12 @@ class CosetTable:
     ``rows[c - 1][x]`` is the coset reached from coset ``c`` by letter
     ``x`` (generator i = letter 2i, its inverse = letter 2i+1).  When
     status is "budget-exceeded" entries may be None.
+
+    A table built directly holds its rows.  One that ``todd_coxeter``
+    returned holds the live internal rows instead (dead rows are
+    dropped, so it never keeps more rows than it publishes), and
+    renumbers them into ``rows`` on the first read; ``n_cosets`` is its
+    live count and never publishes.
     """
 
     presentation: Presentation
@@ -64,7 +78,22 @@ class CosetTable:
     rows: tuple[tuple[int | None, ...], ...]
     status: str  # "complete" | "budget-exceeded"
 
-    @property
+    def __getattr__(self, name):
+        # Python calls this only for an attribute the instance lacks, so it
+        # runs for rows only on a table todd_coxeter returned, before the
+        # first read.  The rows are stored before the internal rows go:
+        # a second thread that missed rows finds one or the other, and two
+        # threads that both publish store equal rows.
+        state = vars(self)
+        unpublished = state.get("_unpublished") if name == "rows" else None
+        if unpublished is not None:
+            object.__setattr__(self, "rows", _publish(*unpublished))
+            state.pop("_unpublished", None)
+        elif name != "rows" or "rows" not in state:
+            raise AttributeError(f"'CosetTable' object has no attribute {name!r}")
+        return state["rows"]
+
+    @cached_property
     def n_cosets(self) -> int:
         return len(self.rows)
 
@@ -222,15 +251,32 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     except _BudgetExceeded:
         status = "budget-exceeded"
 
+    size = len(table)
+    live = [c for c in range(1, size) if parent[c] == c]
+    # keep only the live rows, in place: live[k] > k, so no row is
+    # overwritten before it moves
+    for k, c in enumerate(live):
+        table[k] = table[c]
+    del table[len(live):]
+    result = object.__new__(CosetTable)
+    for field, value in (("presentation", p), ("subgroup_gens", tuple(subgroup_gens)),
+                         ("status", status), ("n_cosets", len(live)),
+                         ("_unpublished", (table, live, size, ncols))):
+        object.__setattr__(result, field, value)
+    return result
+
+
+def _publish(live_rows: list[list[int]], live: list[int], size: int,
+             ncols: int) -> tuple[tuple[int | None, ...], ...]:
+    """The rows of the live cosets, renumbered 1, 2, ... in table order;
+    ``size`` is the internal table's length, the bound on coset names."""
     # renumber[0] is None, so undefined entries publish as None; zip cuts
     # the renumbered live rows, read as one stream, back into rows
-    live = [c for c in range(1, len(table)) if parent[c] == c]
-    renumber: list[int | None] = [None] * len(table)
+    renumber: list[int | None] = [None] * size
     for k, c in enumerate(live, 1):
         renumber[c] = k
-    entries = map(renumber.__getitem__, chain.from_iterable(map(table.__getitem__, live)))
-    rows = tuple(zip(*[entries] * ncols))
-    return CosetTable(p, tuple(subgroup_gens), rows, status)
+    entries = map(renumber.__getitem__, chain.from_iterable(live_rows))
+    return tuple(zip(*[entries] * ncols))
 
 
 # queries -------------------------------------------------------------------

@@ -217,8 +217,14 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 aborted = True
                 break
 
-    return RewriteSystem(p.alphabet, tuple((_decode(lhs), _decode(rhs)) for lhs, rhs in rules.values()),
-                         not (aborted or discarded))
+    rs = RewriteSystem(p.alphabet, tuple((_decode(lhs), _decode(rhs)) for lhs, rhs in rules.values()),
+                       not (aborted or discarded))
+    # hand the live index over, ids renumbered to rule positions: rules
+    # keeps its ids in increasing order, so the lowest-id choice holds
+    position = {rid: k for k, rid in enumerate(rules)}
+    object.__setattr__(rs, "index", {n: {lhs: (position[rid], rhs) for lhs, (rid, rhs) in bucket.items()}
+                                     for n, bucket in index.items()})
+    return rs
 
 
 def normal_form(rs: RewriteSystem, w: Word) -> Word:

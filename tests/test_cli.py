@@ -961,3 +961,31 @@ def test_exit_code_without_stdout_or_stderr(capsys, argv, fd, code):
                           preexec_fn=lambda: os.close(fd))
     assert proc.returncode == code
     assert (proc.stderr == err) if fd == 1 else (proc.stdout == out)
+
+
+def without_stderr():
+    os.close(2)
+
+
+def unwritable_stderr():
+    # what `2>&-` in a shell can leave: the first file the child opens takes
+    # fd 2, read-only, so every write to stderr fails
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(fd, 2)
+    os.close(fd)
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("preexec", [without_stderr, unwritable_stderr],
+                         ids=["no-fd-2", "unwritable-fd-2"])
+@pytest.mark.parametrize("argv,code", [(["order", "--bogus", "2"], 3),
+                                       (["order", "--max-cosets", "5"], 2)],
+                         ids=["usage", "undecided"])
+def test_exit_code_with_stderr_closed(capsys, argv, code, preexec, buffered):
+    # the undecided: or error: line is lost, never moved to stdout, and the
+    # exit code stands: not 1 from a traceback, not 120 from a failed flush at exit
+    env = buffered_env() if buffered else dict(buffered_env(), PYTHONUNBUFFERED="1")
+    proc = subprocess.run([sys.executable, "-m", "braidkernel", *argv], input=build_rp2(capsys, 3),
+                          stdout=subprocess.PIPE, text=True, timeout=30, env=env,
+                          preexec_fn=preexec)
+    assert (proc.returncode, proc.stdout) == (code, "")

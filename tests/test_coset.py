@@ -1,13 +1,15 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
-    EnumerationError, IncompleteTableError, Presentation, abelianization,
+    CosetTable, EnumerationError, IncompleteTableError, Presentation, abelianization,
     center_order_finite, coset_representatives, group_order,
     is_central_finite, perm_rep, presentation, pure_braid_rp2, quaternion_presentation,
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
@@ -524,3 +526,90 @@ def test_incomplete_table_error_is_undecided():
         group_order(table)
     assert isinstance(info.value, Undecided) and isinstance(info.value, EnumerationError)
     assert str(info.value) == "enumeration budget exhausted at 10 live cosets"
+
+
+# rows published on first read ---------------------------------------------------
+
+FIELDS = ("presentation", "subgroup_gens", "rows", "status")
+
+
+def test_capped_queries_leave_the_rows_unpublished():
+    p = pure_braid_rp2(3)
+    table = todd_coxeter(p, max_cosets=40000)
+    for query in (group_order, lambda t: is_central_finite(t, p.word("rho1"))):
+        with pytest.raises(IncompleteTableError, match="^enumeration budget exhausted at 40000 live"):
+            query(table)
+    assert (table.n_cosets, table.is_complete, table.status) == (40000, False, "budget-exceeded")
+    assert "rows" not in vars(table) and "_unpublished" in vars(table)
+    # an unpublished table keeps no more rows than it would publish
+    assert len(vars(table)["_unpublished"][0]) == table.n_cosets
+
+
+@pytest.mark.parametrize("read", [
+    lambda t, direct: t == direct,
+    lambda t, direct: direct == t,
+    lambda t, direct: hash(t) == hash(direct),
+    lambda t, direct: repr(t) == repr(direct),
+    lambda t, direct: t.rows == direct.rows,
+    lambda t, direct: all(t.entry(c, x) == direct.entry(c, x)
+                          for c in range(1, 51) for x in range(6)),
+    lambda t, direct: t.trace_word(1, t.presentation.word("rho1^5 rho2")) == direct.trace_word(
+        1, direct.presentation.word("rho1^5 rho2")),
+], ids=["eq", "eq-reflected", "hash", "repr", "rows", "entry", "trace_word"])
+@pytest.mark.parametrize("max_cosets", [50, 3000])
+def test_first_read_publishes_the_fields_a_direct_table_holds(read, max_cosets):
+    p = pure_braid_rp2(3)
+    direct = CosetTable(*(getattr(todd_coxeter(p, max_cosets=max_cosets), f) for f in FIELDS))
+    table = todd_coxeter(p, max_cosets=max_cosets)
+    assert "rows" not in vars(table) and table.n_cosets == direct.n_cosets
+    assert read(table, direct)
+    # published once: the internal rows are gone and the rows stay put
+    assert "rows" in vars(table) and "_unpublished" not in vars(table)
+    assert table.rows is table.rows and table == direct
+
+
+def test_perm_rep_publishes_a_complete_table(q8, q8_table):
+    table = todd_coxeter(q8)
+    assert (table.n_cosets, table.is_complete, "rows" in vars(table)) == (8, True, False)
+    assert perm_rep(table) == perm_rep(CosetTable(*(getattr(q8_table, f) for f in FIELDS)))
+    assert "rows" in vars(table)
+
+
+def test_direct_table_counts_its_rows(q8_table):
+    direct = CosetTable(*(getattr(q8_table, f) for f in FIELDS))
+    assert direct.n_cosets == len(direct.rows) == 8 and "_unpublished" not in vars(direct)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        direct.missing
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        todd_coxeter(q8_table.presentation).missing
+
+
+def test_threads_publish_equal_rows():
+    # more threads than cores, switching often, all reading rows first at once
+    p = pure_braid_rp2(3)
+    expected = todd_coxeter(p, max_cosets=2000).rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = todd_coxeter(p, max_cosets=2000)
+            barrier = threading.Barrier(8)
+            seen, errors = [], []
+
+            def read():
+                barrier.wait(timeout=30)
+                try:
+                    seen.append(table.rows)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert errors == [] and seen == [expected] * 8
+            assert table.rows == expected and "_unpublished" not in vars(table)
+    finally:
+        sys.setswitchinterval(interval)
