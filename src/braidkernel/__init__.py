@@ -21,7 +21,7 @@ DEFAULT_MAX_WORD_LEN = 30    # derivations.search_equality: word length
 DEFAULT_MAX_NODES = 200000   # derivations.search_equality: distinct words visited
 
 _EXPORTS = {
-    "words": ("BraidkernelError", "Word", "WordError", "conjugate", "cyclic_reduce",
+    "words": ("BraidkernelError", "Word", "WordError", "cyclic_reduce",
               "format_word", "make_alphabet", "multiply", "parse_word", "shortlex_compare"),
     "presentations": ("AbelianInvariants", "FormatError", "GroupHom", "HomCheckResult",
                       "Presentation", "PresentationError", "UnverifiedHomError",

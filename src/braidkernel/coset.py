@@ -19,14 +19,19 @@ raises ``IncompleteTableError``, an ``Undecided``.
 Internally cosets are 1-based with 0 for an undefined entry, and coset 1
 is the subgroup coset.  Once a coincidence has been processed, every
 entry of a live row names a live coset, so scans walk the table without
-the union-find.  The published table renumbers the live cosets 1, 2, ...
+the union-find.  Each relator is first walked inline from the coset
+being scanned: a loop that closes is skipped, since a closed loop stays
+closed (fills only add entries, merges map closed loops to closed
+loops), and only an open one goes to the scanner.  The published table
+renumbers the live cosets 1, 2, ...
 
-A table ``todd_coxeter`` returns publishes its rows on their first read
-(``rows``, ``entry``, ``trace_word``, ``==``, ``hash``, ``repr``), once,
-and then drops the live internal rows it kept until then.
-``n_cosets``, ``is_complete``, ``status`` and the
-``IncompleteTableError`` message never publish, so a query that stops
-at a spent budget never builds the rows.
+A table ``todd_coxeter`` returns publishes its rows on the first read of
+``rows``, ``==``, ``hash``, ``repr`` or ``perm_rep``, once, and then
+drops the live internal rows it kept until then.  ``entry`` and
+``trace_word`` read the internal rows through a renumbering built once,
+and ``n_cosets``, ``is_complete``, ``status`` and the
+``IncompleteTableError`` message never publish, so a query that traces
+words or stops at a spent budget never builds the rows.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ class CosetTable:
     A table built directly holds its rows.  One that ``todd_coxeter``
     returned holds the live internal rows instead (dead rows are
     dropped, so it never keeps more rows than it publishes), and
-    renumbers them into ``rows`` on the first read; ``n_cosets`` is its
-    live count and never publishes.
+    renumbers them into ``rows`` on the first read of ``rows``, ``==``,
+    ``hash`` or ``repr``; ``entry`` and ``trace_word`` read them through
+    the renumbering unpublished, and ``n_cosets`` is the live count.
     """
 
     presentation: Presentation
@@ -81,17 +87,32 @@ class CosetTable:
     def __getattr__(self, name):
         # Python calls this only for an attribute the instance lacks, so it
         # runs for rows only on a table todd_coxeter returned, before the
-        # first read.  The rows are stored before the internal rows go:
-        # a second thread that missed rows finds one or the other, and two
-        # threads that both publish store equal rows.
+        # first read.  The rows are stored before the internal rows and the
+        # reader over them go: a second thread that missed rows finds one
+        # or the other, and two threads that both publish store equal rows.
         state = vars(self)
         unpublished = state.get("_unpublished") if name == "rows" else None
         if unpublished is not None:
-            object.__setattr__(self, "rows", _publish(*unpublished))
+            live_rows, live, size, ncols = unpublished
+            # rows read as one stream, renumbered, cut back into rows
+            entries = map(_renumber(live, size).__getitem__, chain.from_iterable(live_rows))
+            object.__setattr__(self, "rows", tuple(zip(*[entries] * ncols)))
             state.pop("_unpublished", None)
+            state.pop("_reader", None)
         elif name != "rows" or "rows" not in state:
             raise AttributeError(f"'CosetTable' object has no attribute {name!r}")
         return state["rows"]
+
+    @cached_property
+    def _reader(self):
+        # (rows, index): rows[c] is coset c's row and index[e] the coset an
+        # entry e names.  An unpublished table is read through its
+        # renumbering; a published one is padded so that rows[c] lines up.
+        unpublished = vars(self).get("_unpublished")
+        if unpublished is None:
+            return (None, *self.rows), range(len(self.rows) + 1)
+        live_rows, live, size, _ = unpublished
+        return [None, *live_rows], _renumber(live, size)
 
     @cached_property
     def n_cosets(self) -> int:
@@ -102,7 +123,9 @@ class CosetTable:
         return self.status == "complete"
 
     def entry(self, coset: int, letter: int) -> int | None:
-        return self.rows[coset - 1][letter]
+        rows, index = self._reader
+        e = rows[coset][letter]
+        return index[e] if e else None
 
     def trace_word(self, coset: int, w: Word) -> int | None:
         """The coset reached from ``coset`` by reading w, or None where an
@@ -116,18 +139,19 @@ class CosetTable:
         """
         if w.alphabet != self.presentation.alphabet:
             raise EnumerationError("word is not over the table's alphabet")
-        rows = self.rows
+        rows, index = self._reader
         for gen, exp in w.syllables:
             x = 2 * gen if exp > 0 else 2 * gen + 1
             steps = abs(exp)
             start = coset
             for k in range(1, steps + 1):
-                coset = rows[coset - 1][x]
-                if coset is None:
+                e = rows[coset][x]
+                if not e:
                     return None
+                coset = index[e]
                 if coset == start:
                     for _ in range((steps - k) % k):
-                        coset = rows[coset - 1][x]
+                        coset = index[rows[coset][x]]
                     break
         return coset
 
@@ -151,10 +175,14 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                 f"subgroup generator {format_word(w)} is over a different alphabet")
 
     ncols = 2 * p.ngens
-    relator_paths = [word_to_letters(r) for r in p.relators]
-    subgroup_paths = [word_to_letters(w) for w in subgroup_gens if not w.is_identity]
+    # each path with its inverse letters, read when a scan walks it backwards
+    relators, subgroup = ([(path, [x ^ 1 for x in path]) for path in map(word_to_letters, words)]
+                          for words in (p.relators, subgroup_gens))
 
-    table: list[list[int]] = [[], [0] * ncols]
+    # row 0 stands for "undefined": it maps every letter to 0, so a walk
+    # that meets a gap stays there; new rows copy it, nothing writes it
+    blank = [0] * ncols
+    table: list[list[int]] = [blank, blank.copy()]
     parent = [0, 1]
     live_count = 1
 
@@ -165,17 +193,6 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
         while parent[c] != root:
             parent[c], c = root, parent[c]
         return root
-
-    def define(c: int, x: int):
-        nonlocal live_count
-        if live_count >= max_cosets:
-            raise _BudgetExceeded
-        d = len(table)
-        table.append([0] * ncols)
-        parent.append(d)
-        table[c][x] = d
-        table[d][x ^ 1] = c
-        live_count += 1
 
     def merge(a: int, b: int, queue: deque):
         nonlocal live_count
@@ -193,32 +210,38 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
         merge(a, b, queue)
         while queue:
             dead = queue.popleft()
+            row = table[dead]
+            # only a merge moves the class representatives
+            mu = find(dead)
             for x in range(ncols):
-                d = table[dead][x]
+                d = row[x]
                 if not d:
                     continue
                 # drop the stale back-pointer, then replant the edge on
                 # the class representatives (or queue a further merge)
                 table[d][x ^ 1] = 0
-                mu, nu = find(dead), find(d)
+                nu = d if parent[d] == d else find(d)
                 if table[mu][x]:
                     merge(nu, table[mu][x], queue)
+                    mu = find(dead)
                 elif table[nu][x ^ 1]:
                     merge(mu, table[nu][x ^ 1], queue)
+                    mu = find(dead)
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
         # live-entry invariant: replaying each dead coset moved every live
         # entry naming it onto a live coset, so scans need no find
 
-    def scan_and_fill(alpha: int, word: Sequence[int]):
+    def scan_and_fill(alpha: int, word: list[int], inverse: list[int]):
+        nonlocal live_count
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
             while i <= j and (e := table[f][word[i]]):
                 f = e
                 i += 1
-            while j >= i and (e := table[b][word[j] ^ 1]):
+            while j >= i and (e := table[b][inverse[j]]):
                 b = e
                 j -= 1
             if j < i:
@@ -228,25 +251,50 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             if j == i:
                 # the two scans meet across a single undefined letter
                 table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
+                table[b][inverse[i]] = f
                 return
-            define(f, word[i])
+            # define the coset f·word[i] and step onto it
+            if live_count >= max_cosets:
+                raise _BudgetExceeded
+            d = len(table)
+            row = blank.copy()
+            row[inverse[i]] = f
+            table.append(row)
+            parent.append(d)
+            table[f][word[i]] = d
+            live_count += 1
+            f = d
+            i += 1
 
     status = "complete"
     try:
-        for path in subgroup_paths:
-            scan_and_fill(1, path)
+        for path, inverse in subgroup:
+            scan_and_fill(1, path, inverse)
         idx = 1
         while idx < len(table):
             if parent[idx] == idx:
-                for path in relator_paths:
-                    scan_and_fill(idx, path)
-                    if parent[idx] != idx:
-                        break
-                if parent[idx] == idx:
+                for path, inverse in relators:
+                    # a closed loop stays closed: only an open one is scanned
+                    f = idx
+                    for x in path:
+                        f = table[f][x]
+                    if f != idx:
+                        scan_and_fill(idx, path, inverse)
+                        if parent[idx] != idx:
+                            break
+                else:
+                    row = table[idx]
                     for x in range(ncols):
-                        if not table[idx][x]:
-                            define(idx, x)
+                        if not row[x]:
+                            if live_count >= max_cosets:
+                                raise _BudgetExceeded
+                            d = len(table)
+                            new = blank.copy()
+                            new[x ^ 1] = idx
+                            table.append(new)
+                            parent.append(d)
+                            row[x] = d
+                            live_count += 1
             idx += 1
     except _BudgetExceeded:
         status = "budget-exceeded"
@@ -266,17 +314,14 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     return result
 
 
-def _publish(live_rows: list[list[int]], live: list[int], size: int,
-             ncols: int) -> tuple[tuple[int | None, ...], ...]:
-    """The rows of the live cosets, renumbered 1, 2, ... in table order;
+def _renumber(live: list[int], size: int) -> list[int | None]:
+    """Internal coset name -> published number, the live cosets numbered
+    1, 2, ... in table order; 0 (undefined) and dead names map to None.
     ``size`` is the internal table's length, the bound on coset names."""
-    # renumber[0] is None, so undefined entries publish as None; zip cuts
-    # the renumbered live rows, read as one stream, back into rows
     renumber: list[int | None] = [None] * size
     for k, c in enumerate(live, 1):
         renumber[c] = k
-    entries = map(renumber.__getitem__, chain.from_iterable(live_rows))
-    return tuple(zip(*[entries] * ncols))
+    return renumber
 
 
 # queries -------------------------------------------------------------------

@@ -241,12 +241,6 @@ def multiply(u: Word, v: Word) -> Word:
     return Word.from_syllables(u.alphabet, u.syllables + v.syllables)
 
 
-def conjugate(u: Word, w: Word) -> Word:
-    """Conjugation u * w * u^-1 (the conjugator comes first)."""
-    _require_same_alphabet(u, w)
-    return multiply(multiply(u, w), u.inverse())
-
-
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """Split w as conjugator * core * conjugator^-1 with core cyclically reduced.
 

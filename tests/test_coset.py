@@ -488,6 +488,26 @@ def test_todd_coxeter_output_pinned(group, subgroup, max_cosets, n_cosets, statu
     assert hashlib.sha256(text).hexdigest() == digest
 
 
+# the work behind each pinned table: cosets defined, dead ones included
+# (the internal table's length less its placeholder row 0)
+COSETS_DEFINED = {
+    ("S5", "", None): 220, ("S6", "", None): 1513, ("S7", "", None): 12145,
+    ("Q8", "", None): 10, ("P2", "", None): 27, ("P3", "", 40000): 44769,
+    ("P3", "", 1000): 1050, ("P3", "", 37): 37, ("P3", "", 1): 1,
+    ("P3/rho^4", "", None): 2979, ("P3/rho^6", "", 40000): 50361,
+    ("P4/rho^2", "", None): 5762, ("S7", "s1", None): 5900, ("P3", "B13 B23 rho3", None): 32,
+}
+
+
+@pytest.mark.parametrize("group,subgroup,max_cosets", [row[:3] for row in PINNED_TABLES],
+                         ids=[f"{g}<{h}>@{m}" for g, h, m, *_ in PINNED_TABLES])
+def test_todd_coxeter_work_pinned(group, subgroup, max_cosets):
+    p = PINNED_GROUPS[group]()
+    budget = {} if max_cosets is None else {"max_cosets": max_cosets}
+    table = todd_coxeter(p, [p.word(name) for name in subgroup.split()], **budget)
+    assert vars(table)["_unpublished"][2] - 1 == COSETS_DEFINED[group, subgroup, max_cosets]
+
+
 @st.composite
 def enumeration_cases(draw):
     """A presentation on 1-3 generators with 0-4 random relators, and up
@@ -507,6 +527,18 @@ def test_todd_coxeter_matches_reference(case, max_cosets):
     table = todd_coxeter(p, subgroup, max_cosets=max_cosets)
     assert (table.rows, table.status) == reference_todd_coxeter(p, subgroup, max_cosets)
     assert_partial_table_consistent(table)
+
+
+@pytest.mark.parametrize("group,caps", [
+    ("P3", range(1, 61)), ("S6", (100, 400)), ("P3/rho^4", (100000,)), ("P4/rho^2", (100000,))],
+    ids=["P3", "S6", "P3/rho^4", "P4/rho^2"])
+def test_todd_coxeter_matches_reference_on_the_atlas(group, caps):
+    # the budget trips in a scan or in the fill of a row: P3 trips in the
+    # fill at caps 43-45 and in a scan at the other caps up to 60
+    p = PINNED_GROUPS[group]()
+    for max_cosets in caps:
+        table = todd_coxeter(p, max_cosets=max_cosets)
+        assert (table.rows, table.status) == reference_todd_coxeter(p, max_cosets=max_cosets)
 
 
 @pytest.mark.parametrize("group,max_cosets", [
@@ -545,27 +577,38 @@ def test_capped_queries_leave_the_rows_unpublished():
     assert len(vars(table)["_unpublished"][0]) == table.n_cosets
 
 
-@pytest.mark.parametrize("read", [
-    lambda t, direct: t == direct,
-    lambda t, direct: direct == t,
-    lambda t, direct: hash(t) == hash(direct),
-    lambda t, direct: repr(t) == repr(direct),
-    lambda t, direct: t.rows == direct.rows,
-    lambda t, direct: all(t.entry(c, x) == direct.entry(c, x)
-                          for c in range(1, 51) for x in range(6)),
-    lambda t, direct: t.trace_word(1, t.presentation.word("rho1^5 rho2")) == direct.trace_word(
-        1, direct.presentation.word("rho1^5 rho2")),
+def same_entries(t, direct):
+    return all(t.entry(c, x) == direct.entry(c, x)
+               for c in range(1, t.n_cosets + 1) for x in range(12))
+
+
+def same_trace(t, direct):
+    return t.trace_word(1, t.presentation.word("rho1^5 rho2")) == direct.trace_word(
+        1, direct.presentation.word("rho1^5 rho2"))
+
+
+# (read, whether it publishes): entry and trace_word read the internal
+# rows through the renumbering instead
+@pytest.mark.parametrize("read,publishes", [
+    (lambda t, direct: t == direct, True),
+    (lambda t, direct: direct == t, True),
+    (lambda t, direct: hash(t) == hash(direct), True),
+    (lambda t, direct: repr(t) == repr(direct), True),
+    (lambda t, direct: t.rows == direct.rows, True),
+    (same_entries, False),
+    (same_trace, False),
 ], ids=["eq", "eq-reflected", "hash", "repr", "rows", "entry", "trace_word"])
 @pytest.mark.parametrize("max_cosets", [50, 3000])
-def test_first_read_publishes_the_fields_a_direct_table_holds(read, max_cosets):
+def test_first_read_publishes_the_fields_a_direct_table_holds(read, publishes, max_cosets):
     p = pure_braid_rp2(3)
     direct = CosetTable(*(getattr(todd_coxeter(p, max_cosets=max_cosets), f) for f in FIELDS))
     table = todd_coxeter(p, max_cosets=max_cosets)
     assert "rows" not in vars(table) and table.n_cosets == direct.n_cosets
-    assert read(table, direct)
+    assert read(table, direct) and read(table, direct)
+    assert ("rows" in vars(table), "_unpublished" in vars(table)) == (publishes, not publishes)
     # published once: the internal rows are gone and the rows stay put
-    assert "rows" in vars(table) and "_unpublished" not in vars(table)
     assert table.rows is table.rows and table == direct
+    assert "_unpublished" not in vars(table) and read(table, direct)
 
 
 def test_perm_rep_publishes_a_complete_table(q8, q8_table):
@@ -584,32 +627,54 @@ def test_direct_table_counts_its_rows(q8_table):
         todd_coxeter(q8_table.presentation).missing
 
 
-def test_threads_publish_equal_rows():
-    # more threads than cores, switching often, all reading rows first at once
-    p = pure_braid_rp2(3)
-    expected = todd_coxeter(p, max_cosets=2000).rows
+def read_at_once(table, reads):
+    """Run each read in its own thread, all released at once and switching
+    often (more threads than cores), and return their results; a read that
+    raises fails the test."""
+    barrier = threading.Barrier(len(reads))
+    seen, errors = [None] * len(reads), []
+
+    def run(k):
+        barrier.wait(timeout=30)
+        try:
+            seen[k] = reads[k](table)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(reads))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            table = todd_coxeter(p, max_cosets=2000)
-            barrier = threading.Barrier(8)
-            seen, errors = [], []
-
-            def read():
-                barrier.wait(timeout=30)
-                try:
-                    seen.append(table.rows)
-                except Exception as exc:
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=read) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            assert errors == [] and seen == [expected] * 8
-            assert table.rows == expected and "_unpublished" not in vars(table)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert errors == []
+    return seen
+
+
+def test_threads_publish_equal_rows():
+    p = pure_braid_rp2(3)
+    expected = todd_coxeter(p, max_cosets=2000).rows
+    for _ in range(5):
+        table = todd_coxeter(p, max_cosets=2000)
+        assert read_at_once(table, [lambda t: t.rows] * 8) == [expected] * 8
+        assert table.rows == expected and "_unpublished" not in vars(table)
+
+
+def test_threads_read_entries_while_others_publish():
+    p = pure_braid_rp2(3)
+    expected = todd_coxeter(p, max_cosets=2000).rows
+    cosets = range(1, 301)
+
+    def entries(t):
+        return [tuple(t.entry(c, x) for x in range(12)) for c in cosets]
+
+    for _ in range(5):
+        table = todd_coxeter(p, max_cosets=2000)
+        seen = read_at_once(table, [lambda t: t.rows, entries] * 4)
+        assert seen == [expected, [expected[c - 1] for c in cosets]] * 4
+        assert entries(table) == [expected[c - 1] for c in cosets]

@@ -1,0 +1,43 @@
+"""Engines checked against each other: on a presentation where both
+finish, Todd-Coxeter and Knuth-Bendix describe the same finite group."""
+
+from hypothesis import given, settings, strategies as st
+
+from braidkernel import (
+    enumerate_normal_forms, group_order, knuth_bendix, normal_form, todd_coxeter,
+    word_equal_finite,
+)
+from braidkernel.presentations import Presentation
+from braidkernel.words import letters_to_word
+
+
+@st.composite
+def finished_engines(draw):
+    """The von Dyck group <a, b | a^k, b^m, (ab)^n> for k, m, n in 2-5
+    (finite for the spherical triples, up to order 60) or the cyclic
+    group <a | a^k>, with 0-2 random relators added; its coset table and
+    rewriting system; and 10 random word pairs."""
+    k, m, n = (draw(st.integers(2, 5)) for _ in range(3))
+    if draw(st.booleans()):
+        names, rels = ("a", "b"), [[0] * k, [2] * m, [0, 2] * n]
+    else:
+        names, rels = ("a",), [[0] * k]
+    letters = st.integers(0, 2 * len(names) - 1)
+    rels += draw(st.lists(st.lists(letters, min_size=1, max_size=8), max_size=2))
+    p = Presentation("random", names, tuple(letters_to_word(names, r) for r in rels))
+    words = st.lists(letters, max_size=8).map(lambda w: letters_to_word(names, w))
+    pairs = draw(st.lists(st.tuples(words, words), min_size=10, max_size=10))
+    return todd_coxeter(p, max_cosets=200), knuth_bendix(p, max_rules=40), pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(finished_engines())
+def test_coset_table_and_rewriting_agree(engines):
+    table, rs, pairs = engines
+    if not (table.is_complete and rs.confluent):
+        return
+    order = group_order(table)
+    # limit: a confluent system with more normal forms than the order raises
+    assert len(enumerate_normal_forms(rs, limit=order)) == order
+    for u, v in pairs:
+        assert word_equal_finite(table, u, v) == (normal_form(rs, u) == normal_form(rs, v))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from braidkernel import words
 from braidkernel.words import (
-    Undecided, Word, WordError, conjugate, cyclic_reduce, format_word,
+    Undecided, Word, WordError, cyclic_reduce, format_word,
     free_reduce_letters, letters_to_word, make_alphabet, multiply,
     parse_word, shortlex_compare, word_to_letters,
 )
@@ -180,13 +180,6 @@ def test_multiply_alphabet_mismatch():
 def test_invert_examples():
     assert w("1").inverse() == w("1")
     assert w("a^2 * b^-1").inverse() == w("b * a^-2")
-
-
-def test_conjugate_examples():
-    assert conjugate(w("1"), w("b")) == w("b")
-    assert conjugate(parse_word("rho1", RHO), parse_word("rho2", RHO)) == \
-        parse_word("rho1 rho2 rho1^-1", RHO)
-    assert conjugate(w("a"), w("a^2")) == w("a^2")
 
 
 def test_cyclic_reduce_examples():
