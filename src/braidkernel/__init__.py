@@ -24,14 +24,13 @@ _EXPORTS = {
     "words": ("BraidkernelError", "Word", "WordError", "cyclic_reduce",
               "format_word", "make_alphabet", "multiply", "parse_word", "shortlex_compare"),
     "presentations": ("AbelianInvariants", "FormatError", "GroupHom", "HomCheckResult",
-                      "Presentation", "PresentationError", "UnverifiedHomError",
-                      "abelianization", "apply_hom", "compose_hom", "format_presentation",
+                      "Presentation", "PresentationError", "abelianization", "format_presentation",
                       "hom_check", "parse_hom_file", "parse_presentation", "parse_relation",
                       "presentation", "quotient", "substitute"),
     "snf": ("MatrixError", "smith_normal_form"),
     "coset": ("CosetTable", "EnumerationError", "IncompleteTableError", "center_order_finite",
-              "coset_representatives", "group_order", "is_central_finite", "perm_rep",
-              "table_equality_oracle", "todd_coxeter", "word_equal_finite"),
+              "coset_representatives", "group_order", "is_central_finite", "table_equality_oracle",
+              "todd_coxeter", "word_equal_finite"),
     "rewriting": ("RewriteSystem", "enumerate_normal_forms", "knuth_bendix", "normal_form",
                   "rewrite_equality_oracle"),
     "derivations": ("ChainError", "DerivationChain", "DerivationReport", "DerivationStep",

@@ -223,7 +223,8 @@ def forget_strands_hom(n: int, m: int) -> GroupHom:
     """The strand-forgetting map P_n(RP2) -> P_m(RP2), m < n.
 
     Generators with all indices <= m map to their namesakes, the rest
-    die.  Returned unverified; run hom_check with a target oracle.
+    die.  The map is not checked here; hom_check with an oracle for the
+    target checks that it is a homomorphism.
     """
     if not 1 <= m < n:
         raise AtlasError(f"need 1 <= m < n, got m={m}, n={n}")

@@ -22,16 +22,9 @@ entry of a live row names a live coset, so scans walk the table without
 the union-find.  Each relator is first walked inline from the coset
 being scanned: a loop that closes is skipped, since a closed loop stays
 closed (fills only add entries, merges map closed loops to closed
-loops), and only an open one goes to the scanner.  The published table
-renumbers the live cosets 1, 2, ...
-
-A table ``todd_coxeter`` returns publishes its rows on the first read of
-``rows``, ``==``, ``hash``, ``repr`` or ``perm_rep``, once, and then
-drops the live internal rows it kept until then.  ``entry`` and
-``trace_word`` read the internal rows through a renumbering built once,
-and ``n_cosets``, ``is_complete``, ``status`` and the
-``IncompleteTableError`` message never publish, so a query that traces
-words or stops at a spent budget never builds the rows.
+loops), and only an open one goes to the scanner.  The returned table
+keeps the live rows in these internal names and numbers the live cosets
+1, 2, ... as it reads them; ``rows`` is built on its first read only.
 """
 
 from __future__ import annotations
@@ -39,12 +32,11 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import chain
 
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
 from .words import (
-    BraidkernelError, Undecided, Word, format_word, letters_to_word, record, word_to_letters)
+    BraidkernelError, Undecided, Word, format_word, letters_to_word, word_to_letters)
 
 CENTER_ENUM_CAP = 10000
 
@@ -63,69 +55,58 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@record
 class CosetTable:
     """Result of an enumeration.
 
-    ``rows[c - 1][x]`` is the coset reached from coset ``c`` by letter
-    ``x`` (generator i = letter 2i, its inverse = letter 2i+1).  When
-    status is "budget-exceeded" entries may be None.
+    ``entry(c, x)`` is the coset reached from coset ``c`` by letter ``x``
+    (generator i = letter 2i, its inverse = letter 2i+1), for c in
+    1 .. ``n_cosets``; when status is "budget-exceeded" it may be None.
+    ``rows[c - 1][x]`` holds the same entries, built on its first read.
 
-    A table built directly holds its rows.  One that ``todd_coxeter``
-    returned holds the live internal rows instead (dead rows are
-    dropped, so it never keeps more rows than it publishes), and
-    renumbers them into ``rows`` on the first read of ``rows``, ``==``,
-    ``hash`` or ``repr``; ``entry`` and ``trace_word`` read them through
-    the renumbering unpublished, and ``n_cosets`` is the live count.
+    The table keeps the rows in the enumeration's own coset names:
+    ``_rows[k]`` is the row of the k-th live coset ``live[k - 1]`` (row 0
+    is blank), and every entry is a name below ``size``.  A table in
+    published numbering is ``live = range(1, n + 1)``, ``size = n + 1``.
     """
 
-    presentation: Presentation
-    subgroup_gens: tuple[Word, ...]
-    rows: tuple[tuple[int | None, ...], ...]
-    status: str  # "complete" | "budget-exceeded"
-
-    def __getattr__(self, name):
-        # Python calls this only for an attribute the instance lacks, so it
-        # runs for rows only on a table todd_coxeter returned, before the
-        # first read.  The rows are stored before the internal rows and the
-        # reader over them go: a second thread that missed rows finds one
-        # or the other, and two threads that both publish store equal rows.
-        state = vars(self)
-        unpublished = state.get("_unpublished") if name == "rows" else None
-        if unpublished is not None:
-            live_rows, live, size, ncols = unpublished
-            # rows read as one stream, renumbered, cut back into rows
-            entries = map(_renumber(live, size).__getitem__, chain.from_iterable(live_rows))
-            object.__setattr__(self, "rows", tuple(zip(*[entries] * ncols)))
-            state.pop("_unpublished", None)
-            state.pop("_reader", None)
-        elif name != "rows" or "rows" not in state:
-            raise AttributeError(f"'CosetTable' object has no attribute {name!r}")
-        return state["rows"]
+    def __init__(self, presentation: Presentation, subgroup_gens: Sequence[Word], status: str,
+                 rows: Sequence[Sequence[int]], live: Sequence[int], size: int):
+        self.presentation = presentation
+        self.subgroup_gens = tuple(subgroup_gens)
+        self.status = status  # "complete" | "budget-exceeded"
+        self._rows = rows
+        self._live = live
+        self._size = size
 
     @cached_property
-    def _reader(self):
-        # (rows, index): rows[c] is coset c's row and index[e] the coset an
-        # entry e names.  An unpublished table is read through its
-        # renumbering; a published one is padded so that rows[c] lines up.
-        unpublished = vars(self).get("_unpublished")
-        if unpublished is None:
-            return (None, *self.rows), range(len(self.rows) + 1)
-        live_rows, live, size, _ = unpublished
-        return [None, *live_rows], _renumber(live, size)
+    def _index(self) -> list[int | None]:
+        # internal coset name -> published number; 0 (undefined) and dead names -> None
+        index: list[int | None] = [None] * self._size
+        for k, c in enumerate(self._live, 1):
+            index[c] = k
+        return index
 
     @cached_property
+    def rows(self) -> tuple[tuple[int | None, ...], ...]:
+        index = self._index
+        return tuple(tuple(map(index.__getitem__, row)) for row in self._rows[1:])
+
+    @property
     def n_cosets(self) -> int:
-        return len(self.rows)
+        return len(self._live)
 
     @property
     def is_complete(self) -> bool:
         return self.status == "complete"
 
+    def _outside(self, coset: int) -> EnumerationError:
+        return EnumerationError(f"coset {coset} is not in 1..{self.n_cosets}")
+
     def entry(self, coset: int, letter: int) -> int | None:
-        rows, index = self._reader
-        e = rows[coset][letter]
-        return index[e] if e else None
+        rows = self._rows
+        if 0 < coset < len(rows):
+            return self._index[rows[coset][letter]]
+        raise self._outside(coset)
 
     def trace_word(self, coset: int, w: Word) -> int | None:
         """The coset reached from ``coset`` by reading w, or None where an
@@ -139,16 +120,17 @@ class CosetTable:
         """
         if w.alphabet != self.presentation.alphabet:
             raise EnumerationError("word is not over the table's alphabet")
-        rows, index = self._reader
+        rows, index = self._rows, self._index
+        if not 0 < coset < len(rows):
+            raise self._outside(coset)
         for gen, exp in w.syllables:
             x = 2 * gen if exp > 0 else 2 * gen + 1
             steps = abs(exp)
             start = coset
             for k in range(1, steps + 1):
-                e = rows[coset][x]
-                if not e:
+                coset = index[rows[coset][x]]
+                if coset is None:
                     return None
-                coset = index[e]
                 if coset == start:
                     for _ in range((steps - k) % k):
                         coset = index[rows[coset][x]]
@@ -301,27 +283,12 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
 
     size = len(table)
     live = [c for c in range(1, size) if parent[c] == c]
-    # keep only the live rows, in place: live[k] > k, so no row is
-    # overwritten before it moves
-    for k, c in enumerate(live):
-        table[k] = table[c]
-    del table[len(live):]
-    result = object.__new__(CosetTable)
-    for field, value in (("presentation", p), ("subgroup_gens", tuple(subgroup_gens)),
-                         ("status", status), ("n_cosets", len(live)),
-                         ("_unpublished", (table, live, size, ncols))):
-        object.__setattr__(result, field, value)
-    return result
-
-
-def _renumber(live: list[int], size: int) -> list[int | None]:
-    """Internal coset name -> published number, the live cosets numbered
-    1, 2, ... in table order; 0 (undefined) and dead names map to None.
-    ``size`` is the internal table's length, the bound on coset names."""
-    renumber: list[int | None] = [None] * size
+    # compact the live rows into table[1:], in place: live[k - 1] >= k, so
+    # no row is overwritten before it moves
     for k, c in enumerate(live, 1):
-        renumber[c] = k
-    return renumber
+        table[k] = table[c]
+    del table[len(live) + 1:]
+    return CosetTable(p, subgroup_gens, status, table, live, size)
 
 
 # queries -------------------------------------------------------------------
@@ -341,20 +308,6 @@ def group_order(t: CosetTable) -> int:
     """Order of the group: live cosets of the trivial subgroup."""
     _require_regular(t)
     return t.n_cosets
-
-
-def perm_rep(t: CosetTable) -> list[tuple[int, ...]]:
-    """One permutation per generator, acting on 0-based coset numbers."""
-    _require_complete(t)
-    n = t.n_cosets
-    perms = []
-    for i in range(t.presentation.ngens):
-        perm = tuple(t.rows[c][2 * i] - 1 for c in range(n))
-        if sorted(perm) != list(range(n)):
-            raise EnumerationError(
-                f"generator column {i} is not a permutation")
-        perms.append(perm)
-    return perms
 
 
 def word_equal_finite(t: CosetTable, u: Word, v: Word) -> bool:

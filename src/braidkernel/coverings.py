@@ -113,7 +113,6 @@ def _klein_over_torus_certificate() -> CoverDecision:
     result = presentations.hom_check(hom, coset.table_equality_oracle(table))
     if not result.verified:
         raise CoveringError("quaternion witness failed verification")
-    hom = result.hom
     # surjectivity: the images generate a subgroup of index 1
     index = coset.todd_coxeter(q8, list(hom.images)).n_cosets
     if index != 1:

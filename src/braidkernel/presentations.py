@@ -29,10 +29,6 @@ class PresentationError(BraidkernelError):
     pass
 
 
-class UnverifiedHomError(PresentationError):
-    """A homomorphism was applied before hom_check verified it."""
-
-
 @record
 class Presentation:
     name: str
@@ -166,7 +162,6 @@ class GroupHom:
     source: Presentation
     target: Presentation
     images: tuple[Word, ...]
-    verified: bool = False
 
     def __post_init__(self):
         if len(self.images) != self.source.ngens:
@@ -178,10 +173,8 @@ class GroupHom:
 
 
 def substitute(h: GroupHom, w: Word) -> Word:
-    """Image of w under the generator map, freely reduced.
-
-    Does not require verification; used by hom_check itself.
-    """
+    """Image of w under the generator map, freely reduced; hom_check maps
+    each source relator with it."""
     if w.alphabet != h.source.alphabet:
         raise PresentationError("word is not over the source alphabet")
     sylls: list[tuple[int, int]] = []
@@ -193,7 +186,6 @@ def substitute(h: GroupHom, w: Word) -> Word:
 @record
 class HomCheckResult:
     status: str  # "verified" | "failed"
-    hom: GroupHom | None
     relator_index: int | None = None
 
     @property
@@ -210,22 +202,8 @@ def hom_check(h: GroupHom, oracle: EqualityOracle) -> HomCheckResult:
     target_id = Word.identity(h.target.alphabet)
     for i, rel in enumerate(h.source.relators):
         if not oracle(substitute(h, rel), target_id):
-            return HomCheckResult("failed", None, i)
-    return HomCheckResult("verified", GroupHom(h.source, h.target, h.images, verified=True))
-
-
-def apply_hom(h: GroupHom, w: Word) -> Word:
-    if not h.verified:
-        raise UnverifiedHomError("homomorphism has not passed hom_check")
-    return substitute(h, w)
-
-
-def compose_hom(outer: GroupHom, inner: GroupHom) -> GroupHom:
-    """Generator-image map of outer after inner (returned unverified)."""
-    if inner.target != outer.source:
-        raise PresentationError("homomorphisms do not compose")
-    images = tuple(substitute(outer, img) for img in inner.images)
-    return GroupHom(inner.source, outer.target, images)
+            return HomCheckResult("failed", i)
+    return HomCheckResult("verified")
 
 
 # text formats: presentation, map and chain files share one line syntax ------

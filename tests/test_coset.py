@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from collections import deque
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from braidkernel import (
     CosetTable, EnumerationError, IncompleteTableError, Presentation, abelianization,
     center_order_finite, coset_representatives, group_order,
-    is_central_finite, perm_rep, presentation, pure_braid_rp2, quaternion_presentation,
+    is_central_finite, presentation, pure_braid_rp2, quaternion_presentation,
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
 )
 from braidkernel.words import Undecided, Word, letters_to_word, word_to_letters
@@ -159,16 +160,17 @@ def test_enumeration_deterministic(q8):
 
 
 def test_perm_rep_on_coset_action(s3_presentation):
-    # perm_rep also works on a nontrivial-subgroup table: the action of
-    # the generators on the three cosets of <a>
+    # a nontrivial-subgroup table is a permutation representation too:
+    # each letter's column permutes the three cosets of <a>
     table = todd_coxeter(s3_presentation, [s3_presentation.gen("a")])
-    perms = perm_rep(table)
-    assert all(sorted(p) == [0, 1, 2] for p in perms)
+    for x in range(2 * s3_presentation.ngens):
+        assert sorted(table.entry(c, x) for c in range(1, 4)) == [1, 2, 3]
 
 
 def test_perm_rep_properties(q8, q8_table):
-    perms = perm_rep(q8_table)
-    rho1 = perms[0]
+    # the rho1 column, as a permutation of 0-based coset numbers
+    rho1 = tuple(q8_table.entry(c, 0) - 1 for c in range(1, q8_table.n_cosets + 1))
+    assert sorted(rho1) == list(range(8))
 
     def perm_order(perm):
         k = 1
@@ -264,7 +266,7 @@ def test_budget_exceeded_is_status_not_exception():
     assert table.status == "budget-exceeded"
     assert not table.is_complete
     with pytest.raises(IncompleteTableError):
-        perm_rep(table)
+        coset_representatives(table)
     with pytest.raises(IncompleteTableError):
         word_equal_finite(table, torus_presentation().gen("a"),
                           torus_presentation().gen("b"))
@@ -313,6 +315,15 @@ def test_trace_word_large_exponents(q8, q8_table):
     u = q8.word("rho1^480000 rho2 rho1^470002")
     assert word_equal_finite(q8_table, u, q8.word("rho2 rho1^2"))
     assert not word_equal_finite(q8_table, u, q8.word("rho2"))
+
+
+def test_coset_outside_the_table_is_refused(q8, q8_table):
+    w = q8.word("rho1")
+    for c in (0, -1, q8_table.n_cosets + 1):
+        with pytest.raises(EnumerationError, match=f"^coset {c} is not in 1..8$"):
+            q8_table.entry(c, 0)
+        with pytest.raises(EnumerationError, match=f"^coset {c} is not in 1..8$"):
+            q8_table.trace_word(c, w)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 17, 100, 500])
@@ -505,7 +516,7 @@ def test_todd_coxeter_work_pinned(group, subgroup, max_cosets):
     p = PINNED_GROUPS[group]()
     budget = {} if max_cosets is None else {"max_cosets": max_cosets}
     table = todd_coxeter(p, [p.word(name) for name in subgroup.split()], **budget)
-    assert vars(table)["_unpublished"][2] - 1 == COSETS_DEFINED[group, subgroup, max_cosets]
+    assert table._size - 1 == COSETS_DEFINED[group, subgroup, max_cosets]
 
 
 @st.composite
@@ -560,10 +571,7 @@ def test_incomplete_table_error_is_undecided():
     assert str(info.value) == "enumeration budget exhausted at 10 live cosets"
 
 
-# rows published on first read ---------------------------------------------------
-
-FIELDS = ("presentation", "subgroup_gens", "rows", "status")
-
+# rows built on first read ----------------------------------------------------------
 
 def test_capped_queries_leave_the_rows_unpublished():
     p = pure_braid_rp2(3)
@@ -572,59 +580,57 @@ def test_capped_queries_leave_the_rows_unpublished():
         with pytest.raises(IncompleteTableError, match="^enumeration budget exhausted at 40000 live"):
             query(table)
     assert (table.n_cosets, table.is_complete, table.status) == (40000, False, "budget-exceeded")
-    assert "rows" not in vars(table) and "_unpublished" in vars(table)
-    # an unpublished table keeps no more rows than it would publish
-    assert len(vars(table)["_unpublished"][0]) == table.n_cosets
+    assert "rows" not in vars(table)
+    # the table keeps no more rows than it would publish, and the blank row
+    assert len(table._rows) == table.n_cosets + 1
 
 
-def same_entries(t, direct):
-    return all(t.entry(c, x) == direct.entry(c, x)
+@cache
+def reference_p3(max_cosets):
+    return reference_todd_coxeter(pure_braid_rp2(3), max_cosets=max_cosets)
+
+
+def same_entries(t, rows):
+    return all(t.entry(c, x) == rows[c - 1][x]
                for c in range(1, t.n_cosets + 1) for x in range(12))
 
 
-def same_trace(t, direct):
-    return t.trace_word(1, t.presentation.word("rho1^5 rho2")) == direct.trace_word(
-        1, direct.presentation.word("rho1^5 rho2"))
+def same_trace(t, rows):
+    w = t.presentation.word("rho1^5 rho2")
+    c = 1
+    for x in word_to_letters(w):
+        c = rows[c - 1][x]
+        if c is None:
+            break
+    return t.trace_word(1, w) == c
 
 
-# (read, whether it publishes): entry and trace_word read the internal
-# rows through the renumbering instead
+# (read, whether it builds rows): entry and trace_word read the stored
+# rows through the numbering instead
 @pytest.mark.parametrize("read,publishes", [
-    (lambda t, direct: t == direct, True),
-    (lambda t, direct: direct == t, True),
-    (lambda t, direct: hash(t) == hash(direct), True),
-    (lambda t, direct: repr(t) == repr(direct), True),
-    (lambda t, direct: t.rows == direct.rows, True),
+    (lambda t, rows: t.rows == rows, True),
     (same_entries, False),
     (same_trace, False),
-], ids=["eq", "eq-reflected", "hash", "repr", "rows", "entry", "trace_word"])
+], ids=["rows", "entry", "trace_word"])
 @pytest.mark.parametrize("max_cosets", [50, 3000])
 def test_first_read_publishes_the_fields_a_direct_table_holds(read, publishes, max_cosets):
-    p = pure_braid_rp2(3)
-    direct = CosetTable(*(getattr(todd_coxeter(p, max_cosets=max_cosets), f) for f in FIELDS))
-    table = todd_coxeter(p, max_cosets=max_cosets)
-    assert "rows" not in vars(table) and table.n_cosets == direct.n_cosets
-    assert read(table, direct) and read(table, direct)
-    assert ("rows" in vars(table), "_unpublished" in vars(table)) == (publishes, not publishes)
-    # published once: the internal rows are gone and the rows stay put
-    assert table.rows is table.rows and table == direct
-    assert "_unpublished" not in vars(table) and read(table, direct)
-
-
-def test_perm_rep_publishes_a_complete_table(q8, q8_table):
-    table = todd_coxeter(q8)
-    assert (table.n_cosets, table.is_complete, "rows" in vars(table)) == (8, True, False)
-    assert perm_rep(table) == perm_rep(CosetTable(*(getattr(q8_table, f) for f in FIELDS)))
-    assert "rows" in vars(table)
+    # the fields of the table the reference enumeration builds directly
+    rows, status = reference_p3(max_cosets)
+    table = todd_coxeter(pure_braid_rp2(3), max_cosets=max_cosets)
+    assert "rows" not in vars(table) and (table.n_cosets, table.status) == (len(rows), status)
+    assert read(table, rows) and read(table, rows)
+    assert ("rows" in vars(table)) == publishes
+    # built once: the rows stay put, and every read still agrees
+    assert table.rows is table.rows and table.rows == rows and read(table, rows)
 
 
 def test_direct_table_counts_its_rows(q8_table):
-    direct = CosetTable(*(getattr(q8_table, f) for f in FIELDS))
-    assert direct.n_cosets == len(direct.rows) == 8 and "_unpublished" not in vars(direct)
-    with pytest.raises(AttributeError, match="no attribute 'missing'"):
-        direct.missing
-    with pytest.raises(AttributeError, match="no attribute 'missing'"):
-        todd_coxeter(q8_table.presentation).missing
+    # a table given in published numbering: live cosets 1..n, row 0 blank
+    rows = [(0,) * 4, *q8_table.rows]
+    direct = CosetTable(q8_table.presentation, (), "complete", rows, range(1, 9), 9)
+    assert direct.n_cosets == len(direct.rows) == 8 and direct.rows == q8_table.rows
+    assert all(direct.entry(c, x) == q8_table.entry(c, x) for c in range(1, 9) for x in range(4))
+    assert group_order(direct) == 8
 
 
 def read_at_once(table, reads):
@@ -662,7 +668,7 @@ def test_threads_publish_equal_rows():
     for _ in range(5):
         table = todd_coxeter(p, max_cosets=2000)
         assert read_at_once(table, [lambda t: t.rows] * 8) == [expected] * 8
-        assert table.rows == expected and "_unpublished" not in vars(table)
+        assert table.rows == expected
 
 
 def test_threads_read_entries_while_others_publish():
