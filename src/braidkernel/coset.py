@@ -17,14 +17,16 @@ returned table, not an exception; a query that needs the whole table
 raises ``IncompleteTableError``, an ``Undecided``.
 
 Internally cosets are 1-based with 0 for an undefined entry, and coset 1
-is the subgroup coset.  Once a coincidence has been processed, every
-entry of a live row names a live coset, so scans walk the table without
-the union-find.  Each relator is first walked inline from the coset
-being scanned: a loop that closes is skipped, since a closed loop stays
-closed (fills only add entries, merges map closed loops to closed
-loops), and only an open one goes to the scanner.  The returned table
-keeps the live rows in these internal names and numbers the live cosets
-1, 2, ... as it reads them; ``rows`` is built on its first read only.
+is the subgroup coset.  The table is one list per letter, a column, so
+a relator is walked as its list of columns, one subscript per letter,
+and defining a coset allocates no row.  Once a coincidence has been
+processed, every entry of a live coset names a live coset, so scans walk
+the table without the union-find.  Each relator is first walked inline
+from the coset being scanned: a loop that closes is skipped, since a
+closed loop stays closed (fills only add entries, merges map closed
+loops to closed loops), and only an open one goes to the scanner.  The
+returned table keeps the columns as they are; ``rows`` is built on its
+first read only.
 """
 
 from __future__ import annotations
@@ -63,50 +65,54 @@ class CosetTable:
     1 .. ``n_cosets``; when status is "budget-exceeded" it may be None.
     ``rows[c - 1][x]`` holds the same entries, built on its first read.
 
-    The table keeps the rows in the enumeration's own coset names:
-    ``_rows[k]`` is the row of the k-th live coset ``live[k - 1]`` (row 0
-    is blank), and every entry is a name below ``size``.  A table in
-    published numbering is ``live = range(1, n + 1)``, ``size = n + 1``.
+    The table keeps the enumeration's columns: ``_cols[x][c]`` is the
+    entry of internal coset c by letter x, 0 where undefined (slot 0 too).
+    The live cosets, ``_parent[c] == c``, are published 1, 2, ... in
+    order.  A table in published numbering has ``parent = range(n + 1)``
+    and each letter's permutation of 1..n, behind a 0, as its column.
     """
 
     def __init__(self, presentation: Presentation, subgroup_gens: Sequence[Word], status: str,
-                 rows: Sequence[Sequence[int]], live: Sequence[int], size: int):
+                 cols: Sequence[Sequence[int]], parent: Sequence[int], n_cosets: int):
         self.presentation = presentation
         self.subgroup_gens = tuple(subgroup_gens)
         self.status = status  # "complete" | "budget-exceeded"
-        self._rows = rows
-        self._live = live
-        self._size = size
+        self.n_cosets = n_cosets
+        self._cols = cols
+        self._parent = parent
+
+    @cached_property
+    def _live(self) -> list[int]:
+        # published number k -> internal coset name _live[k - 1]
+        return [c for c, root in enumerate(self._parent) if c == root][1:]
 
     @cached_property
     def _index(self) -> list[int | None]:
         # internal coset name -> published number; 0 (undefined) and dead names -> None
-        index: list[int | None] = [None] * self._size
+        index: list[int | None] = [None] * len(self._parent)
         for k, c in enumerate(self._live, 1):
             index[c] = k
         return index
 
     @cached_property
     def rows(self) -> tuple[tuple[int | None, ...], ...]:
-        index = self._index
-        return tuple(tuple(map(index.__getitem__, row)) for row in self._rows[1:])
-
-    @property
-    def n_cosets(self) -> int:
-        return len(self._live)
+        index, live = self._index, self._live
+        return tuple(zip(*([index[col[c]] for c in live] for col in self._cols)))
 
     @property
     def is_complete(self) -> bool:
         return self.status == "complete"
 
-    def _outside(self, coset: int) -> EnumerationError:
-        return EnumerationError(f"coset {coset} is not in 1..{self.n_cosets}")
+    def _name(self, coset: int) -> int:
+        if 0 < coset <= self.n_cosets:
+            return self._live[coset - 1]
+        raise EnumerationError(f"coset {coset} is not in 1..{self.n_cosets}")
 
     def entry(self, coset: int, letter: int) -> int | None:
-        rows = self._rows
-        if 0 < coset < len(rows):
-            return self._index[rows[coset][letter]]
-        raise self._outside(coset)
+        name = self._name(coset)
+        if 0 <= letter < len(self._cols):
+            return self._index[self._cols[letter][name]]
+        raise EnumerationError(f"letter {letter} is not in 0..{len(self._cols) - 1}")
 
     def trace_word(self, coset: int, w: Word) -> int | None:
         """The coset reached from ``coset`` by reading w, or None where an
@@ -120,22 +126,21 @@ class CosetTable:
         """
         if w.alphabet != self.presentation.alphabet:
             raise EnumerationError("word is not over the table's alphabet")
-        rows, index = self._rows, self._index
-        if not 0 < coset < len(rows):
-            raise self._outside(coset)
+        cols = self._cols
+        coset = self._name(coset)
         for gen, exp in w.syllables:
-            x = 2 * gen if exp > 0 else 2 * gen + 1
+            col = cols[2 * gen if exp > 0 else 2 * gen + 1]
             steps = abs(exp)
             start = coset
             for k in range(1, steps + 1):
-                coset = index[rows[coset][x]]
-                if coset is None:
+                coset = col[coset]
+                if not coset:
                     return None
                 if coset == start:
                     for _ in range((steps - k) % k):
-                        coset = index[rows[coset][x]]
+                        coset = col[coset]
                     break
-        return coset
+        return self._index[coset]
 
 
 def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
@@ -156,17 +161,21 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             raise EnumerationError(
                 f"subgroup generator {format_word(w)} is over a different alphabet")
 
-    ncols = 2 * p.ngens
-    # each path with its inverse letters, read when a scan walks it backwards
-    relators, subgroup = ([(path, [x ^ 1 for x in path]) for path in map(word_to_letters, words)]
+    # slot 0 is "undefined" and holds 0: a walk that meets a gap stays there.
+    # The columns start at 64 slots and grow by step zeros at a time.
+    zeros = [0] * max(64, max_cosets // 8)
+    cols = [[0] * 64 for _ in range(2 * p.ngens)]
+    # each column with its inverse, and each path as columns and inverse columns
+    pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
+    relators, subgroup = ([([cols[x] for x in path], [cols[x ^ 1] for x in path])
+                           for path in map(word_to_letters, words)]
                           for words in (p.relators, subgroup_gens))
-
-    # row 0 stands for "undefined": it maps every letter to 0, so a walk
-    # that meets a gap stays there; new rows copy it, nothing writes it
-    blank = [0] * ncols
-    table: list[list[int]] = [blank, blank.copy()]
     parent = [0, 1]
     live_count = 1
+
+    def grow():
+        for col in cols:
+            col.extend(zeros)
 
     def find(c: int) -> int:
         root = c
@@ -192,38 +201,37 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
         merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            row = table[dead]
             # only a merge moves the class representatives
             mu = find(dead)
-            for x in range(ncols):
-                d = row[x]
+            for col, inv in pairs:
+                d = col[dead]
                 if not d:
                     continue
                 # drop the stale back-pointer, then replant the edge on
                 # the class representatives (or queue a further merge)
-                table[d][x ^ 1] = 0
+                inv[d] = 0
                 nu = d if parent[d] == d else find(d)
-                if table[mu][x]:
-                    merge(nu, table[mu][x], queue)
+                if col[mu]:
+                    merge(nu, col[mu], queue)
                     mu = find(dead)
-                elif table[nu][x ^ 1]:
-                    merge(mu, table[nu][x ^ 1], queue)
+                elif inv[nu]:
+                    merge(mu, inv[nu], queue)
                     mu = find(dead)
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
         # live-entry invariant: replaying each dead coset moved every live
         # entry naming it onto a live coset, so scans need no find
 
-    def scan_and_fill(alpha: int, word: list[int], inverse: list[int]):
+    def scan_and_fill(alpha: int, word: list[list[int]], inverse: list[list[int]]):
         nonlocal live_count
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and (e := table[f][word[i]]):
+            while i <= j and (e := word[i][f]):
                 f = e
                 i += 1
-            while j >= i and (e := table[b][inverse[j]]):
+            while j >= i and (e := inverse[j][b]):
                 b = e
                 j -= 1
             if j < i:
@@ -232,18 +240,18 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                 return
             if j == i:
                 # the two scans meet across a single undefined letter
-                table[f][word[i]] = b
-                table[b][inverse[i]] = f
+                word[i][f] = b
+                inverse[i][b] = f
                 return
             # define the coset f·word[i] and step onto it
             if live_count >= max_cosets:
                 raise _BudgetExceeded
-            d = len(table)
-            row = blank.copy()
-            row[inverse[i]] = f
-            table.append(row)
+            d = len(parent)
+            if d == len(word[i]):
+                grow()
             parent.append(d)
-            table[f][word[i]] = d
+            inverse[i][d] = f
+            word[i][f] = d
             live_count += 1
             f = d
             i += 1
@@ -253,42 +261,34 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
         for path, inverse in subgroup:
             scan_and_fill(1, path, inverse)
         idx = 1
-        while idx < len(table):
+        while idx < len(parent):
             if parent[idx] == idx:
                 for path, inverse in relators:
                     # a closed loop stays closed: only an open one is scanned
                     f = idx
-                    for x in path:
-                        f = table[f][x]
+                    for col in path:
+                        f = col[f]
                     if f != idx:
                         scan_and_fill(idx, path, inverse)
                         if parent[idx] != idx:
                             break
                 else:
-                    row = table[idx]
-                    for x in range(ncols):
-                        if not row[x]:
+                    for col, inv in pairs:
+                        if not col[idx]:
                             if live_count >= max_cosets:
                                 raise _BudgetExceeded
-                            d = len(table)
-                            new = blank.copy()
-                            new[x ^ 1] = idx
-                            table.append(new)
+                            d = len(parent)
+                            if d == len(col):
+                                grow()
                             parent.append(d)
-                            row[x] = d
+                            inv[d] = idx
+                            col[idx] = d
                             live_count += 1
             idx += 1
     except _BudgetExceeded:
         status = "budget-exceeded"
 
-    size = len(table)
-    live = [c for c in range(1, size) if parent[c] == c]
-    # compact the live rows into table[1:], in place: live[k - 1] >= k, so
-    # no row is overwritten before it moves
-    for k, c in enumerate(live, 1):
-        table[k] = table[c]
-    del table[len(live) + 1:]
-    return CosetTable(p, subgroup_gens, status, table, live, size)
+    return CosetTable(p, subgroup_gens, status, cols, parent, live_count)
 
 
 # queries -------------------------------------------------------------------

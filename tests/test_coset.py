@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 from collections import deque
 from functools import cache
 
@@ -500,7 +501,7 @@ def test_todd_coxeter_output_pinned(group, subgroup, max_cosets, n_cosets, statu
 
 
 # the work behind each pinned table: cosets defined, dead ones included
-# (the internal table's length less its placeholder row 0)
+# (the union-find's length less its placeholder 0)
 COSETS_DEFINED = {
     ("S5", "", None): 220, ("S6", "", None): 1513, ("S7", "", None): 12145,
     ("Q8", "", None): 10, ("P2", "", None): 27, ("P3", "", 40000): 44769,
@@ -516,7 +517,7 @@ def test_todd_coxeter_work_pinned(group, subgroup, max_cosets):
     p = PINNED_GROUPS[group]()
     budget = {} if max_cosets is None else {"max_cosets": max_cosets}
     table = todd_coxeter(p, [p.word(name) for name in subgroup.split()], **budget)
-    assert table._size - 1 == COSETS_DEFINED[group, subgroup, max_cosets]
+    assert len(table._parent) - 1 == COSETS_DEFINED[group, subgroup, max_cosets]
 
 
 @st.composite
@@ -540,9 +541,14 @@ def test_todd_coxeter_matches_reference(case, max_cosets):
     assert_partial_table_consistent(table)
 
 
+# P3 defines every coset it keeps up to cap 257, so its caps 62-65,
+# 126-129 and 190-193 stop just before and just after the columns' first
+# three growths (at names 64, 128 and 192); at cap 319 the budget trips
+# in the fill of a row just as the next name, 320, needs a growth
 @pytest.mark.parametrize("group,caps", [
-    ("P3", range(1, 61)), ("S6", (100, 400)), ("P3/rho^4", (100000,)), ("P4/rho^2", (100000,))],
-    ids=["P3", "S6", "P3/rho^4", "P4/rho^2"])
+    ("P3", (*range(1, 66), *range(126, 130), *range(190, 194), 319)), ("S6", (100, 400)),
+    ("P3/rho^4", (100000,)), ("P3/rho^6", (300,)), ("P4/rho^2", (100000,))],
+    ids=["P3", "S6", "P3/rho^4", "P3/rho^6", "P4/rho^2"])
 def test_todd_coxeter_matches_reference_on_the_atlas(group, caps):
     # the budget trips in a scan or in the fill of a row: P3 trips in the
     # fill at caps 43-45 and in a scan at the other caps up to 60
@@ -550,6 +556,11 @@ def test_todd_coxeter_matches_reference_on_the_atlas(group, caps):
     for max_cosets in caps:
         table = todd_coxeter(p, max_cosets=max_cosets)
         assert (table.rows, table.status) == reference_todd_coxeter(p, max_cosets=max_cosets)
+        # the columns start at 64 slots and grow by whole steps, only to
+        # hold a new name
+        step = max(64, max_cosets // 8)
+        growths = -(-max(0, len(table._parent) - 64) // step)
+        assert {len(col) for col in table._cols} == {64 + growths * step}
 
 
 @pytest.mark.parametrize("group,max_cosets", [
@@ -575,14 +586,20 @@ def test_incomplete_table_error_is_undecided():
 
 def test_capped_queries_leave_the_rows_unpublished():
     p = pure_braid_rp2(3)
-    table = todd_coxeter(p, max_cosets=40000)
+    tracemalloc.start()
+    try:
+        table = todd_coxeter(p, max_cosets=40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     for query in (group_order, lambda t: is_central_finite(t, p.word("rho1"))):
         with pytest.raises(IncompleteTableError, match="^enumeration budget exhausted at 40000 live"):
             query(table)
     assert (table.n_cosets, table.is_complete, table.status) == (40000, False, "budget-exceeded")
     assert "rows" not in vars(table)
-    # the table keeps no more rows than it would publish, and the blank row
-    assert len(table._rows) == table.n_cosets + 1
+    # 44,769 cosets defined: one column per letter holds them in about
+    # 6 MB at the peak, where a row list per coset took 10.5 MB
+    assert peak < 8_000_000
 
 
 @cache
@@ -625,12 +642,19 @@ def test_first_read_publishes_the_fields_a_direct_table_holds(read, publishes, m
 
 
 def test_direct_table_counts_its_rows(q8_table):
-    # a table given in published numbering: live cosets 1..n, row 0 blank
-    rows = [(0,) * 4, *q8_table.rows]
-    direct = CosetTable(q8_table.presentation, (), "complete", rows, range(1, 9), 9)
+    # a table given in published numbering: each letter's permutation of
+    # 1..8 behind a 0, and every coset live
+    cols = [[0, *(q8_table.entry(c, x) for c in range(1, 9))] for x in range(4)]
+    direct = CosetTable(q8_table.presentation, (), "complete", cols, range(9), 8)
     assert direct.n_cosets == len(direct.rows) == 8 and direct.rows == q8_table.rows
     assert all(direct.entry(c, x) == q8_table.entry(c, x) for c in range(1, 9) for x in range(4))
     assert group_order(direct) == 8
+
+
+@pytest.mark.parametrize("letter", [-1, 4])
+def test_entry_refuses_a_letter_outside_the_alphabet(q8_table, letter):
+    with pytest.raises(EnumerationError, match=f"^letter {letter} is not in 0..3$"):
+        q8_table.entry(1, letter)
 
 
 def read_at_once(table, reads):
