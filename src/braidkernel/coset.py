@@ -24,9 +24,7 @@ processed, every entry of a live coset names a live coset, so scans walk
 the table without the union-find.  Each relator is first walked inline
 from the coset being scanned: a loop that closes is skipped, since a
 closed loop stays closed (fills only add entries, merges map closed
-loops to closed loops), and only an open one goes to the scanner.  The
-returned table keeps the columns as they are; ``rows`` is built on its
-first read only.
+loops to closed loops), and only an open one goes to the scanner.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
+from operator import eq
 
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
@@ -67,19 +66,23 @@ class CosetTable:
 
     The table keeps the enumeration's columns: ``_cols[x][c]`` is the
     entry of internal coset c by letter x, 0 where undefined (slot 0 too).
-    The live cosets, ``_parent[c] == c``, are published 1, 2, ... in
-    order.  A table in published numbering has ``parent = range(n + 1)``
-    and each letter's permutation of 1..n, behind a 0, as its column.
+    The live cosets, ``_parent[c] == c``, are counted by ``n_cosets`` and
+    published 1, 2, ... in order; a table in published numbering has
+    ``parent = range(n + 1)`` and its permutations, behind a 0, as columns.
     """
 
     def __init__(self, presentation: Presentation, subgroup_gens: Sequence[Word], status: str,
-                 cols: Sequence[Sequence[int]], parent: Sequence[int], n_cosets: int):
+                 cols: Sequence[Sequence[int]], parent: Sequence[int]):
         self.presentation = presentation
         self.subgroup_gens = tuple(subgroup_gens)
         self.status = status  # "complete" | "budget-exceeded"
-        self.n_cosets = n_cosets
         self._cols = cols
         self._parent = parent
+
+    @cached_property
+    def n_cosets(self) -> int:
+        # the union-find's roots but slot 0, counted without building _live
+        return sum(map(eq, self._parent, range(len(self._parent)))) - 1
 
     @cached_property
     def _live(self) -> list[int]:
@@ -143,6 +146,11 @@ class CosetTable:
         return self._index[coset]
 
 
+def _growth(size: int) -> int:
+    # slots that a full column of size slots grows by: memory follows the names defined
+    return max(64, size // 8)
+
+
 def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                  max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Enumerate cosets of <subgroup_gens> in the group presented by p.
@@ -161,9 +169,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             raise EnumerationError(
                 f"subgroup generator {format_word(w)} is over a different alphabet")
 
-    # slot 0 is "undefined" and holds 0: a walk that meets a gap stays there.
-    # The columns start at 64 slots and grow by step zeros at a time.
-    zeros = [0] * max(64, max_cosets // 8)
+    # slot 0 is "undefined" and holds 0: a walk that meets a gap stays there
     cols = [[0] * 64 for _ in range(2 * p.ngens)]
     # each column with its inverse, and each path as columns and inverse columns
     pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
@@ -174,6 +180,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     live_count = 1
 
     def grow():
+        zeros = [0] * _growth(len(parent))
         for col in cols:
             col.extend(zeros)
 
@@ -220,8 +227,6 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                 else:
                     col[mu] = nu
                     inv[nu] = mu
-        # live-entry invariant: replaying each dead coset moved every live
-        # entry naming it onto a live coset, so scans need no find
 
     def scan_and_fill(alpha: int, word: list[list[int]], inverse: list[list[int]]):
         nonlocal live_count
@@ -288,7 +293,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     except _BudgetExceeded:
         status = "budget-exceeded"
 
-    return CosetTable(p, subgroup_gens, status, cols, parent, live_count)
+    return CosetTable(p, subgroup_gens, status, cols, parent)
 
 
 # queries -------------------------------------------------------------------
@@ -332,7 +337,6 @@ def coset_representatives(t: CosetTable) -> list[Word]:
     _require_complete(t)
     alphabet = t.presentation.alphabet
     reps: dict[int, tuple[int, ...]] = {1: ()}
-    order = [1]
     frontier = deque([1])
     while frontier:
         c = frontier.popleft()
@@ -340,9 +344,8 @@ def coset_representatives(t: CosetTable) -> list[Word]:
             d = t.entry(c, x)
             if d not in reps:
                 reps[d] = reps[c] + (x,)
-                order.append(d)
                 frontier.append(d)
-    return [letters_to_word(alphabet, reps[c]) for c in sorted(order)]
+    return [letters_to_word(alphabet, reps[c]) for c in sorted(reps)]
 
 
 def center_order_finite(t: CosetTable, cap: int = CENTER_ENUM_CAP) -> int:
@@ -357,8 +360,4 @@ def center_order_finite(t: CosetTable, cap: int = CENTER_ENUM_CAP) -> int:
 def table_equality_oracle(t: CosetTable):
     """Equality oracle (for hom_check) backed by a complete table."""
     _require_regular(t)
-
-    def oracle(u: Word, v: Word) -> bool:
-        return word_equal_finite(t, u, v)
-
-    return oracle
+    return lambda u, v: word_equal_finite(t, u, v)

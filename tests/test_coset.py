@@ -16,6 +16,7 @@ from braidkernel import (
     is_central_finite, presentation, pure_braid_rp2, quaternion_presentation,
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
 )
+from braidkernel.coset import _growth
 from braidkernel.words import Undecided, Word, letters_to_word, word_to_letters
 
 
@@ -556,11 +557,12 @@ def test_todd_coxeter_matches_reference_on_the_atlas(group, caps):
     for max_cosets in caps:
         table = todd_coxeter(p, max_cosets=max_cosets)
         assert (table.rows, table.status) == reference_todd_coxeter(p, max_cosets=max_cosets)
-        # the columns start at 64 slots and grow by whole steps, only to
-        # hold a new name
-        step = max(64, max_cosets // 8)
-        growths = -(-max(0, len(table._parent) - 64) // step)
-        assert {len(col) for col in table._cols} == {64 + growths * step}
+        # the columns grew only to hold a new name: they are the shortest
+        # that the growth rule reaches from 64 slots and that hold every name
+        size = 64
+        while size < len(table._parent):
+            size += _growth(size)
+        assert {len(col) for col in table._cols} == {size}
 
 
 @pytest.mark.parametrize("group,max_cosets", [
@@ -600,6 +602,20 @@ def test_capped_queries_leave_the_rows_unpublished():
     # 44,769 cosets defined: one column per letter holds them in about
     # 6 MB at the peak, where a row list per coset took 10.5 MB
     assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("group", ["Q8", "S5"])
+def test_a_large_budget_costs_no_memory(group):
+    # the columns grow with the names defined (10 for Q8, 220 for S5),
+    # not with the budget: ten million cosets allowed cost a few kilobytes
+    p = PINNED_GROUPS[group]()
+    tracemalloc.start()
+    try:
+        table = todd_coxeter(p, max_cosets=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.is_complete and peak < 100_000
 
 
 @cache
@@ -645,10 +661,19 @@ def test_direct_table_counts_its_rows(q8_table):
     # a table given in published numbering: each letter's permutation of
     # 1..8 behind a 0, and every coset live
     cols = [[0, *(q8_table.entry(c, x) for c in range(1, 9))] for x in range(4)]
-    direct = CosetTable(q8_table.presentation, (), "complete", cols, range(9), 8)
+    direct = CosetTable(q8_table.presentation, (), "complete", cols, range(9))
     assert direct.n_cosets == len(direct.rows) == 8 and direct.rows == q8_table.rows
     assert all(direct.entry(c, x) == q8_table.entry(c, x) for c in range(1, 9) for x in range(4))
     assert group_order(direct) == 8
+
+
+def test_direct_table_counts_its_cosets_from_parent(q8_table):
+    # name 9 was merged into coset 1: it is neither counted nor published
+    cols = [[0, *(q8_table.entry(c, x) for c in range(1, 9)), 0] for x in range(4)]
+    direct = CosetTable(q8_table.presentation, (), "complete", cols, [*range(9), 1])
+    assert direct.n_cosets == group_order(direct) == 8 and direct.rows == q8_table.rows
+    with pytest.raises(EnumerationError, match="^coset 9 is not in 1..8$"):
+        direct.entry(9, 0)
 
 
 @pytest.mark.parametrize("letter", [-1, 4])
