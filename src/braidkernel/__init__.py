@@ -1,9 +1,12 @@
 """braidkernel: surface braid group presentations, coset enumeration,
 rewriting certificates, and covering arithmetic.
 
-Every submodule is in ``sys.modules`` from the start but executes on its
-first attribute access, so a CLI command runs only the modules it uses.
-The public names resolve through ``__getattr__`` to the defining module.
+Every engine submodule is in ``sys.modules`` from the start but executes
+on its first attribute access, and ``cli`` imports a command's module
+(``commands.<name>``) only to run that command, so a CLI command runs
+only the modules it uses.  ``base`` holds the errors and the record
+decorator that every module shares.  The public names resolve through
+``__getattr__`` to the defining module.
 """
 
 import _thread

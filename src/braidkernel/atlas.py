@@ -19,7 +19,8 @@ import re
 
 from .presentations import GroupHom, Presentation, presentation
 from .surfaces import RP2, TORUS, SurfaceKind
-from .words import BraidkernelError, Word, record
+from .base import BraidkernelError, record
+from .words import Word
 
 _RP2_NAME_RE = re.compile(r"P(\d+)\(RP2\)")
 

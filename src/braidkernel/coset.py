@@ -36,8 +36,8 @@ from operator import eq
 
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
-from .words import (
-    BraidkernelError, Undecided, Word, format_word, letters_to_word, word_to_letters)
+from .base import BraidkernelError, Undecided
+from .words import Word, format_word, letters_to_word, word_to_letters
 
 CENTER_ENUM_CAP = 10000
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from . import atlas, coset, presentations
 from .surfaces import KLEIN, RP2, SPHERE, TORUS, SurfaceKind, euler_char
-from .words import BraidkernelError, record
+from .base import BraidkernelError, record
 
 
 class CoveringError(BraidkernelError):

@@ -16,15 +16,14 @@ from __future__ import annotations
 from collections import deque
 
 from . import DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN
+from .base import BraidkernelError, record
 from .presentations import FormatError, Presentation, directives, read_directives
 from .words import (
-    BraidkernelError,
     Word,
     format_word,
     free_reduce_letters,
     letters_to_word,
     parse_word,
-    record,
     word_to_letters,
 )
 

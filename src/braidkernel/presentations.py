@@ -12,16 +12,15 @@ from __future__ import annotations
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 from . import snf
+from .base import BraidkernelError, record
 from .words import (
     Alphabet,
-    BraidkernelError,
     Word,
     cyclic_reduce,
     format_word,
     make_alphabet,
     multiply,
     parse_word,
-    record,
 )
 
 
@@ -153,7 +152,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 # homomorphisms ------------------------------------------------------------
 
 # An equality oracle decides u = v in a fixed group: True or False; it
-# raises words.Undecided when its budget cannot settle the question.
+# raises base.Undecided when its budget cannot settle the question.
 EqualityOracle = Callable[[Word, Word], bool]
 
 

@@ -28,8 +28,8 @@ from itertools import chain, count, product, repeat
 
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
-from .words import (
-    Alphabet, BraidkernelError, Undecided, Word, letters_to_word, record, word_to_letters)
+from .base import BraidkernelError, Undecided, record
+from .words import Alphabet, Word, letters_to_word, word_to_letters
 
 Letters = tuple[int, ...]
 # left side length -> {left side: (rule id, right side)}, sides encoded as str

@@ -11,7 +11,7 @@ reducing against a fixed pivot lets them grow without bound
 
 from __future__ import annotations
 
-from .words import BraidkernelError
+from .base import BraidkernelError
 
 
 class MatrixError(BraidkernelError):

@@ -8,7 +8,7 @@ label and name together since nonorientable indexing conventions vary.
 
 from __future__ import annotations
 
-from .words import BraidkernelError, record
+from .base import BraidkernelError, record
 
 
 COUNT_MAX_DIGITS = 18  # digits in a genus or crosscap count

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import braidkernel
+from braidkernel import cli
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
@@ -86,12 +87,20 @@ Q8 = "group Q8\ngens rho1 rho2\nrel rho1^2 = rho2^2\nrel rho1^4\nrel rho1 rho2 r
 EQUAL = ["equal", "--lhs", "rho1^2", "--rhs", "rho2^2"]
 
 
-def executed_modules(argv, stdin, exit_code):
+# map.hom sends Z to Q8 (x to rho1); trivial.chain is a valid chain over Q8
+FILES = {"map.hom": "begin source\ngroup Z\ngens x\nend\nbegin target\n" + Q8
+                    + "end\nsend x = rho1\n",
+         "trivial.chain": "start rho1\nend rho1\n"}
+
+
+def executed_modules(argv, stdin, exit_code, cwd, stderr=""):
+    for name, text in FILES.items():
+        (cwd / name).write_text(text)
     proc = subprocess.run([sys.executable, "-c", EXECUTED, *argv], input=stdin,
-                          capture_output=True, text=True, check=True,
+                          capture_output=True, text=True, check=True, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     code, *names = proc.stdout.splitlines()[-1].split()
-    assert (code, proc.stderr) == (str(exit_code), "")
+    assert (code, proc.stderr) == (str(exit_code), stderr)
     return set(names)
 
 
@@ -118,24 +127,105 @@ def test_first_touch_from_several_threads():
     assert (proc.stdout, proc.stderr) == ("4\n", "")
 
 
-@pytest.mark.parametrize("argv,stdin,exit_code,runs,skips", [
-    (["quotients", "--surface", "S2", "--sheets", "1"], "", 0,
-     {"cli", "words", "surfaces", "coverings"},
-     {"presentations", "snf", "coset", "rewriting", "derivations", "atlas"}),
-    (["abelianize"], Q8, 0, {"presentations", "snf"},
-     {"coset", "rewriting", "derivations", "atlas", "coverings"}),
-    (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"}, {"coset", "derivations", "atlas", "snf"}),
-    (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
-    (EQUAL + ["--search"], Q8, 0, {"derivations"}, {"coset", "rewriting", "snf"}),
+# The engine modules; a command's own module is commands.<name>.
+ENGINES = {"words", "presentations", "snf", "coset", "rewriting", "derivations", "surfaces",
+           "atlas", "coverings"}
+SURFACE_ONLY = ENGINES - {"surfaces", "coverings"}
+
+
+# (argv, stdin, exit code, modules it executes, modules it skips), one row per command at least
+EXECUTED_CASES = {
+    # the no-op, a cover and a kernel without a presentation compile no word code
+    "quotients": (["quotients", "--surface", "S2", "--sheets", "1"], "", 0,
+                  {"cli", "base", "surfaces", "coverings"}, SURFACE_ONLY),
+    "cover-S5-S2": (["cover", "--from", "S5", "--to", "S2", "--sheets", "4"], "", 0,
+                    {"surfaces", "coverings"}, SURFACE_ONLY),
+    "kernel-S2": (["kernel", "--quotient", "S2", "--n", "3"], "", 0, {"surfaces", "coverings"},
+                  SURFACE_ONLY),
+    "build": (["build", "--surface", "rp2", "--n", "2"], "", 0, {"atlas", "presentations"},
+              {"coset", "rewriting", "derivations", "snf", "coverings"}),
+    "order": (["order"], Q8, 0, {"coset"},
+              {"rewriting", "derivations", "atlas", "snf", "coverings"}),
+    "central": (["central", "--element", "rho1^2"], Q8, 0, {"coset"},
+                {"rewriting", "derivations", "atlas", "snf", "coverings"}),
+    "abelianize": (["abelianize"], Q8, 0, {"presentations", "snf"},
+                   {"coset", "rewriting", "derivations", "atlas", "coverings"}),
+    "hom-check": (["hom-check", "--map", "map.hom"], "", 0, {"presentations", "coset"},
+                  {"rewriting", "derivations", "atlas", "snf", "coverings"}),
+    "equal-rewrite": (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"},
+                      {"coset", "derivations", "atlas", "snf"}),
+    "equal-table": (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
+    "equal-search": (EQUAL + ["--search"], Q8, 0, {"derivations"}, {"coset", "rewriting", "snf"}),
     # the klein-over-torus certificate: exit 1, the covering is impossible
-    (["cover", "--from", "klein", "--to", "torus", "--sheets", "2"], "", 1,
-     {"coverings", "coset"}, {"rewriting", "derivations"}),
-], ids=["quotients", "abelianize", "equal-rewrite", "equal-table", "equal-search",
-        "cover-klein-torus"])
-def test_command_executes_only_the_modules_it_uses(argv, stdin, exit_code, runs, skips):
-    executed = executed_modules(argv, stdin, exit_code)
+    "cover-klein-torus": (["cover", "--from", "klein", "--to", "torus", "--sheets", "2"], "", 1,
+                          {"coverings", "coset"}, {"rewriting", "derivations"}),
+    "check-derivation": (["check-derivation", "trivial.chain"], Q8, 0, {"derivations"},
+                         {"coset", "rewriting", "atlas", "snf", "coverings"}),
+}
+
+
+@pytest.mark.parametrize("argv,stdin,exit_code,runs,skips", EXECUTED_CASES.values(),
+                         ids=list(EXECUTED_CASES))
+def test_command_executes_only_the_modules_it_uses(tmp_path, argv, stdin, exit_code, runs, skips):
+    executed = executed_modules(argv, stdin, exit_code, tmp_path)
     assert runs <= executed
     assert not executed & skips, executed & skips
+    # its own command module, and no other command's
+    assert {name for name in executed if name.startswith("commands")} == {
+        "commands", f"commands.{cli._COMMANDS[argv[0]][0]}"}
+
+
+def test_every_command_has_an_executed_modules_case():
+    assert {argv[0] for argv, *_ in EXECUTED_CASES.values()} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv,exit_code,stderr", [
+    (["--help"], 0, ""),
+    (["order", "--help"], 0, ""),
+    (["order", "--bogus"], 3, "error: order: unknown option --bogus\n"),
+], ids=["help", "command-help", "usage-error"])
+def test_help_and_usage_errors_execute_no_command(tmp_path, argv, exit_code, stderr):
+    assert executed_modules(argv, "", exit_code, tmp_path, stderr) == {"cli", "base"}
+
+
+# Runs one command in process, as `python -m braidkernel` would, and prints
+# the braidkernel source lines it compiled.  With no bytecode to read (an
+# empty cache prefix) or to write, that is every line of every module it
+# executes: what a process pays when it starts without a bytecode cache.
+COMPILED = """\
+import sys
+from importlib.machinery import SourceFileLoader
+package = sys.argv.pop(1)
+lines = []
+to_code = SourceFileLoader.source_to_code
+def counting(self, data, path, *args, **kwargs):
+    if path.startswith(package):
+        lines.append(data.count(b"\\n"))
+    return to_code(self, data, path, *args, **kwargs)
+SourceFileLoader.source_to_code = counting
+import braidkernel.__main__
+from braidkernel import cli
+code = cli.run(sys.argv[1:])
+print(code, sum(lines))
+"""
+
+
+@pytest.mark.parametrize("argv,stdin,most", [
+    # 746 and 1449 lines when this bound was set, 1162 and 1573 before the
+    # commands moved into modules of their own and the base out of words
+    (["quotients", "--surface", "S2", "--sheets", "1"], "", 800),
+    (["order"], Q8, 1500),
+], ids=["quotients", "order"])
+def test_command_compiles_at_most(tmp_path, argv, stdin, most):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-c", COMPILED, str(SRC / "braidkernel"), *argv],
+                          input=stdin,
+                          capture_output=True, text=True, check=True, env=env)
+    code, compiled = proc.stdout.splitlines()[-1].split()
+    assert (code, proc.stderr) == ("0", "")
+    assert 0 < int(compiled) <= most
+    assert not any(tmp_path.iterdir())  # and nothing was cached
 
 
 # Standard modules that cost milliseconds to import and that no command

@@ -12,9 +12,16 @@ is stored with its unit, the value of every run in seed order and their
 median; each workload also keeps the runs' query and failure counts and
 whether every answer was correct.  The environment is the one
 ``bench/run.py`` records (Python, cores, commit, digest of ``src``),
-plus the seeds, the seconds, the machine and whether ``src`` differs
-from that commit (untracked files count).  The seeds and seconds are
-fixed so that every BENCH file measures the same runs.
+plus the seeds, the seconds, the machine, whether ``src`` differs
+from that commit (untracked files count), whether PYTHONDONTWRITEBYTECODE
+was set and whether ``src`` held any ``.pyc`` file when the runs
+started.  The seeds and seconds are fixed so that every BENCH file
+measures the same runs.
+
+Record from clean clones (``git clone`` leaves no ``__pycache__``) with
+PYTHONDONTWRITEBYTECODE set: every process then compiles the source it
+runs, and a bytecode cache in only one of two compared trees would make
+its start-up look faster than the other's.
 
 ``--checkout`` records another tree with this tool, for example the
 parent commit cloned elsewhere, so that two BENCH files compare one
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import statistics
@@ -69,6 +77,7 @@ def main() -> int:
                         help="the tree whose bench/run.py and src are measured")
     args = parser.parse_args()
     checkout = args.checkout.resolve()
+    src_had_pyc = any((checkout / "src").rglob("*.pyc"))  # before any run can write one
     workloads, environment = {}, None
     for workload in WORKLOADS:
         record = {}
@@ -85,6 +94,8 @@ def main() -> int:
         workloads[workload] = record
     environment = {**environment, "seeds": list(SEEDS), "seconds": SECONDS,
                    "src_modified": src_modified(checkout),
+                   "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+                   "src_had_pyc": src_had_pyc,
                    "machine": platform.machine(), "system": platform.system()}
     del environment["seed"]
     out = ROOT / f"BENCH_{args.n}.json"
