@@ -1,12 +1,12 @@
 """braidkernel: surface braid group presentations, coset enumeration,
 rewriting certificates, and covering arithmetic.
 
-Every engine submodule is in ``sys.modules`` from the start but executes
-on its first attribute access, and ``cli`` imports a command's module
-(``commands.<name>``) only to run that command, so a CLI command runs
-only the modules it uses.  ``base`` holds the errors and the record
-decorator that every module shares.  The public names resolve through
-``__getattr__`` to the defining module.
+Every module that defines a public name is in ``sys.modules`` from the
+start but executes on its first attribute access, and ``cli`` imports a
+command's module (``commands.<name>``) only to run that command, so a
+CLI command runs only the modules it uses.  ``base`` holds the errors
+and the record decorator that every module shares.  Each public name
+resolves through ``__getattr__`` to the one module that defines it.
 """
 
 import _thread
@@ -24,8 +24,9 @@ DEFAULT_MAX_WORD_LEN = 30    # derivations.search_equality: word length
 DEFAULT_MAX_NODES = 200000   # derivations.search_equality: distinct words visited
 
 _EXPORTS = {
-    "words": ("BraidkernelError", "Word", "WordError", "cyclic_reduce",
-              "format_word", "make_alphabet", "multiply", "parse_word", "shortlex_compare"),
+    "base": ("BraidkernelError",),
+    "words": ("Word", "WordError", "cyclic_reduce", "format_word", "make_alphabet", "multiply",
+              "parse_word", "shortlex_compare"),
     "presentations": ("AbelianInvariants", "FormatError", "GroupHom", "HomCheckResult",
                       "Presentation", "PresentationError", "abelianization", "format_presentation",
                       "hom_check", "parse_hom_file", "parse_presentation", "parse_relation",
@@ -39,14 +40,14 @@ _EXPORTS = {
     "derivations": ("ChainError", "DerivationChain", "DerivationReport", "DerivationStep",
                     "apply_step", "check_derivation", "format_chain", "parse_chain_file",
                     "search_equality"),
-    "surfaces": ("KLEIN", "RP2", "SPHERE", "TORUS", "SurfaceError", "SurfaceKind",
-                 "describe_surface", "euler_char", "parse_surface"),
+    "surfaces": ("KLEIN", "RP2", "SPHERE", "TORUS", "CoveringError", "SurfaceError", "SurfaceKind",
+                 "describe_surface", "euler_char", "parse_surface", "quotient_candidates",
+                 "torus_action_forms"),
     "atlas": ("AtlasError", "CenterDescription", "b_ij_as_rho", "center_table",
               "forget_strands_hom", "klein_presentation", "pi1_nonorientable", "pure_braid_rp2",
               "quaternion_presentation", "rp2_strand_count", "tau_component", "tau_n",
               "torus_presentation"),
-    "coverings": ("CoverDecision", "CoveringError", "KernelDescription", "can_cover",
-                  "kernel_description", "quotient_candidates", "torus_action_forms"),
+    "coverings": ("CoverDecision", "KernelDescription", "can_cover", "kernel_description"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

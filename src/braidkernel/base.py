@@ -2,8 +2,7 @@
 record decorator.
 
 It is small and always loaded, so that a command raises and catches the
-package's errors, and builds records, without compiling ``words``;
-``words`` re-exports all three names.
+package's errors, and builds records, without compiling ``words``.
 """
 
 from operator import attrgetter

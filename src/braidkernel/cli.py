@@ -3,7 +3,7 @@
 Each command returns a tri-state answer; ``run`` alone prints and
 picks the exit code: 0 success (True), 1 negative mathematical answer
 (False: not equal, not central, covering impossible, invalid chain),
-2 inconclusive (``words.Undecided``: a budget ran out, or a word is over
+2 inconclusive (``base.Undecided``: a budget ran out, or a word is over
 the letter-expansion limit; one ``undecided: <reason>`` line on stderr,
 nothing on stdout), 3 usage or parse error.  With ``--json``, each
 command prints a single JSON object carrying a ``result`` field.
@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 from . import (
     DEFAULT_MAX_COSETS, DEFAULT_MAX_LEN, DEFAULT_MAX_NODES, DEFAULT_MAX_RULES, DEFAULT_MAX_WORD_LEN,
-    atlas, presentations, words,
+    presentations,
 )
 from .base import BraidkernelError, Undecided
 
@@ -47,23 +47,12 @@ def _budget_value(text: str) -> int:
 
 
 def _load_presentation(args) -> presentations.Presentation:
-    if getattr(args, "input", None):
+    if args.input is not None:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
     return presentations.parse_presentation(text)
-
-
-def _resolve_element(args, p: presentations.Presentation):
-    if args.element == "tau":
-        n = atlas.rp2_strand_count(p)
-        if n is None:
-            raise UsageError(
-                '"tau" is only defined on atlas rp2 presentations '
-                f"(group name is {p.name!r})")
-        return atlas.tau_n(n)
-    return words.parse_word(args.element, p.alphabet)
 
 
 # command -> (handler, help line, options); the handler names the module of braidkernel.commands

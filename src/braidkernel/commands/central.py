@@ -1,8 +1,21 @@
 """``braidkernel central``: test centrality in the finite group."""
 
-from .. import coset
-from ..cli import _load_presentation, _resolve_element
-from ..words import format_word
+from .. import atlas, coset
+from ..cli import UsageError, _load_presentation
+from ..words import format_word, parse_word
+
+
+def _resolve_element(args, p):
+    if args.element != "tau":
+        return parse_word(args.element, p.alphabet)
+    n = atlas.rp2_strand_count(p)
+    if n is None:
+        raise UsageError('"tau" is only defined on atlas rp2 presentations '
+                         f"(group name is {p.name!r})")
+    tau = atlas.tau_n(n)
+    if tau.alphabet != p.alphabet:
+        raise UsageError(f'"tau" on {p.name} needs the atlas generators {" ".join(tau.alphabet)}')
+    return tau
 
 
 def handle(args):

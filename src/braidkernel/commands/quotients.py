@@ -1,10 +1,10 @@
 """``braidkernel quotients``: quotient-surface candidates of a free action."""
 
-from .. import coverings, surfaces
+from .. import surfaces
 
 
 def handle(args):
-    candidates = coverings.quotient_candidates(
+    candidates = surfaces.quotient_candidates(
         surfaces.parse_surface(args.surface), args.sheets, args.strict_orientability)
     lines = []
     payload = []
@@ -13,7 +13,7 @@ def handle(args):
                  "genus": cand.genus}
         note = surfaces.describe_surface(cand)
         if cand == surfaces.TORUS:
-            forms = coverings.torus_action_forms(args.sheets)
+            forms = surfaces.torus_action_forms(args.sheets)
             entry["group_forms"] = [list(f) for f in forms]
             note += "; acting group Z/q + Z/r with (q,r) in " + str(forms)
         lines.append(note)

@@ -100,6 +100,8 @@ class CosetTable:
     @cached_property
     def rows(self) -> tuple[tuple[int | None, ...], ...]:
         index, live = self._index, self._live
+        if not self._cols:  # an empty alphabet: one empty row per coset
+            return ((),) * len(live)
         return tuple(zip(*([index[col[c]] for c in live] for col in self._cols)))
 
     @property
@@ -160,8 +162,6 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     enumeration stops with status "budget-exceeded", and the returned
     table has exactly ``max_cosets`` rows.
     """
-    if p.ngens == 0:
-        raise EnumerationError("cannot enumerate over an empty alphabet")
     if max_cosets < 1:
         raise EnumerationError("max_cosets must be >= 1")
     for w in subgroup_gens:

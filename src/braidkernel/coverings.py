@@ -1,10 +1,9 @@
-"""Arithmetic of free finite group actions on closed surfaces.
+"""Coverings of closed surfaces checked against their fundamental groups.
 
-Euler-characteristic bookkeeping for l-sheeted coverings M -> M/G,
-enumeration of the quotient-surface candidates, necessary-condition
-certificates for covering impossibility, and the case analysis that
-describes the kernels of the point-forgetting maps between equivariant
-mapping class groups in terms of (pure) braid groups of the quotient.
+Necessary-condition certificates for covering impossibility, and the
+case analysis that describes the kernels of the point-forgetting maps
+between equivariant mapping class groups in terms of (pure) braid
+groups of the quotient; ``surfaces`` lists the quotients themselves.
 
 ``can_cover`` only ever certifies impossibility; "not excluded" never
 asserts that a covering exists.
@@ -12,83 +11,9 @@ asserts that a covering exists.
 
 from __future__ import annotations
 
-from . import atlas, coset, presentations
-from .surfaces import KLEIN, RP2, SPHERE, TORUS, SurfaceKind, euler_char
-from .base import BraidkernelError, record
-
-
-class CoveringError(BraidkernelError):
-    pass
-
-
-def quotient_candidates(m: SurfaceKind, l: int,
-                        strict_orientability: bool = False) -> list[SurfaceKind]:
-    """Surfaces M/G of an l-sheeted quotient of m: the closed surfaces
-    of Euler characteristic chi(m) / l, orientable first.
-
-    ``strict_orientability`` additionally filters patterns that cannot
-    occur along a covering: a nonorientable cover of an orientable
-    base, and an odd-degree orientable cover of a nonorientable base
-    (such a cover factors through the orientation double cover).
-    """
-    if l < 1:
-        raise CoveringError("sheet count must be >= 1")
-    out: list[SurfaceKind] = []
-    if euler_char(m) % l == 0:  # chi(S_g) = 2 - 2g, chi(N_k) = 2 - k
-        chi = euler_char(m) // l
-        if chi <= 2 and chi % 2 == 0:
-            out.append(SurfaceKind(True, (2 - chi) // 2))
-        if chi <= 1:
-            out.append(SurfaceKind(False, 2 - chi))
-    for cand in out:
-        assert l * euler_char(cand) == euler_char(m)
-    if strict_orientability:
-        out = [c for c in out if _orientation_obstruction(m, c, l) is None]
-    return out
-
-
-def _orientation_obstruction(cover: SurfaceKind, base: SurfaceKind, l: int) -> str | None:
-    """Why orientability rules out an l-sheeted covering cover -> base,
-    or None when it does not."""
-    if base.orientable and not cover.orientable:
-        return (f"a cover of the orientable base {base} must be orientable, "
-                f"but {cover} is not")
-    if cover.orientable and not base.orientable and l % 2:
-        return (f"an orientable cover of the nonorientable base {base} factors "
-                f"through its orientation double cover, so its degree {l} must be even")
-    return None
-
-
-# torus_action_forms trial-divides up to the cube root of the order, so
-# about 10^6 divisions at the ceiling
-TORUS_MAX_ORDER = 10**18
-
-
-def torus_action_forms(l: int) -> list[tuple[int, int]]:
-    """The (q, r) shapes with q | r and q*r = l: the abelian groups of
-    order l and rank at most 2.  q runs over the divisors of the largest
-    s with s*s | l, read off the factorisation of l."""
-    if l < 1:
-        raise CoveringError("group order must be >= 1")
-    if l > TORUS_MAX_ORDER:
-        raise CoveringError(f"group order must be <= {TORUS_MAX_ORDER}, got {l}")
-    qs = [1]   # the divisors of s found so far
-    rest, p = l, 2
-    while p * p * p <= rest:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if e > 1:
-            qs = [q * p**k for q in qs for k in range(e // 2 + 1)]
-        p += 1
-    # no prime below p divides rest and p**3 > rest, so rest is 1, a
-    # prime, a product of two primes or the square of one
-    from math import isqrt  # only a torus quotient needs it
-    root = isqrt(rest)
-    if root > 1 and root * root == rest:
-        qs += [q * root for q in qs]
-    return [(q, l // q) for q in sorted(qs)]
+from . import atlas, coset, presentations, surfaces
+from .base import record
+from .surfaces import KLEIN, RP2, SPHERE, TORUS, CoveringError, SurfaceKind, euler_char
 
 
 # covering impossibility -------------------------------------------------------
@@ -142,7 +67,7 @@ def can_cover(cover: SurfaceKind, base: SurfaceKind, l: int) -> CoverDecision:
             f"{l} * chi({base}) = {l * euler_char(base)} != chi({cover}) = {euler_char(cover)}")
     if cover == KLEIN and base == TORUS:
         return _klein_over_torus_certificate()
-    obstruction = _orientation_obstruction(cover, base, l)
+    obstruction = surfaces._orientation_obstruction(cover, base, l)
     if obstruction is not None:
         return CoverDecision(False, "orientation-lift", obstruction)
     return CoverDecision(True, None, "no necessary condition excludes this covering")

@@ -20,7 +20,6 @@ import functools
 import re
 from collections.abc import Iterable, Sequence
 
-# defined in base, so that a command can use them without compiling this module
 from .base import BraidkernelError, Undecided, record
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")

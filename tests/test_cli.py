@@ -69,6 +69,15 @@ def test_central_tau_rejected_off_atlas(capsys, monkeypatch):
     assert code == 3 and "error:" in err
 
 
+def test_central_tau_needs_the_atlas_generators(capsys, monkeypatch):
+    # an atlas name over other generators: refused before any enumeration
+    text = "group P3(RP2)\ngens a b\nrel a^2\n"
+    code, out, err = invoke(capsys, ["central", "--element", "tau"],
+                            stdin=text, monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err == 'error: "tau" on P3(RP2) needs the atlas generators B12 B13 B23 rho1 rho2 rho3\n'
+
+
 # sha256 of `build --surface rp2 --n k` for k = 1..12; relator order is part
 # of the chain-certificate format, so the text must not change
 BUILD_RP2_SHA256 = [
@@ -376,6 +385,21 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 3 and "error:" in err
 
 
+def test_empty_input_path_is_not_stdin(capsys, monkeypatch):
+    code, out, err = invoke(capsys, ["order", "--input="], stdin="group G\ngens a\nrel a^4\n",
+                            monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+def test_presentation_without_generators(capsys, monkeypatch):
+    # the trivial group: one coset, and every word over no letters is 1
+    for argv, answer in ((["order"], "1\n"), (["equal", "--table", "--lhs", "1", "--rhs", "1"],
+                                              "equal\n")):
+        code, out, err = invoke(capsys, argv, stdin="group T\ngens\n", monkeypatch=monkeypatch)
+        assert (code, out, err) == (0, answer, "")
+
+
 def test_json_envelope_everywhere(capsys, monkeypatch, tmp_path):
     pres = build_rp2(capsys, 2)
     path = tmp_path / "p2.pres"
@@ -452,7 +476,7 @@ BAD_INPUT_FILES = {
 
 
 @pytest.mark.parametrize("argv,stdin", [
-    (["order"], "group G\ngens\n"),
+    (["central", "--element", "a"], "group G\ngens\n"),
     (["order", "--max-cosets", "0"], "group G\ngens a\nrel a^3\n"),
     (["hom-check", "--map", "x.hom", "--max-cosets", "-1"], None),
     (EQUAL_ARGS + ["--rewrite", "--max-rules", "0"], "group G\ngens a\nrel a^3\n"),
@@ -698,7 +722,7 @@ def test_hom_check_undecided_oracle_exits_2(capsys, monkeypatch, tmp_path):
     path.write_text(KLEIN_Q8_MAP)
 
     def oracle(u, v):
-        raise braidkernel.words.Undecided("oracle budget spent")
+        raise braidkernel.base.Undecided("oracle budget spent")
 
     monkeypatch.setattr(braidkernel.coset, "table_equality_oracle", lambda table: oracle)
     for mode in ([], ["--json"]):

@@ -17,7 +17,8 @@ from braidkernel import (
     quotient, todd_coxeter, torus_presentation, word_equal_finite,
 )
 from braidkernel.coset import _growth
-from braidkernel.words import Undecided, Word, letters_to_word, word_to_letters
+from braidkernel.base import Undecided
+from braidkernel.words import Word, letters_to_word, word_to_letters
 
 
 def trace(table, coset, letters):
@@ -145,9 +146,9 @@ def test_coset_budget_must_be_positive(q8):
         todd_coxeter(q8, max_cosets=0)
 
 
-def test_empty_alphabet_rejected():
-    with pytest.raises(EnumerationError):
-        todd_coxeter(presentation("trivial", [], []))
+def test_empty_alphabet_enumerates_the_trivial_group():
+    table = todd_coxeter(presentation("trivial", [], []))
+    assert (table.status, group_order(table), table.rows) == ("complete", 1, ((),))
 
 
 def test_subgroup_generator_alphabet_checked(q8, s3_presentation):

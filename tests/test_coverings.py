@@ -10,7 +10,7 @@ from braidkernel import (
     hom_check, kernel_description, quotient_candidates, table_equality_oracle,
     todd_coxeter, torus_action_forms,
 )
-from braidkernel.coverings import TORUS_MAX_ORDER
+from braidkernel.surfaces import TORUS_MAX_ORDER
 
 
 def S(g):

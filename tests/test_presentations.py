@@ -13,9 +13,9 @@ from braidkernel.derivations import ChainError, ChainFormatError
 from braidkernel.presentations import (
     FormatError, PresentationFormatError, directives, parse_hom_file, parse_relation,
 )
+from braidkernel.base import Undecided
 from braidkernel.words import (
-    Undecided, Word, free_reduce_letters, letters_to_word, make_alphabet, parse_word,
-    word_to_letters,
+    Word, free_reduce_letters, letters_to_word, make_alphabet, parse_word, word_to_letters,
 )
 
 

@@ -1,6 +1,6 @@
 """The frozen-record contract of every result and value class.
 
-``words.record`` stands in for ``@dataclass(frozen=True)``; each class
+``base.record`` stands in for ``@dataclass(frozen=True)``; each class
 is checked against a real frozen dataclass with the same fields.
 """
 
@@ -14,7 +14,7 @@ from braidkernel import (
     RewriteSystem, SurfaceKind, Word, can_cover, center_table, kernel_description, knuth_bendix,
     presentation, quaternion_presentation,
 )
-from braidkernel.words import record
+from braidkernel.base import record
 
 Z3 = presentation("Z3", ["a"], ["a^3"])
 A = Z3.gen("a")

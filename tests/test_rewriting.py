@@ -13,7 +13,8 @@ from braidkernel import (
 )
 from braidkernel.presentations import Presentation
 from braidkernel.rewriting import RewriteSystem, _decode, _encode, _rewrite
-from braidkernel.words import Undecided, letters_to_word, word_to_letters
+from braidkernel.base import Undecided
+from braidkernel.words import letters_to_word, word_to_letters
 
 
 def is_irreducible(rs, letters):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from braidkernel import words
+from braidkernel.base import Undecided
 from braidkernel.words import (
-    Undecided, Word, WordError, cyclic_reduce, format_word,
+    Word, WordError, cyclic_reduce, format_word,
     free_reduce_letters, letters_to_word, make_alphabet, multiply,
     parse_word, shortlex_compare, word_to_letters,
 )
