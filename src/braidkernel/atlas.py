@@ -8,8 +8,8 @@ The pure braid group of the projective plane has generators
 B_ij (1 <= i < j <= n) and rho_k (1 <= k <= n) with four relation
 families; exactly the listed index patterns are emitted, in a fixed
 order (family, then indices), because derivation certificates address
-relators by position.  Every relation and atlas word is written in the
-word grammar and read by ``presentation()`` or ``Presentation.word``.
+relators by position.  ``presentation()`` reads the relations; an atlas
+word is parsed over the alphabet alone, so only presentations build relators.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from .presentations import GroupHom, Presentation, presentation
 from .surfaces import RP2, TORUS, SurfaceKind
 from .base import BraidkernelError, record
-from .words import Word
+from .words import Alphabet, Word, make_alphabet, parse_word
 
 _RP2_NAME_RE = re.compile(r"P(\d+)\(RP2\)")
 
@@ -48,18 +48,25 @@ def _b_name(i: int, j: int) -> str:
 
 
 @functools.lru_cache
+def _rp2_alphabet(n: int) -> Alphabet:
+    if n < 1:
+        raise AtlasError("strand count must be >= 1")
+    if n > RP2_MAX_STRANDS:
+        raise AtlasError(f"strand count must be <= {RP2_MAX_STRANDS} for rp2, got {n}")
+    b_names = [_b_name(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return make_alphabet(b_names + [f"rho{k}" for k in range(1, n + 1)])  # the presentation's order
+
+
+@functools.lru_cache
 def pure_braid_rp2(n: int) -> Presentation:
     """The n-strand pure braid group of the projective plane.
 
     Built once per strand count and process; the presentation is frozen,
     so every caller shares it.
     """
-    if n < 1:
-        raise AtlasError("strand count must be >= 1")
-    if n > RP2_MAX_STRANDS:
-        raise AtlasError(f"strand count must be <= {RP2_MAX_STRANDS} for rp2, got {n}")
+    gens = _rp2_alphabet(n)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    B = {(i, j): _b_name(i, j) for i, j in pairs}
+    B = dict(zip(pairs, gens))
     relations: list[str] = []
 
     # family (a): conjugation of B_ij by B_rs, four index patterns
@@ -101,7 +108,6 @@ def pure_braid_rp2(n: int) -> Presentation:
                 relations.append(f"{lhs} = rho{j}^-1 {B[k, j]}^-1 rho{j} {B[k, j]}^-1 "
                                  f"{B[i, j]} {B[k, j]} rho{j}^-1 {B[k, j]} rho{j}")
 
-    gens = list(B.values()) + [f"rho{k}" for k in range(1, n + 1)]
     return presentation(f"P{n}(RP2)", gens, relations)
 
 
@@ -115,7 +121,7 @@ def b_ij_as_rho(n: int, i: int, j: int) -> Word:
     """The rho-word rho_j rho_i^-1 rho_j^-1 rho_i equal to B_ij."""
     if not 1 <= i < j <= n:
         raise AtlasError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return pure_braid_rp2(n).word(f"rho{j} rho{i}^-1 rho{j}^-1 rho{i}")
+    return parse_word(f"rho{j} rho{i}^-1 rho{j}^-1 rho{i}", _rp2_alphabet(n))
 
 
 def tau_component(n: int, i: int, form: str = "B") -> Word:
@@ -127,24 +133,19 @@ def tau_component(n: int, i: int, form: str = "B") -> Word:
     """
     if not 1 <= i <= n:
         raise AtlasError(f"need 1 <= i <= n, got i={i}, n={n}")
-    p = pure_braid_rp2(n)
+    alphabet = _rp2_alphabet(n)
     if form == "B":
-        return p.word(" ".join(_b_name(i, j) for j in range(i + 1, n + 1)) or "1")
+        return parse_word(" ".join(_b_name(i, j) for j in range(i + 1, n + 1)) or "1", alphabet)
     if form == "rho":
         inverses = [f"{_b_name(a, i)}^-1" for a in range(i - 1, 0, -1)]
-        return p.word(" ".join(inverses + [f"rho{i}^2"]))
+        return parse_word(" ".join(inverses + [f"rho{i}^2"]), alphabet)
     raise AtlasError(f"form must be 'B' or 'rho', got {form!r}")
 
 
 def tau_n(n: int, form: str = "B") -> Word:
     """The generator of the center of P_n(RP2): tau_n1 * ... * tau_nn."""
-    if n < 1:
-        raise AtlasError("strand count must be >= 1")
-    p = pure_braid_rp2(n)
-    out = Word.identity(p.alphabet)
-    for i in range(1, n + 1):
-        out = out * tau_component(n, i, form)
-    return out
+    return Word.from_syllables(_rp2_alphabet(n), [
+        s for i in range(1, n + 1) for s in tau_component(n, i, form).syllables])
 
 
 # small fixed presentations -------------------------------------------------
@@ -208,9 +209,8 @@ def center_table(surface: SurfaceKind, n: int) -> CenterDescription:
         return CenterDescription("trivial", (), (), "trivial")
     if surface == RP2:
         if n == 1:
-            p = pure_braid_rp2(1)
             return CenterDescription(
-                "cyclic-generated", (p.gen("rho1"),), (),
+                "cyclic-generated", (parse_word("rho1", _rp2_alphabet(1)),), (),
                 "the whole group Z/2 (abelian)")
         return CenterDescription(
             "cyclic-generated", (tau_n(n),), (),

@@ -169,6 +169,13 @@ def search_equality(p: Presentation, u: Word, v: Word,
     if v.letter_length > max_word_len:
         return None  # every word longer than the cap is pruned
     start = word_to_letters(u)
+    # past this bound no successor fits the cap: a step adds one relator's exponent sums, and no
+    # word is shorter than its sums' absolute total (its length is no bound: halves can meet)
+    sums = [0] * p.ngens
+    for gen, exp in u.syllables:
+        sums[gen] += exp
+    if sum(map(abs, sums)) > max_word_len + max((r.letter_length for r in p.relators), default=0):
+        return None
     goal = word_to_letters(v)
 
     # the distinct (freely reduced) insertion strings, each with the

@@ -331,3 +331,18 @@ def test_atlas_words_pinned():
         digest.update(_atlas_words_text(n).encode())
     assert digest.hexdigest() == (
         "eb6f6bce9674604086e9a9cf6da7d18619f61cace49590a4c7be34038735b247")
+
+
+def test_atlas_words_build_no_presentation():
+    # the words are parsed over the atlas alphabet: naming tau_n does not
+    # build P_n(RP2)'s relators (2234 at n = 12)
+    pure_braid_rp2.cache_clear()
+    for n in range(1, RP2_MAX_STRANDS + 1):
+        tau_n(n)
+        center_table(RP2, n)
+        for i in range(1, n + 1):
+            tau_component(n, i, "B")
+            tau_component(n, i, "rho")
+            for j in range(i + 1, n + 1):
+                b_ij_as_rho(n, i, j)
+    assert pure_braid_rp2.cache_info().misses == 0

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import braidkernel
-from braidkernel.atlas import RP2_MAX_STRANDS
+from braidkernel.atlas import RP2_MAX_STRANDS, pure_braid_rp2
 from braidkernel.cli import _COMMANDS, run
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -76,6 +76,16 @@ def test_central_tau_needs_the_atlas_generators(capsys, monkeypatch):
                             stdin=text, monkeypatch=monkeypatch)
     assert (code, out) == (3, "")
     assert err == 'error: "tau" on P3(RP2) needs the atlas generators B12 B13 B23 rho1 rho2 rho3\n'
+
+
+def test_central_tau_builds_no_atlas_presentation(capsys, monkeypatch):
+    # tau is read over the atlas alphabet; the group is the one on stdin
+    pres = build_rp2(capsys, RP2_MAX_STRANDS)
+    pure_braid_rp2.cache_clear()
+    code, out, err = invoke(capsys, ["central", "--element", "tau", "--max-cosets", "5"],
+                            stdin=pres, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "undecided: enumeration budget exhausted at 5 live cosets\n")
+    assert pure_braid_rp2.cache_info().misses == 0
 
 
 # sha256 of `build --surface rp2 --n k` for k = 1..12; relator order is part

@@ -306,6 +306,35 @@ def test_search_goal_over_cap_is_undecided_at_once(rp2_n2, monkeypatch):
                            max_word_len=5) is None
 
 
+Z5 = presentation("Z5", ["a"], ["a^5"])
+
+
+def test_search_start_past_the_exponent_bound_is_undecided_at_once(monkeypatch):
+    # a^36 is over cap 30 plus one relator's 5 letters: no successor fits,
+    # so the insertions and the start's letter index are never built
+    def no_insertions(p, step):
+        raise AssertionError("searched from a start no successor of which fits the cap")
+    monkeypatch.setattr(derivations, "_step_insertion", no_insertions)
+    for u in ("a^36", "a^-36", "a^10000000"):
+        assert search_equality(Z5, Z5.word(u), Z5.word("1"), max_word_len=30) is None
+
+
+@pytest.mark.parametrize("u,v", [("a^35", "a^30"), ("a^36", "a^31"), ("a^-35", "a^-30")])
+def test_search_exponent_bound_matches_reference(u, v):
+    u, v = Z5.word(u), Z5.word(v)
+    chain = search_equality(Z5, u, v, max_word_len=30)
+    assert (None if chain is None else chain.steps) == reference_search(Z5, u, v, 30, 100)
+
+
+def test_search_start_length_is_no_bound():
+    # 21 letters, cap 5, a one-letter relator: cancelling h lets the
+    # g's meet, and one step reaches the identity
+    p = presentation("G", ["g", "h"], ["h"])
+    u, v = p.word("g^10 h g^-10"), p.word("1")
+    chain = search_equality(p, u, v, max_word_len=5)
+    assert chain.steps == reference_search(p, u, v, 5, 100) == (DerivationStep(0, 0, -1, 10),)
+
+
 def test_search_reduces_insertions_of_non_cyclic_relators(q8):
     # Presentation stores relators cyclically reduced; a conjugated relator
     # (its rotations not freely reduced) still searches like the reference
