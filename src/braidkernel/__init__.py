@@ -25,8 +25,8 @@ DEFAULT_MAX_NODES = 200000   # derivations.search_equality: distinct words visit
 
 _EXPORTS = {
     "base": ("BraidkernelError",),
-    "words": ("Word", "WordError", "cyclic_reduce", "format_word", "make_alphabet", "multiply",
-              "parse_word", "shortlex_compare"),
+    "words": ("Word", "WordError", "cyclic_reduce", "format_word", "make_alphabet", "parse_word",
+              "shortlex_compare"),
     "presentations": ("AbelianInvariants", "FormatError", "GroupHom", "HomCheckResult",
                       "Presentation", "PresentationError", "abelianization", "format_presentation",
                       "hom_check", "parse_hom_file", "parse_presentation", "parse_relation",

@@ -16,9 +16,10 @@ from __future__ import annotations
 from collections import deque
 
 from . import DEFAULT_MAX_NODES, DEFAULT_MAX_WORD_LEN
-from .base import BraidkernelError, record
+from .base import BraidkernelError, Undecided, record
 from .presentations import FormatError, Presentation, directives, read_directives
 from .words import (
+    MAX_LETTERS,
     Word,
     format_word,
     free_reduce_letters,
@@ -183,6 +184,10 @@ def search_equality(p: Presentation, u: Word, v: Word,
     # leaves at least L - w, and every popped word but the start has at
     # most max_word_len letters, so a longer relator never makes a kept word.
     longest = max_word_len + max(len(start), max_word_len)
+    table = sum(2 * n * n for rel in p.relators if (n := rel.letter_length) <= longest)
+    if table > MAX_LETTERS:  # every rotation of every kept relator, in both directions
+        raise Undecided(f"an insertion table of {table} letters is over the {MAX_LETTERS}-letter "
+                        "expansion limit")
     first_step: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for ri, rel in enumerate(p.relators):
         if rel.letter_length > longest:

@@ -19,7 +19,6 @@ from .words import (
     cyclic_reduce,
     format_word,
     make_alphabet,
-    multiply,
     parse_word,
 )
 
@@ -53,12 +52,10 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.alphabet)
 
-    def gen(self, index_or_name, exponent: int = 1) -> Word:
-        if isinstance(index_or_name, str):
-            if index_or_name not in self.alphabet:
-                raise PresentationError(f"no generator named {index_or_name!r}")
-            index_or_name = self.alphabet.index(index_or_name)
-        return Word.generator(self.alphabet, index_or_name, exponent)
+    def gen(self, name: str, exponent: int = 1) -> Word:
+        if name not in self.alphabet:
+            raise PresentationError(f"no generator named {name!r}")
+        return Word.generator(self.alphabet, self.alphabet.index(name), exponent)
 
     def word(self, text: str) -> Word:
         return parse_word(text, self.alphabet)
@@ -72,7 +69,7 @@ def parse_relation(text: str, alphabet: Alphabet) -> Word:
     if len(parts) == 2:
         lhs = parse_word(parts[0], alphabet)
         rhs = parse_word(parts[1], alphabet)
-        return multiply(lhs, rhs.inverse())
+        return lhs * rhs.inverse()
     raise PresentationError(f"more than one '=' in relation {text!r}")
 
 
@@ -115,16 +112,6 @@ class AbelianInvariants:
             if prev is not None and d % prev != 0:
                 raise PresentationError("torsion divisibility chain broken")
             prev = d
-
-    @property
-    def order(self) -> int | None:
-        """Group order when finite (rank 0), else None."""
-        if self.rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
 
 
 def relator_matrix(p: Presentation) -> list[list[int]]:

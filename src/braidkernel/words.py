@@ -110,7 +110,8 @@ class Word:
         return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __mul__(self, other: "Word") -> "Word":
-        return multiply(self, other)
+        _require_same_alphabet(self, other)
+        return Word.from_syllables(self.alphabet, self.syllables + other.syllables)
 
     def __pow__(self, n: int) -> "Word":
         # conjugator * core^n * conjugator^-1, normalized in one pass:
@@ -145,12 +146,6 @@ class Word:
 def _require_same_alphabet(u: Word, v: Word):
     if u.alphabet != v.alphabet:
         raise WordError("words belong to different alphabets")
-
-
-def multiply(u: Word, v: Word) -> Word:
-    """Freely reduced concatenation u*v."""
-    _require_same_alphabet(u, v)
-    return Word.from_syllables(u.alphabet, u.syllables + v.syllables)
 
 
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
@@ -207,24 +202,16 @@ def free_reduce_letters(letters: Sequence[int]) -> tuple[int, ...]:
 
 # ordering ----------------------------------------------------------------
 
-def shortlex_compare(u: Word, v: Word, letter_order: Sequence[int] | None = None) -> int:
+def shortlex_compare(u: Word, v: Word) -> int:
     """Shortlex comparison on letter expansions: -1, 0 or 1.
 
-    The default letter order is g0 < g0^-1 < g1 < g1^-1 < ...; pass a
-    permutation of the 2n letter ids to override it.
+    The letter order is fixed, g0 < g0^-1 < g1 < g1^-1 < ..., the order
+    of the letter ids and of Knuth-Bendix completion.
     """
     _require_same_alphabet(u, v)
     lu, lv = word_to_letters(u), word_to_letters(v)
-    if letter_order is not None:
-        rank = {x: i for i, x in enumerate(letter_order)}
-        lu = tuple(rank[x] for x in lu)
-        lv = tuple(rank[x] for x in lv)
     ku, kv = (len(lu), lu), (len(lv), lv)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
+    return (ku > kv) - (ku < kv)
 
 
 # text form ---------------------------------------------------------------

@@ -563,6 +563,8 @@ end
 send x = rho1 rho2
 """
 HUGE_WORD = "a^100000000000"
+APERIODIC = " ".join(f"a^{k} b" for k in range(1, 141))  # 10010 letters, no rotation repeats
+HUGE_TABLE = f"group G\ngens a b\nrel {APERIODIC}\n"
 WORD_LIMIT = ("undecided: a word of 100000000000 letters is over the "
               "10000000-letter expansion limit\n")
 
@@ -572,15 +574,20 @@ WORD_LIMIT = ("undecided: a word of 100000000000 letters is over the "
     (["equal", "--rewrite", "--lhs", "a", "--rhs", "1"], HUGE_GROUP, 2, WORD_LIMIT),
     (["equal", "--search", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
     (["equal", "--rewrite", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
+    (["equal", "--search", "--lhs", f"{APERIODIC} a", "--rhs", "a"], HUGE_TABLE, 2,
+     "undecided: an insertion table of 200400200 letters is over the 10000000-letter "
+     "expansion limit\n"),
     (["check-derivation", "chain.txt"], HUGE_GROUP, 2, WORD_LIMIT),
     (["hom-check", "--map", "map.txt"], "", 2, "undecided: a power of 200000000000 syllables "
                                                "is over the 10000000-letter expansion limit\n"),
     (["build", "--surface", "nonorientable:100000000"], "", 3,
      "error: crosscap count must be <= 100000, got 100000000\n"),
-], ids=["order", "rewrite-relator", "search", "rewrite-word", "chain", "hom-power", "crosscaps"])
+], ids=["order", "rewrite-relator", "search", "rewrite-word", "search-table", "chain", "hom-power",
+        "crosscaps"])
 def test_huge_input_is_refused_fast_in_bounded_memory(tmp_path, argv, stdin, code, err):
     # each of these ended in a MemoryError traceback under a 1.5 GB
-    # address-space limit before the letter-expansion and crosscap limits
+    # address-space limit before the letter-expansion, insertion-table and
+    # crosscap limits
     resource = pytest.importorskip("resource")
     limit = 1500 * 2**20
     (tmp_path / "chain.txt").write_text(HUGE_CHAIN)

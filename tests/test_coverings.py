@@ -1,15 +1,17 @@
 import hashlib
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from braidkernel import (
     KLEIN, RP2, SPHERE, TORUS, CoveringError, SurfaceKind,
     can_cover, center_order_finite, euler_char, format_presentation, group_order,
-    hom_check, kernel_description, quotient_candidates, table_equality_oracle,
+    hom_check, kernel_description, presentation, quotient_candidates, table_equality_oracle,
     todd_coxeter, torus_action_forms,
 )
+from braidkernel import atlas, coset
 from braidkernel.surfaces import TORUS_MAX_ORDER
 
 
@@ -170,6 +172,24 @@ def test_klein_cannot_cover_torus(q8_table):
     assert witness is not None
     assert hom_check(witness, table_equality_oracle(q8_table)).verified
     assert todd_coxeter(witness.target, list(witness.images)).n_cosets == 1
+
+
+def _index_two(p, subgroup_gens=(), **budget):
+    # the table of the images' subgroup claims two cosets; the full table stays real
+    return SimpleNamespace(n_cosets=2) if subgroup_gens else todd_coxeter(p, **budget)
+
+
+@pytest.mark.parametrize("module,name,fake,message", [
+    (coset, "table_equality_oracle", lambda table: lambda u, v: False, "failed verification"),
+    (coset, "todd_coxeter", _index_two, "not surjective"),
+    (coset, "word_equal_finite", lambda table, u, v: True, "image is abelian"),
+    (atlas, "torus_presentation", lambda: presentation("T2", ["a", "b"], []),
+     "torus group abelianity"),
+], ids=["hom-check", "surjective", "nonabelian", "torus-abelian"])
+def test_klein_certificate_self_checks_refuse(monkeypatch, module, name, fake, message):
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(CoveringError, match=message):
+        can_cover(KLEIN, TORUS, 2)
 
 
 def test_euler_characteristic_obstruction():

@@ -1,11 +1,14 @@
 """Engines checked against each other: on a presentation where both
-finish, Todd-Coxeter and Knuth-Bendix describe the same finite group."""
+finish, Todd-Coxeter and Knuth-Bendix describe the same finite group.
+Each engine refuses a word over another alphabet with its own error."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
-    enumerate_normal_forms, group_order, knuth_bendix, normal_form, todd_coxeter,
-    word_equal_finite,
+    BraidkernelError, ChainError, DerivationStep, EnumerationError, GroupHom, PresentationError,
+    apply_step, enumerate_normal_forms, group_order, knuth_bendix, normal_form, presentation,
+    search_equality, substitute, todd_coxeter, word_equal_finite,
 )
 from braidkernel.presentations import Presentation
 from braidkernel.words import letters_to_word
@@ -41,3 +44,20 @@ def test_coset_table_and_rewriting_agree(engines):
     assert len(enumerate_normal_forms(rs, limit=order)) == order
     for u, v in pairs:
         assert word_equal_finite(table, u, v) == (normal_form(rs, u) == normal_form(rs, v))
+
+
+Z5 = presentation("Z5", ["a"], ["a^5"])
+X = presentation("X", ["x"], []).gen("x")  # a generator over another one-letter alphabet
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: todd_coxeter(Z5).trace_word(1, X), EnumerationError, "table's alphabet"),
+    (lambda: apply_step(Z5, X, DerivationStep(0, 0, 1, 0)), ChainError, "presentation's alphabet"),
+    (lambda: search_equality(Z5, X, Z5.word("a^2")), ChainError, "presentation's alphabet"),
+    (lambda: normal_form(knuth_bendix(Z5), X), BraidkernelError, "rewriting system's alphabet"),
+    (lambda: substitute(GroupHom(Z5, Z5, (Z5.gen("a"),)), X), PresentationError, "source alphabet"),
+    (lambda: Z5.gen("x"), PresentationError, "no generator named 'x'"),
+], ids=["trace_word", "apply_step", "search_equality", "normal_form", "substitute", "gen"])
+def test_foreign_word_gets_the_engines_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

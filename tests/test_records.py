@@ -123,6 +123,7 @@ def test_defaults(cls, args, field, default):
     (lambda: Presentation("G", ("b",), (A,)), "over a different alphabet"),
     (lambda: AbelianInvariants(-1, ()), "negative free rank"),
     (lambda: AbelianInvariants(rank=0, torsion=(2, 3)), "divisibility chain"),
+    (lambda: AbelianInvariants(0, (1, 2)), "torsion coefficients must be >= 2"),
     (lambda: GroupHom(Z3, Z3, ()), "expected 1 generator images, got 0"),
     (lambda: GroupHom(Z3, quaternion_presentation(), (A,)), "wrong alphabet"),
     (lambda: SurfaceKind(orientable=True, genus=-1), "orientable genus must be >= 0"),

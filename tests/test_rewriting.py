@@ -327,21 +327,3 @@ def small_presentations(draw):
 def test_knuth_bendix_matches_reference(p, max_rules, max_len):
     rs = knuth_bendix(p, max_rules=max_rules, max_len=max_len)
     assert (rs.rules, rs.confluent) == reference_knuth_bendix(p, max_rules, max_len)
-
-
-def assert_index_handed_over(rs):
-    # knuth_bendix stores its own index; a fresh system builds it from the rules
-    assert "index" in vars(rs)
-    assert rs.index == RewriteSystem(rs.alphabet, rs.rules, rs.confluent).index
-
-
-def test_knuth_bendix_hands_over_its_index():
-    rs = knuth_bendix(pure_braid_rp2(3), max_rules=150)
-    assert len(rs.rules) == 151
-    assert_index_handed_over(rs)
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_presentations(), st.integers(1, 40), st.integers(1, 12))
-def test_handed_over_index_matches_a_fresh_one(p, max_rules, max_len):
-    assert_index_handed_over(knuth_bendix(p, max_rules=max_rules, max_len=max_len))
