@@ -24,7 +24,8 @@ processed, every entry of a live coset names a live coset, so scans walk
 the table without the union-find.  Each relator is first walked inline
 from the coset being scanned: a loop that closes is skipped, since a
 closed loop stays closed (fills only add entries, merges map closed
-loops to closed loops), and only an open one goes to the scanner.
+loops to closed loops), and only an open one goes to the scanner.  So
+does each open x·x^-1 (c·x undefined): the scanner defines every coset.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ class CosetTable:
 
     @cached_property
     def rows(self) -> tuple[tuple[int | None, ...], ...]:
-        index, live = self._index, self._live
-        if not self._cols:  # an empty alphabet: one empty row per coset
-            return ((),) * len(live)
-        return tuple(zip(*([index[col[c]] for c in live] for col in self._cols)))
+        index = self._index
+        return tuple(tuple(index[col[c]] for col in self._cols) for c in self._live)
 
     @property
     def is_complete(self) -> bool:
@@ -176,13 +175,9 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     relators, subgroup = ([([cols[x] for x in path], [cols[x ^ 1] for x in path])
                            for path in map(word_to_letters, words)]
                           for words in (p.relators, subgroup_gens))
+    loops = [([col, inv], [inv, col]) for col, inv in pairs]  # each x·x^-1
     parent = [0, 1]
     live_count = 1
-
-    def grow():
-        zeros = [0] * _growth(len(parent))
-        for col in cols:
-            col.extend(zeros)
 
     def find(c: int) -> int:
         root = c
@@ -253,7 +248,9 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                 raise _BudgetExceeded
             d = len(parent)
             if d == len(word[i]):
-                grow()
+                zeros = [0] * _growth(d)
+                for col in cols:
+                    col.extend(zeros)
             parent.append(d)
             inverse[i][d] = f
             word[i][f] = d
@@ -278,17 +275,9 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
                         if parent[idx] != idx:
                             break
                 else:
-                    for col, inv in pairs:
-                        if not col[idx]:
-                            if live_count >= max_cosets:
-                                raise _BudgetExceeded
-                            d = len(parent)
-                            if d == len(col):
-                                grow()
-                            parent.append(d)
-                            inv[d] = idx
-                            col[idx] = d
-                            live_count += 1
+                    for path, inverse in loops:
+                        if not path[0][idx]:
+                            scan_and_fill(idx, path, inverse)
             idx += 1
     except _BudgetExceeded:
         status = "budget-exceeded"

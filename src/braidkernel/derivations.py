@@ -77,16 +77,24 @@ def _step_insertion(p: Presentation, step: DerivationStep) -> tuple[int, ...]:
 
 
 def apply_step(p: Presentation, w: Word, step: DerivationStep) -> Word:
-    """One insertion move: splice the (rotated, oriented) relator into w."""
+    """One insertion move: splice the (rotated, oriented) relator into w.
+
+    w is split at the step's letter position syllable by syllable, so
+    only the inserted relator is expanded to letters, never w.
+    """
     if w.alphabet != p.alphabet:
         raise ChainError("word is not over the presentation's alphabet")
-    insertion = _step_insertion(p, step)
-    letters = word_to_letters(w)
-    if not 0 <= step.position <= len(letters):
-        raise ChainError(f"position {step.position} out of range (word length {len(letters)})")
-    new = free_reduce_letters(
-        letters[:step.position] + insertion + letters[step.position:])
-    return letters_to_word(p.alphabet, new)
+    insertion = letters_to_word(p.alphabet, _step_insertion(p, step)).syllables
+    sylls, rest = w.syllables, step.position
+    for k, (gen, exp) in enumerate(sylls):
+        if 0 <= rest <= abs(exp):  # the position falls in (or at the end of) syllable k
+            cut = rest if exp > 0 else -rest
+            sylls = sylls[:k] + ((gen, cut),) + insertion + ((gen, exp - cut),) + sylls[k + 1:]
+            return Word.from_syllables(p.alphabet, sylls)
+        rest -= abs(exp)
+    if rest:
+        raise ChainError(f"position {step.position} out of range (word length {w.letter_length})")
+    return Word.from_syllables(p.alphabet, sylls + insertion)
 
 
 def check_derivation(chain: DerivationChain) -> DerivationReport:

@@ -238,8 +238,6 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,
     """
     if max_letters is None and limit is None:
         raise BraidkernelError("need max_letters or limit to bound the enumeration")
-    lhs_set = {_encode(lhs) for lhs, _ in rs.rules}
-    max_lhs = max(map(len, lhs_set), default=0)
     letters = [chr(x) for x in range(2 * len(rs.alphabet))]
     found = [""]
     level = [""]
@@ -250,9 +248,9 @@ def enumerate_normal_forms(rs: RewriteSystem, max_letters: int | None = None,
         for word in level:
             for x in letters:
                 cand = word + x
-                # word itself is irreducible, so only suffixes of the
-                # extension can match a left-hand side
-                if any(cand[-k:] in lhs_set for k in range(1, min(max_lhs, len(cand)) + 1)):
+                # word itself is irreducible, so only suffixes of the extension can
+                # match a left side; cand[-k:] with k > len(cand) is cand, too short
+                if any(cand[-k:] in sides for k, sides in rs.index.items()):
                     continue
                 nxt.append(cand)
                 found.append(cand)

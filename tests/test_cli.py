@@ -342,6 +342,21 @@ def test_check_derivation_out_of_range_is_negative(capsys, tmp_path, monkeypatch
         '    "error": "relator index 99 out of range"\n  }\n}\n')
 
 
+@pytest.mark.parametrize("end,result", [
+    ("a^19999997", (0, "valid: 1 steps replayed\n")),
+    ("a^19999998", (1, "invalid: chain replays but ends at a^19999997, "
+                       "file declares a^19999998\n")),
+], ids=["valid", "wrong-end"])
+def test_check_derivation_answers_a_chain_over_the_letter_limit(capsys, tmp_path, monkeypatch,
+                                                                end, result):
+    # the replay splits words per syllable: only an inserted relator is
+    # expanded to letters, so a 20000000-letter start is answered exactly
+    path = tmp_path / "big.chain"
+    path.write_text(f"start a^20000000\nstep 0 0 -1 0\nend {end}\n")
+    pres = "group G\ngens a\nrel a^3\n"
+    assert check_chain(capsys, monkeypatch, pres, path)[:2] == result
+
+
 def test_hom_check_map_file(capsys, tmp_path):
     map_text = """hom klein-to-q8
 begin source

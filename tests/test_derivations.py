@@ -3,6 +3,7 @@ import itertools
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,62 @@ def test_malformed_chain_structure_raises(rp2_n2, q8):
                        (rp2_n2.word("B12"), q8.word("rho1"))):
         with pytest.raises(ChainError, match="wrong alphabet"):
             check_derivation(DerivationChain(rp2_n2, start, (), end))
+
+
+def reference_apply_step(p, w, step):
+    """apply_step on letters: expand w, splice, freely reduce the whole word."""
+    insertion = derivations._step_insertion(p, step)
+    letters = word_to_letters(w)
+    if not 0 <= step.position <= len(letters):
+        raise ChainError(f"position {step.position} out of range (word length {len(letters)})")
+    return letters_to_word(p.alphabet, free_reduce_letters(
+        letters[:step.position] + insertion + letters[step.position:]))
+
+
+STEP_GROUPS = (quaternion_presentation(), pure_braid_rp2(2), pure_braid_rp2(3))
+
+
+@st.composite
+def step_cases(draw):
+    """A group, a word of random syllables and a step; the word often holds
+    the inverse of the step's insertion, so that it can cancel completely."""
+    p = draw(st.sampled_from(STEP_GROUPS))
+    syllables = st.lists(st.tuples(st.integers(0, p.ngens - 1), st.integers(-3, 3)), max_size=6)
+    ri = draw(st.integers(0, len(p.relators) - 1))
+    rotation = draw(st.integers(0, p.relators[ri].letter_length - 1))
+    direction = draw(st.sampled_from((1, -1)))
+    middle = Word.identity(p.alphabet)
+    if draw(st.booleans()):
+        middle = letters_to_word(p.alphabet, derivations._step_insertion(
+            p, DerivationStep(ri, rotation, -direction, 0)))
+    w = (Word.from_syllables(p.alphabet, draw(syllables)) * middle
+         * Word.from_syllables(p.alphabet, draw(syllables)))
+    position = draw(st.integers(-2, w.letter_length + 2))
+    return p, w, DerivationStep(ri, rotation, direction, position)
+
+
+def outcome(apply, p, w, step):
+    try:
+        return apply(p, w, step)
+    except ChainError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_cases())
+def test_apply_step_matches_the_letter_splice(case):
+    # the per-syllable split gives the word, or the error, of the letter splice
+    assert outcome(apply_step, *case) == outcome(reference_apply_step, *case)
+
+
+def test_long_chain_replays_in_linear_time():
+    # each step prepends the relator a^1000: expanding the whole word at
+    # every step made this replay take about 18 s
+    p = presentation("G", ["a"], ["a^1000"])
+    chain = parse_chain_file("start 1\n" + "step 0 0 1 0\n" * 400 + "end a^400000\n", p)
+    start = time.perf_counter()
+    assert check_derivation(chain).message == "400 steps replayed"
+    assert time.perf_counter() - start < 5
 
 
 # search ------------------------------------------------------------------------
