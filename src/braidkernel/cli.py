@@ -81,7 +81,8 @@ _COMMANDS = {
         "--table": ("table", bool, False, "coset-table oracle (default)"),
         "--search": ("search", bool, False, "derivation-chain search"),
         "--rewrite": ("rewrite", bool, False, "Knuth-Bendix normal forms"),
-        "--max-word-len": ("max_word_len", _budget_value, DEFAULT_MAX_WORD_LEN, "search budget"),
+        "--max-word-len": ("max_word_len", _budget_value, DEFAULT_MAX_WORD_LEN,
+                           "most letters in any word of a chain, both ends included"),
         "--max-nodes": ("max_nodes", _budget_value, DEFAULT_MAX_NODES, "search budget"),
         "--max-rules": ("max_rules", _budget_value, DEFAULT_MAX_RULES, "rewrite budget"),
         "--max-len": ("max_len", _budget_value, DEFAULT_MAX_LEN, "rewrite budget"),

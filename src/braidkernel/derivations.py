@@ -155,11 +155,11 @@ def search_equality(p: Presentation, u: Word, v: Word,
     """Breadth-first search for a derivation chain from u to v.
 
     Explores every relator insertion (all rotations, both directions,
-    every position), pruning words longer than ``max_word_len`` and
-    stopping after ``max_nodes`` distinct words.  Returns a chain that
-    check_derivation accepts, or None (inconclusive, not a disproof).
-    The chain goes through check_derivation before it is returned, and
-    one that it rejects raises ChainError.
+    every position), pruning words longer than ``max_word_len`` (u and
+    v too) and stopping after ``max_nodes`` distinct words.  Returns a
+    chain that check_derivation accepts, or None (inconclusive, not a
+    disproof).  The chain goes through check_derivation before it is
+    returned, and one that it rejects raises ChainError.
 
     The visit order is part of the contract: from each word, the
     distinct insertions in order of first occurrence (relator, then
@@ -175,32 +175,28 @@ def search_equality(p: Presentation, u: Word, v: Word,
 
     if u == v:
         return _checked(DerivationChain(p, u, (), v))
-    if v.letter_length > max_word_len:
-        return None  # every word longer than the cap is pruned
-    start = word_to_letters(u)
-    # past this bound no successor fits the cap: a step adds one relator's exponent sums, and no
-    # word is shorter than its sums' absolute total (its length is no bound: halves can meet)
-    sums = [0] * p.ngens
-    for gen, exp in u.syllables:
-        sums[gen] += exp
-    if sum(map(abs, sums)) > max_word_len + max((r.letter_length for r in p.relators), default=0):
-        return None
-    goal = word_to_letters(v)
+    if max(u.letter_length, v.letter_length) > max_word_len:
+        return None  # every word of a chain is within the cap, both ends included
+    start, goal = word_to_letters(u), word_to_letters(v)
 
     # the distinct (freely reduced) insertion strings, each with the
     # first step that makes it.  Inserting L letters into a word of w
-    # leaves at least L - w, and every popped word but the start has at
-    # most max_word_len letters, so a longer relator never makes a kept word.
-    longest = max_word_len + max(len(start), max_word_len)
-    table = sum(2 * n * n for rel in p.relators if (n := rel.letter_length) <= longest)
-    if table > MAX_LETTERS:  # every rotation of every kept relator, in both directions
-        raise Undecided(f"an insertion table of {table} letters is over the {MAX_LETTERS}-letter "
-                        "expansion limit")
-    first_step: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    # leaves at least L - w, and no popped word is over the cap, so a
+    # longer relator never makes a kept word.  Rotations past a relator's
+    # period repeat, so its table holds 2 * L * period letters, counted
+    # before they are built: no more than the limit is ever built.
+    longest = 2 * max_word_len
+    table, first_step = 0, {}
     for ri, rel in enumerate(p.relators):
         if rel.letter_length > longest:
             continue
-        for rot in range(rel.letter_length):
+        t = "".join(map(",{}".format, word_to_letters(rel)))  # so a match starts at a letter
+        period = t.count(",", 0, (t + t).find(t, 1))
+        table += 2 * rel.letter_length * period
+        if table > MAX_LETTERS:
+            raise Undecided(f"an insertion table of {table} letters is over the "
+                            f"{MAX_LETTERS}-letter expansion limit")
+        for rot in range(period):
             for direction in (1, -1):
                 ins = free_reduce_letters(
                     _step_insertion(p, DerivationStep(ri, rot, direction, 0)))
@@ -211,8 +207,8 @@ def search_equality(p: Presentation, u: Word, v: Word,
     # first two cancellations are at its junctions, so the word holds the
     # inverses of ins[1], ins[0] side by side (both cancel on the left), of
     # ins[0], ins[-1] (one on each side) or of ins[-1], ins[-2] (both on
-    # the right).  After a one-letter insertion cancels, the word's halves
-    # can meet, so it gets no pairs (None) and is never skipped this way.
+    # the right).  No popped word is over the cap, so a one-letter
+    # insertion is never that far over it and gets no pairs (None).
     variants = [(ins, how, (ins[0], ins[-1]),
                  None if len(ins) < 2 else {(ins[1] ^ 1, ins[0] ^ 1), (ins[0] ^ 1, ins[-1] ^ 1),
                                             (ins[-1] ^ 1, ins[-2] ^ 1)})
@@ -232,7 +228,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
             over = end + len(ins) - max_word_len
             if over <= 0:
                 positions = range(end + 1)
-            elif over > 2 and pairs is not None and adjacent.isdisjoint(pairs):
+            elif over > 2 and adjacent.isdisjoint(pairs):
                 continue
             elif (positions := junctions.get(ends)) is None:
                 # only a cancelling junction can bring the length under the cap

@@ -580,6 +580,9 @@ send x = rho1 rho2
 HUGE_WORD = "a^100000000000"
 APERIODIC = " ".join(f"a^{k} b" for k in range(1, 141))  # 10010 letters, no rotation repeats
 HUGE_TABLE = f"group G\ngens a b\nrel {APERIODIC}\n"
+LONG_RELATOR = " ".join(f"a^{k} b" for k in range(1, 66))  # 2210 letters
+LONG_START = "a^2500000 b^2500000 a^-2500000 b^-2500000"
+NO_CHAIN = "undecided: no chain found within budget\n"
 WORD_LIMIT = ("undecided: a word of 100000000000 letters is over the "
               "10000000-letter expansion limit\n")
 
@@ -587,22 +590,31 @@ WORD_LIMIT = ("undecided: a word of 100000000000 letters is over the "
 @pytest.mark.parametrize("argv,stdin,code,err", [
     (["order", "--max-cosets", "5"], HUGE_GROUP, 2, WORD_LIMIT),
     (["equal", "--rewrite", "--lhs", "a", "--rhs", "1"], HUGE_GROUP, 2, WORD_LIMIT),
-    (["equal", "--search", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
+    (["equal", "--search", "--max-word-len", "100000000000", "--lhs", HUGE_WORD, "--rhs", "a"],
+     HUGE_TORUS, 2, WORD_LIMIT),
     (["equal", "--rewrite", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
-    (["equal", "--search", "--lhs", f"{APERIODIC} a", "--rhs", "a"], HUGE_TABLE, 2,
+    (["equal", "--search", "--max-word-len", "10011", "--lhs", f"{APERIODIC} a", "--rhs", "a"],
+     HUGE_TABLE, 2,
      "undecided: an insertion table of 200400200 letters is over the 10000000-letter "
      "expansion limit\n"),
+    (["equal", "--search", "--lhs", LONG_START, "--rhs", "1"],
+     "group G\ngens a b\nrel a^2\nrel a b a^-1 b^-1\n", 2, NO_CHAIN),
+    (["equal", "--search", "--lhs", f"{LONG_RELATOR} a", "--rhs", "b"],
+     f"group G\ngens a b\nrel {LONG_RELATOR}\n", 2, NO_CHAIN),
+    (["equal", "--search", "--max-nodes", "10", "--lhs", f"{LONG_RELATOR} a", "--rhs", "b"],
+     f"group G\ngens a b\nrel {LONG_RELATOR}\n", 2, NO_CHAIN),
     (["check-derivation", "chain.txt"], HUGE_GROUP, 2, WORD_LIMIT),
     (["hom-check", "--map", "map.txt"], "", 2, "undecided: a power of 200000000000 syllables "
                                                "is over the 10000000-letter expansion limit\n"),
     (["build", "--surface", "nonorientable:100000000"], "", 3,
      "error: crosscap count must be <= 100000, got 100000000\n"),
-], ids=["order", "rewrite-relator", "search", "rewrite-word", "search-table", "chain", "hom-power",
-        "crosscaps"])
+], ids=["order", "rewrite-relator", "search", "rewrite-word", "search-table", "search-long-start",
+        "search-long-relator", "search-long-relator-10-nodes", "chain", "hom-power", "crosscaps"])
 def test_huge_input_is_refused_fast_in_bounded_memory(tmp_path, argv, stdin, code, err):
     # each of these ended in a MemoryError traceback under a 1.5 GB
     # address-space limit before the letter-expansion, insertion-table and
-    # crosscap limits
+    # crosscap limits; the long-start and long-relator searches instead
+    # spent about 10 s expanding a start over the word cap
     resource = pytest.importorskip("resource")
     limit = 1500 * 2**20
     (tmp_path / "chain.txt").write_text(HUGE_CHAIN)

@@ -153,7 +153,7 @@ def reference_walk(p, u, max_word_len):
     """Reference for the breadth-first walk of ``search_equality``:
     every insertion at every position, each candidate rebuilt and freely
     reduced.  Yields each new word under the cap, in visit order, with
-    the word and the step it came from."""
+    the word and the step it came from; a start over the cap has none."""
     identity = Word.identity(p.alphabet)
     variants = {}
     for ri, rel in enumerate(p.relators):
@@ -164,7 +164,7 @@ def reference_walk(p, u, max_word_len):
                 variants.setdefault(ins, step)
     start = word_to_letters(u)
     seen = {start}
-    frontier = [start]
+    frontier = [start] if len(start) <= max_word_len else []
     for word in frontier:
         for ins, step in variants.items():
             for pos in range(len(word) + 1):
@@ -243,11 +243,11 @@ def test_search_max_nodes_cut_matches_reference(rp2_n2):
 
 
 def test_one_letter_insertion_cancels_two_pairs():
-    # b a b^-1 a^2 is 2 letters over cap 3; inserting a^-1 at 1 cancels a
-    # and then b with b^-1, the only way under the cap
-    chain = search_equality(Z3, Z3.word("b a b^-1 a^2"), Z3.word("a^2"), max_word_len=3)
+    # inserting a^-1 at 1 into b a b^-1 a^2 cancels a and then b with b^-1,
+    # so one step reaches a^2
+    chain = search_equality(Z3, Z3.word("b a b^-1 a^2"), Z3.word("a^2"), max_word_len=5)
     assert chain.steps == (DerivationStep(0, 0, -1, 1),)
-    assert chain.steps == reference_search(Z3, chain.start, chain.end, 3, 10)
+    assert chain.steps == reference_search(Z3, chain.start, chain.end, 5, 10)
 
 
 def certify_pairs():
@@ -366,13 +366,17 @@ def test_search_goal_over_cap_is_undecided_at_once(rp2_n2, monkeypatch):
 Z5 = presentation("Z5", ["a"], ["a^5"])
 
 
-def test_search_start_past_the_exponent_bound_is_undecided_at_once(monkeypatch):
-    # a^36 is over cap 30 plus one relator's 5 letters: no successor fits,
-    # so the insertions and the start's letter index are never built
+def test_search_start_over_the_cap_is_undecided_at_once(monkeypatch):
+    # the cap bounds both ends of a chain, so a start over it is never
+    # expanded into letters, and no insertion is built
     def no_insertions(p, step):
-        raise AssertionError("searched from a start no successor of which fits the cap")
+        raise AssertionError("searched from a start over the cap")
+
+    def no_letters(w):
+        raise AssertionError("expanded a word for a start over the cap")
     monkeypatch.setattr(derivations, "_step_insertion", no_insertions)
-    for u in ("a^36", "a^-36", "a^10000000"):
+    monkeypatch.setattr(derivations, "word_to_letters", no_letters)
+    for u in ("a^31", "a^36", "a^-36", "a^10000000"):
         assert search_equality(Z5, Z5.word(u), Z5.word("1"), max_word_len=30) is None
 
 
@@ -384,12 +388,35 @@ def test_search_exponent_bound_matches_reference(u, v):
 
 
 def test_search_start_length_is_no_bound():
-    # 21 letters, cap 5, a one-letter relator: cancelling h lets the
-    # g's meet, and one step reaches the identity
+    # 21 letters and a one-letter relator: cancelling h lets the g's meet,
+    # and one step reaches the identity, once the cap admits the start
     p = presentation("G", ["g", "h"], ["h"])
     u, v = p.word("g^10 h g^-10"), p.word("1")
-    chain = search_equality(p, u, v, max_word_len=5)
-    assert chain.steps == reference_search(p, u, v, 5, 100) == (DerivationStep(0, 0, -1, 10),)
+    assert search_equality(p, u, v, max_word_len=20) is None
+    chain = search_equality(p, u, v, max_word_len=21)
+    assert chain.steps == reference_search(p, u, v, 21, 100) == (DerivationStep(0, 0, -1, 10),)
+
+
+def test_periodic_relator_table_stops_at_its_period(monkeypatch):
+    # a^4000 has period 1: its two insertions make a 16000-letter table,
+    # where all 4000 rotations in both directions would make 32000000
+    p = presentation("G", ["a", "b"], ["a^4000"])
+    built = []
+    insertion = derivations._step_insertion
+    monkeypatch.setattr(derivations, "_step_insertion",
+                        lambda q, step: built.append(step) or insertion(q, step))
+    chain = search_equality(p, p.word("a^4000"), p.word("1"), max_word_len=4000)
+    assert chain.steps == (DerivationStep(0, 0, -1, 0),)
+    # the table's two insertions, then the replay check's one
+    assert [(step.rotation, step.direction) for step in built] == [(0, 1), (0, -1), (0, -1)]
+
+
+def test_insertion_table_takes_letters_past_the_code_points():
+    # the letters of g557056 are 1114112 and 1114113, past the largest
+    # code point, and the relator's period is still found
+    p = presentation("G", [f"g{k}" for k in range(557057)], ["g557056^2"])
+    chain = search_equality(p, p.word("g557056"), p.word("g557056^-1"))
+    assert chain.steps == (DerivationStep(0, 0, -1, 0),)
 
 
 def test_search_reduces_insertions_of_non_cyclic_relators(q8):
