@@ -13,6 +13,21 @@ def handle(args):
     p = _load_presentation(args)
     lhs = parse_word(args.lhs, p.alphabet)
     rhs = parse_word(args.rhs, p.alphabet)
+    try:
+        return _decide(args, p, lhs, rhs)
+    except Undecided:
+        # an index-2 witness can still prove the words differ; only this path loads
+        # schreier and snf, and a certificate is printed only once it is checked
+        from .. import schreier
+        witness = schreier.find_witness(p, lhs, rhs)
+        if witness is None or not schreier.check_witness(p, lhs, rhs, witness):
+            raise
+        return (False, {"equal": False, "witness": schreier.witness_json(p, witness)},
+                ["not equal"])
+
+
+def _decide(args, p, lhs, rhs):
+    """The answer of the engine the options name."""
     if args.search:
         chain = derivations.search_equality(p, lhs, rhs, max_word_len=args.max_word_len,
                                             max_nodes=args.max_nodes)

@@ -23,6 +23,7 @@ from .words import (
     Word,
     format_word,
     free_reduce_letters,
+    join_reduced,
     letters_to_word,
     parse_word,
     word_to_letters,
@@ -80,21 +81,26 @@ def apply_step(p: Presentation, w: Word, step: DerivationStep) -> Word:
     """One insertion move: splice the (rotated, oriented) relator into w.
 
     w is split at the step's letter position syllable by syllable, so
-    only the inserted relator is expanded to letters, never w.
+    only the inserted relator is expanded to letters, never w.  Both
+    halves and the insertion are reduced, so only the two junctions merge
+    or cancel, and the rest of w is copied, not normalized again.
     """
     if w.alphabet != p.alphabet:
         raise ChainError("word is not over the presentation's alphabet")
     insertion = letters_to_word(p.alphabet, _step_insertion(p, step)).syllables
     sylls, rest = w.syllables, step.position
     for k, (gen, exp) in enumerate(sylls):
-        if 0 <= rest <= abs(exp):  # the position falls in (or at the end of) syllable k
-            cut = rest if exp > 0 else -rest
-            sylls = sylls[:k] + ((gen, cut),) + insertion + ((gen, exp - cut),) + sylls[k + 1:]
-            return Word.from_syllables(p.alphabet, sylls)
+        if 0 <= rest < abs(exp):  # the position falls at the start of syllable k or inside it
+            if rest == 0:  # between syllables: both halves are slices, copied once
+                head, tail = sylls[:k], sylls[k:]
+            else:
+                cut = rest if exp > 0 else -rest
+                head, tail = sylls[:k] + ((gen, cut),), ((gen, exp - cut),) + sylls[k + 1:]
+            return join_reduced(p.alphabet, (head, insertion, tail))
         rest -= abs(exp)
     if rest:
         raise ChainError(f"position {step.position} out of range (word length {w.letter_length})")
-    return Word.from_syllables(p.alphabet, sylls + insertion)
+    return join_reduced(p.alphabet, (sylls, insertion))
 
 
 def check_derivation(chain: DerivationChain) -> DerivationReport:

@@ -130,7 +130,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     mat = [row for row in relator_matrix(p) if any(row)]
     if not mat:
         return AbelianInvariants(p.ngens, ())
-    diag, _, _ = snf.smith_normal_form(mat)
+    diag = snf.invariant_factors(mat)
     rank = sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d >= 2)
     return AbelianInvariants(rank, torsion)

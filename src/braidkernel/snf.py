@@ -11,6 +11,8 @@ reducing against a fixed pivot lets them grow without bound
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .base import BraidkernelError
 
 
@@ -87,3 +89,36 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]], list[list[int]]]
             a[t] = [-x for x in a[t]]
             left[t] = [-x for x in left[t]]
     return [a[j][j] if j < rows else 0 for j in range(cols)], left, right
+
+
+def invariant_factors(mat) -> list[int]:
+    """The diagonal ``smith_normal_form(mat)`` returns, without its transforms.
+
+    A row whose one nonzero entry is alone in its column is a Smith block
+    already (its row and column split off the rest of the matrix), so
+    only the rest goes through the dense reduction.  The blocks and the
+    rest's diagonal then merge into the divisibility chain by gcd/lcm
+    passes: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and a zero entry (a
+    free factor) is the last of any chain.  No entry is factored.
+    """
+    _, cols = _validate(mat)
+    support = [[j for j, x in enumerate(row) if x] for row in mat]
+    uses = [0] * cols
+    for nonzero in support:
+        for j in nonzero:
+            uses[j] += 1
+    blocks, split = [], set()
+    for row, nonzero in zip(mat, support):
+        if len(nonzero) == 1 and uses[nonzero[0]] == 1:
+            blocks.append(abs(row[nonzero[0]]))
+            split.add(nonzero[0])
+    keep = [j for j in range(cols) if j not in split]
+    rest = [[row[j] for j in keep] for row, nonzero in zip(mat, support)
+            if nonzero and nonzero[0] not in split]
+    diag = blocks + (smith_normal_form(rest)[0] if rest else [0] * len(keep))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            if a != b and (a == 0 or b % a):  # a does not divide b already
+                diag[i], diag[j] = gcd(a, b), lcm(a, b)
+    return diag

@@ -111,7 +111,7 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         _require_same_alphabet(self, other)
-        return Word.from_syllables(self.alphabet, self.syllables + other.syllables)
+        return join_reduced(self.alphabet, (self.syllables, other.syllables))
 
     def __pow__(self, n: int) -> "Word":
         # conjugator * core^n * conjugator^-1, normalized in one pass:
@@ -141,6 +141,31 @@ class Word:
 
     def __str__(self):
         return format_word(self)
+
+
+def join_reduced(alphabet: Alphabet, parts: Iterable[tuple[tuple[int, int], ...]]) -> Word:
+    """The product of freely reduced syllable tuples over alphabet.
+
+    Each part is reduced already, so syllables merge or cancel only at a
+    junction: the seam is worked syllable by syllable while it cancels
+    completely, and the rest of both sides is sliced and joined whole.
+    The result is reduced by construction, and is not validated again.
+    """
+    out: tuple[tuple[int, int], ...] = ()
+    for part in parts:
+        i, k, end, seam = len(out), 0, len(part), ()
+        while i and k < end and out[i - 1][0] == part[k][0]:
+            exp = out[i - 1][1] + part[k][1]
+            i -= 1
+            k += 1
+            if exp:
+                seam = ((part[k - 1][0], exp),)
+                break
+        out = out[:i] + seam + part[k:]
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "syllables", out)
+    return w
 
 
 def _require_same_alphabet(u: Word, v: Word):

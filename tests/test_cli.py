@@ -154,11 +154,62 @@ def test_equal_table_modes(capsys, monkeypatch, tmp_path):
                                           "--rhs", "rho2 rho1^-1 rho2^-1 rho1",
                                           "--search", "--max-word-len", "12"])
     assert code == 0 and "step" in out
+    # rho1^2 = B12 = rho2^2 takes two relators, past 50 nodes; no witness separates equal words
     for mode in ([], ["--json"]):
-        code, out, err = invoke(capsys, base + ["--lhs", "rho1", "--rhs", "rho2",
+        code, out, err = invoke(capsys, base + ["--lhs", "rho1^2", "--rhs", "rho2^2",
                                                 "--search", "--max-nodes", "50"] + mode)
         assert (code, out) == (2, "")
         assert err == "undecided: no chain found within budget\n"
+
+
+# each engine gives up on B12 != 1 in P3(RP2); a checked index-2 witness answers
+UNDECIDED_ENGINES = {"table": ["--table", "--max-cosets", "100"],
+                     "search": ["--search", "--max-nodes", "100"],
+                     "rewrite": ["--rewrite", "--max-rules", "20"]}
+
+
+@pytest.mark.parametrize("engine", list(UNDECIDED_ENGINES))
+def test_equal_falls_back_to_a_checked_witness(capsys, monkeypatch, engine):
+    p3 = build_rp2(capsys, 3)
+    argv = ["equal", "--lhs", "B12", "--rhs", "1", *UNDECIDED_ENGINES[engine]]
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (1, "not equal\n", "")
+    code, out, err = invoke(capsys, argv + ["--json"], stdin=p3, monkeypatch=monkeypatch)
+    assert (code, err) == (1, "")
+    result = json.loads(out)["result"]
+    assert result["equal"] is False
+    witness = result["witness"]
+    assert set(witness) == {"map", "schreier_generators", "functional", "modulus"}
+    assert len(witness["map"]) == 6 and set(witness["map"]) == {0, 1}
+    # one column per (coset, generator) pair but the tree edge
+    assert len(witness["schreier_generators"]) == len(witness["functional"]) == 11
+    assert witness["modulus"] == 4
+
+
+def test_equal_witness_by_the_map_alone(capsys, monkeypatch):
+    p3 = build_rp2(capsys, 3)
+    code, out, _ = invoke(capsys, ["equal", "--search", "--max-nodes", "5", "--lhs", "rho1",
+                                   "--rhs", "rho2", "--json"], stdin=p3, monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["result"] == {"equal": False, "witness": {"map": [0, 0, 0, 1, 0, 0]}}
+
+
+def test_equal_unseparated_pair_keeps_the_engines_line(capsys, monkeypatch):
+    # equal words: no witness separates them, so the engine's own undecided line stands
+    p3 = build_rp2(capsys, 3)
+    for engine, line in (("--rewrite", "rewriting system is not confluent"),
+                         ("--search", "no chain found within budget")):
+        argv = ["equal", engine, "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
+        assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (
+            2, "", f"undecided: {line}\n")
+
+
+def test_equal_prints_no_unchecked_witness(capsys, monkeypatch):
+    from braidkernel import schreier
+    monkeypatch.setattr(schreier, "check_witness", lambda p, u, v, witness: False)
+    p3 = build_rp2(capsys, 3)
+    assert invoke(capsys, ["equal", "--search", "--max-nodes", "5", "--lhs", "B12", "--rhs", "1"],
+                  stdin=p3, monkeypatch=monkeypatch) == (
+        2, "", "undecided: no chain found within budget\n")
 
 
 def test_equal_search_never_prints_an_unchecked_chain(capsys, monkeypatch):
@@ -219,10 +270,39 @@ def test_stdin_that_is_not_utf8_exits_3():
 
 
 def test_equal_search_skips_a_relator_longer_than_any_kept_word():
+    # odd relators: no map onto Z/2, so no witness separates a and b either
     proc = run_cli(["equal", "--search", "--lhs", "a", "--rhs", "b", "--max-nodes", "5"],
-                   "group G\ngens a b\nrel a^30000000\n")
+                   "group G\ngens a b\nrel a^30000001\nrel b^3\n")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "undecided: no chain found within budget\n"
+
+
+def test_chain_replay_splices_only_at_the_junctions(tmp_path):
+    # 200 insertions of a 1000-syllable relator at position 0: the replayed word grows to
+    # 200000 syllables, and each step copies it instead of normalizing it again (2.5 s before)
+    rel = " ".join(["a b"] * 500)
+    (tmp_path / "g.pres").write_text(f"group G\ngens a b\nrel {rel}\n")
+    (tmp_path / "long.chain").write_text(
+        "start 1\n" + "step 0 0 1 0\n" * 200 + "end " + " ".join(["a b"] * 100000) + "\n")
+    start = time.perf_counter()
+    proc = run_cli(["check-derivation", str(tmp_path / "long.chain"), "--input",
+                    str(tmp_path / "g.pres")], "")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "valid: 200 steps replayed\n", "")
+    assert elapsed < 0.5
+
+
+def test_abelianize_splits_off_ready_smith_blocks():
+    # <g1..g1200 | gi^2> is diagonal already: every row is a Smith block (39 s before)
+    k = 1200
+    gens = " ".join(f"g{i}" for i in range(1, k + 1))
+    rels = "".join(f"rel g{i}^2\n" for i in range(1, k + 1))
+    start = time.perf_counter()
+    proc = run_cli(["abelianize"], f"group G\ngens {gens}\n{rels}")
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"rank 0, torsion {[2] * k}\n"
+    assert elapsed < 1.0
 
 
 def test_quotients_output(capsys):
@@ -289,7 +369,7 @@ def test_equal_rewrite_undecided_when_not_confluent(capsys, monkeypatch, tmp_pat
     path.write_text(pres)
     for mode in ([], ["--json"]):
         code, out, err = invoke(capsys, ["equal", "--input", str(path),
-                                         "--lhs", "rho1", "--rhs", "rho2",
+                                         "--lhs", "rho1^2", "--rhs", "rho2^2",
                                          "--rewrite", "--max-rules", "3"] + mode)
         assert (code, out) == (2, "")
         assert err == "undecided: rewriting system is not confluent\n"
@@ -578,6 +658,7 @@ end
 send x = rho1 rho2
 """
 HUGE_WORD = "a^100000000000"
+HUGE_CONJUGATE = "b a^100000000000 b^-1"  # equal to HUGE_WORD in the torus group
 APERIODIC = " ".join(f"a^{k} b" for k in range(1, 141))  # 10010 letters, no rotation repeats
 HUGE_TABLE = f"group G\ngens a b\nrel {APERIODIC}\n"
 LONG_RELATOR = " ".join(f"a^{k} b" for k in range(1, 66))  # 2210 letters
@@ -589,19 +670,20 @@ WORD_LIMIT = ("undecided: a word of 100000000000 letters is over the "
 
 @pytest.mark.parametrize("argv,stdin,code,err", [
     (["order", "--max-cosets", "5"], HUGE_GROUP, 2, WORD_LIMIT),
-    (["equal", "--rewrite", "--lhs", "a", "--rhs", "1"], HUGE_GROUP, 2, WORD_LIMIT),
-    (["equal", "--search", "--max-word-len", "100000000000", "--lhs", HUGE_WORD, "--rhs", "a"],
-     HUGE_TORUS, 2, WORD_LIMIT),
-    (["equal", "--rewrite", "--lhs", HUGE_WORD, "--rhs", "a"], HUGE_TORUS, 2, WORD_LIMIT),
+    (["equal", "--rewrite", "--lhs", "1", "--rhs", HUGE_WORD], HUGE_GROUP, 2, WORD_LIMIT),
+    (["equal", "--search", "--max-word-len", "100000000002", "--lhs", HUGE_WORD,
+      "--rhs", HUGE_CONJUGATE], HUGE_TORUS, 2, WORD_LIMIT),
+    (["equal", "--rewrite", "--lhs", HUGE_WORD, "--rhs", HUGE_CONJUGATE], HUGE_TORUS, 2,
+     WORD_LIMIT),
     (["equal", "--search", "--max-word-len", "10011", "--lhs", f"{APERIODIC} a", "--rhs", "a"],
      HUGE_TABLE, 2,
      "undecided: an insertion table of 200400200 letters is over the 10000000-letter "
      "expansion limit\n"),
     (["equal", "--search", "--lhs", LONG_START, "--rhs", "1"],
      "group G\ngens a b\nrel a^2\nrel a b a^-1 b^-1\n", 2, NO_CHAIN),
-    (["equal", "--search", "--lhs", f"{LONG_RELATOR} a", "--rhs", "b"],
+    (["equal", "--search", "--lhs", f"{LONG_RELATOR} a", "--rhs", "a"],
      f"group G\ngens a b\nrel {LONG_RELATOR}\n", 2, NO_CHAIN),
-    (["equal", "--search", "--max-nodes", "10", "--lhs", f"{LONG_RELATOR} a", "--rhs", "b"],
+    (["equal", "--search", "--max-nodes", "10", "--lhs", f"{LONG_RELATOR} a", "--rhs", "a"],
      f"group G\ngens a b\nrel {LONG_RELATOR}\n", 2, NO_CHAIN),
     (["check-derivation", "chain.txt"], HUGE_GROUP, 2, WORD_LIMIT),
     (["hom-check", "--map", "map.txt"], "", 2, "undecided: a power of 200000000000 syllables "
@@ -778,7 +860,7 @@ def test_hom_check_undecided_oracle_exits_2(capsys, monkeypatch, tmp_path):
 def test_equal_rewrite_length_cap_is_undecided(capsys, monkeypatch):
     q8 = invoke(capsys, ["build", "--surface", "quaternion"])[1]
     code, out, err = invoke(capsys, ["equal", "--rewrite", "--max-len", "2",
-                                     "--lhs", "rho1", "--rhs", "rho2"],
+                                     "--lhs", "rho1^2", "--rhs", "rho2^2"],
                             stdin=q8, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err == "undecided: rewriting system is not confluent\n"
@@ -872,6 +954,9 @@ print(json.dumps(counts), file=sys.__stdout__)
 """
 
 
+BRAIDLIKE = ("rho1 rho2 rho1 rho2", "rho2 rho1 rho2 rho1")  # equal in P3(RP2), undecided here
+
+
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     # the console script turns the cyclic collector off; this is what makes that safe
     p2, p3 = build_rp2(capsys, 2), build_rp2(capsys, 3)
@@ -889,8 +974,12 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
         (["quotients", "--surface", "torus", "--sheets", "4"], "", 0),
         (["check-derivation", chain], p2, 0),
         (["order", "--max-cosets", "40000"], p3, 2),
-        (["equal", "--rewrite", "--max-rules", "150", "--lhs", "rho1", "--rhs", "rho2"], p3, 2),
-        (["equal", "--search", "--max-nodes", "4000", "--lhs", "rho1", "--rhs", "rho2"], p3, 2),
+        (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
+         p3, 2),
+        (["equal", "--search", "--max-nodes", "4000", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
+         p3, 2),
+        # an undecided engine, then a checked index-2 witness
+        (["equal", "--search", "--max-nodes", "4000", "--lhs", "rho1", "--rhs", "rho2"], p3, 1),
         (["order", "--bogus"], "", 3),
     ]
     assert {argv[0] for argv, _, _ in cases} == set(_COMMANDS)

@@ -1,5 +1,6 @@
 """Engines checked against each other: on a presentation where both
-finish, Todd-Coxeter and Knuth-Bendix describe the same finite group.
+finish, Todd-Coxeter and Knuth-Bendix describe the same finite group, and
+no index-2 witness separates two words the coset table calls equal.
 Each engine refuses a word over another alphabet with its own error."""
 
 import pytest
@@ -11,6 +12,7 @@ from braidkernel import (
     search_equality, substitute, todd_coxeter, word_equal_finite,
 )
 from braidkernel.presentations import Presentation
+from braidkernel.schreier import check_witness, find_witness
 from braidkernel.words import letters_to_word
 
 
@@ -44,6 +46,20 @@ def test_coset_table_and_rewriting_agree(engines):
     assert len(enumerate_normal_forms(rs, limit=order)) == order
     for u, v in pairs:
         assert word_equal_finite(table, u, v) == (normal_form(rs, u) == normal_form(rs, v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(finished_engines())
+def test_a_witness_separates_only_what_a_complete_table_separates(engines):
+    table, _, pairs = engines
+    if not table.is_complete:
+        return
+    p = table.presentation
+    for u, v in pairs:
+        witness = find_witness(p, u, v)
+        if witness is not None:
+            assert check_witness(p, u, v, witness)
+            assert not word_equal_finite(table, u, v)
 
 
 Z5 = presentation("Z5", ["a"], ["a^5"])

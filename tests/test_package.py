@@ -171,6 +171,9 @@ EXECUTED_CASES = {
                       {"coset", "derivations", "atlas", "snf"}),
     "equal-table": (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
     "equal-search": (EQUAL + ["--search"], Q8, 0, {"derivations"}, {"coset", "rewriting", "snf"}),
+    # an undecided engine: only then do the index-2 witness and its Smith normal form run
+    "equal-witness": (["equal", "--search", "--max-nodes", "1", "--lhs", "rho1^2", "--rhs", "1"],
+                      Q8, 1, {"derivations", "schreier", "snf"}, {"coset", "rewriting", "atlas"}),
     # the klein-over-torus certificate: exit 1, the covering is impossible
     "cover-klein-torus": (["cover", "--from", "klein", "--to", "torus", "--sheets", "2"], "", 1,
                           {"coverings", "coset"}, {"rewriting", "derivations"}),

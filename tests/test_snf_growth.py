@@ -1,12 +1,13 @@
 """Smith normal form beyond the fixed cases of test_snf: the diagonal and
-certificate on random matrices, and transforms that stay small where a
-fixed-pivot reduction lets them grow without bound."""
+certificate on random matrices, transforms that stay small where a
+fixed-pivot reduction lets them grow without bound, and invariant_factors,
+which splits ready Smith blocks off first, against the dense diagonal."""
 
 import random
 
 from hypothesis import given, strategies as st
 
-from braidkernel.snf import smith_normal_form
+from braidkernel.snf import invariant_factors, smith_normal_form
 from test_snf import check_snf, mat_mul, minors_gcd_invariants
 
 matrices = st.integers(1, 5).flatmap(
@@ -28,3 +29,27 @@ def test_transforms_stay_small_on_dense_random_matrices():
         assert bits <= 256, (seed, bits)
         assert mat_mul(mat_mul(left, mat), right) == [
             [diag[j] if i == j else 0 for j in range(7)] for i in range(10)]
+
+
+@st.composite
+def planted_blocks(draw):
+    """A random matrix with singleton rows planted in columns of their own: each
+    such row and column is a Smith block, and the rows come shuffled."""
+    rest = draw(matrices)
+    cols = len(rest[0])
+    entries = draw(st.lists(st.integers(-12, 12).filter(bool), max_size=6))
+    mat = [row + [0] * len(entries) for row in rest]
+    for k, x in enumerate(entries):
+        mat.append([0] * (cols + k) + [x] + [0] * (len(entries) - k - 1))
+    mat += [[0] * (cols + len(entries))] * draw(st.integers(0, 2))
+    return draw(st.permutations(mat))
+
+
+@given(planted_blocks())
+def test_invariant_factors_match_the_dense_diagonal(mat):
+    assert invariant_factors(mat) == smith_normal_form(mat)[0]
+
+
+@given(matrices)
+def test_invariant_factors_without_blocks_match_the_dense_diagonal(mat):
+    assert invariant_factors(mat) == smith_normal_form(mat)[0]

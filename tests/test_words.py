@@ -251,6 +251,15 @@ def test_group_axioms(s1, s2, s3):
     assert u.inverse().inverse() == u
 
 
+@given(st.lists(syllable_lists, max_size=4))
+def test_join_reduced_matches_full_normalization(parts):
+    # the parts are reduced; only their junctions merge or cancel
+    parts = [Word.from_syllables(AB, sylls).syllables for sylls in parts]
+    joined = words.join_reduced(AB, parts)
+    assert joined == Word.from_syllables(AB, [s for part in parts for s in part])
+    assert Word(AB, joined.syllables) == joined  # a valid Word: no zero exponent, no merge left
+
+
 @given(syllable_lists, syllable_lists)
 def test_length_subadditive(s1, s2):
     u = Word.from_syllables(AB, s1)
