@@ -70,7 +70,7 @@ _COMMANDS = {
         "--surface": ("surface", str, _REQUIRED, "rp2, torus, klein, quaternion, nonorientable:k"),
         "--n": ("n", int, None, "strand count (rp2)"), **_JSON}),
     "order": ("order", "group order by coset enumeration", {**_INPUT, **_MAX_COSETS, **_JSON}),
-    "central": ("central", "test centrality in the finite group", {
+    "central": ("central", "test centrality in a finite group, or in P3(RP2)", {
         "--element": ("element", str, _REQUIRED, 'a word, or "tau" on an atlas rp2 presentation'),
         **_INPUT, **_MAX_COSETS, **_JSON}),
     "abelianize": ("abelianize", "abelian invariants", {**_INPUT, **_JSON}),

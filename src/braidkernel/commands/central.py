@@ -1,8 +1,9 @@
-"""``braidkernel central``: test centrality in the finite group."""
+"""``braidkernel central``: test centrality in a finite group, or in P3(RP2)."""
 
 from .. import atlas, coset
+from ..base import Undecided
 from ..cli import UsageError, _load_presentation
-from ..words import format_word, parse_word
+from ..words import Word, format_word, parse_word
 
 
 def _resolve_element(args, p):
@@ -21,6 +22,17 @@ def _resolve_element(args, p):
 def handle(args):
     p = _load_presentation(args)
     w = _resolve_element(args, p)
-    central = coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w)
-    return (central, {"element": format_word(w), "central": central},
-            [f"{format_word(w)} is {'central' if central else 'not central'}"])
+    try:
+        central = coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w)
+        payload = {"element": format_word(w), "central": central}
+    except coset.IncompleteTableError as undecided:
+        # on P3(RP2) the fiber subgroup decides w g = g w for each generator g
+        from .. import schreier
+        try:
+            oracle = schreier.fiber_oracle(p)
+            gens = [Word.generator(p.alphabet, i) for i in range(p.ngens)]
+            central = all(oracle(w * g, g * w) for g in gens)
+        except Undecided:
+            raise undecided from None
+        payload = {"element": format_word(w), "central": central, "engine": "fiber"}
+    return central, payload, [f"{format_word(w)} is {'central' if central else 'not central'}"]

@@ -15,15 +15,20 @@ def handle(args):
     rhs = parse_word(args.rhs, p.alphabet)
     try:
         return _decide(args, p, lhs, rhs)
-    except Undecided:
-        # an index-2 witness can still prove the words differ; only this path loads
-        # schreier and snf, and a certificate is printed only once it is checked
+    except Undecided as undecided:
+        # an index-2 witness can still prove the words differ, and on P3(RP2) the fiber
+        # subgroup decides them; only this path loads schreier and snf, and an answer is
+        # printed only once its certificate is checked
         from .. import schreier
         witness = schreier.find_witness(p, lhs, rhs)
-        if witness is None or not schreier.check_witness(p, lhs, rhs, witness):
-            raise
-        return (False, {"equal": False, "witness": schreier.witness_json(p, witness)},
-                ["not equal"])
+        if witness is not None and schreier.check_witness(p, lhs, rhs, witness):
+            return (False, {"equal": False, "witness": schreier.witness_json(p, witness)},
+                    ["not equal"])
+        try:
+            same = schreier.fiber_oracle(p)(lhs, rhs)
+        except Undecided:
+            raise undecided from None
+        return same, {"equal": same, "engine": "fiber"}, ["equal" if same else "not equal"]
 
 
 def _decide(args, p, lhs, rhs):

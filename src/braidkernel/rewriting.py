@@ -132,13 +132,14 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     if max_rules < 1 or max_len < 1:
         raise BraidkernelError("budgets must be >= 1")
 
-    ids = count()   # never reused, so a queued pair cannot name a newer rule
+    ids = count()   # never reused, and rules keeps its keys in id order
     rules: dict[int, tuple[str, str]] = {}
     index: RuleIndex = {}   # the live rules again, by left side
-    # rule pairs to overlap, FIFO: one iterator per added rule, made
-    # when it is added and run when it comes up.  Each pair in a rule's
-    # iterator names the rule, so drop() discards the iterator unrun
-    pair_queue: dict[int, Iterator[tuple[int, int]]] = {}
+    # the rules whose pairs are still to overlap, FIFO by age (-1: the seed
+    # product).  A rule's pairs are made when it comes up, from the rules
+    # then live, so a rule retired while it waited yields none; drop()
+    # takes a retired rule off the queue
+    pair_queue: dict[int, None] = {}
     eq_queue: deque[tuple[str, str]] = deque()
     discarded = False
 
@@ -177,11 +178,21 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
                 eq_queue.append((ljh, rjh))
             else:
                 put(j, ljh, nf(rjh))
-        # (rid, j) and (j, rid) for every older j, then (rid, rid)
-        older = list(rules)[:-1]   # rid is the newest key
-        pairs = zip(zip(repeat(rid), older), zip(older, repeat(rid)))
-        pair_queue[rid] = chain(chain.from_iterable(pairs), [(rid, rid)])
+        pair_queue[rid] = None
         return True
+
+    def pairs(rid: int) -> Iterator[tuple[int, int]]:
+        """(rid, j) and (j, rid) for every live j older than rid, then (rid, rid);
+        the seed's product for -1.  A pair is yielded only while both its rules
+        are live: overlapping one pair can retire rules of the next."""
+        if rid < 0:
+            todo = product(seed, repeat=2)
+        else:
+            older = list(rules)
+            older = older[:older.index(rid)]
+            todo = chain(chain.from_iterable(zip(zip(repeat(rid), older), zip(older, repeat(rid)))),
+                         [(rid, rid)])
+        return ((i, j) for i, j in todo if i in rules and j in rules)
 
     def budget_spent() -> bool:
         """Add the queued equations; True once the rules outnumber
@@ -196,14 +207,15 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
     # seed: free reduction, then the relators as equations
     for x in range(2 * p.ngens):
         put(next(ids), chr(x) + chr(x ^ 1), "")
-    pair_queue[-1] = product(rules, repeat=2)  # -1 names no rule: ids count from 0
+    seed = list(rules)
+    pair_queue[-1] = None  # -1 names no rule: ids count from 0
     eq_queue.extend((_encode(word_to_letters(rel)), "") for rel in p.relators)
 
     aborted = len(rules) > max_rules or budget_spent()
     while pair_queue and not aborted:
-        for i, j in pair_queue.pop(next(iter(pair_queue))):
-            if not (i in rules and j in rules):  # retired since the iterator was made
-                continue
+        rid = next(iter(pair_queue))
+        del pair_queue[rid]
+        for i, j in pairs(rid):
             (l1, r1), (l2, r2) = rules[i], rules[j]
             # l1 and l2 overlap in a word A|O|B with l1 = A+O, l2 = O+B and
             # 0 < |O| = k < min(|l1|, |l2|); O ends in the last letter of l1

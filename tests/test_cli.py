@@ -194,22 +194,96 @@ def test_equal_witness_by_the_map_alone(capsys, monkeypatch):
 
 
 def test_equal_unseparated_pair_keeps_the_engines_line(capsys, monkeypatch):
-    # equal words: no witness separates them, so the engine's own undecided line stands
-    p3 = build_rp2(capsys, 3)
+    # equal words: no witness separates them, and the fiber oracle is three-strand only,
+    # so the engine's own undecided line stands
+    p4 = build_rp2(capsys, 4)
     for engine, line in (("--rewrite", "rewriting system is not confluent"),
                          ("--search", "no chain found within budget")):
         argv = ["equal", engine, "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
-        assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (
+        assert invoke(capsys, argv, stdin=p4, monkeypatch=monkeypatch) == (
             2, "", f"undecided: {line}\n")
 
 
 def test_equal_prints_no_unchecked_witness(capsys, monkeypatch):
     from braidkernel import schreier
     monkeypatch.setattr(schreier, "check_witness", lambda p, u, v, witness: False)
-    p3 = build_rp2(capsys, 3)
+    p4 = build_rp2(capsys, 4)
     assert invoke(capsys, ["equal", "--search", "--max-nodes", "5", "--lhs", "B12", "--rhs", "1"],
-                  stdin=p3, monkeypatch=monkeypatch) == (
+                  stdin=p4, monkeypatch=monkeypatch) == (
         2, "", "undecided: no chain found within budget\n")
+
+
+def paper_identities():
+    """The paper's P3(RP2) identities in the certify workload's forms: B_ij as a
+    rho-word, the conjugation of rho_j, the braid-like relation, and tau_3 central."""
+    pairs = []
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        b = f"B{i}{j}"
+        pairs += [(b, f"rho{j} rho{i}^-1 rho{j}^-1 rho{i}"),
+                  (f"{b}^-1 rho{j} {b}", f"rho{i}^-2 rho{j} rho{i}^2"),
+                  (f"rho{i} rho{j} rho{i} rho{j}", f"rho{j} rho{i} rho{j} rho{i}")]
+    tau = "B12 B13 B23"
+    return pairs + [(f"{tau} {x}", f"{x} {tau}") for x in ("B12", "B13", "B23", "rho1", "rho2", "rho3")]
+
+
+CERTIFY_MODES = {"rewrite": ["--rewrite", "--max-rules", "150"],
+                 "search": ["--search", "--max-word-len", "12", "--max-nodes", "4000"]}
+
+
+@pytest.mark.parametrize("mode", list(CERTIFY_MODES))
+def test_every_paper_identity_is_equal_in_p3(capsys, monkeypatch, mode):
+    p3 = build_rp2(capsys, 3)
+    engines = set()
+    for lhs, rhs in paper_identities():
+        argv = ["equal", *CERTIFY_MODES[mode], "--lhs", lhs, "--rhs", rhs, "--json"]
+        code, out, err = invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch)
+        assert (code, err) == (0, ""), (lhs, rhs)
+        result = json.loads(out)["result"]
+        assert result["equal"] is True
+        # an engine's own answer keeps its fields; the fiber oracle names itself
+        assert result.get("engine") == "fiber" or {"chain", "confluent"} & set(result)
+        engines.add(result.get("engine"))
+    assert "fiber" in engines
+
+
+def test_equal_by_the_fiber_oracle_prints_no_chain(capsys, monkeypatch):
+    p3 = build_rp2(capsys, 3)
+    argv = ["equal", "--search", "--max-nodes", "100", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (0, "equal\n", "")
+    code, out, _ = invoke(capsys, argv + ["--json"], stdin=p3, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["result"] == {"equal": True, "engine": "fiber"}
+    # a commutator in the fiber that no index-2 witness separates
+    argv = ["equal", "--search", "--max-nodes", "100", "--lhs", "B13 B23 B13^-1 B23^-1",
+            "--rhs", "1", "--json"]
+    code, out, _ = invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch)
+    assert code == 1 and json.loads(out)["result"] == {"equal": False, "engine": "fiber"}
+
+
+def test_the_fiber_oracle_keeps_the_engines_line_on_a_quotient(capsys, monkeypatch):
+    # P3(RP2)/<rho^6>: the fiber has index 4 but Tietze leaves relators
+    p3 = build_rp2(capsys, 3)
+    quotient = p3 + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3))
+    argv = ["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
+    assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (
+        2, "", "undecided: rewriting system is not confluent\n")
+
+
+def test_central_on_p3_falls_back_to_the_fiber_oracle(capsys, monkeypatch):
+    p3 = build_rp2(capsys, 3)
+    argv = ["central", "--element", "tau", "--max-cosets", "1000"]
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (
+        0, "B12*B13*B23 is central\n", "")
+    code, out, _ = invoke(capsys, argv + ["--json"], stdin=p3, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["result"] == {
+        "element": "B12*B13*B23", "central": True, "engine": "fiber"}
+    argv = ["central", "--element", "rho1", "--max-cosets", "1000"]
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (
+        1, "rho1 is not central\n", "")
+    # P4(RP2) has no fiber oracle: the enumeration's line stands
+    p4 = build_rp2(capsys, 4)
+    argv = ["central", "--element", "tau", "--max-cosets", "1000"]
+    assert invoke(capsys, argv, stdin=p4, monkeypatch=monkeypatch) == (
+        2, "", "undecided: enumeration budget exhausted at 1000 live cosets\n")
 
 
 def test_equal_search_never_prints_an_unchecked_chain(capsys, monkeypatch):
@@ -954,12 +1028,13 @@ print(json.dumps(counts), file=sys.__stdout__)
 """
 
 
-BRAIDLIKE = ("rho1 rho2 rho1 rho2", "rho2 rho1 rho2 rho1")  # equal in P3(RP2), undecided here
+# equal in every P_n(RP2): undecided in P4(RP2) under both engines' budgets here
+BRAIDLIKE = ("rho1 rho2 rho1 rho2", "rho2 rho1 rho2 rho1")
 
 
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     # the console script turns the cyclic collector off; this is what makes that safe
-    p2, p3 = build_rp2(capsys, 2), build_rp2(capsys, 3)
+    p2, p3, p4 = (build_rp2(capsys, n) for n in (2, 3, 4))
     (tmp_path / "map.hom").write_text(KLEIN_Q8_MAP)
     chain = str(DATA_DIR / "b12_as_rho_n2.chain")
     cases = [
@@ -975,9 +1050,13 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
         (["check-derivation", chain], p2, 0),
         (["order", "--max-cosets", "40000"], p3, 2),
         (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
-         p3, 2),
+         p4, 2),
         (["equal", "--search", "--max-nodes", "4000", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
-         p3, 2),
+         p4, 2),
+        # undecided engines, then the fiber oracle of P3(RP2)
+        (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
+         p3, 0),
+        (["central", "--element", "tau", "--max-cosets", "1000"], p3, 0),
         # an undecided engine, then a checked index-2 witness
         (["equal", "--search", "--max-nodes", "4000", "--lhs", "rho1", "--rhs", "rho2"], p3, 1),
         (["order", "--bogus"], "", 3),

@@ -222,8 +222,17 @@ def coxeter_s5():
     return presentation("S5", gens, rels)
 
 
+def coxeter_s7():
+    gens = [f"s{i}" for i in range(1, 7)]
+    rels = [f"{s}^2" for s in gens]
+    rels += [f"{a} {b} " * 3 for a, b in zip(gens, gens[1:])]
+    rels += [f"{gens[i]} {gens[j]} " * 2 for i in range(6) for j in range(i + 2, 6)]
+    return presentation("S7", gens, rels)
+
+
 # rule order decides which rule _rewrite applies first, so pin it exactly;
-# the pair queue's order decides the rules and their order
+# the pair queue's order decides the rules and their order.  The groups are
+# those the benchmark completes, under its budgets
 @pytest.mark.parametrize("group,budget,nrules,confluent,digest", [
     (lambda: pure_braid_rp2(2), {}, 24, True,
      "a4f2e717e6c91c97af53c80a989676c58245d0f09405e0105d26538182704020"),
@@ -235,7 +244,13 @@ def coxeter_s5():
      "5b01556a60ba4f5875deac89af6c65cc58676998115186d4da6ed85525a0644b"),
     (coxeter_s5, {}, 17, True,
      "630585089741f7d771e40adef2ba96d37afd46b52e01149352c8c75ebbd425b2"),
-], ids=["P2", "P3-rules3", "P3-rules150", "Q8", "S5"])
+    (coxeter_s7, {}, 37, True,
+     "57b270fbbcf3cdf53053d4998147b9b830ff3becb162c674f336fca45917c922"),
+    (lambda: presentation("T2/<a^9,b^9>", ["a", "b"], ["a b a^-1 b^-1", "a^9", "b^9"]), {},
+     12, True, "7cc3dd0211d49b64c6f8d42d1367df30083293c6add4b6e60d639facffde9326"),
+    (lambda: pure_braid_rp2(4), {"max_rules": 150}, 151, False,
+     "125870a2858759143f5ad9c80774047bf97130b2279fbfe0f3b3d47c5bb0b108"),
+], ids=["P2", "P3-rules3", "P3-rules150", "Q8", "S5", "S7", "lattice", "P4-rules150"])
 def test_knuth_bendix_output_pinned(group, budget, nrules, confluent, digest):
     rs = knuth_bendix(group(), **budget)
     assert (len(rs.rules), rs.confluent) == (nrules, confluent)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
-    presentation, pure_braid_rp2, quaternion_presentation, quotient, tau_n, todd_coxeter,
-    word_equal_finite,
+    forget_strands_hom, presentation, pure_braid_rp2, quaternion_presentation, quotient,
+    smith_normal_form, substitute, tau_n, todd_coxeter, word_equal_finite,
 )
 from braidkernel import schreier
+from braidkernel.atlas import _rp2_alphabet
+from braidkernel.base import Undecided
 from braidkernel.schreier import Witness, check_witness, find_witness
 from braidkernel.snf import invariant_factors
 from braidkernel.words import Word, letters_to_word, word_to_letters
@@ -129,10 +131,10 @@ def test_rewrite_matches_a_letter_walk(p, data):
 
 
 @st.composite
-def relator_conjugate_pairs(draw):
+def relator_conjugate_pairs(draw, groups=(P2, P3, P4)):
     """A group, a word u, and u with a conjugate of a rotated, possibly
     inverted relator spliced in: equal by construction."""
-    p = draw(st.sampled_from([P2, P3, P4]))
+    p = draw(st.sampled_from(groups))
     letters = st.integers(0, 2 * p.ngens - 1)
     u = letters_to_word(p.alphabet, draw(st.lists(letters, max_size=8)))
     c = letters_to_word(p.alphabet, draw(st.lists(letters, max_size=4)))
@@ -228,3 +230,182 @@ def test_the_kernel_cap_bounds_an_undecided_p8_fallback():
         assert find_witness(p, u * x, x * u) is None
         times.append(time.perf_counter() - start)
     assert min(times) < 0.2
+
+
+# the word problem of P3(RP2) through its free fiber ---------------------------
+
+def fiber_table(p):
+    return todd_coxeter(p, [p.word(name) for name in ("B13", "B23", "rho3")],
+                        schreier.FIBER_MAX_COSETS)
+
+
+FIBER_SP = schreier.reidemeister_schreier(fiber_table(P3))
+FIBER_STEPS = schreier.tietze_free_basis(FIBER_SP)
+ORACLE = schreier.fiber_oracle(P3)
+
+
+def test_the_fiber_alphabet_is_the_atlas_one():
+    assert schreier.FIBER_ALPHABET == _rp2_alphabet(3) == P3.alphabet
+    assert [P3.alphabet[g] for g in schreier.FIBER] == ["B13", "B23", "rho3"]
+
+
+def test_the_fiber_of_p3_is_free_of_rank_2():
+    sp = FIBER_SP
+    assert (sp.index, sp.ngens, len(sp.rows)) == (8, 41, 112)
+    # H1 of the fiber: the exponent sums of the rows, reduced by the Smith normal form
+    sums = [[row.count(2 * k) - row.count(2 * k + 1) for k in range(sp.ngens)] for row in sp.rows]
+    diag, _, _ = smith_normal_form(sums)
+    assert sorted(diag) == [0, 0] + [1] * 39
+    # Tietze leaves 2 generators and no relator
+    assert len(FIBER_STEPS) == 39 and schreier.check_free_basis(sp, FIBER_STEPS)
+    assert len(ORACLE.alphabet) == 2 and ORACLE.steps == FIBER_STEPS
+
+
+def test_the_spanning_tree_leaves_one_generator_per_other_edge():
+    # a complete table of Q8 over the trivial subgroup: the regular action
+    sp = schreier.reidemeister_schreier(todd_coxeter(quaternion_presentation()))
+    assert (sp.index, sp.ngens) == (8, 8 * 2 - 7)
+    tree_edges = sum(s < 0 for col in sp.edges[::2] for s in col[1:])
+    assert tree_edges == 7
+    # the trivial subgroup is free of rank 0: every element is decided by its coset
+    oracle = schreier.free_subgroup_oracle(todd_coxeter(quaternion_presentation()))
+    assert oracle.alphabet == ()
+
+
+def tampered(steps):
+    """Three wrong certificates: one step dropped, the last moved first, one
+    expression changed."""
+    g, r, expr = steps[20]
+    other = next(x for x in range(2 * FIBER_SP.ngens) if x >> 1 != g)
+    return {"dropped": steps[:10] + steps[11:],
+            "reordered": steps[-1:] + steps[:-1],
+            "changed": steps[:20] + ((g, r, expr + (other,)),) + steps[21:]}
+
+
+@pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
+def test_a_tampered_elimination_list_is_rejected(kind):
+    assert not schreier.check_free_basis(FIBER_SP, tampered(FIBER_STEPS)[kind])
+
+
+def test_malformed_elimination_lists_are_rejected():
+    g, r, expr = FIBER_STEPS[0]
+    for step in ((FIBER_SP.ngens, r, expr), (g, len(FIBER_SP.rows), expr), (g, r + 1, expr)):
+        assert not schreier.check_free_basis(FIBER_SP, (step,) + FIBER_STEPS[1:])
+    # the empty list leaves every relator standing
+    assert not schreier.check_free_basis(FIBER_SP, ())
+
+
+P2_TABLE = todd_coxeter(P2)
+TO_Q8 = forget_strands_hom(3, 2)
+
+
+def q8_image(w):
+    return P2_TABLE.trace_word(1, substitute(TO_Q8, w))
+
+
+@st.composite
+def p3_pairs(draw):
+    letters = st.integers(0, 2 * P3.ngens - 1)
+    u = letters_to_word(P3.alphabet, draw(st.lists(letters, max_size=10)))
+    v = letters_to_word(P3.alphabet, draw(st.lists(letters, max_size=10)))
+    return u, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_conjugate_pairs((P3,)))
+def test_the_fiber_oracle_calls_relator_insertions_equal(case):
+    _, u, v = case
+    assert ORACLE(u, v) and ORACLE(v, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p3_pairs())
+def test_the_fiber_oracle_agrees_with_witnesses_and_q8(pair):
+    u, v = pair
+    same = ORACLE(u, v)
+    assert ORACLE(v, u) == same
+    if q8_image(u) != q8_image(v):
+        assert not same
+    witness = find_witness(P3, u, v)
+    if witness is not None:
+        assert check_witness(P3, u, v, witness) and not same
+    if same:
+        assert q8_image(u) == q8_image(v) and witness is None
+
+
+def identity_pairs():
+    """The paper's P3(RP2) identities, as the certify workload asks them."""
+    pairs = []
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        b = f"B{i}{j}"
+        pairs += [(b, f"rho{j} rho{i}^-1 rho{j}^-1 rho{i}"),
+                  (f"{b}^-1 rho{j} {b}", f"rho{i}^-2 rho{j} rho{i}^2"),
+                  (f"rho{i} rho{j} rho{i} rho{j}", f"rho{j} rho{i} rho{j} rho{i}")]
+    tau = " ".join(P3.alphabet[g] for g, _ in tau_n(3).syllables)
+    pairs += [(f"{tau} {x}", f"{x} {tau}") for x in P3.alphabet]
+    return pairs
+
+
+@pytest.mark.parametrize("lhs,rhs", identity_pairs())
+def test_the_paper_identities_hold_in_the_fiber_oracle(lhs, rhs):
+    assert ORACLE(P3.word(lhs), P3.word(rhs))
+
+
+def test_a_commutator_no_witness_separates_is_unequal():
+    u, one = P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")
+    assert find_witness(P3, u, one) is None
+    assert not ORACLE(u, one)
+    coset, image = ORACLE.image(u)
+    assert coset == 1 and not image.is_identity
+
+
+def test_huge_exponents_are_read_per_syllable():
+    # rho1 commutes with B23 (relation family (d)); the walks cycle, so the powers cost nothing
+    n = 10**11
+    assert ORACLE(P3.word(f"rho1 B23^{n}"), P3.word(f"B23^{n} rho1"))
+    assert ORACLE(P3.word(f"rho3^{2 * n + 2}"), P3.word(f"rho3^{2 * n} B13 B23"))
+    assert not ORACLE(P3.word(f"rho3^{2 * n + 1}"), P3.word(f"rho3^{2 * n} B13"))
+
+
+def rho_quotient(k):
+    return quotient(P3, [P3.word(f"rho{i}^{k}") for i in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("p", [rho_quotient(6), rho_quotient(4), rho_quotient(2), P4],
+                         ids=["rho6", "rho4", "rho2", "P4"])
+def test_the_fiber_oracle_refuses_what_it_cannot_decide(p):
+    with pytest.raises(Undecided):
+        schreier.fiber_oracle(p)
+
+
+def test_p4_and_long_relators_pay_no_enumeration(monkeypatch):
+    from braidkernel import coset
+    monkeypatch.setattr(coset, "todd_coxeter", None)
+    with pytest.raises(Undecided, match="atlas P3"):
+        schreier.fiber_oracle(P4)
+    # a consequence of the relators, but 2085 letters in all
+    long = quotient(P3, [P3.word("rho3^2 B23^-1 B13^-1") ** 500])
+    with pytest.raises(Undecided, match="2085 letters"):
+        schreier.fiber_oracle(long)
+
+
+def test_tietze_stops_at_its_letter_budget(monkeypatch):
+    # P3(RP2)'s eliminations write 3456 letters in all
+    monkeypatch.setattr(schreier, "TIETZE_MAX_LETTERS", 3456)
+    assert schreier.tietze_free_basis(FIBER_SP) == FIBER_STEPS
+    monkeypatch.setattr(schreier, "TIETZE_MAX_LETTERS", 3455)
+    with pytest.raises(Undecided, match="more than 3455 letters"):
+        schreier.fiber_oracle(P3)
+
+
+def test_a_table_that_is_not_an_action_is_refused():
+    from braidkernel.coset import CosetTable, EnumerationError
+    z2 = presentation("Z2", ["a"], ["a^2"])
+    # a 3-cycle for a does not satisfy a^2
+    bad = CosetTable(z2, (), "complete", [[0, 2, 3, 1], [0, 3, 1, 2]], [0, 1, 2, 3])
+    with pytest.raises(EnumerationError, match="does not close"):
+        schreier.reidemeister_schreier(bad)
+    # columns that are not inverse permutations
+    bad = CosetTable(z2, (), "complete", [[0, 2, 1], [0, 1, 2]], [0, 1, 2])
+    with pytest.raises(EnumerationError, match="permutation action"):
+        schreier.reidemeister_schreier(bad)
