@@ -22,9 +22,12 @@ DEFAULT_MAX_RULES = 500      # rewriting.knuth_bendix: rules
 DEFAULT_MAX_LEN = 30         # rewriting.knuth_bendix: rule side length
 DEFAULT_MAX_WORD_LEN = 30    # derivations.search_equality: word length
 DEFAULT_MAX_NODES = 200000   # derivations.search_equality: distinct words visited
+# the atlas P3(RP2) generators, the one alphabet fiber.fiber_oracle decides: defined here
+# so that equal and central skip the fiber module on every other presentation
+FIBER_ALPHABET = ("B12", "B13", "B23", "rho1", "rho2", "rho3")
 
 _EXPORTS = {
-    "base": ("BraidkernelError",),
+    "base": ("BraidkernelError", "EnumerationError"),
     "words": ("Word", "WordError", "cyclic_reduce", "format_word", "make_alphabet", "parse_word",
               "shortlex_compare"),
     "presentations": ("AbelianInvariants", "FormatError", "GroupHom", "HomCheckResult",
@@ -32,7 +35,7 @@ _EXPORTS = {
                       "hom_check", "parse_hom_file", "parse_presentation", "parse_relation",
                       "presentation", "quotient", "substitute"),
     "snf": ("MatrixError", "smith_normal_form"),
-    "coset": ("CosetTable", "EnumerationError", "IncompleteTableError", "center_order_finite",
+    "coset": ("CosetTable", "IncompleteTableError", "center_order_finite",
               "coset_representatives", "group_order", "is_central_finite", "table_equality_oracle",
               "todd_coxeter", "word_equal_finite"),
     "rewriting": ("RewriteSystem", "enumerate_normal_forms", "knuth_bendix", "normal_form",

@@ -12,6 +12,10 @@ class BraidkernelError(ValueError):
     """Base class of every error the library raises on bad input."""
 
 
+class EnumerationError(BraidkernelError):
+    """A coset table or permutation action that a query cannot use."""
+
+
 class Undecided(Exception):
     """A budget or expansion limit ran out before the answer was known;
     the message says which.  The CLI prints it as ``undecided: <message>``."""

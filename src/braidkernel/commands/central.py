@@ -1,6 +1,6 @@
 """``braidkernel central``: test centrality in a finite group, or in P3(RP2)."""
 
-from .. import atlas, coset
+from .. import FIBER_ALPHABET, atlas, coset
 from ..base import Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import Word, format_word, parse_word
@@ -27,9 +27,11 @@ def handle(args):
         payload = {"element": format_word(w), "central": central}
     except coset.IncompleteTableError as undecided:
         # on P3(RP2) the fiber subgroup decides w g = g w for each generator g
-        from .. import schreier
+        if p.alphabet != FIBER_ALPHABET:
+            raise
+        from .. import fiber
         try:
-            oracle = schreier.fiber_oracle(p)
+            oracle = fiber.fiber_oracle(p)
             gens = [Word.generator(p.alphabet, i) for i in range(p.ngens)]
             central = all(oracle(w * g, g * w) for g in gens)
         except Undecided:

@@ -1,6 +1,6 @@
 """``braidkernel equal``: decide or certify a word equality."""
 
-from .. import coset, derivations, rewriting
+from .. import FIBER_ALPHABET, coset, derivations, rewriting
 from ..base import Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import parse_word
@@ -16,19 +16,26 @@ def handle(args):
     try:
         return _decide(args, p, lhs, rhs)
     except Undecided as undecided:
-        # an index-2 witness can still prove the words differ, and on P3(RP2) the fiber
-        # subgroup decides them; only this path loads schreier and snf, and an answer is
-        # printed only once its certificate is checked
+        # on P3(RP2) the fiber subgroup decides the words first, so "equal" needs no witness
+        # search; an index-2 witness then certifies "not equal", printed only once it is
+        # checked.  No witness separates equal words: the answers are the witness-first ones
+        same = None
+        if p.alphabet == FIBER_ALPHABET:
+            from .. import fiber
+            try:
+                same = fiber.fiber_oracle(p)(lhs, rhs)
+            except Undecided:
+                pass
+            if same:
+                return True, {"equal": True, "engine": "fiber"}, ["equal"]
         from .. import schreier
         witness = schreier.find_witness(p, lhs, rhs)
         if witness is not None and schreier.check_witness(p, lhs, rhs, witness):
             return (False, {"equal": False, "witness": schreier.witness_json(p, witness)},
                     ["not equal"])
-        try:
-            same = schreier.fiber_oracle(p)(lhs, rhs)
-        except Undecided:
+        if same is None:
             raise undecided from None
-        return same, {"equal": same, "engine": "fiber"}, ["equal" if same else "not equal"]
+        return False, {"equal": False, "engine": "fiber"}, ["not equal"]
 
 
 def _decide(args, p, lhs, rhs):

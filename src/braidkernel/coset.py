@@ -37,14 +37,10 @@ from operator import eq
 
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
-from .base import BraidkernelError, Undecided
+from .base import EnumerationError, Undecided  # EnumerationError is still importable from here
 from .words import Word, format_word, letters_to_word, word_to_letters
 
 CENTER_ENUM_CAP = 10000
-
-
-class EnumerationError(BraidkernelError):
-    pass
 
 
 class IncompleteTableError(EnumerationError, Undecided):

@@ -246,6 +246,47 @@ def test_every_paper_identity_is_equal_in_p3(capsys, monkeypatch, mode):
     assert "fiber" in engines
 
 
+@pytest.mark.parametrize("mode", list(CERTIFY_MODES))
+def test_the_fiber_answers_equal_before_any_witness_search(capsys, monkeypatch, mode):
+    # a witness is searched for only to certify "not equal": equal words never reach it
+    from braidkernel import schreier
+
+    def no_search(p, u, v):
+        raise AssertionError("find_witness ran on equal words")
+
+    monkeypatch.setattr(schreier, "find_witness", no_search)
+    p3 = build_rp2(capsys, 3)
+    for lhs, rhs in paper_identities():
+        argv = ["equal", *CERTIFY_MODES[mode], "--lhs", lhs, "--rhs", rhs]
+        code, out, err = invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch)
+        # a chain the search found follows its "equal" line
+        assert (code, out.partition("\n")[0], err) == (0, "equal", ""), (lhs, rhs)
+
+
+# the whole --json answer of an undecided search on P3(RP2): a witness from the map
+# alone, a witness with a functional, and a fiber commutator that no witness separates
+PINNED_FALLBACKS = {
+    "parity": ("rho1", "rho2", {"equal": False, "witness": {"map": [0, 0, 0, 1, 0, 0]}}),
+    "functional": ("B12", "1", {"equal": False, "witness": {
+        "map": [0, 0, 0, 1, 0, 0],
+        "schreier_generators": [[0, "B12"], [0, "B13"], [0, "B23"], [0, "rho2"], [0, "rho3"],
+                                [1, "B12"], [1, "B13"], [1, "B23"], [1, "rho1"], [1, "rho2"],
+                                [1, "rho3"]],
+        "functional": [2, 0, 0, 3, 0, 2, 0, 0, 2, 1, 0],
+        "modulus": 4}}),
+    "fiber": ("B13 B23 B13^-1 B23^-1", "1", {"equal": False, "engine": "fiber"}),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FALLBACKS))
+def test_fallback_json_is_pinned(capsys, monkeypatch, case):
+    lhs, rhs, result = PINNED_FALLBACKS[case]
+    p3 = build_rp2(capsys, 3)
+    argv = ["equal", "--search", "--max-nodes", "100", "--lhs", lhs, "--rhs", rhs, "--json"]
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (
+        1, json.dumps({"result": result}, indent=2) + "\n", "")
+
+
 def test_equal_by_the_fiber_oracle_prints_no_chain(capsys, monkeypatch):
     p3 = build_rp2(capsys, 3)
     argv = ["equal", "--search", "--max-nodes", "100", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
@@ -260,7 +301,7 @@ def test_equal_by_the_fiber_oracle_prints_no_chain(capsys, monkeypatch):
 
 
 def test_the_fiber_oracle_keeps_the_engines_line_on_a_quotient(capsys, monkeypatch):
-    # P3(RP2)/<rho^6>: the fiber has index 4 but Tietze leaves relators
+    # P3(RP2)/<rho^6>: rho1^6 goes to -1 in Q8, so the fiber oracle refuses before Tietze
     p3 = build_rp2(capsys, 3)
     quotient = p3 + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3))
     argv = ["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]

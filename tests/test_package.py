@@ -15,7 +15,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 README = SRC.parent / "README.md"
 
 PUBLIC_NAMES = {
-    "base": ["BraidkernelError"],
+    "base": ["BraidkernelError", "EnumerationError"],
     "words": ["Word", "WordError", "cyclic_reduce", "format_word", "make_alphabet", "parse_word",
               "shortlex_compare"],
     "presentations": ["AbelianInvariants", "FormatError", "GroupHom", "HomCheckResult",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
                       "hom_check", "parse_hom_file", "parse_presentation", "parse_relation",
                       "presentation", "quotient", "substitute"],
     "snf": ["MatrixError", "smith_normal_form"],
-    "coset": ["CosetTable", "EnumerationError", "IncompleteTableError", "center_order_finite",
+    "coset": ["CosetTable", "IncompleteTableError", "center_order_finite",
               "coset_representatives", "group_order", "is_central_finite", "table_equality_oracle",
               "todd_coxeter", "word_equal_finite"],
     "rewriting": ["RewriteSystem", "enumerate_normal_forms", "knuth_bendix", "normal_form",
@@ -191,6 +191,23 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, stdin, exit_c
     # its own command module, and no other command's
     assert {name for name in executed if name.startswith("commands")} == {
         "commands", f"commands.{cli._COMMANDS[argv[0]][0]}"}
+
+
+def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
+    # a P3(RP2) identity is decided by the fiber alone: no enumeration, no witness;
+    # on P4(RP2) neither central nor equal executes the fiber module
+    p3, p4 = (braidkernel.format_presentation(braidkernel.pure_braid_rp2(n)) for n in (3, 4))
+    identity = ["--lhs", "rho1 rho2 rho1 rho2", "--rhs", "rho2 rho1 rho2 rho1"]
+    equal = ["equal", "--rewrite", "--max-rules", "150", *identity]
+    executed = executed_modules(equal, p3, 0, tmp_path)
+    assert "fiber" in executed and not executed & {"coset", "schreier", "snf"}
+    executed = executed_modules(equal, p4, 2, tmp_path,
+                                "undecided: rewriting system is not confluent\n")
+    assert "schreier" in executed and "fiber" not in executed
+    executed = executed_modules(["central", "--element", "tau", "--max-cosets", "1000"], p4, 2,
+                                tmp_path,
+                                "undecided: enumeration budget exhausted at 1000 live cosets\n")
+    assert "coset" in executed and not executed & {"fiber", "schreier"}
 
 
 def test_every_command_has_an_executed_modules_case():

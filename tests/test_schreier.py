@@ -1,5 +1,6 @@
 """Index-2 witnesses: the kernels of the maps onto Z/2, their H1, and the
-certificates that two words differ, checked without a Smith normal form."""
+certificates that two words differ, checked without a Smith normal form;
+and the word problem of P3(RP2) through its free fiber (``fiber``)."""
 
 import random
 import time
@@ -11,7 +12,7 @@ from braidkernel import (
     forget_strands_hom, presentation, pure_braid_rp2, quaternion_presentation, quotient,
     smith_normal_form, substitute, tau_n, todd_coxeter, word_equal_finite,
 )
-from braidkernel import schreier
+from braidkernel import EnumerationError, fiber, schreier
 from braidkernel.atlas import _rp2_alphabet
 from braidkernel.base import Undecided
 from braidkernel.schreier import Witness, check_witness, find_witness
@@ -234,41 +235,63 @@ def test_the_kernel_cap_bounds_an_undecided_p8_fallback():
 
 # the word problem of P3(RP2) through its free fiber ---------------------------
 
-def fiber_table(p):
-    return todd_coxeter(p, [p.word(name) for name in ("B13", "B23", "rho3")],
-                        schreier.FIBER_MAX_COSETS)
+def columns(table):
+    """A complete table's columns, as ``fiber.reidemeister_schreier`` takes them."""
+    return [(0, *col) for col in zip(*table.rows)]
 
 
-FIBER_SP = schreier.reidemeister_schreier(fiber_table(P3))
-FIBER_STEPS = schreier.tietze_free_basis(FIBER_SP)
-ORACLE = schreier.fiber_oracle(P3)
+FIBER_SP = fiber.reidemeister_schreier(P3, fiber.FIBER_COLUMNS)
+FIBER_STEPS = fiber.tietze_free_basis(FIBER_SP)
+ORACLE = fiber.fiber_oracle(P3)
 
 
 def test_the_fiber_alphabet_is_the_atlas_one():
-    assert schreier.FIBER_ALPHABET == _rp2_alphabet(3) == P3.alphabet
-    assert [P3.alphabet[g] for g in schreier.FIBER] == ["B13", "B23", "rho3"]
+    assert fiber.FIBER_ALPHABET == _rp2_alphabet(3) == P3.alphabet
+    one = (1, 0, 0, 0)
+    assert [name for name, q in zip(P3.alphabet, fiber.FIBER_IMAGES) if q == one] == [
+        "B13", "B23", "rho3"]
+
+
+def test_the_q8_table_is_the_enumerated_one_renumbered():
+    # walked in step from coset 1, the Q8 action and Todd-Coxeter's table of the
+    # fiber <B13, B23, rho3> match coset for coset, one to one
+    table = todd_coxeter(P3, [P3.word(name) for name in ("B13", "B23", "rho3")])
+    assert table.is_complete and table.n_cosets == 8
+    enumerated, q8 = columns(table), fiber.FIBER_COLUMNS
+    match, queue = {1: 1}, [1]
+    for c in queue:
+        for x in range(2 * P3.ngens):
+            d, e = q8[x][c], enumerated[x][match[c]]
+            if d not in match:
+                match[d] = e
+                queue.append(d)
+            assert match[d] == e
+    assert sorted(match) == sorted(match.values()) == list(range(1, 9))
 
 
 def test_the_fiber_of_p3_is_free_of_rank_2():
+    # FIBER_SP is built from the Q8 action the oracle uses
     sp = FIBER_SP
+    assert ORACLE.sp == sp
     assert (sp.index, sp.ngens, len(sp.rows)) == (8, 41, 112)
     # H1 of the fiber: the exponent sums of the rows, reduced by the Smith normal form
     sums = [[row.count(2 * k) - row.count(2 * k + 1) for k in range(sp.ngens)] for row in sp.rows]
     diag, _, _ = smith_normal_form(sums)
     assert sorted(diag) == [0, 0] + [1] * 39
     # Tietze leaves 2 generators and no relator
-    assert len(FIBER_STEPS) == 39 and schreier.check_free_basis(sp, FIBER_STEPS)
+    assert len(FIBER_STEPS) == 39 and fiber.check_free_basis(sp, FIBER_STEPS)
     assert len(ORACLE.alphabet) == 2 and ORACLE.steps == FIBER_STEPS
 
 
 def test_the_spanning_tree_leaves_one_generator_per_other_edge():
     # a complete table of Q8 over the trivial subgroup: the regular action
-    sp = schreier.reidemeister_schreier(todd_coxeter(quaternion_presentation()))
+    q8 = quaternion_presentation()
+    sp = fiber.reidemeister_schreier(q8, columns(todd_coxeter(q8)))
     assert (sp.index, sp.ngens) == (8, 8 * 2 - 7)
     tree_edges = sum(s < 0 for col in sp.edges[::2] for s in col[1:])
     assert tree_edges == 7
     # the trivial subgroup is free of rank 0: every element is decided by its coset
-    oracle = schreier.free_subgroup_oracle(todd_coxeter(quaternion_presentation()))
+    oracle = fiber.free_subgroup_oracle(q8, columns(todd_coxeter(q8)))
     assert oracle.alphabet == ()
 
 
@@ -284,15 +307,15 @@ def tampered(steps):
 
 @pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
 def test_a_tampered_elimination_list_is_rejected(kind):
-    assert not schreier.check_free_basis(FIBER_SP, tampered(FIBER_STEPS)[kind])
+    assert not fiber.check_free_basis(FIBER_SP, tampered(FIBER_STEPS)[kind])
 
 
 def test_malformed_elimination_lists_are_rejected():
     g, r, expr = FIBER_STEPS[0]
     for step in ((FIBER_SP.ngens, r, expr), (g, len(FIBER_SP.rows), expr), (g, r + 1, expr)):
-        assert not schreier.check_free_basis(FIBER_SP, (step,) + FIBER_STEPS[1:])
+        assert not fiber.check_free_basis(FIBER_SP, (step,) + FIBER_STEPS[1:])
     # the empty list leaves every relator standing
-    assert not schreier.check_free_basis(FIBER_SP, ())
+    assert not fiber.check_free_basis(FIBER_SP, ())
 
 
 P2_TABLE = todd_coxeter(P2)
@@ -375,37 +398,50 @@ def rho_quotient(k):
                          ids=["rho6", "rho4", "rho2", "P4"])
 def test_the_fiber_oracle_refuses_what_it_cannot_decide(p):
     with pytest.raises(Undecided):
-        schreier.fiber_oracle(p)
+        fiber.fiber_oracle(p)
+
+
+@pytest.mark.parametrize("p", [rho_quotient(6), rho_quotient(2), quotient(P3, [P3.word("B12")])],
+                         ids=["rho6", "rho2", "B12"])
+def test_a_relator_the_q8_action_breaks_is_refused_before_tietze(monkeypatch, p):
+    # rho1^6 and rho1^2 go to -1 in Q8, and so does B12
+    monkeypatch.setattr(fiber, "tietze_free_basis", None)
+    with pytest.raises(Undecided, match="does not close at coset 1"):
+        fiber.fiber_oracle(p)
+    with pytest.raises(EnumerationError, match="does not close at coset 1"):
+        fiber.reidemeister_schreier(p, fiber.FIBER_COLUMNS)
 
 
 def test_p4_and_long_relators_pay_no_enumeration(monkeypatch):
     from braidkernel import coset
     monkeypatch.setattr(coset, "todd_coxeter", None)
     with pytest.raises(Undecided, match="atlas P3"):
-        schreier.fiber_oracle(P4)
+        fiber.fiber_oracle(P4)
     # a consequence of the relators, but 2085 letters in all
     long = quotient(P3, [P3.word("rho3^2 B23^-1 B13^-1") ** 500])
     with pytest.raises(Undecided, match="2085 letters"):
-        schreier.fiber_oracle(long)
+        fiber.fiber_oracle(long)
 
 
 def test_tietze_stops_at_its_letter_budget(monkeypatch):
-    # P3(RP2)'s eliminations write 3456 letters in all
-    monkeypatch.setattr(schreier, "TIETZE_MAX_LETTERS", 3456)
-    assert schreier.tietze_free_basis(FIBER_SP) == FIBER_STEPS
-    monkeypatch.setattr(schreier, "TIETZE_MAX_LETTERS", 3455)
-    with pytest.raises(Undecided, match="more than 3455 letters"):
-        schreier.fiber_oracle(P3)
+    # P3(RP2)'s eliminations over the Q8 action write 3184 letters in all
+    monkeypatch.setattr(fiber, "TIETZE_MAX_LETTERS", 3184)
+    assert fiber.tietze_free_basis(FIBER_SP) == FIBER_STEPS
+    monkeypatch.setattr(fiber, "TIETZE_MAX_LETTERS", 3183)
+    with pytest.raises(Undecided, match="more than 3183 letters"):
+        fiber.fiber_oracle(P3)
 
 
 def test_a_table_that_is_not_an_action_is_refused():
-    from braidkernel.coset import CosetTable, EnumerationError
     z2 = presentation("Z2", ["a"], ["a^2"])
     # a 3-cycle for a does not satisfy a^2
-    bad = CosetTable(z2, (), "complete", [[0, 2, 3, 1], [0, 3, 1, 2]], [0, 1, 2, 3])
     with pytest.raises(EnumerationError, match="does not close"):
-        schreier.reidemeister_schreier(bad)
+        fiber.reidemeister_schreier(z2, [[0, 2, 3, 1], [0, 3, 1, 2]])
     # columns that are not inverse permutations
-    bad = CosetTable(z2, (), "complete", [[0, 2, 1], [0, 1, 2]], [0, 1, 2])
     with pytest.raises(EnumerationError, match="permutation action"):
-        schreier.reidemeister_schreier(bad)
+        fiber.reidemeister_schreier(z2, [[0, 2, 1], [0, 1, 2]])
+    # an undefined entry, a coset out of range, a short column, a missing column
+    for cols in ([[0, 2, None], [0, 2, 1]], [[0, 2, 3], [0, 2, 1]], [[0, 2, 1], [0, 2]],
+                 [[0, 2, 1]]):
+        with pytest.raises(EnumerationError, match="not 2 maps of 1..2"):
+            fiber.reidemeister_schreier(z2, cols)
