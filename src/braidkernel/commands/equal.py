@@ -13,29 +13,48 @@ def handle(args):
     p = _load_presentation(args)
     lhs = parse_word(args.lhs, p.alphabet)
     rhs = parse_word(args.rhs, p.alphabet)
+    # On P3(RP2) the fiber subgroup decides the words exactly.  A chain only proves "equal",
+    # so --search asks the fiber first and never searches words it separates; --table and
+    # --rewrite run first, since their finite quotients answer in about a millisecond
+    same = _fiber_answer(p, lhs, rhs) if args.search else None
+    if same is False:
+        return _not_equal(p, lhs, rhs, fiber_separates=True)
     try:
         return _decide(args, p, lhs, rhs)
     except Undecided as undecided:
-        # on P3(RP2) the fiber subgroup decides the words first, so "equal" needs no witness
-        # search; an index-2 witness then certifies "not equal", printed only once it is
-        # checked.  No witness separates equal words: the answers are the witness-first ones
-        same = None
-        if p.alphabet == FIBER_ALPHABET:
-            from .. import fiber
-            try:
-                same = fiber.fiber_oracle(p)(lhs, rhs)
-            except Undecided:
-                pass
-            if same:
-                return True, {"equal": True, "engine": "fiber"}, ["equal"]
-        from .. import schreier
-        witness = schreier.find_witness(p, lhs, rhs)
-        if witness is not None and schreier.check_witness(p, lhs, rhs, witness):
-            return (False, {"equal": False, "witness": schreier.witness_json(p, witness)},
-                    ["not equal"])
-        if same is None:
+        if not args.search:
+            same = _fiber_answer(p, lhs, rhs)
+        # no witness separates equal words, so the fiber's "equal" needs no witness search
+        if same:
+            return True, {"equal": True, "engine": "fiber"}, ["equal"]
+        answer = _not_equal(p, lhs, rhs, fiber_separates=same is False)
+        if answer is None:
             raise undecided from None
+        return answer
+
+
+def _not_equal(p, lhs, rhs, fiber_separates):
+    """The "not equal" of an index-2 witness, printed only once it is checked, else of the
+    fiber oracle when it separates the words; None when neither answers."""
+    from .. import schreier
+    witness = schreier.find_witness(p, lhs, rhs)
+    if witness is not None and schreier.check_witness(p, lhs, rhs, witness):
+        return (False, {"equal": False, "witness": schreier.witness_json(p, witness)},
+                ["not equal"])
+    if fiber_separates:
         return False, {"equal": False, "engine": "fiber"}, ["not equal"]
+    return None
+
+
+def _fiber_answer(p, lhs, rhs):
+    """The fiber oracle's answer on P3(RP2), or None where it does not apply."""
+    if p.alphabet != FIBER_ALPHABET:
+        return None
+    from .. import fiber
+    try:
+        return fiber.fiber_oracle(p)(lhs, rhs)
+    except Undecided:
+        return None
 
 
 def _decide(args, p, lhs, rhs):

@@ -87,8 +87,17 @@ def apply_step(p: Presentation, w: Word, step: DerivationStep) -> Word:
     """
     if w.alphabet != p.alphabet:
         raise ChainError("word is not over the presentation's alphabet")
-    insertion = letters_to_word(p.alphabet, _step_insertion(p, step)).syllables
-    sylls, rest = w.syllables, step.position
+    return _insert(p, w, step.position, _insertion_syllables(p, step))
+
+
+def _insertion_syllables(p: Presentation, step: DerivationStep) -> tuple[tuple[int, int], ...]:
+    return letters_to_word(p.alphabet, _step_insertion(p, step)).syllables
+
+
+def _insert(p: Presentation, w: Word, position: int,
+            insertion: tuple[tuple[int, int], ...]) -> Word:
+    """w with the reduced syllables ``insertion`` spliced in at a letter position."""
+    sylls, rest = w.syllables, position
     for k, (gen, exp) in enumerate(sylls):
         if 0 <= rest < abs(exp):  # the position falls at the start of syllable k or inside it
             if rest == 0:  # between syllables: both halves are slices, copied once
@@ -99,19 +108,24 @@ def apply_step(p: Presentation, w: Word, step: DerivationStep) -> Word:
             return join_reduced(p.alphabet, (head, insertion, tail))
         rest -= abs(exp)
     if rest:
-        raise ChainError(f"position {step.position} out of range (word length {w.letter_length})")
+        raise ChainError(f"position {position} out of range (word length {w.letter_length})")
     return join_reduced(p.alphabet, (sylls, insertion))
 
 
 def check_derivation(chain: DerivationChain) -> DerivationReport:
     """Replay the steps from the start word.  The chain is valid iff every
-    step applies and the replay ends at the chain's end word."""
+    step applies and the replay ends at the chain's end word.  Each
+    distinct (relator, rotation, direction) is expanded once per replay."""
     p, word = chain.presentation, chain.start
     if word.alphabet != p.alphabet or chain.end.alphabet != p.alphabet:
         raise ChainError("chain word over the wrong alphabet")
+    insertions: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
     for t, step in enumerate(chain.steps):
+        key = (step.relator, step.rotation, step.direction)
         try:
-            word = apply_step(p, word, step)
+            if (insertion := insertions.get(key)) is None:
+                insertion = insertions[key] = _insertion_syllables(p, step)
+            word = _insert(p, word, step.position, insertion)
         except ChainError as exc:
             return DerivationReport(False, t, str(exc))
     if word != chain.end:
@@ -173,6 +187,13 @@ def search_equality(p: Presentation, u: Word, v: Word,
     positions in ascending order.  It decides which chain is returned
     and where ``max_nodes`` cuts the search; the chain corpus under
     ``tests/data`` pins it.
+
+    Only splices that can fit the cap are tried.  For a word with room
+    letters under the cap, an insertion of at most room letters is tried
+    at every position and one of room + 1 or room + 2 letters where a
+    junction letter cancels.  A longer one must cancel two of its letters,
+    so an index of the letter pairs that cancel two places it where the
+    word holds one of its three pairs.
     """
     if max_word_len < 1 or max_nodes < 1:
         raise BraidkernelError("budgets must be >= 1")
@@ -208,38 +229,52 @@ def search_equality(p: Presentation, u: Word, v: Word,
                     _step_insertion(p, DerivationStep(ri, rot, direction, 0)))
                 if ins:
                     first_step.setdefault(ins, (ri, rot, direction))
+    inserts = list(first_step.items())  # in order of first occurrence
     # Letters cancel in pairs, so an insertion 3 or more letters over the
-    # cap must cancel twice.  When it has 2 or more letters, both of the
-    # first two cancellations are at its junctions, so the word holds the
-    # inverses of ins[1], ins[0] side by side (both cancel on the left), of
-    # ins[0], ins[-1] (one on each side) or of ins[-1], ins[-2] (both on
-    # the right).  No popped word is over the cap, so a one-letter
-    # insertion is never that far over it and gets no pairs (None).
-    variants = [(ins, how, (ins[0], ins[-1]),
-                 None if len(ins) < 2 else {(ins[1] ^ 1, ins[0] ^ 1), (ins[0] ^ 1, ins[-1] ^ 1),
-                                            (ins[-1] ^ 1, ins[-2] ^ 1)})
-                for ins, how in first_step.items()]
+    # cap must cancel twice, and both of the first two cancellations are at
+    # its junctions: the word holds the inverses of ins[1], ins[0] side by
+    # side (both cancel on the left), of ins[0], ins[-1] (one on each side)
+    # or of ins[-1], ins[-2] (both on the right).  by_pair maps each of
+    # those pairs to (length, insertion, offset): the pair at q puts the
+    # insertion at q + offset.  No popped word is over the cap, so only an
+    # insertion of 3 or more letters is ever that far over it.
+    by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for n, (ins, _) in enumerate(inserts):
+        if len(ins) > 2:
+            for pair, offset in (((ins[1] ^ 1, ins[0] ^ 1), 2), ((ins[0] ^ 1, ins[-1] ^ 1), 1),
+                                 ((ins[-1] ^ 1, ins[-2] ^ 1), 0)):
+                by_pair.setdefault(pair, []).append((len(ins), n, offset))
+    near: dict[int, list[int]] = {}  # room under the cap -> the insertions at most 2 over it
 
     came_from: dict[tuple[int, ...], tuple | None] = {start: None}
     frontier = deque([start])
     while frontier:
         word = frontier.popleft()
         end = len(word)
-        at: dict[int, list[int]] = {}  # letter -> its positions in word
-        for q, x in enumerate(word):
-            at.setdefault(x, []).append(q)
-        adjacent = set(zip(word, word[1:]))
+        room = max_word_len - end
+        if (fits := near.get(room)) is None:
+            fits = near[room] = [n for n, (ins, _) in enumerate(inserts) if len(ins) <= room + 2]
+        far: dict[int, set[int]] = {}  # insertion -> the positions its pairs allow
+        for q, pair in enumerate(zip(word, word[1:])):
+            for length, n, offset in by_pair.get(pair, ()):
+                if length > room + 2:
+                    far.setdefault(n, set()).add(q + offset)
+        at: dict[int, list[int]] | None = None  # letter -> its positions in word
         junctions: dict[tuple[int, int], list[int]] = {}  # (ins[0], ins[-1]) -> positions
-        for ins, how, ends, pairs in variants:
-            over = end + len(ins) - max_word_len
-            if over <= 0:
+        for n in sorted([*fits, *far]) if far else fits:
+            ins, how = inserts[n]
+            if (positions := far.get(n)) is not None:
+                positions = sorted(positions)
+            elif len(ins) <= room:
                 positions = range(end + 1)
-            elif over > 2 and adjacent.isdisjoint(pairs):
-                continue
-            elif (positions := junctions.get(ends)) is None:
-                # only a cancelling junction can bring the length under the cap
-                positions = junctions[ends] = sorted({q + 1 for q in at.get(ends[0] ^ 1, ())}
-                                                     .union(at.get(ends[1] ^ 1, ())))
+            elif (positions := junctions.get((ins[0], ins[-1]))) is None:
+                # 1 or 2 letters over: only a cancelling junction can bring it under the cap
+                if at is None:
+                    at = {}
+                    for q, x in enumerate(word):
+                        at.setdefault(x, []).append(q)
+                positions = junctions[ins[0], ins[-1]] = sorted(
+                    {q + 1 for q in at.get(ins[0] ^ 1, ())}.union(at.get(ins[-1] ^ 1, ())))
             for pos in positions:
                 i, j, k, r = _splice(word, ins, pos)
                 if i + k - j + end - r > max_word_len:

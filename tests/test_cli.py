@@ -287,6 +287,49 @@ def test_fallback_json_is_pinned(capsys, monkeypatch, case):
         1, json.dumps({"result": result}, indent=2) + "\n", "")
 
 
+@pytest.mark.parametrize("case", list(PINNED_FALLBACKS))
+def test_a_pair_the_fiber_separates_is_never_searched(capsys, monkeypatch, case):
+    # no chain joins unequal words: --search asks the fiber first and prints the same bytes
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a pair the fiber separates")
+
+    monkeypatch.setattr(braidkernel.derivations, "search_equality", no_search)
+    lhs, rhs, result = PINNED_FALLBACKS[case]
+    p3 = build_rp2(capsys, 3)
+    argv = ["equal", "--search", "--max-nodes", "100", "--lhs", lhs, "--rhs", rhs]
+    assert invoke(capsys, argv + ["--json"], stdin=p3, monkeypatch=monkeypatch) == (
+        1, json.dumps({"result": result}, indent=2) + "\n", "")
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (1, "not equal\n", "")
+
+
+def test_a_pair_the_fiber_calls_equal_still_prints_its_chain(capsys, monkeypatch):
+    # relator 9, rho3 B12 rho3^-1 B12^-1, inserted at 1: the search's first level finds it
+    p3 = build_rp2(capsys, 3)
+    argv = ["equal", "--search", "--max-word-len", "12", "--max-nodes", "4000",
+            "--lhs", "rho1 B12", "--rhs", "rho1 rho3 B12 rho3^-1"]
+    assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (0, (
+        "equal\npresentation P3(RP2)\nstart rho1*B12\nstep 9 0 1 1\n"
+        "end rho1*rho3*B12*rho3^-1\n"), "")
+
+
+def test_a_quotient_the_fiber_refuses_still_searches(capsys, monkeypatch):
+    # P3(RP2)/<rho^2>: rho_k^2 goes to -1 in Q8, so the fiber refuses, the search runs
+    # and no witness separates the (equal) braid-like words: the search's line stands
+    searches = []
+    search = braidkernel.derivations.search_equality
+
+    def counting(*args, **kwargs):
+        searches.append(args[1:3])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(braidkernel.derivations, "search_equality", counting)
+    quotient = build_rp2(capsys, 3) + "".join(f"rel rho{k}^2\n" for k in (1, 2, 3))
+    argv = ["equal", "--search", "--max-nodes", "100", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
+    assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (
+        2, "", "undecided: no chain found within budget\n")
+    assert len(searches) == 1
+
+
 def test_equal_by_the_fiber_oracle_prints_no_chain(capsys, monkeypatch):
     p3 = build_rp2(capsys, 3)
     argv = ["equal", "--search", "--max-nodes", "100", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]

@@ -1,6 +1,7 @@
 """Engines checked against each other: on a presentation where both
-finish, Todd-Coxeter and Knuth-Bendix describe the same finite group, and
-no index-2 witness separates two words the coset table calls equal.
+finish, Todd-Coxeter and Knuth-Bendix describe the same finite group,
+no index-2 witness separates two words the coset table calls equal, and
+on P3(RP2) every search chain joins words the fiber oracle calls equal.
 Each engine refuses a word over another alphabet with its own error."""
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from braidkernel import (
     BraidkernelError, ChainError, DerivationStep, EnumerationError, GroupHom, PresentationError,
     apply_step, enumerate_normal_forms, group_order, knuth_bendix, normal_form, presentation,
-    search_equality, substitute, todd_coxeter, word_equal_finite,
+    pure_braid_rp2, search_equality, substitute, todd_coxeter, word_equal_finite,
 )
+from braidkernel.fiber import fiber_oracle
 from braidkernel.presentations import Presentation
 from braidkernel.schreier import check_witness, find_witness
 from braidkernel.words import letters_to_word
@@ -60,6 +62,43 @@ def test_a_witness_separates_only_what_a_complete_table_separates(engines):
         if witness is not None:
             assert check_witness(p, u, v, witness)
             assert not word_equal_finite(table, u, v)
+
+
+P3 = pure_braid_rp2(3)
+P3_ORACLE = fiber_oracle(P3)
+
+
+@st.composite
+def p3_search_cases(draw):
+    """A P3(RP2) start word and a goal: random (the fiber separates most
+    such pairs), or the start with one or two relators inserted, which
+    small budgets often join by a chain."""
+    letters = st.lists(st.integers(0, 2 * P3.ngens - 1), min_size=1, max_size=5)
+    u = letters_to_word(P3.alphabet, draw(letters))
+    if draw(st.booleans()):
+        return u, letters_to_word(P3.alphabet, draw(letters))
+    v = u
+    for _ in range(draw(st.integers(1, 2))):
+        ri = draw(st.integers(0, len(P3.relators) - 1))
+        v = apply_step(P3, v, DerivationStep(
+            ri, draw(st.integers(0, P3.relators[ri].letter_length - 1)),
+            draw(st.sampled_from((1, -1))), draw(st.integers(0, v.letter_length))))
+    return u, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(p3_search_cases(), st.integers(0, 4), st.integers(1, 300))
+def test_search_chains_join_only_what_the_fiber_calls_equal(case, slack, max_nodes):
+    # the premise of equal --search asking the fiber first: a pair the fiber
+    # separates has no chain, so the search never finds one for it
+    u, v = case
+    max_word_len = max(u.letter_length, v.letter_length) + slack
+    chain = search_equality(P3, u, v, max_word_len=max_word_len, max_nodes=max_nodes)
+    if chain is not None:
+        assert (chain.start, chain.end) == (u, v)
+        assert P3_ORACLE(u, v)
+    if not P3_ORACLE(u, v):
+        assert chain is None
 
 
 Z5 = presentation("Z5", ["a"], ["a^5"])

@@ -137,6 +137,51 @@ def test_apply_step_matches_the_letter_splice(case):
     assert outcome(apply_step, *case) == outcome(reference_apply_step, *case)
 
 
+def test_replay_expands_each_distinct_insertion_once(monkeypatch):
+    # 400 steps of two distinct insertions; the replay reports what apply_step does
+    p = pure_braid_rp2(3)
+    expansions = 0
+    step_insertion = derivations._step_insertion
+
+    def counting(p, step):
+        nonlocal expansions
+        expansions += 1
+        return step_insertion(p, step)
+
+    monkeypatch.setattr(derivations, "_step_insertion", counting)
+    steps = tuple(DerivationStep(11, 3, (-1) ** t, 0) for t in range(400))
+    word = p.word("rho1 B12")
+    for step in steps:
+        word = apply_step(p, word, step)
+    expansions = 0
+    assert check_derivation(DerivationChain(p, p.word("rho1 B12"), steps, word)).valid
+    assert expansions == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_cases(), st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_replay_reports_what_apply_step_reports(case, picks):
+    # a chain of steps drawn from one case's step and its neighbours, some out of range:
+    # the replay fails at the step apply_step first fails on, with its message
+    p, w, step = case
+    pool = (step, DerivationStep(step.relator, step.rotation, -step.direction, 0),
+            DerivationStep(step.relator, step.rotation + 1, step.direction, 1),
+            DerivationStep(len(p.relators), 0, 1, 0))
+    steps = tuple(pool[k] for k in picks)
+    word, expected = w, None
+    for t, s in enumerate(steps):
+        try:
+            word = apply_step(p, word, s)
+        except ChainError as exc:
+            expected = (t, str(exc))
+            break
+    report = check_derivation(DerivationChain(p, w, steps, w))
+    if expected is None:
+        assert report.failing_step is None and report.end == word
+    else:
+        assert (report.failing_step, report.message) == expected
+
+
 def test_long_chain_replays_in_linear_time():
     # each step prepends the relator a^1000: expanding the whole word at
     # every step made this replay take about 18 s
@@ -307,7 +352,10 @@ def test_search_walk_matches_reference(p):
 
 def test_search_skips_splices_that_cannot_fit_the_cap(monkeypatch):
     # the braid-like P3(RP2) pair exhausts 4000 words at cap 12; splicing
-    # every junction position made 78416 _splice calls, of which 11120 fit
+    # every junction position made 78416 _splice calls, of which 11120 fit.
+    # Splicing every junction of an insertion 3 or more letters over the cap
+    # once the word held one of its cancelling pairs made 40608; splicing
+    # only where a pair sits makes 20084
     p = pure_braid_rp2(3)
     calls = 0
     splice = derivations._splice
@@ -320,7 +368,7 @@ def test_search_skips_splices_that_cannot_fit_the_cap(monkeypatch):
     monkeypatch.setattr(derivations, "_splice", counting)
     assert search_equality(p, p.word("rho2 rho3 rho2 rho3"), p.word("rho3 rho2 rho3 rho2"),
                            max_word_len=12, max_nodes=4000) is None
-    assert calls < 45000
+    assert calls < 20100
 
 
 reduced_letters = st.lists(st.integers(0, 3), max_size=10).map(free_reduce_letters)
@@ -348,9 +396,10 @@ def test_search_checks_its_chain(q8, monkeypatch):
 
 
 def test_search_reports_a_step_that_does_not_apply(q8, monkeypatch):
-    def broken(p, w, step):
+    # the replay splices each step's insertion through _insert
+    def broken(p, w, position, insertion):
         raise ChainError("no such insertion")
-    monkeypatch.setattr(derivations, "apply_step", broken)
+    monkeypatch.setattr(derivations, "_insert", broken)
     with pytest.raises(ChainError, match="^search chain step 0 does not apply: no such insertion$"):
         search_equality(q8, q8.word("rho1"), q8.word("rho1^-3"), max_word_len=6)
 
