@@ -1,19 +1,26 @@
-"""The word problem of P3(RP2) through its free fiber subgroup.
+"""The word problem of P3(RP2) and its quotients through the free fiber
+subgroup.
 
 The word problem of G is decidable through a free subgroup H of finite
 index.  ``reidemeister_schreier`` presents H, the stabiliser of coset 1
 under a transitive permutation action of G; ``tietze_free_basis``
-eliminates Schreier generators until no relator is left, and
-``check_free_basis`` replays the eliminations, after which the generators
-left are a free basis of H.  Then u = v iff u v^-1 fixes coset 1 and its
-image in that basis is freely trivial (``FreeSubgroupOracle``).
+eliminates Schreier generators, and ``check_free_basis`` replays the
+eliminations and checks that no relator is left, after which the
+generators left are a free basis of H.  Then u = v iff u v^-1 fixes coset
+1 and its image in that basis is freely trivial (``FreeSubgroupOracle``).
+On a quotient of G the oracle answers what it proves and is undecided
+otherwise: it leaves out the relators the action breaks, and a basis that
+still has relators proves "equal" only.
 ``fiber_oracle`` applies this to P3(RP2), whose fiber over P2(RP2) is free
 (Magnus-Karrass-Solitar 1966, section 2.3; Havas 1974 for the
-elimination).  The fiber is the kernel of a map onto Q8, so its action
-is Q8's on its own units, and no coset enumeration runs.
+elimination), and to its quotients.  The fiber is the kernel of a map onto
+Q8, so its action is Q8's on its own units, and no coset enumeration runs.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from math import gcd
 
 from . import FIBER_ALPHABET
 from .base import BraidkernelError, EnumerationError, Undecided, record
@@ -82,19 +89,16 @@ class SchreierPresentation:
         return len(self.cols[0]) - 1 if self.cols else 1
 
 
-def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
-    """The presentation of H from the action's columns: ``cols[x][c]`` is
-    the coset letter x leads coset c to, for c in 1..n (slot 0 is unused).
-    The columns must be a transitive action of G: each letter and its
-    inverse permute the cosets inversely, and each relator closes at each
-    coset.  Then a word that leads coset 1 elsewhere is not in H.  A
-    complete ``CosetTable`` gives its columns as ``(0, *col)`` for each
-    column of its ``rows``."""
+def _spanning_tree(ngens: int, cols) -> set[tuple[int, int]]:
+    """The breadth-first spanning tree of the action ``cols`` of a group on
+    ``ngens`` generators, as its (coset, generator) pairs; raises
+    EnumerationError unless the columns are a transitive permutation
+    action, each letter and its inverse permuting the cosets inversely."""
     n = len(cols[0]) - 1 if cols else 1
     cosets = range(1, n + 1)
-    if len(cols) != 2 * p.ngens or any(len(col) != n + 1 or not all(d in cosets for d in col[1:])
-                                       for col in cols):
-        raise EnumerationError(f"the columns are not {2 * p.ngens} maps of 1..{n}")
+    if len(cols) != 2 * ngens or any(len(col) != n + 1 or not all(d in cosets for d in col[1:])
+                                     for col in cols):
+        raise EnumerationError(f"the columns are not {2 * ngens} maps of 1..{n}")
     tree, queue, seen = set(), [1], {1}
     for c in queue:  # the queue grows as it is read: breadth first, letters in order
         for x, col in enumerate(cols):
@@ -105,6 +109,20 @@ def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
     if len(queue) != n or any(cols[x ^ 1][d] != c for x, col in enumerate(cols)
                               for c, d in enumerate(col) if c):
         raise EnumerationError("the table is not a transitive permutation action")
+    return tree
+
+
+def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
+    """The presentation of H from the action's columns: ``cols[x][c]`` is
+    the coset letter x leads coset c to, for c in 1..n (slot 0 is unused).
+    The columns must be a transitive action of G: each letter and its
+    inverse permute the cosets inversely, and each relator closes at each
+    coset.  Then a word that leads coset 1 elsewhere is not in H.  A
+    complete ``CosetTable`` gives its columns as ``(0, *col)`` for each
+    column of its ``rows``."""
+    tree = _spanning_tree(p.ngens, cols)
+    n = len(tree) + 1  # a spanning tree of n cosets has n - 1 edges
+    cosets = range(1, n + 1)
     pairs = [(c, g) for c in cosets for g in range(p.ngens) if (c, g) not in tree]
     edges = [[-1] * (n + 1) for _ in cols]
     for k, (c, g) in enumerate(pairs):
@@ -200,18 +218,17 @@ def _eliminate(rows: list[list[int]], occ: list[set[int]], g: int, expr: list[in
 Elimination = tuple[int, int, tuple[int, ...]]  # (generator, source row, expression)
 
 
-def tietze_free_basis(sp: SchreierPresentation) -> tuple[Elimination, ...] | None:
-    """Eliminate Schreier generators until no relator is left, or None when
-    relators remain in which no generator occurs once; raises Undecided once
-    the rows have taken ``TIETZE_MAX_LETTERS`` letters.  Each step takes the
-    shortest row (then the first) in which some generator occurs once, and
-    of those generators the one in the fewest rows (then the lowest): on
-    P3(RP2), taking the first of them in the row instead lets the rows
-    peak at 7447 letters, not 660, and leaves relators in which no
-    generator occurs once.  A
-    step's expression is in the generators then left; the generators never
-    eliminated are a free basis of H, once ``check_free_basis`` has
-    replayed the steps."""
+def tietze_free_basis(sp: SchreierPresentation) -> tuple[Elimination, ...]:
+    """Eliminate Schreier generators until no relator left has a generator
+    occurring once; raises Undecided once the rows have taken
+    ``TIETZE_MAX_LETTERS`` letters.  Each step takes the shortest row (then
+    the first) in which some generator occurs once, and of those generators
+    the one in the fewest rows (then the lowest): on P3(RP2), taking the
+    first of them in the row instead lets the rows peak at 7447 letters,
+    not 660, and leaves relators in which no generator occurs once.  A
+    step's expression is in the generators then left, which generate H;
+    they are a free basis of H once ``check_free_basis`` has replayed the
+    steps and found no relator left."""
     rows, occ = _start(sp)
     # (length, row) for each row that may have a generator occurring once in it
     ready = {r: (len(row), r) for r, row in enumerate(rows) if row}
@@ -234,46 +251,129 @@ def tietze_free_basis(sp: SchreierPresentation) -> tuple[Elimination, ...] | Non
                 ready.pop(s, None)
         if written > TIETZE_MAX_LETTERS:
             raise Undecided(f"Tietze elimination wrote more than {TIETZE_MAX_LETTERS} letters")
-    return None if any(rows) else tuple(steps)
+    return tuple(steps)
 
 
-def check_free_basis(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -> bool:
-    """Whether the eliminations prove H free on the generators they leave.
-    Replayed in order, each step's generator must occur once in its source
-    row, with the earlier substitutions made, and solve to the step's
-    expression; then every row must end up empty."""
+def _replay(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -> list[list[int]] | None:
+    """The rows the eliminations leave, replayed in order, or None when a
+    step's generator does not occur once in its source row, with the
+    earlier substitutions made, or does not solve to the step's
+    expression."""
     rows, occ = _start(sp)
     for g, r, expr in steps:
         if not (0 <= g < sp.ngens and 0 <= r < len(rows)) or _solve(rows[r], g) != list(expr):
-            return False
+            return None
         _eliminate(rows, occ, g, list(expr))
-    return not any(rows)
+    return rows
+
+
+def check_free_basis(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -> bool:
+    """Whether the eliminations prove H free on the generators they leave:
+    every step passes its replay, and every row ends up empty."""
+    rows = _replay(sp, steps)
+    return rows is not None and not any(rows)
 
 
 @record
 class FreeSubgroupOracle:
-    """The word problem of G through a free subgroup H of finite index: u = v
-    iff u v^-1 leads coset 1 back to coset 1 and its image in the free
-    basis of H reduces to the empty word.  ``images[x][c]`` is the image of
-    the Schreier letter read by letter x at coset c, as syllables over
-    ``alphabet``, one name per basis generator.  ``free_subgroup_oracle``
-    builds it once the basis is checked."""
+    """The word problem of G, presented by p, through H, the stabiliser of
+    coset 1 under the transitive action ``cols``: True, False, or
+    Undecided; ``free_subgroup_oracle(p, cols)`` builds it.
+    ``kept`` holds the relators of p that close under the action; they
+    present a group G' that maps onto G and on which the action is one.
+    u and v are read through ``reduce_powers``, then u v^-1 is walked:
+    u = v when it fixes coset 1 and its image in the generators Tietze
+    leaves is empty (they generate H', each eliminated one being its
+    expression by its source row); u != v when no relator was left out
+    and it moves coset 1, or its image is not empty and the eliminations
+    left no row (``free``: a free basis of H).  Anything else is
+    Undecided.  ``sp``, ``steps`` and ``images`` are built the first time
+    a word fixes coset 1."""
 
-    sp: SchreierPresentation
-    steps: tuple[Elimination, ...]
-    alphabet: tuple[str, ...]
-    images: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    cols: tuple[tuple[int, ...], ...]
+    kept: Presentation
+    skipped: bool  # whether the action breaks a relator of p, which kept leaves out
+    moduli: tuple[int, ...]  # per generator x, the gcd of the m of the relators x^m of p, or 0
+
+    @cached_property
+    def sp(self) -> SchreierPresentation:
+        return reidemeister_schreier(self.kept, self.cols)
+
+    @cached_property
+    def _eliminations(self) -> tuple[tuple[Elimination, ...], bool]:
+        steps = tietze_free_basis(self.sp)
+        rows = _replay(self.sp, steps)
+        if rows is None:
+            raise BraidkernelError("a Tietze elimination failed its replay")
+        return steps, not any(rows)
+
+    @property
+    def steps(self) -> tuple[Elimination, ...]:
+        """Tietze's eliminations, each replayed from its source row."""
+        return self._eliminations[0]
+
+    @property
+    def free(self) -> bool:
+        """Whether the eliminations left no row: then the generators they
+        leave are a free basis of H'."""
+        return self._eliminations[1]
+
+    @cached_property
+    def alphabet(self) -> tuple[str, ...]:
+        """One name per generator the eliminations leave."""
+        return tuple(f"y{i}" for i in range(self.sp.ngens - len(self.steps)))
+
+    @cached_property
+    def images(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """``images[x][c]``: the image of the Schreier letter read by letter
+        x at coset c, as syllables over ``alphabet``."""
+        steps = self.steps
+        gone = {g for g, _, _ in steps}
+        basis = [g for g in range(self.sp.ngens) if g not in gone]
+        # each generator's image in the basis: the steps substituted in reverse
+        full = {g: [2 * i] for i, g in enumerate(basis)}
+        for g, _, expr in reversed(steps):
+            full[g] = list(free_reduce_letters([y for x in expr for y in (
+                _inverse(full[x >> 1]) if x & 1 else full[x >> 1])]))
+        words = [letters_to_word(self.alphabet, full[g]) for g in range(self.sp.ngens)]
+        return tuple(tuple(() if s < 0 else words[s >> 1].syllables if s % 2 == 0
+                           else words[s >> 1].inverse().syllables for s in edge)
+                     for edge in self.sp.edges)
 
     def __call__(self, u: Word, v: Word) -> bool:
-        coset, image = self.image(u * v.inverse())
-        return coset == 1 and image.is_identity
+        w = self.reduce_powers(u) * self.reduce_powers(v).inverse()
+        moved = _trace(self.cols, w) != 1
+        if not moved and self.image(w)[1].is_identity:
+            return True
+        if self.skipped:
+            raise Undecided("the action breaks a relator: it proves only equal words")
+        if not (moved or self.free):
+            raise Undecided("Tietze elimination leaves relators: the subgroup is not shown free")
+        return False
+
+    def reduce_powers(self, w: Word) -> Word:
+        """w with each syllable x^e taken modulo the m of ``moduli``, to the
+        symmetric residue in (-m/2, m/2]: the normal form of w in the free
+        product of the cyclic groups <x | x^m>, so an x^m inserted anywhere
+        in w leaves it as it is."""
+        moduli, out = self.moduli, []
+        for gen, exp in w.syllables:
+            if out and out[-1][0] == gen:  # a dropped syllable joined its neighbours
+                exp += out.pop()[1]
+            if m := moduli[gen]:
+                exp %= m
+                if 2 * exp > m:
+                    exp -= m
+            if exp:
+                out.append((gen, exp))
+        return Word(w.alphabet, tuple(out))
 
     def image(self, w: Word) -> tuple[int, Word]:
         """The coset w leads coset 1 to, and the image of its Schreier word,
         read per syllable: a walk that is back at its start after k steps
         has gone round a cycle, and the rest of the syllable is a power of
         the cycle's image."""
-        cols, parts, c = self.sp.cols, [], 1
+        cols, parts, c = self.cols, [], 1
         for gen, exp in w.syllables:
             x = 2 * gen + (exp < 0)
             col, images, steps, start, walk = cols[x], self.images[x], abs(exp), c, []
@@ -292,45 +392,58 @@ class FreeSubgroupOracle:
 
 
 def free_subgroup_oracle(p: Presentation, cols) -> FreeSubgroupOracle:
-    """The oracle of the stabiliser of coset 1 under the action ``cols``
-    (as ``reidemeister_schreier`` takes it), once ``check_free_basis`` has
-    accepted Tietze's eliminations; raises Undecided when Tietze leaves
-    relators."""
-    sp = reidemeister_schreier(p, cols)
-    steps = tietze_free_basis(sp)
-    if steps is None:
-        raise Undecided("Tietze elimination leaves relators: the subgroup is not shown free")
-    if not check_free_basis(sp, steps):
-        raise BraidkernelError("a Tietze elimination failed its replay")
-    gone = {g for g, _, _ in steps}
-    basis = [g for g in range(sp.ngens) if g not in gone]
-    # each generator's image in the basis: the steps substituted in reverse
-    full = {g: [2 * i] for i, g in enumerate(basis)}
-    for g, _, expr in reversed(steps):
-        full[g] = list(free_reduce_letters([y for x in expr for y in (
-            _inverse(full[x >> 1]) if x & 1 else full[x >> 1])]))
-    alphabet = tuple(f"y{i}" for i in range(len(basis)))
-    words = [letters_to_word(alphabet, full[g]) for g in range(sp.ngens)]
-    images = tuple(tuple(() if s < 0 else words[s >> 1].syllables if s % 2 == 0
-                         else words[s >> 1].inverse().syllables for s in edge)
-                   for edge in sp.edges)
-    return FreeSubgroupOracle(sp, steps, alphabet, images)
+    """The oracle of the stabiliser of coset 1 under the transitive action
+    ``cols`` of p (as ``reidemeister_schreier`` takes it), which keeps the
+    relators that close at every coset; raises EnumerationError for
+    columns that are not such an action.  Nothing of H is built yet."""
+    start = tuple(range(1, len(_spanning_tree(p.ngens, cols)) + 2))
+    kept, moduli = [], [0] * p.ngens
+    for rel in p.relators:
+        cosets = start
+        for x in word_to_letters(rel):  # every coset at once, under the expansion limit
+            col = cols[x]
+            cosets = [col[c] for c in cosets]
+        if tuple(cosets) == start:
+            kept.append(rel)
+        if len(rel.syllables) == 1:  # rel is x^m
+            (gen, exp), = rel.syllables
+            moduli[gen] = gcd(moduli[gen], exp)
+    skipped = len(kept) < len(p.relators)
+    return FreeSubgroupOracle(tuple(map(tuple, cols)),
+                              Presentation(p.name, p.alphabet, tuple(kept)) if skipped else p,
+                              skipped, tuple(moduli))
 
 
-def fiber_oracle(p: Presentation) -> FreeSubgroupOracle:
-    """The exact oracle of P3(RP2) through its fiber, for a presentation over
-    the atlas three-strand alphabet, from the action ``FIBER_COLUMNS``.
-    Raises Undecided, before Reidemeister-Schreier, for another alphabet or
-    relators over ``FIBER_MAX_LETTERS`` letters; before Tietze when a
-    relator does not close under the action (it is not a map onto Q8: the
-    quotients of P3(RP2) by rho^2 or rho^6, say); and when the stabiliser
-    is not shown free (by rho^4)."""
+def _trace(cols, w: Word) -> int:
+    """The coset w leads coset 1 to, read per syllable as ``image`` reads it."""
+    c = 1
+    for gen, exp in w.syllables:
+        col, steps, start = cols[2 * gen + (exp < 0)], abs(exp), c
+        for k in range(1, steps + 1):
+            c = col[c]
+            if c == start:
+                for _ in range(steps % k):
+                    c = col[c]
+                break
+    return c
+
+
+def fiber_oracle(p: Presentation, *, lazy: bool = False) -> FreeSubgroupOracle:
+    """The oracle of P3(RP2), or of a quotient of it, through the fiber, for
+    a presentation over the atlas three-strand alphabet, from the action
+    ``FIBER_COLUMNS``.  Raises Undecided for another alphabet or relators
+    over ``FIBER_MAX_LETTERS`` letters.  The Q8 action is right
+    multiplication, so a relator closes at every coset or at none; on
+    P3(RP2)/<rho^6>, say, rho1^6 goes to -1 and is left out.  H is built
+    and replayed here, where Tietze's letter budget raises Undecided, or
+    with ``lazy`` when a word first fixes coset 1, so that a pair Q8
+    separates costs one walk."""
     if p.alphabet != FIBER_ALPHABET:
         raise Undecided("the fiber oracle needs the atlas P3(RP2) generators")
     if (letters := sum(rel.letter_length for rel in p.relators)) > FIBER_MAX_LETTERS:
         raise Undecided(f"the relators have {letters} letters, over the fiber oracle's "
                         f"{FIBER_MAX_LETTERS}")
-    try:
-        return free_subgroup_oracle(p, FIBER_COLUMNS)
-    except EnumerationError as error:
-        raise Undecided(f"the fiber is not the kernel of the map onto Q8: {error}") from None
+    oracle = free_subgroup_oracle(p, FIBER_COLUMNS)
+    if not lazy:
+        oracle.images  # builds sp, the steps and their replay
+    return oracle

@@ -313,8 +313,9 @@ def test_a_pair_the_fiber_calls_equal_still_prints_its_chain(capsys, monkeypatch
 
 
 def test_a_quotient_the_fiber_refuses_still_searches(capsys, monkeypatch):
-    # P3(RP2)/<rho^2>: rho_k^2 goes to -1 in Q8, so the fiber refuses, the search runs
-    # and no witness separates the (equal) braid-like words: the search's line stands
+    # P3(RP2)/<rho^2>: rho_k^2 goes to -1 in Q8, so the fiber leaves it out and proves
+    # only "equal".  It does not separate the braid-like words, so the search runs once,
+    # finds no chain within its budget, and the fiber's "equal" answers
     searches = []
     search = braidkernel.derivations.search_equality
 
@@ -325,8 +326,7 @@ def test_a_quotient_the_fiber_refuses_still_searches(capsys, monkeypatch):
     monkeypatch.setattr(braidkernel.derivations, "search_equality", counting)
     quotient = build_rp2(capsys, 3) + "".join(f"rel rho{k}^2\n" for k in (1, 2, 3))
     argv = ["equal", "--search", "--max-nodes", "100", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
-    assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (
-        2, "", "undecided: no chain found within budget\n")
+    assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (0, "equal\n", "")
     assert len(searches) == 1
 
 
@@ -344,12 +344,28 @@ def test_equal_by_the_fiber_oracle_prints_no_chain(capsys, monkeypatch):
 
 
 def test_the_fiber_oracle_keeps_the_engines_line_on_a_quotient(capsys, monkeypatch):
-    # P3(RP2)/<rho^6>: rho1^6 goes to -1 in Q8, so the fiber oracle refuses before Tietze
+    # P3(RP2)/<rho^6>: rho1^6 goes to -1 in Q8, so the fiber oracle leaves it out and
+    # proves no "not equal".  The fiber commutator it separates in P3(RP2) is undecided
+    # there, no witness separates it, and the rewriting line stands
     p3 = build_rp2(capsys, 3)
     quotient = p3 + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3))
-    argv = ["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
+    argv = ["equal", "--rewrite", "--max-rules", "150", "--lhs", "B13 B23 B13^-1 B23^-1",
+            "--rhs", "1"]
     assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (
         2, "", "undecided: rewriting system is not confluent\n")
+
+
+def test_the_fiber_oracle_decides_tau_and_identities_on_a_quotient(capsys, monkeypatch):
+    # tau is central in P3(RP2), so in P3(RP2)/<rho^6>; the enumeration runs out first
+    quotient = build_rp2(capsys, 3) + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3))
+    argv = ["central", "--element", "tau", "--max-cosets", "1000"]
+    assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (
+        0, "B12*B13*B23 is central\n", "")
+    code, out, _ = invoke(capsys, argv + ["--json"], stdin=quotient, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["result"] == {
+        "element": "B12*B13*B23", "central": True, "engine": "fiber"}
+    argv = ["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
+    assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (0, "equal\n", "")
 
 
 def test_central_on_p3_falls_back_to_the_fiber_oracle(capsys, monkeypatch):

@@ -397,19 +397,97 @@ def rho_quotient(k):
 @pytest.mark.parametrize("p", [rho_quotient(6), rho_quotient(4), rho_quotient(2), P4],
                          ids=["rho6", "rho4", "rho2", "P4"])
 def test_the_fiber_oracle_refuses_what_it_cannot_decide(p):
+    # P4(RP2) is refused outright.  On the quotients the commutator of B13 and B23
+    # fixes coset 1 with an image that is not empty, which proves nothing there:
+    # rho^6 and rho^2 go to -1 in Q8 and are left out, and by rho^4 Tietze leaves rows
     with pytest.raises(Undecided):
-        fiber.fiber_oracle(p)
+        fiber.fiber_oracle(p)(p.word("B13 B23 B13^-1 B23^-1"), p.word("1"))
 
 
-@pytest.mark.parametrize("p", [rho_quotient(6), rho_quotient(2), quotient(P3, [P3.word("B12")])],
+@pytest.mark.parametrize("p,broken", [(rho_quotient(6), "rho1^6 rho2^6"),
+                                      (rho_quotient(2), "rho1^2 rho2^2"),
+                                      (quotient(P3, [P3.word("B12")]), "B12")],
                          ids=["rho6", "rho2", "B12"])
-def test_a_relator_the_q8_action_breaks_is_refused_before_tietze(monkeypatch, p):
-    # rho1^6 and rho1^2 go to -1 in Q8, and so does B12
+def test_a_relator_the_q8_action_breaks_is_refused_before_tietze(monkeypatch, p, broken):
+    # rho1^k and rho2^k go to -1 in Q8 for k = 2, 6, and so does B12: the oracle leaves
+    # them out (rho3 goes to 1), and a pair the Q8 action separates, rho1 rho2 and
+    # rho2 rho1, is refused before Tietze runs
     monkeypatch.setattr(fiber, "tietze_free_basis", None)
-    with pytest.raises(Undecided, match="does not close at coset 1"):
-        fiber.fiber_oracle(p)
+    oracle = fiber.fiber_oracle(p, lazy=True)
+    assert oracle.skipped
+    assert [rel for rel in p.relators if rel not in oracle.kept.relators] == [
+        p.word(rel) for rel in broken.split()]
+    with pytest.raises(Undecided, match="breaks a relator"):
+        oracle(p.word("rho1 rho2"), p.word("rho2 rho1"))
     with pytest.raises(EnumerationError, match="does not close at coset 1"):
         fiber.reidemeister_schreier(p, fiber.FIBER_COLUMNS)
+
+
+def test_a_quotient_with_a_relator_left_out_proves_only_equal_words():
+    # rho1^2 = 1 holds in P3(RP2)/<rho^2> though the Q8 action moves coset 1 by it:
+    # the power rule reads it as 1, and a word the action moves is undecided
+    oracle = fiber.fiber_oracle(rho_quotient(2))
+    assert oracle.skipped and not oracle.free
+    assert oracle(P3.word("rho1^2"), P3.word("1")) is True
+    assert oracle(P3.word("rho1^-1"), P3.word("rho1")) is True
+    for lhs in ("B12", "rho1 rho2 rho1^-1 rho2^-1"):
+        with pytest.raises(Undecided, match="breaks a relator"):
+            oracle(P3.word(lhs), P3.word("1"))
+
+
+def test_a_lazy_oracle_answers_a_pair_q8_separates_by_its_walk(monkeypatch):
+    monkeypatch.setattr(fiber, "reidemeister_schreier", None)
+    oracle = fiber.fiber_oracle(P3, lazy=True)
+    assert oracle(P3.word("B12"), P3.word("1")) is False
+    assert "sp" not in vars(oracle)
+    monkeypatch.undo()
+    assert oracle(P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")) is False
+    assert oracle.sp == FIBER_SP and oracle.steps == FIBER_STEPS
+
+
+RHO6_ORACLE = fiber.fiber_oracle(rho_quotient(6))
+
+
+@st.composite
+def rho6_insertions(draw):
+    """A word of P3(RP2)/<rho^6>, the word with rho_k^(+-6) inserted at a letter
+    position, and a word to compare them with."""
+    letters = st.lists(st.integers(0, 2 * P3.ngens - 1), max_size=10)
+    u = draw(letters)
+    k, sign, at = draw(st.integers(3, 5)), draw(st.integers(0, 1)), draw(st.integers(0, len(u)))
+    inserted = u[:at] + [2 * k + sign] * 6 + u[at:]
+    return (letters_to_word(P3.alphabet, u), letters_to_word(P3.alphabet, inserted),
+            letters_to_word(P3.alphabet, draw(letters)))
+
+
+def answer(oracle, u, v):
+    try:
+        return oracle(u, v)
+    except Undecided:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho6_insertions())
+def test_an_inserted_rho6_is_answered_like_the_word_without_it(case):
+    u, inserted, v = case
+    assert RHO6_ORACLE(inserted, u) is True
+    assert answer(RHO6_ORACLE, inserted, v) == answer(RHO6_ORACLE, u, v)
+
+
+RHO_TABLES = {k: todd_coxeter(rho_quotient(k)) for k in (2, 4)}
+RHO_ORACLES = {k: fiber.fiber_oracle(rho_quotient(k)) for k in (2, 4)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 4]), p3_pairs())
+def test_every_answer_on_a_rho_quotient_agrees_with_its_complete_table(k, pair):
+    # P3(RP2)/<rho^2> and /<rho^4> have orders 16 and 128: the table decides every pair
+    u, v = pair
+    table = RHO_TABLES[k]
+    assert table.is_complete and table.n_cosets == {2: 16, 4: 128}[k]
+    same = answer(RHO_ORACLES[k], u, v)
+    assert same is None or same == word_equal_finite(table, u, v)
 
 
 def test_p4_and_long_relators_pay_no_enumeration(monkeypatch):
