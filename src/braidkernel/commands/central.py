@@ -31,7 +31,7 @@ def handle(args):
             raise
         from .. import fiber
         try:
-            oracle = fiber.fiber_oracle(p, lazy=True)
+            oracle = fiber.fiber_oracle(p)
             gens = [Word.generator(p.alphabet, i) for i in range(p.ngens)]
             central = all(oracle(w * g, g * w) for g in gens)
         except Undecided:

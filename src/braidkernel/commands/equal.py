@@ -52,7 +52,7 @@ def _fiber_answer(p, lhs, rhs):
         return None
     from .. import fiber
     try:
-        return fiber.fiber_oracle(p, lazy=True)(lhs, rhs)
+        return fiber.fiber_oracle(p)(lhs, rhs)
     except Undecided:
         return None
 

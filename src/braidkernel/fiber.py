@@ -43,29 +43,15 @@ FIBER_MAX_LETTERS = 2000
 TIETZE_MAX_LETTERS = 10**6
 
 
-def _times(p, q):
-    (a, b, c, d), (e, f, g, h) = p, q
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
-
-
-def _q8_action() -> tuple[tuple[int, ...], ...]:
-    """The action of P3(RP2) on the units of Q8 by right multiplication
-    through ``FIBER_IMAGES``: ``cols[x][c]`` is unit c times the image of
-    letter x (a generator's inverse is its conjugate).  Unit 1 is 1; the
-    others are numbered as a breadth-first walk over the letters, in order,
-    meets them (slot 0 is unused)."""
-    letters = [q for a, b, c, d in FIBER_IMAGES for q in ((a, b, c, d), (a, -b, -c, -d))]
-    units = [(1, 0, 0, 0)]
-    for u in units:  # the list grows as it is read
-        for q in letters:
-            if (v := _times(u, q)) not in units:
-                units.append(v)
-    number = {u: c for c, u in enumerate(units, 1)}
-    return tuple((0, *(number[_times(u, q)] for u in units)) for q in letters)
-
-
-FIBER_COLUMNS = _q8_action()
+# P3(RP2) acting on the units of Q8 by right multiplication through
+# FIBER_IMAGES: FIBER_COLUMNS[x][c] is unit c times the image of letter x (a
+# generator's inverse is its conjugate).  Unit 1 is 1; the others are
+# numbered as a breadth-first walk over the letters, in order, meets them,
+# and column x lists the units 1..8 lead to (slot 0 is unused).  The tests
+# rebuild it from the quaternion product.
+FIBER_COLUMNS = tuple((0, *map(int, col)) for col in (
+    "21436587 21436587 12345678 12345678 12345678 12345678 "
+    "34218756 43127865 56782143 65871234 12345678 12345678").split())
 
 
 @record
@@ -165,12 +151,14 @@ def _solve(row: list[int], g: int) -> list[int] | None:
     return rest if row[i] & 1 else _inverse(rest)
 
 
-def _start(sp: SchreierPresentation) -> tuple[list[list[int]], list[set[int]]]:
-    """The rows freely and cyclically reduced, and for each generator the
-    rows that contain it."""
+def _start(sp: SchreierPresentation,
+           only: set[int] | None = None) -> tuple[list[list[int]], list[set[int]]]:
+    """The rows freely and cyclically reduced (those in ``only``, when
+    given, and the others empty), and for each generator the rows that
+    contain it."""
     rows, occ = [], [set() for _ in range(sp.ngens)]
     for r, row in enumerate(sp.rows):
-        row = list(free_reduce_letters(row))
+        row = list(free_reduce_letters(row if only is None or r in only else ()))
         i = 0
         while 2 * i + 1 < len(row) and row[i] == row[-1 - i] ^ 1:
             i += 1
@@ -254,12 +242,15 @@ def tietze_free_basis(sp: SchreierPresentation) -> tuple[Elimination, ...]:
     return tuple(steps)
 
 
-def _replay(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -> list[list[int]] | None:
+def _replay(sp: SchreierPresentation, steps: tuple[Elimination, ...],
+            only: set[int] | None = None) -> list[list[int]] | None:
     """The rows the eliminations leave, replayed in order, or None when a
     step's generator does not occur once in its source row, with the
     earlier substitutions made, or does not solve to the step's
-    expression."""
-    rows, occ = _start(sp)
+    expression.  A row's substitutions read no other row, so ``only``, the
+    rows to replay, may hold just the source rows; the others are left
+    empty."""
+    rows, occ = _start(sp, only)
     for g, r, expr in steps:
         if not (0 <= g < sp.ngens and 0 <= r < len(rows)) or _solve(rows[r], g) != list(expr):
             return None
@@ -288,7 +279,8 @@ class FreeSubgroupOracle:
     and it moves coset 1, or its image is not empty and the eliminations
     left no row (``free``: a free basis of H).  Anything else is
     Undecided.  ``sp``, ``steps`` and ``images`` are built the first time
-    a word fixes coset 1."""
+    a word fixes coset 1, and ``free`` the first time such a word's image
+    is not empty."""
 
     cols: tuple[tuple[int, ...], ...]
     kept: Presentation
@@ -300,23 +292,18 @@ class FreeSubgroupOracle:
         return reidemeister_schreier(self.kept, self.cols)
 
     @cached_property
-    def _eliminations(self) -> tuple[tuple[Elimination, ...], bool]:
-        steps = tietze_free_basis(self.sp)
-        rows = _replay(self.sp, steps)
-        if rows is None:
-            raise BraidkernelError("a Tietze elimination failed its replay")
-        return steps, not any(rows)
-
-    @property
     def steps(self) -> tuple[Elimination, ...]:
         """Tietze's eliminations, each replayed from its source row."""
-        return self._eliminations[0]
+        steps = tietze_free_basis(self.sp)
+        if _replay(self.sp, steps, {r for _, r, _ in steps}) is None:
+            raise BraidkernelError("a Tietze elimination failed its replay")
+        return steps
 
-    @property
+    @cached_property
     def free(self) -> bool:
-        """Whether the eliminations left no row: then the generators they
-        leave are a free basis of H'."""
-        return self._eliminations[1]
+        """Whether the eliminations, replayed in every row, leave no row:
+        then the generators they leave are a free basis of H'."""
+        return check_free_basis(self.sp, self.steps)
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:
@@ -335,19 +322,18 @@ class FreeSubgroupOracle:
         for g, _, expr in reversed(steps):
             full[g] = list(free_reduce_letters([y for x in expr for y in (
                 _inverse(full[x >> 1]) if x & 1 else full[x >> 1])]))
-        words = [letters_to_word(self.alphabet, full[g]) for g in range(self.sp.ngens)]
-        return tuple(tuple(() if s < 0 else words[s >> 1].syllables if s % 2 == 0
-                           else words[s >> 1].inverse().syllables for s in edge)
-                     for edge in self.sp.edges)
+        words = [letters_to_word(self.alphabet, full[g]).syllables for g in range(self.sp.ngens)]
+        # Schreier letter 2g reads generator g, and 2g + 1 its inverse: reversed, negated
+        letters = [s for w in words for s in (w, tuple((y, -e) for y, e in reversed(w)))]
+        return tuple(tuple(() if s < 0 else letters[s] for s in edge) for edge in self.sp.edges)
 
     def __call__(self, u: Word, v: Word) -> bool:
-        w = self.reduce_powers(u) * self.reduce_powers(v).inverse()
-        moved = _trace(self.cols, w) != 1
-        if not moved and self.image(w)[1].is_identity:
+        coset, reads = self.trace(self.reduce_powers(u) * self.reduce_powers(v).inverse())
+        if coset == 1 and self.image(reads).is_identity:
             return True
         if self.skipped:
             raise Undecided("the action breaks a relator: it proves only equal words")
-        if not (moved or self.free):
+        if coset == 1 and not self.free:
             raise Undecided("Tietze elimination leaves relators: the subgroup is not shown free")
         return False
 
@@ -368,27 +354,34 @@ class FreeSubgroupOracle:
                 out.append((gen, exp))
         return Word(w.alphabet, tuple(out))
 
-    def image(self, w: Word) -> tuple[int, Word]:
-        """The coset w leads coset 1 to, and the image of its Schreier word,
-        read per syllable: a walk that is back at its start after k steps
-        has gone round a cycle, and the rest of the syllable is a power of
-        the cycle's image."""
-        cols, parts, c = self.cols, [], 1
+    def trace(self, w: Word) -> tuple[int, list[tuple[int, list[int], int]]]:
+        """The coset w leads coset 1 to, and the walk's reads, per syllable:
+        (x, cosets, q) is letter x read from each of the cosets in turn, q
+        times over.  A walk that is back at its start after k steps has gone
+        round a cycle, and the rest of the syllable is a power of it."""
+        cols, reads, c = self.cols, [], 1
         for gen, exp in w.syllables:
             x = 2 * gen + (exp < 0)
-            col, images, steps, start, walk = cols[x], self.images[x], abs(exp), c, []
+            col, steps, start, walk = cols[x], abs(exp), c, []
             for k in range(1, steps + 1):
-                walk.append(images[c])
+                walk.append(c)
                 c = col[c]
                 if c == start:
                     q, rest = divmod(steps, k)
-                    parts.append((join_reduced(self.alphabet, walk) ** q).syllables)
-                    del walk[rest:]
-                    for _ in range(rest):
-                        c = col[c]
+                    reads.append((x, walk, q))
+                    c, walk = walk[rest], walk[:rest]  # walk[i] is i steps on
                     break
-            parts += walk
-        return c, join_reduced(self.alphabet, parts)
+            reads.append((x, walk, 1))
+        return c, reads
+
+    def image(self, reads) -> Word:
+        """The image of the Schreier word that ``trace``'s reads spell, over
+        ``alphabet``."""
+        images, alphabet, parts = self.images, self.alphabet, []
+        for x, cosets, q in reads:
+            read = [images[x][c] for c in cosets]
+            parts += read if q == 1 else [(join_reduced(alphabet, read) ** q).syllables]
+        return join_reduced(alphabet, parts)
 
 
 def free_subgroup_oracle(p: Presentation, cols) -> FreeSubgroupOracle:
@@ -414,36 +407,18 @@ def free_subgroup_oracle(p: Presentation, cols) -> FreeSubgroupOracle:
                               skipped, tuple(moduli))
 
 
-def _trace(cols, w: Word) -> int:
-    """The coset w leads coset 1 to, read per syllable as ``image`` reads it."""
-    c = 1
-    for gen, exp in w.syllables:
-        col, steps, start = cols[2 * gen + (exp < 0)], abs(exp), c
-        for k in range(1, steps + 1):
-            c = col[c]
-            if c == start:
-                for _ in range(steps % k):
-                    c = col[c]
-                break
-    return c
-
-
-def fiber_oracle(p: Presentation, *, lazy: bool = False) -> FreeSubgroupOracle:
+def fiber_oracle(p: Presentation) -> FreeSubgroupOracle:
     """The oracle of P3(RP2), or of a quotient of it, through the fiber, for
     a presentation over the atlas three-strand alphabet, from the action
     ``FIBER_COLUMNS``.  Raises Undecided for another alphabet or relators
     over ``FIBER_MAX_LETTERS`` letters.  The Q8 action is right
     multiplication, so a relator closes at every coset or at none; on
     P3(RP2)/<rho^6>, say, rho1^6 goes to -1 and is left out.  H is built
-    and replayed here, where Tietze's letter budget raises Undecided, or
-    with ``lazy`` when a word first fixes coset 1, so that a pair Q8
-    separates costs one walk."""
+    when a word first fixes coset 1, where Tietze's letter budget raises
+    Undecided, so a pair Q8 separates costs one walk."""
     if p.alphabet != FIBER_ALPHABET:
         raise Undecided("the fiber oracle needs the atlas P3(RP2) generators")
     if (letters := sum(rel.letter_length for rel in p.relators)) > FIBER_MAX_LETTERS:
         raise Undecided(f"the relators have {letters} letters, over the fiber oracle's "
                         f"{FIBER_MAX_LETTERS}")
-    oracle = free_subgroup_oracle(p, FIBER_COLUMNS)
-    if not lazy:
-        oracle.images  # builds sp, the steps and their replay
-    return oracle
+    return free_subgroup_oracle(p, FIBER_COLUMNS)

@@ -14,7 +14,7 @@ from braidkernel import (
 )
 from braidkernel import EnumerationError, fiber, schreier
 from braidkernel.atlas import _rp2_alphabet
-from braidkernel.base import Undecided
+from braidkernel.base import BraidkernelError, Undecided
 from braidkernel.schreier import Witness, check_witness, find_witness
 from braidkernel.snf import invariant_factors
 from braidkernel.words import Word, letters_to_word, word_to_letters
@@ -252,6 +252,27 @@ def test_the_fiber_alphabet_is_the_atlas_one():
         "B13", "B23", "rho3"]
 
 
+def times(p, q):
+    (a, b, c, d), (e, f, g, h) = p, q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def test_the_q8_table_is_right_multiplication_by_the_images():
+    # letter 2g is generator g and 2g + 1 its inverse, the conjugate quaternion;
+    # the units are numbered as a breadth-first walk over the letters meets them
+    letters = [q for a, b, c, d in fiber.FIBER_IMAGES for q in ((a, b, c, d), (a, -b, -c, -d))]
+    units = [(1, 0, 0, 0)]
+    for u in units:  # the list grows as it is read
+        for q in letters:
+            if (v := times(u, q)) not in units:
+                units.append(v)
+    assert len(units) == 8
+    number = {u: c for c, u in enumerate(units, 1)}
+    assert fiber.FIBER_COLUMNS == tuple((0, *(number[times(u, q)] for u in units))
+                                        for q in letters)
+
+
 def test_the_q8_table_is_the_enumerated_one_renumbered():
     # walked in step from coset 1, the Q8 action and Todd-Coxeter's table of the
     # fiber <B13, B23, rho3> match coset for coset, one to one
@@ -308,6 +329,14 @@ def tampered(steps):
 @pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
 def test_a_tampered_elimination_list_is_rejected(kind):
     assert not fiber.check_free_basis(FIBER_SP, tampered(FIBER_STEPS)[kind])
+
+
+@pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
+def test_the_oracle_replays_the_eliminations_before_it_answers(monkeypatch, kind):
+    # the oracle replays the source rows alone, and a wrong list is an error, not an answer
+    monkeypatch.setattr(fiber, "tietze_free_basis", lambda sp: tampered(FIBER_STEPS)[kind])
+    with pytest.raises(BraidkernelError, match="failed its replay"):
+        fiber.fiber_oracle(P3)(P3.word("1"), P3.word("1"))
 
 
 def test_malformed_elimination_lists_are_rejected():
@@ -378,8 +407,8 @@ def test_a_commutator_no_witness_separates_is_unequal():
     u, one = P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")
     assert find_witness(P3, u, one) is None
     assert not ORACLE(u, one)
-    coset, image = ORACLE.image(u)
-    assert coset == 1 and not image.is_identity
+    coset, reads = ORACLE.trace(u)
+    assert coset == 1 and not ORACLE.image(reads).is_identity
 
 
 def test_huge_exponents_are_read_per_syllable():
@@ -413,7 +442,7 @@ def test_a_relator_the_q8_action_breaks_is_refused_before_tietze(monkeypatch, p,
     # them out (rho3 goes to 1), and a pair the Q8 action separates, rho1 rho2 and
     # rho2 rho1, is refused before Tietze runs
     monkeypatch.setattr(fiber, "tietze_free_basis", None)
-    oracle = fiber.fiber_oracle(p, lazy=True)
+    oracle = fiber.fiber_oracle(p)
     assert oracle.skipped
     assert [rel for rel in p.relators if rel not in oracle.kept.relators] == [
         p.word(rel) for rel in broken.split()]
@@ -427,8 +456,9 @@ def test_a_quotient_with_a_relator_left_out_proves_only_equal_words():
     # rho1^2 = 1 holds in P3(RP2)/<rho^2> though the Q8 action moves coset 1 by it:
     # the power rule reads it as 1, and a word the action moves is undecided
     oracle = fiber.fiber_oracle(rho_quotient(2))
-    assert oracle.skipped and not oracle.free
+    assert oracle.skipped
     assert oracle(P3.word("rho1^2"), P3.word("1")) is True
+    assert not oracle.free
     assert oracle(P3.word("rho1^-1"), P3.word("rho1")) is True
     for lhs in ("B12", "rho1 rho2 rho1^-1 rho2^-1"):
         with pytest.raises(Undecided, match="breaks a relator"):
@@ -437,7 +467,7 @@ def test_a_quotient_with_a_relator_left_out_proves_only_equal_words():
 
 def test_a_lazy_oracle_answers_a_pair_q8_separates_by_its_walk(monkeypatch):
     monkeypatch.setattr(fiber, "reidemeister_schreier", None)
-    oracle = fiber.fiber_oracle(P3, lazy=True)
+    oracle = fiber.fiber_oracle(P3)
     assert oracle(P3.word("B12"), P3.word("1")) is False
     assert "sp" not in vars(oracle)
     monkeypatch.undo()
@@ -507,7 +537,7 @@ def test_tietze_stops_at_its_letter_budget(monkeypatch):
     assert fiber.tietze_free_basis(FIBER_SP) == FIBER_STEPS
     monkeypatch.setattr(fiber, "TIETZE_MAX_LETTERS", 3183)
     with pytest.raises(Undecided, match="more than 3183 letters"):
-        fiber.fiber_oracle(P3)
+        fiber.fiber_oracle(P3)(P3.word("1"), P3.word("1"))
 
 
 def test_a_table_that_is_not_an_action_is_refused():
