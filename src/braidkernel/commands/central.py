@@ -1,9 +1,9 @@
-"""``braidkernel central``: test centrality in a finite group, or in P3(RP2)."""
+"""``braidkernel central``: test centrality in a finite group, or in P3(RP2) and its quotients."""
 
-from .. import FIBER_ALPHABET, atlas, coset
-from ..base import Undecided
+from .. import atlas, coset
 from ..cli import UsageError, _load_presentation
-from ..words import Word, format_word, parse_word
+from ..words import format_word, parse_word
+from . import fiber_links, first_answer
 
 
 def _resolve_element(args, p):
@@ -22,19 +22,13 @@ def _resolve_element(args, p):
 def handle(args):
     p = _load_presentation(args)
     w = _resolve_element(args, p)
-    try:
-        central = coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w)
-        payload = {"element": format_word(w), "central": central}
-    except coset.IncompleteTableError as undecided:
-        # on P3(RP2) the fiber subgroup decides w g = g w for each generator g
-        if p.alphabet != FIBER_ALPHABET:
-            raise
-        from .. import fiber
-        try:
-            oracle = fiber.fiber_oracle(p)
-            gens = [Word.generator(p.alphabet, i) for i in range(p.ngens)]
-            central = all(oracle(w * g, g * w) for g in gens)
-        except Undecided:
-            raise undecided from None
-        payload = {"element": format_word(w), "central": central, "engine": "fiber"}
-    return central, payload, [f"{format_word(w)} is {'central' if central else 'not central'}"]
+
+    def answer(central, **fields):
+        payload = {"element": format_word(w), "central": central, **fields}
+        return central, payload, [f"{format_word(w)} is {'central' if central else 'not central'}"]
+
+    def table():  # decides in a finite group
+        return answer(coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w))
+
+    return first_answer([({True, False}, table), *fiber_links(p, lambda oracle: answer(
+        all(oracle(w * g, g * w) for g in map(p.gen, p.alphabet)), engine="fiber"))])

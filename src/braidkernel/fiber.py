@@ -269,7 +269,7 @@ def check_free_basis(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -
 class FreeSubgroupOracle:
     """The word problem of G, presented by p, through H, the stabiliser of
     coset 1 under the transitive action ``cols``: True, False, or
-    Undecided; ``free_subgroup_oracle(p, cols)`` builds it.
+    Undecided (EnumerationError on another alphabet); ``free_subgroup_oracle(p, cols)`` builds it.
     ``kept`` holds the relators of p that close under the action; they
     present a group G' that maps onto G and on which the action is one.
     u and v are read through ``reduce_powers``, then u v^-1 is walked:
@@ -328,6 +328,8 @@ class FreeSubgroupOracle:
         return tuple(tuple(() if s < 0 else letters[s] for s in edge) for edge in self.sp.edges)
 
     def __call__(self, u: Word, v: Word) -> bool:
+        if {u.alphabet, v.alphabet} != {self.kept.alphabet}:
+            raise EnumerationError("words are not over the presentation's alphabet")
         coset, reads = self.trace(self.reduce_powers(u) * self.reduce_powers(v).inverse())
         if coset == 1 and self.image(reads).is_identity:
             return True

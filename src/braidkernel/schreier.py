@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import islice
 
 from . import snf
-from .base import record
+from .base import EnumerationError, record
 from .presentations import Presentation
 from .words import Word
 
@@ -189,9 +189,11 @@ def _in_lattice(vec: list[int], basis: dict[int, dict[int, int]]) -> bool:
 
 
 def find_witness(p: Presentation, u: Word, v: Word) -> Witness | None:
-    """A certificate that u != v in G, or None when neither the maps onto Z/2
-    nor the first ``MAX_KERNELS`` of their kernels separate u and v (which
-    proves nothing).  ``check_witness`` confirms what this returns."""
+    """A certificate that u != v in G, or None when neither the maps onto Z/2 nor the first
+    ``MAX_KERNELS`` of their kernels separate u and v (which proves nothing); words over
+    another alphabet raise EnumerationError.  ``check_witness`` confirms what this returns."""
+    if {u.alphabet, v.alphabet} != {p.alphabet}:
+        raise EnumerationError("words are not over the presentation's alphabet")
     w = u * v.inverse()
     # the maps are linear, so one separates u and v iff a basis vector does
     for mask in _null_space(p):

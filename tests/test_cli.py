@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import os
 import pathlib
@@ -13,7 +14,9 @@ import pytest
 
 import braidkernel
 from braidkernel.atlas import RP2_MAX_STRANDS, pure_braid_rp2
+from braidkernel.base import Undecided
 from braidkernel.cli import _COMMANDS, run
+from braidkernel.commands import first_answer
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -386,6 +389,78 @@ def test_central_on_p3_falls_back_to_the_fiber_oracle(capsys, monkeypatch):
         2, "", "undecided: enumeration budget exhausted at 1000 live cosets\n")
 
 
+def fake_links(engine_proves, answers, ran):
+    """The links equal passes (its engine, the witness and the fiber), faked: each link
+    appends its name to ran when it runs, then returns (answer, name, [name]), or raises
+    Undecided(name) when its answer is None."""
+    def link(name, proves, answer):
+        def call():
+            ran.append(name)
+            if answer is None:
+                raise Undecided(name)
+            return answer, name, [name]
+        return proves, call
+    return [link(*case) for case in zip(("engine", "witness", "fiber"),
+                                        (engine_proves, {False}, {True, False}), answers)]
+
+
+# (the answers the engine proves, the engine's, witness's and fiber's answers or None for
+# undecided, the link whose answer is printed, the links run in order).  An engine that
+# proves both answers runs first; one that proves only "equal" runs after the fiber, and not
+# at all when the fiber says "not equal"; the witness runs after the fiber, and not at all
+# when it says "equal".  Some cases give a link an answer the fiber contradicts, to show that
+# it never runs.
+CHAIN_CASES = [
+    ({True, False}, (True, None, True), "engine", ["engine"]),
+    ({True, False}, (False, False, False), "engine", ["engine"]),
+    ({True, False}, (None, False, False), "witness", ["engine", "fiber", "witness"]),
+    ({True, False}, (None, None, False), "fiber", ["engine", "fiber", "witness"]),
+    ({True, False}, (None, False, True), "fiber", ["engine", "fiber"]),
+    ({True, False}, (None, False, None), "witness", ["engine", "fiber", "witness"]),
+    ({True}, (True, None, True), "engine", ["fiber", "engine"]),
+    ({True}, (None, False, True), "fiber", ["fiber", "engine"]),
+    ({True}, (True, False, False), "witness", ["fiber", "witness"]),
+    ({True}, (True, None, False), "fiber", ["fiber", "witness"]),
+    ({True}, (True, None, None), "engine", ["fiber", "engine"]),
+    ({True}, (None, False, None), "witness", ["fiber", "engine", "witness"]),
+]
+
+
+@pytest.mark.parametrize("engine_proves,answers,decider,ran", CHAIN_CASES)
+def test_first_answer_runs_each_link_once_and_prints_in_list_order(engine_proves, answers,
+                                                                   decider, ran):
+    runs = []
+    answer = answers[["engine", "witness", "fiber"].index(decider)]
+    assert first_answer(fake_links(engine_proves, answers, runs)) == (answer, decider, [decider])
+    assert runs == ran
+
+
+@pytest.mark.parametrize("engine_proves,ran", [({True, False}, ["engine", "fiber", "witness"]),
+                                               ({True}, ["fiber", "engine", "witness"])])
+def test_first_answer_raises_the_first_links_undecided(engine_proves, ran):
+    runs = []
+    with pytest.raises(Undecided, match="^engine$"):
+        first_answer(fake_links(engine_proves, (None, None, None), runs))
+    assert runs == ran
+
+
+def test_first_answer_leaves_no_cyclic_garbage():
+    # the console script runs with the cyclic collector off: neither an undecided chain nor
+    # one that a later link decides may leave a kept Undecided in a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        for answers in ((None, None, None), (None, None, True), (None, False, False)):
+            for engine_proves in ({True}, {True, False}):
+                try:
+                    first_answer(fake_links(engine_proves, answers, []))
+                except Undecided:
+                    pass
+                assert gc.collect() == 0, (engine_proves, answers)
+    finally:
+        gc.enable()
+
+
 def test_equal_search_never_prints_an_unchecked_chain(capsys, monkeypatch):
     # a splice that wrongly cancels everything "reaches" the identity at once
     monkeypatch.setattr(braidkernel.derivations, "_splice",
@@ -672,11 +747,15 @@ def test_empty_input_path_is_not_stdin(capsys, monkeypatch):
 
 
 def test_presentation_without_generators(capsys, monkeypatch):
-    # the trivial group: one coset, and every word over no letters is 1
-    for argv, answer in ((["order"], "1\n"), (["equal", "--table", "--lhs", "1", "--rhs", "1"],
-                                              "equal\n")):
+    # the trivial group: one coset, and every word over no letters is 1, so central
+    cases = [(["order"], "1\n"), (["equal", "--table", "--lhs", "1", "--rhs", "1"], "equal\n"),
+             (["central", "--element", "1"], "1 is central\n")]
+    for argv, answer in cases:
         code, out, err = invoke(capsys, argv, stdin="group T\ngens\n", monkeypatch=monkeypatch)
         assert (code, out, err) == (0, answer, "")
+    code, out, err = invoke(capsys, ["central", "--element", "1", "--json"],
+                            stdin="group G\ngens\n", monkeypatch=monkeypatch)
+    assert (code, json.loads(out), err) == (0, {"result": {"element": "1", "central": True}}, "")
 
 
 def test_json_envelope_everywhere(capsys, monkeypatch, tmp_path):

@@ -104,6 +104,9 @@ def test_search_chains_join_only_what_the_fiber_calls_equal(case, slack, max_nod
 
 Z5 = presentation("Z5", ["a"], ["a^5"])
 X = presentation("X", ["x"], []).gen("x")  # a generator over another one-letter alphabet
+# six generators, as many as P3(RP2) has, so a walk of the fiber's columns would misread them
+F6 = presentation("F6", list("abcdef"), [])
+P2 = pure_braid_rp2(2)  # rho1 and rho2 are its letters 1 and 2, P3(RP2)'s B13 and B23
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -113,7 +116,14 @@ X = presentation("X", ["x"], []).gen("x")  # a generator over another one-letter
     (lambda: normal_form(knuth_bendix(Z5), X), BraidkernelError, "rewriting system's alphabet"),
     (lambda: substitute(GroupHom(Z5, Z5, (Z5.gen("a"),)), X), PresentationError, "source alphabet"),
     (lambda: Z5.gen("x"), PresentationError, "no generator named 'x'"),
-], ids=["trace_word", "apply_step", "search_equality", "normal_form", "substitute", "gen"])
+    (lambda: P3_ORACLE(F6.word("a b"), F6.word("b a")), EnumerationError,
+     "presentation's alphabet"),
+    (lambda: P3_ORACLE(P2.gen("rho1"), P2.gen("rho2")), EnumerationError,
+     "presentation's alphabet"),
+    (lambda: find_witness(P3, F6.gen("d"), F6.gen("e")), EnumerationError,
+     "presentation's alphabet"),
+], ids=["trace_word", "apply_step", "search_equality", "normal_form", "substitute", "gen",
+        "fiber_oracle", "fiber_oracle-P2", "find_witness"])
 def test_foreign_word_gets_the_engines_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
