@@ -2,8 +2,8 @@
 subgroup.
 
 The word problem of G is decidable through a free subgroup H of finite
-index.  ``reidemeister_schreier`` presents H, the stabiliser of coset 1
-under a transitive permutation action of G; ``tietze_free_basis``
+index.  ``reidemeister`` presents H, the stabiliser of coset 1 under a
+transitive permutation action of G; ``tietze_free_basis``
 eliminates Schreier generators, and ``check_free_basis`` replays the
 eliminations and checks that no relator is left, after which the
 generators left are a free basis of H.  Then u = v iff u v^-1 fixes coset
@@ -25,9 +25,8 @@ from math import gcd
 from . import FIBER_ALPHABET
 from .base import BraidkernelError, EnumerationError, Undecided, record
 from .presentations import Presentation
-from .words import (
-    Word, format_word, free_reduce_letters, join_reduced, letters_to_word, word_to_letters,
-)
+from .reidemeister import SchreierPresentation, _spanning_tree, reidemeister_schreier, trace
+from .words import Word, free_reduce_letters, join_reduced, letters_to_word
 
 # Forgetting strand 3 maps P3(RP2) onto P2(RP2) = Q8, and its kernel, the
 # fiber <B13, B23, rho3>, is free of rank 2 and has index 8 (Fadell-Neuwirth
@@ -52,82 +51,6 @@ TIETZE_MAX_LETTERS = 10**6
 FIBER_COLUMNS = tuple((0, *map(int, col)) for col in (
     "21436587 21436587 12345678 12345678 12345678 12345678 "
     "34218756 43127865 56782143 65871234 12345678 12345678").split())
-
-
-@record
-class SchreierPresentation:
-    """The stabiliser H of coset 1 under a transitive permutation action,
-    presented by Reidemeister-Schreier over a breadth-first spanning tree.
-    Schreier generator k is the k-th pair (coset c, generator g),
-    coset-major, whose edge c -> c g is not on the tree; its letters are 2k
-    and 2k + 1.  ``cols[x][c]`` is the coset letter x leads coset c to, and
-    ``edges[x][c]`` the Schreier letter read on the way, -1 on the tree
-    (cosets count from 1; slot 0 is unused).  ``rows`` are the relators
-    traced from every coset, relator-major."""
-
-    cols: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, ...], ...]
-    ngens: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def index(self) -> int:
-        return len(self.cols[0]) - 1 if self.cols else 1
-
-
-def _spanning_tree(ngens: int, cols) -> set[tuple[int, int]]:
-    """The breadth-first spanning tree of the action ``cols`` of a group on
-    ``ngens`` generators, as its (coset, generator) pairs; raises
-    EnumerationError unless the columns are a transitive permutation
-    action, each letter and its inverse permuting the cosets inversely."""
-    n = len(cols[0]) - 1 if cols else 1
-    cosets = range(1, n + 1)
-    if len(cols) != 2 * ngens or any(len(col) != n + 1 or not all(d in cosets for d in col[1:])
-                                     for col in cols):
-        raise EnumerationError(f"the columns are not {2 * ngens} maps of 1..{n}")
-    tree, queue, seen = set(), [1], {1}
-    for c in queue:  # the queue grows as it is read: breadth first, letters in order
-        for x, col in enumerate(cols):
-            if (d := col[c]) not in seen:
-                seen.add(d)
-                queue.append(d)
-                tree.add((c, x >> 1) if x % 2 == 0 else (d, x >> 1))
-    if len(queue) != n or any(cols[x ^ 1][d] != c for x, col in enumerate(cols)
-                              for c, d in enumerate(col) if c):
-        raise EnumerationError("the table is not a transitive permutation action")
-    return tree
-
-
-def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
-    """The presentation of H from the action's columns: ``cols[x][c]`` is
-    the coset letter x leads coset c to, for c in 1..n (slot 0 is unused).
-    The columns must be a transitive action of G: each letter and its
-    inverse permute the cosets inversely, and each relator closes at each
-    coset.  Then a word that leads coset 1 elsewhere is not in H.  A
-    complete ``CosetTable`` gives its columns as ``(0, *col)`` for each
-    column of its ``rows``."""
-    tree = _spanning_tree(p.ngens, cols)
-    n = len(tree) + 1  # a spanning tree of n cosets has n - 1 edges
-    cosets = range(1, n + 1)
-    pairs = [(c, g) for c in cosets for g in range(p.ngens) if (c, g) not in tree]
-    edges = [[-1] * (n + 1) for _ in cols]
-    for k, (c, g) in enumerate(pairs):
-        edges[2 * g][c] = 2 * k
-        edges[2 * g + 1][cols[2 * g][c]] = 2 * k + 1
-    rows = []
-    for rel in p.relators:
-        path = word_to_letters(rel)
-        for start in cosets:
-            c, row = start, []
-            for x in path:
-                if (s := edges[x][c]) >= 0:
-                    row.append(s)
-                c = cols[x][c]
-            if c != start:
-                raise EnumerationError(f"relator {format_word(rel)} does not close at coset {start}")
-            rows.append(tuple(row))
-    return SchreierPresentation(tuple(map(tuple, cols)), tuple(map(tuple, edges)), len(pairs),
-                                tuple(rows))
 
 
 # Tietze elimination works on rows and expressions as lists of Schreier
@@ -330,7 +253,7 @@ class FreeSubgroupOracle:
     def __call__(self, u: Word, v: Word) -> bool:
         if {u.alphabet, v.alphabet} != {self.kept.alphabet}:
             raise EnumerationError("words are not over the presentation's alphabet")
-        coset, reads = self.trace(self.reduce_powers(u) * self.reduce_powers(v).inverse())
+        coset, reads = trace(self.cols, self.reduce_powers(u) * self.reduce_powers(v).inverse())
         if coset == 1 and self.image(reads).is_identity:
             return True
         if self.skipped:
@@ -356,33 +279,14 @@ class FreeSubgroupOracle:
                 out.append((gen, exp))
         return Word(w.alphabet, tuple(out))
 
-    def trace(self, w: Word) -> tuple[int, list[tuple[int, list[int], int]]]:
-        """The coset w leads coset 1 to, and the walk's reads, per syllable:
-        (x, cosets, q) is letter x read from each of the cosets in turn, q
-        times over.  A walk that is back at its start after k steps has gone
-        round a cycle, and the rest of the syllable is a power of it."""
-        cols, reads, c = self.cols, [], 1
-        for gen, exp in w.syllables:
-            x = 2 * gen + (exp < 0)
-            col, steps, start, walk = cols[x], abs(exp), c, []
-            for k in range(1, steps + 1):
-                walk.append(c)
-                c = col[c]
-                if c == start:
-                    q, rest = divmod(steps, k)
-                    reads.append((x, walk, q))
-                    c, walk = walk[rest], walk[:rest]  # walk[i] is i steps on
-                    break
-            reads.append((x, walk, 1))
-        return c, reads
-
     def image(self, reads) -> Word:
-        """The image of the Schreier word that ``trace``'s reads spell, over
-        ``alphabet``."""
+        """The image of the Schreier word that ``reidemeister.trace``'s reads
+        spell, over ``alphabet``."""
         images, alphabet, parts = self.images, self.alphabet, []
-        for x, cosets, q in reads:
-            read = [images[x][c] for c in cosets]
-            parts += read if q == 1 else [(join_reduced(alphabet, read) ** q).syllables]
+        for x, cycle, q, r in reads:
+            read = [images[x][c] for c in cycle]
+            parts += read * q if q < 2 else [(join_reduced(alphabet, read) ** q).syllables]
+            parts += read[:r]
         return join_reduced(alphabet, parts)
 
 
@@ -391,14 +295,10 @@ def free_subgroup_oracle(p: Presentation, cols) -> FreeSubgroupOracle:
     ``cols`` of p (as ``reidemeister_schreier`` takes it), which keeps the
     relators that close at every coset; raises EnumerationError for
     columns that are not such an action.  Nothing of H is built yet."""
-    start = tuple(range(1, len(_spanning_tree(p.ngens, cols)) + 2))
+    cosets = range(1, len(_spanning_tree(p.ngens, cols)) + 2)
     kept, moduli = [], [0] * p.ngens
     for rel in p.relators:
-        cosets = start
-        for x in word_to_letters(rel):  # every coset at once, under the expansion limit
-            col = cols[x]
-            cosets = [col[c] for c in cosets]
-        if tuple(cosets) == start:
+        if all(trace(cols, rel, c)[0] == c for c in cosets):
             kept.append(rel)
         if len(rel.syllables) == 1:  # rel is x^m
             (gen, exp), = rel.syllables
@@ -412,14 +312,14 @@ def free_subgroup_oracle(p: Presentation, cols) -> FreeSubgroupOracle:
 def fiber_oracle(p: Presentation) -> FreeSubgroupOracle:
     """The oracle of P3(RP2), or of a quotient of it, through the fiber, for
     a presentation over the atlas three-strand alphabet, from the action
-    ``FIBER_COLUMNS``.  Raises Undecided for another alphabet or relators
-    over ``FIBER_MAX_LETTERS`` letters.  The Q8 action is right
+    ``FIBER_COLUMNS``.  Raises EnumerationError for another alphabet and
+    Undecided for relators over ``FIBER_MAX_LETTERS`` letters.  The Q8 action is right
     multiplication, so a relator closes at every coset or at none; on
     P3(RP2)/<rho^6>, say, rho1^6 goes to -1 and is left out.  H is built
     when a word first fixes coset 1, where Tietze's letter budget raises
     Undecided, so a pair Q8 separates costs one walk."""
     if p.alphabet != FIBER_ALPHABET:
-        raise Undecided("the fiber oracle needs the atlas P3(RP2) generators")
+        raise EnumerationError("the fiber oracle needs the atlas P3(RP2) generators")
     if (letters := sum(rel.letter_length for rel in p.relators)) > FIBER_MAX_LETTERS:
         raise Undecided(f"the relators have {letters} letters, over the fiber oracle's "
                         f"{FIBER_MAX_LETTERS}")

@@ -4,13 +4,10 @@ onto Z/2.
 A map G -> Z/2 gives each generator a bit; it is a homomorphism iff every
 relator has even weight (the sum of its exponents on the generators with
 bit 1), so the maps are the mod-2 null space of the relator matrix.  Its
-kernel K has index 2, and Reidemeister-Schreier over the 2-point action
-presents K: coset 0 is K, coset 1 is K t for the first generator t with
-bit 1, and each pair (c, x) of a coset and a generator but the tree edge
-(0, t) is the Schreier generator T(c) x T(c x)^-1, with T(0) = 1 and
-T(1) = t.  A word traced from a coset rewrites to its exponent-sum vector
-over them, and the relators traced from both cosets give the relation
-rows of H1(K) (Magnus-Karrass-Solitar 1966, section 2.3).
+kernel K has index 2: the stabiliser of coset 1 when each generator with
+bit 1 swaps cosets 1 and 2, which ``reidemeister`` presents.  A word read
+from a coset gives its exponent-sum vector over K's Schreier generators,
+and the relators read from both cosets give the relation rows of H1(K).
 
 Two words u and v differ in G when u v^-1 has odd weight under some map,
 or when it lies in K and its vector is nonzero in H1(K).  The Smith
@@ -28,11 +25,12 @@ from itertools import islice
 from . import snf
 from .base import EnumerationError, record
 from .presentations import Presentation
+from .reidemeister import SchreierPresentation, reidemeister_schreier, trace
 from .words import Word
 
 # The kernels ``find_witness`` tries for one pair: the first maps in the
 # order of ``kernel_maps``.  All 7 of P3(RP2) and all 15 of P4(RP2) fit;
-# P8(RP2) has 255 maps, and trying 31 of them takes about 0.05 s.
+# P8(RP2) has 255 maps, and trying 31 of them takes about 0.08 s (2-core Xeon).
 MAX_KERNELS = 31
 
 
@@ -103,43 +101,39 @@ def kernel_maps(p: Presentation):
         yield mask
 
 
-def schreier_index(p: Presentation, mask: int) -> dict[tuple[int, int], int]:
-    """The column of each Schreier generator (coset, generator) of the
-    kernel of ``mask``, coset-major: every pair but the tree edge (0, t)."""
-    t = (mask & -mask).bit_length() - 1
-    pairs = [(c, g) for c in (0, 1) for g in range(p.ngens) if (c, g) != (0, t)]
-    return {pair: k for k, pair in enumerate(pairs)}
+def _kernel(p: Presentation, mask: int) -> SchreierPresentation:
+    """The kernel of a map: the stabiliser of coset 1 when each generator
+    with bit 1 swaps cosets 1 and 2.  Reidemeister-Schreier runs over no
+    relators; ``_rows`` reads them as exponent sums, per syllable."""
+    cols = [(0, 2, 1) if mask >> (x >> 1) & 1 else (0, 1, 2) for x in range(2 * p.ngens)]
+    return reidemeister_schreier(Presentation(p.name, p.alphabet, ()), cols)
 
 
-def rewrite(index: dict[tuple[int, int], int], mask: int, w: Word,
-            coset: int = 0) -> tuple[list[int], int]:
-    """The exponent-sum vector over the Schreier generators of w traced from
-    ``coset``, and the coset the trace ends at.  A syllable x^e with bit 1
-    alternates between the edges (c, x) and (c + 1, x): a letter x leaves
-    its coset by the edge at it, a letter x^-1 arrives by the other one."""
-    vec = [0] * len(index)
-    for gen, exp in w.syllables:
-        if mask >> gen & 1:
-            m, sign = abs(exp), 1 if exp > 0 else -1
-            first = coset if exp > 0 else coset ^ 1
-            for c, count in ((first, (m + 1) // 2), (first ^ 1, m // 2)):
-                if (k := index.get((c, gen))) is not None:
-                    vec[k] += sign * count
-            coset ^= m & 1
-        elif (k := index.get((coset, gen))) is not None:
-            vec[k] += exp
-    return vec, coset
+def _sums(sp: SchreierPresentation, w: Word) -> tuple[list[int], list[int]]:
+    """The exponent sums over the Schreier generators of w read from coset 1
+    and from coset 2.  Swapping the cosets commutes with the action, so one
+    walk gives both: the read from coset 2 is the one from 1, swapped."""
+    one, two, edges = [0] * sp.ngens, [0] * sp.ngens, sp.edges
+    for x, cycle, q, r in trace(sp.cols, w)[1]:
+        edge = edges[x]
+        for c in cycle:
+            n = q + (r > 0)  # the reads of x at c
+            if (s := edge[c]) >= 0:
+                one[s >> 1] += -n if s & 1 else n
+            if (s := edge[c ^ 3]) >= 0:
+                two[s >> 1] += -n if s & 1 else n
+            r -= 1
+    return one, two
 
 
-def relator_rows(p: Presentation, index: dict[tuple[int, int], int], mask: int) -> list[list[int]]:
-    """Each relator of a map's kernel traced from coset 0 and from coset 1:
-    the relation rows of H1 of the kernel."""
-    return [rewrite(index, mask, rel, c)[0] for rel in p.relators for c in (0, 1)]
+def _rows(p: Presentation, sp: SchreierPresentation) -> list[list[int]]:
+    """The nonzero relation rows of H1 of the kernel: each relator read from both cosets."""
+    return [row for rel in p.relators for row in _sums(sp, rel) if any(row)]
 
 
 def _combine(a: int, u: dict[int, int], b: int, v: dict[int, int]) -> dict[int, int]:
     """a u + b v for sparse rows (column -> nonzero entry)."""
-    out = {k: a * x for k, x in u.items()} if a else {}
+    out = dict(u) if a == 1 else {k: a * x for k, x in u.items()} if a else {}
     for k, x in v.items():
         if total := out.get(k, 0) + b * x:
             out[k] = total
@@ -200,17 +194,17 @@ def find_witness(p: Presentation, u: Word, v: Word) -> Witness | None:
         if _parity(w, mask):
             return Witness(_bits(p, mask))
     for mask in islice(kernel_maps(p), MAX_KERNELS):
-        index = schreier_index(p, mask)
-        vec, _ = rewrite(index, mask, w)
+        sp = _kernel(p, mask)
+        vec = _sums(sp, w)[0]
         if not any(vec):
             continue
-        basis = _echelon(relator_rows(p, index, mask))
+        basis = _echelon(_rows(p, sp))
         if _in_lattice(vec, basis):
             continue
+        n = sp.ngens
         diag, _, right = snf.smith_normal_form(
-            [[basis[j].get(k, 0) for k in range(len(index))] for j in sorted(basis)]
-            or [[0] * len(index)])
-        image = [sum(x * right[i][j] for i, x in enumerate(vec)) for j in range(len(index))]
+            [[basis[j].get(k, 0) for k in range(n)] for j in sorted(basis)] or [[0] * n])
+        image = [sum(x * right[i][j] for i, x in enumerate(vec)) for j in range(n)]
         # vec is outside the lattice, so some invariant factor other than 1 sees it
         j = next(j for j, d in enumerate(diag) if d != 1 and (image[j] % d if d else image[j]))
         m = diag[j]
@@ -238,23 +232,24 @@ def check_witness(p: Presentation, u: Word, v: Word, witness: Witness) -> bool:
     if witness.functional is None:
         return witness.modulus is None and parity == 1
     m, f = witness.modulus, witness.functional
-    index = schreier_index(p, mask)
-    if parity or not isinstance(m, int) or m < 0 or m == 1 or len(f) != len(index):
+    sp = _kernel(p, mask)
+    if parity or not isinstance(m, int) or m < 0 or m == 1 or len(f) != sp.ngens:
         return False
 
     def zero(vec):
         total = sum(a * b for a, b in zip(f, vec))
         return total % m == 0 if m else total == 0
 
-    return all(map(zero, relator_rows(p, index, mask))) and not zero(rewrite(index, mask, w)[0])
+    return all(map(zero, _rows(p, sp))) and not zero(_sums(sp, w)[0])
 
 
 def witness_json(p: Presentation, witness: Witness) -> dict:
     """The certificate as ``equal --json`` prints it."""
     out = {"map": list(witness.bits)}
     if witness.functional is not None:
-        index = schreier_index(p, _mask(witness.bits))
-        out["schreier_generators"] = [[c, p.alphabet[g]] for c, g in index]
+        edges = _kernel(p, _mask(witness.bits)).edges  # its generators, coset-major
+        out["schreier_generators"] = [[c - 1, p.alphabet[g]] for c in (1, 2)
+                                      for g in range(p.ngens) if edges[2 * g][c] >= 0]
         out["functional"] = list(witness.functional)
         out["modulus"] = witness.modulus
     return out

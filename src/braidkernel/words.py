@@ -24,6 +24,9 @@ from .base import BraidkernelError, Undecided, record
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# parse_word's tokens: whitespace, '*', a term (a '^' and its exponent, if any), or one
+# other character, which an empty match stands for
+_TOKEN_RE = re.compile(r"(\s+)|(\*)|([A-Za-z][A-Za-z0-9_]*)(?:(\^)([+-]?[0-9]+)?)?|(?=.)")
 
 # the most letters word_to_letters expands, and the most syllables a power repeats
 MAX_LETTERS = 10**7
@@ -254,49 +257,45 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     lookup = _name_lookup(alphabet)
     if text.strip() == "1":
         return Word.identity(alphabet)
-
-    sylls: list[tuple[int, int]] = []
-    i = 0
-    n = len(text)
+    # a well-formed word splits into its terms at '*' and whitespace by str methods;
+    # other text is scanned token by token below, which says where it is malformed
+    parts = text.split("*")
+    terms = [term.partition("^") for part in parts for term in part.split()]
+    if all(map(str.strip, parts)) and all(
+            name in lookup and (not caret or _INT_RE.fullmatch(exp)) for name, caret, exp in terms):
+        try:
+            sylls = [(lookup[name], int(exp) if caret else 1) for name, caret, exp in terms]
+        except ValueError:  # more digits than the interpreter converts: the scan says where
+            pass
+        else:
+            return Word.from_syllables(alphabet, sylls)
+    sylls = []
     have_term = False     # at least one term parsed
-    separated = True      # a separator (or the start) precedes position i
+    separated = True      # a separator (or the start) precedes the token
     star_pending = False  # a '*' was seen and now requires a term
-    while i < n:
-        if text[i].isspace():
+    for m in _TOKEN_RE.finditer(text):
+        space, star, name, caret, exp = m.groups()
+        i = m.start()
+        if space:
             separated = True
-            i += 1
-            continue
-        if text[i] == "*":
+        elif star:
             if not have_term or star_pending:
                 raise WordError(f"unexpected '*' at position {i}")
-            separated = True
-            star_pending = True
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if not m:
+            separated = star_pending = True
+        elif not name:
             raise WordError(f"expected generator name at position {i}")
-        if have_term and not separated:
-            raise WordError(f"missing separator before position {i}")
-        name = m.group()
-        if name not in lookup:
-            raise WordError(f"unknown generator {name!r} at position {i}")
-        i = m.end()
-        exp = 1
-        if i < n and text[i] == "^":
-            i += 1
-            em = _INT_RE.match(text, i)
-            if not em:
-                raise WordError(f"malformed exponent at position {i}")
+        else:
+            if have_term and not separated:
+                raise WordError(f"missing separator before position {i}")
+            if name not in lookup:
+                raise WordError(f"unknown generator {name!r} at position {i}")
+            if caret and not exp:
+                raise WordError(f"malformed exponent at position {m.end(4)}")
             try:
-                exp = int(em.group())
-            except ValueError:  # more digits than the interpreter converts
-                raise WordError(f"exponent too long at position {i}") from None
-            i = em.end()
-        sylls.append((lookup[name], exp))
-        have_term = True
-        separated = False
-        star_pending = False
+                sylls.append((lookup[name], int(exp) if caret else 1))
+            except ValueError:
+                raise WordError(f"exponent too long at position {m.end(4)}") from None
+            have_term, separated, star_pending = True, False, False
     if not have_term:
         raise WordError("empty word text (use \"1\" for the identity)")
     if star_pending:

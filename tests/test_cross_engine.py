@@ -122,8 +122,9 @@ P2 = pure_braid_rp2(2)  # rho1 and rho2 are its letters 1 and 2, P3(RP2)'s B13 a
      "presentation's alphabet"),
     (lambda: find_witness(P3, F6.gen("d"), F6.gen("e")), EnumerationError,
      "presentation's alphabet"),
+    (lambda: fiber_oracle(pure_braid_rp2(4)), EnumerationError, "atlas P3"),
 ], ids=["trace_word", "apply_step", "search_equality", "normal_form", "substitute", "gen",
-        "fiber_oracle", "fiber_oracle-P2", "find_witness"])
+        "fiber_oracle", "fiber_oracle-P2", "find_witness", "fiber_oracle-P4"])
 def test_foreign_word_gets_the_engines_error(call, error, message):
     with pytest.raises(error, match=message):
         call()

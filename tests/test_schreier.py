@@ -2,6 +2,8 @@
 certificates that two words differ, checked without a Smith normal form;
 and the word problem of P3(RP2) through its free fiber (``fiber``)."""
 
+import hashlib
+import json
 import random
 import time
 
@@ -12,7 +14,7 @@ from braidkernel import (
     forget_strands_hom, presentation, pure_braid_rp2, quaternion_presentation, quotient,
     smith_normal_form, substitute, tau_n, todd_coxeter, word_equal_finite,
 )
-from braidkernel import EnumerationError, fiber, schreier
+from braidkernel import EnumerationError, fiber, reidemeister, schreier
 from braidkernel.atlas import _rp2_alphabet
 from braidkernel.base import BraidkernelError, Undecided
 from braidkernel.schreier import Witness, check_witness, find_witness
@@ -24,8 +26,7 @@ P2, P3, P4 = pure_braid_rp2(2), pure_braid_rp2(3), pure_braid_rp2(4)
 
 def kernel_h1(p, mask):
     """(free rank, torsion) of H1 of the kernel of one map onto Z/2."""
-    rows = schreier.relator_rows(p, schreier.schreier_index(p, mask), mask)
-    diag = invariant_factors(rows)
+    diag = invariant_factors(schreier._rows(p, schreier._kernel(p, mask)))
     return sum(1 for d in diag if d == 0), tuple(d for d in diag if d > 1)
 
 
@@ -76,7 +77,7 @@ def test_a_tampered_certificate_is_rejected(p, u):
     witness = kernel_certificate(p, u, v)
     f, m = list(witness.functional), witness.modulus
     mask = sum(bit << g for g, bit in enumerate(witness.bits))
-    rows = schreier.relator_rows(p, schreier.schreier_index(p, mask), mask)
+    rows = schreier._rows(p, schreier._kernel(p, mask))
     # one entry of f moved by 1 where a relator row is nonzero modulo m: that row stops vanishing
     k = next(k for row in rows for k, x in enumerate(row) if (x % m if m else x))
     f[k] += 1
@@ -103,32 +104,54 @@ def test_malformed_certificates_are_rejected():
     assert not check_witness(q8, P2.word("rho1"), P2.word("1"), witness)
 
 
-def letter_walk(index, mask, w, coset=0):
-    """schreier.rewrite one letter at a time."""
-    vec = [0] * len(index)
+def columns(table):
+    """A complete table's columns, as ``reidemeister.reidemeister_schreier`` takes them."""
+    return [(0, *col) for col in zip(*table.rows)]
+
+
+def letter_walk(cols, w, coset):
+    """``reidemeister.trace`` one letter at a time: the end coset, and each
+    letter with the coset it is read from."""
+    reads = []
     for x in word_to_letters(w):
-        gen = x >> 1
-        if x & 1:  # an inverse letter arrives by the edge of the coset it leaves to
-            coset ^= mask >> gen & 1
-            if (coset, gen) in index:
-                vec[index[coset, gen]] -= 1
-        else:
-            if (coset, gen) in index:
-                vec[index[coset, gen]] += 1
-            coset ^= mask >> gen & 1
-    return vec, coset
+        reads.append((x, coset))
+        coset = cols[x][coset]
+    return coset, reads
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([P2, P3]), st.data())
-def test_rewrite_matches_a_letter_walk(p, data):
-    mask = data.draw(st.sampled_from(list(schreier.kernel_maps(p))))
-    index = schreier.schreier_index(p, mask)
-    sylls = data.draw(st.lists(st.tuples(st.integers(0, p.ngens - 1), st.integers(-5, 5)),
+Q8 = quaternion_presentation()
+# a presentation, its columns and, for the 2-point columns of a map's kernel, the map:
+# every kernel of P3(RP2), Q8's enumerated table and the fiber's Q8 action
+WALKED = {
+    **{f"P3-{mask}": (P3, [(0, 2, 1) if mask >> (x >> 1) & 1 else (0, 1, 2)
+                           for x in range(2 * P3.ngens)], mask)
+       for mask in schreier.kernel_maps(P3)},
+    "Q8": (Q8, columns(todd_coxeter(Q8)), None),
+    "fiber": (P3, fiber.FIBER_COLUMNS, None),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(WALKED)), st.data())
+def test_the_syllable_walk_matches_a_letter_walk(name, data):
+    # exponents up to 30 wrap every cycle, of length at most 4 here, several times
+    p, cols, mask = WALKED[name]
+    sylls = data.draw(st.lists(st.tuples(st.integers(0, p.ngens - 1), st.integers(-30, 30)),
                                max_size=8))
     w = Word.from_syllables(p.alphabet, sylls)
-    coset = data.draw(st.integers(0, 1))
-    assert schreier.rewrite(index, mask, w, coset) == letter_walk(index, mask, w, coset)
+    coset = data.draw(st.integers(1, len(cols[0]) - 1))
+    end, reads = reidemeister.trace(cols, w, coset)
+    assert (end, [(x, c) for x, cycle, q, r in reads for c in cycle * q + cycle[:r]]) == \
+        letter_walk(cols, w, coset)
+    if mask is not None:  # the exponent sums from coset 1 and coset 2, letter by letter
+        sp = schreier._kernel(p, mask)
+        assert sp.cols == tuple(cols)
+        sums = [[0] * sp.ngens for _ in (1, 2)]
+        for start, vec in zip((1, 2), sums):
+            for x, c in letter_walk(cols, w, start)[1]:
+                if (s := sp.edges[x][c]) >= 0:
+                    vec[s >> 1] += -1 if s & 1 else 1
+        assert list(schreier._sums(sp, w)) == sums
 
 
 @st.composite
@@ -233,12 +256,42 @@ def test_the_kernel_cap_bounds_an_undecided_p8_fallback():
     assert min(times) < 0.2
 
 
+def certificate_battery():
+    """Pairs over every presentation the witnesses serve: each generator and tau_n
+    against 1 in P2, P3 and P4(RP2), Q8, F2's commutator, the group with a huge
+    exponent and P3(RP2)/<rho^2>."""
+    cases = []
+    for n, p in ((2, P2), (3, P3), (4, P4)):
+        one = Word.identity(p.alphabet)
+        cases += [(p, p.word(name), one) for name in p.alphabet]
+        cases += [(p, tau_n(n), one), (p, one, tau_n(n)),
+                  (p, p.word("B12 rho1 B12^-1 rho1^-1"), p.word("rho1^2"))]
+    pairs = {
+        quaternion_presentation(): [("rho1", "1"), ("rho2", "1"), ("rho1^2", "1"),
+                                    ("rho1^2", "rho2^2"), ("rho1 rho2", "rho2 rho1"),
+                                    ("rho1 rho2", "rho2^-1 rho1")],
+        presentation("F2", ["a", "b"], []): [("a b a^-1 b^-1", "1"), ("a^2 b^2", "b^2 a^2")],
+        presentation("G", ["a", "b"], ["a^100000000000", "b^2", "a b a^-1 b^-1"]): [
+            ("a^2", "1"), ("a^2", "a^100000000002"), ("a^4", "a^-6"), ("b a^2 b", "a^2")],
+        quotient(P3, [P3.word(f"rho{k}^2") for k in (1, 2, 3)]): [
+            ("rho1 rho2", "rho2 rho1"), ("B12", "1"), ("B13 B23", "B23 B13"),
+            ("rho1 rho2 rho3", "1"), ("B12 B13 B23", "1"), ("rho1^2", "1")],
+    }
+    return cases + [(p, p.word(u), p.word(v)) for p, uv in pairs.items() for u, v in uv]
+
+
+def test_the_certificates_are_pinned():
+    # find_witness and witness_json over the battery, pinned by digest: a change in
+    # the kernels' Schreier generators, their rows or the functional shows here
+    out = []
+    for p, u, v in certificate_battery():
+        witness = find_witness(p, u, v)
+        out.append([p.name, str(u), str(v), witness and schreier.witness_json(p, witness)])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "6c1adc0b90473bb2ec08da46b0759f8f3ee71eac11574b9b8e72326952bec473"
+
+
 # the word problem of P3(RP2) through its free fiber ---------------------------
-
-def columns(table):
-    """A complete table's columns, as ``fiber.reidemeister_schreier`` takes them."""
-    return [(0, *col) for col in zip(*table.rows)]
-
 
 FIBER_SP = fiber.reidemeister_schreier(P3, fiber.FIBER_COLUMNS)
 FIBER_STEPS = fiber.tietze_free_basis(FIBER_SP)
@@ -407,7 +460,7 @@ def test_a_commutator_no_witness_separates_is_unequal():
     u, one = P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")
     assert find_witness(P3, u, one) is None
     assert not ORACLE(u, one)
-    coset, reads = ORACLE.trace(u)
+    coset, reads = reidemeister.trace(ORACLE.cols, u)
     assert coset == 1 and not ORACLE.image(reads).is_identity
 
 
@@ -423,13 +476,15 @@ def rho_quotient(k):
     return quotient(P3, [P3.word(f"rho{i}^{k}") for i in (1, 2, 3)])
 
 
-@pytest.mark.parametrize("p", [rho_quotient(6), rho_quotient(4), rho_quotient(2), P4],
+@pytest.mark.parametrize("p,error", [(rho_quotient(6), Undecided), (rho_quotient(4), Undecided),
+                                     (rho_quotient(2), Undecided), (P4, EnumerationError)],
                          ids=["rho6", "rho4", "rho2", "P4"])
-def test_the_fiber_oracle_refuses_what_it_cannot_decide(p):
-    # P4(RP2) is refused outright.  On the quotients the commutator of B13 and B23
-    # fixes coset 1 with an image that is not empty, which proves nothing there:
-    # rho^6 and rho^2 go to -1 in Q8 and are left out, and by rho^4 Tietze leaves rows
-    with pytest.raises(Undecided):
+def test_the_fiber_oracle_refuses_what_it_cannot_decide(p, error):
+    # P4(RP2) is refused outright, as input over the wrong alphabet.  On the quotients the
+    # commutator of B13 and B23 fixes coset 1 with an image that is not empty, which proves
+    # nothing there: rho^6 and rho^2 go to -1 in Q8 and are left out, and by rho^4 Tietze
+    # leaves rows
+    with pytest.raises(error):
         fiber.fiber_oracle(p)(p.word("B13 B23 B13^-1 B23^-1"), p.word("1"))
 
 
@@ -523,7 +578,7 @@ def test_every_answer_on_a_rho_quotient_agrees_with_its_complete_table(k, pair):
 def test_p4_and_long_relators_pay_no_enumeration(monkeypatch):
     from braidkernel import coset
     monkeypatch.setattr(coset, "todd_coxeter", None)
-    with pytest.raises(Undecided, match="atlas P3"):
+    with pytest.raises(EnumerationError, match="atlas P3"):
         fiber.fiber_oracle(P4)
     # a consequence of the relators, but 2085 letters in all
     long = quotient(P3, [P3.word("rho3^2 B23^-1 B13^-1") ** 500])
