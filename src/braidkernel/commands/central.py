@@ -30,5 +30,7 @@ def handle(args):
     def table():  # decides in a finite group
         return answer(coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w))
 
-    return first_answer([({True, False}, table), *fiber_links(p, lambda oracle: answer(
-        all(oracle(w * g, g * w) for g in map(p.gen, p.alphabet)), engine="fiber"))])
+    # fiber first: letter limits bound it; the table grows with --max-cosets, P3(RP2) is infinite
+    return first_answer([*fiber_links(p, lambda oracle: answer(
+        all(oracle(w * g, g * w) for g in map(p.gen, p.alphabet)), engine="fiber")),
+        ({True, False}, table)])

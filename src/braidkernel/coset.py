@@ -26,6 +26,9 @@ from the coset being scanned: a loop that closes is skipped, since a
 closed loop stays closed (fills only add entries, merges map closed
 loops to closed loops), and only an open one goes to the scanner.  So
 does each open x·x^-1 (c·x undefined): the scanner defines every coset.
+A generator x with a relator x^2 or x^-2 has one column, read by x and
+x^-1 (Holt-Eick-O'Brien 2005, ch. 5), which closes those relators, so
+they are not scanned, and x has one x·x^-1 loop.
 """
 
 from __future__ import annotations
@@ -166,11 +169,18 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
 
     # slot 0 is "undefined" and holds 0: a walk that meets a gap stays there
     cols = [[0] * 64 for _ in range(2 * p.ngens)]
-    # each column with its inverse, and each path as columns and inverse columns
-    pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)]
+    # a generator x with a relator x^2 or x^-2 is an involution: x and x^-1 share one
+    # column, which closes those relators, so they leave the scan list
+    square = {rel for rel in p.relators if len(rel.syllables) == 1 and rel.letter_length == 2}
+    for rel in square:
+        cols[2 * rel.syllables[0][0] + 1] = cols[2 * rel.syllables[0][0]]
+    # each distinct column with its inverse, and each path as columns and inverse columns
+    pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)
+             if x % 2 == 0 or col is not cols[x ^ 1]]
     relators, subgroup = ([([cols[x] for x in path], [cols[x ^ 1] for x in path])
                            for path in map(word_to_letters, words)]
-                          for words in (p.relators, subgroup_gens))
+                          for words in ([rel for rel in p.relators if rel not in square],
+                                        subgroup_gens))
     loops = [([col, inv], [inv, col]) for col, inv in pairs]  # each x·x^-1
     parent = [0, 1]
     live_count = 1
@@ -245,7 +255,7 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
             d = len(parent)
             if d == len(word[i]):
                 zeros = [0] * _growth(d)
-                for col in cols:
+                for col, _ in pairs:
                     col.extend(zeros)
             parent.append(d)
             inverse[i][d] = f

@@ -25,7 +25,7 @@ from math import gcd
 from . import FIBER_ALPHABET
 from .base import BraidkernelError, EnumerationError, Undecided, record
 from .presentations import Presentation
-from .reidemeister import SchreierPresentation, _spanning_tree, reidemeister_schreier, trace
+from .reidemeister import SchreierPresentation, _spanning_tree, closes, reidemeister_schreier, trace
 from .words import Word, free_reduce_letters, join_reduced, letters_to_word
 
 # Forgetting strand 3 maps P3(RP2) onto P2(RP2) = Q8, and its kernel, the
@@ -295,11 +295,9 @@ def free_subgroup_oracle(p: Presentation, cols) -> FreeSubgroupOracle:
     ``cols`` of p (as ``reidemeister_schreier`` takes it), which keeps the
     relators that close at every coset; raises EnumerationError for
     columns that are not such an action.  Nothing of H is built yet."""
-    cosets = range(1, len(_spanning_tree(p.ngens, cols)) + 2)
-    kept, moduli = [], [0] * p.ngens
+    _spanning_tree(p.ngens, cols)  # raises unless the columns are a transitive action
+    kept, moduli = [rel for rel in p.relators if closes(cols, rel)], [0] * p.ngens
     for rel in p.relators:
-        if all(trace(cols, rel, c)[0] == c for c in cosets):
-            kept.append(rel)
         if len(rel.syllables) == 1:  # rel is x^m
             (gen, exp), = rel.syllables
             moduli[gen] = gcd(moduli[gen], exp)

@@ -58,6 +58,15 @@ def _spanning_tree(ngens: int, cols) -> set[tuple[int, int]]:
     return tree
 
 
+def _read(col, m: int, c: int) -> tuple[list[int], int, int, int]:
+    # the letter of column col read m times from coset c: trace's (cycle, q, r), then the end
+    cycle = [c]
+    while (d := col[cycle[-1]]) != c and len(cycle) < m:
+        cycle.append(d)
+    q, r = divmod(m, len(cycle))
+    return cycle, q, r, cycle[r] if d == c else d
+
+
 def trace(cols, w: Word, c: int = 1) -> tuple[int, list[tuple[int, list[int], int, int]]]:
     """The coset w leads coset c to, and the walk's reads, one per syllable:
     (x, cycle, q, r) is letter x read from each coset of ``cycle`` q times
@@ -66,14 +75,18 @@ def trace(cols, w: Word, c: int = 1) -> tuple[int, list[tuple[int, list[int], in
     costs at most one cycle whatever its exponent."""
     reads = []
     for gen, exp in w.syllables:
-        x = 2 * gen + (exp < 0)
-        col, m, cycle = cols[x], exp if exp > 0 else -exp, [c]
-        while (d := col[cycle[-1]]) != c and len(cycle) < m:
-            cycle.append(d)
-        q, r = divmod(m, len(cycle))
-        c = cycle[r] if d == c else d
+        cycle, q, r, c = _read(cols[x := 2 * gen + (exp < 0)], abs(exp), c)
         reads.append((x, cycle, q, r))
     return c, reads
+
+
+def closes(cols, w: Word) -> bool:
+    """Whether w leads every coset to itself, all walked at once as ``trace`` walks one."""
+    at = cosets = list(range(len(cols[0])))
+    for gen, exp in w.syllables:
+        col = cols[2 * gen + (exp < 0)]
+        at = [col[c] for c in at] if exp * exp == 1 else [_read(col, abs(exp), c)[3] for c in at]
+    return at == cosets
 
 
 def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
@@ -95,11 +108,19 @@ def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
         if (length := rel.letter_length) > MAX_LETTERS:
             raise Undecided(f"a relator of {length} letters is over the {MAX_LETTERS}-letter "
                             "expansion limit")
-        for start in cosets:
-            end, reads = trace(cols, rel, start)
-            if end != start:
+        sylls = [(2 * gen + (exp < 0), abs(exp)) for gen, exp in rel.syllables]
+        for start in cosets:  # trace's walk, each read kept as its Schreier letters
+            c, row = start, []
+            for x, m in sylls:
+                if m == 1:
+                    if (s := edges[x][c]) >= 0:
+                        row.append(s)
+                    c = cols[x][c]
+                else:
+                    cycle, q, r, c = _read(cols[x], m, c)
+                    row += [s for d in cycle * q + cycle[:r] if (s := edges[x][d]) >= 0]
+            if c != start:
                 raise EnumerationError(f"relator {format_word(rel)} does not close at coset {start}")
-            rows.append(tuple(s for x, cycle, q, r in reads for d in cycle * q + cycle[:r]
-                              if (s := edges[x][d]) >= 0))
+            rows.append(tuple(row))
     return SchreierPresentation(tuple(map(tuple, cols)), tuple(map(tuple, edges)), len(pairs),
                                 tuple(rows))

@@ -53,23 +53,6 @@ def make_alphabet(names: Iterable[str]) -> Alphabet:
     return alphabet
 
 
-def _normalize_syllables(raw: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    # Stack-based merge; popping a canceled syllable can expose a new
-    # adjacency with the next input syllable, which the loop handles.
-    out: list[tuple[int, int]] = []
-    for gen, exp in raw:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged != 0:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
-    return tuple(out)
-
-
 @record
 class Word:
     """A freely reduced word over a fixed alphabet."""
@@ -95,7 +78,21 @@ class Word:
 
     @classmethod
     def from_syllables(cls, alphabet: Alphabet, raw: Iterable[tuple[int, int]]) -> "Word":
-        return cls(alphabet, _normalize_syllables(raw))
+        """The reduced word of raw in one checking pass: a stack merge (``last`` is the top's
+        generator) pushes a nonzero syllable, its generator checked, onto another generator."""
+        n, out, last = len(alphabet), [], None
+        for gen, exp in raw:
+            if gen == last:
+                if merged := out.pop()[1] + exp:
+                    out.append((gen, merged))
+                else:
+                    last = out[-1][0] if out else None
+            elif exp:
+                if not 0 <= gen < n:
+                    raise WordError(f"generator index {gen} out of range")
+                out.append((gen, exp))
+                last = gen
+        return join_reduced(alphabet, (tuple(out),))
 
     @classmethod
     def generator(cls, alphabet: Alphabet, index: int, exponent: int = 1) -> "Word":

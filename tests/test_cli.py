@@ -359,7 +359,7 @@ def test_the_fiber_oracle_keeps_the_engines_line_on_a_quotient(capsys, monkeypat
 
 
 def test_the_fiber_oracle_decides_tau_and_identities_on_a_quotient(capsys, monkeypatch):
-    # tau is central in P3(RP2), so in P3(RP2)/<rho^6>; the enumeration runs out first
+    # tau is central in P3(RP2), so in P3(RP2)/<rho^6>; the fiber decides before any enumeration
     quotient = build_rp2(capsys, 3) + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3))
     argv = ["central", "--element", "tau", "--max-cosets", "1000"]
     assert invoke(capsys, argv, stdin=quotient, monkeypatch=monkeypatch) == (
@@ -387,6 +387,22 @@ def test_central_on_p3_falls_back_to_the_fiber_oracle(capsys, monkeypatch):
     argv = ["central", "--element", "tau", "--max-cosets", "1000"]
     assert invoke(capsys, argv, stdin=p4, monkeypatch=monkeypatch) == (
         2, "", "undecided: enumeration budget exhausted at 1000 live cosets\n")
+
+
+def test_central_asks_the_fiber_before_the_table(capsys, monkeypatch):
+    # on the finite quotients the fiber's answer now comes first and says so; where it is
+    # undecided the table still decides, and when both are, the fiber's line is the one printed
+    p3 = build_rp2(capsys, 3)
+    rho2, rho4 = (p3 + "".join(f"rel rho{k}^{m}\n" for k in (1, 2, 3)) for m in (2, 4))
+    argv = ["central", "--json", "--element", "B12*B13*B23"]
+    code, out, _ = invoke(capsys, argv, stdin=rho2, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["result"] == {
+        "element": "B12*B13*B23", "central": True, "engine": "fiber"}
+    code, out, _ = invoke(capsys, argv, stdin=rho4, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["result"] == {"element": "B12*B13*B23", "central": True}
+    assert invoke(capsys, argv[:1] + argv[2:] + ["--max-cosets", "10"], stdin=rho4,
+                  monkeypatch=monkeypatch) == (
+        2, "", "undecided: Tietze elimination leaves relators: the subgroup is not shown free\n")
 
 
 def fake_links(engine_proves, answers, ran):

@@ -340,12 +340,23 @@ def test_budget_is_inclusive(budget):
 
 # the enumerator against its reference ----------------------------------------------
 
-def reference_todd_coxeter(p, subgroup_gens=(), max_cosets=100000):
+def reference_todd_coxeter(p, subgroup_gens=(), max_cosets=100000, fold=True):
     """Reference oracle for ``todd_coxeter``: the same HLT enumeration
     with 0-based cosets, a union-find lookup on every table read and a
-    dict renumbering.  Returns the published (rows, status)."""
+    dict renumbering.  Returns the published (rows, status).
+
+    With ``fold``, a generator x with a relator x^2 or x^-2 keeps one
+    column, read by both x and x^-1 (``slot``), and those relators are not
+    scanned; without it, the plain enumeration of every letter."""
     ncols = 2 * p.ngens
-    paths = [word_to_letters(r) for r in p.relators]
+    square = [r for r in p.relators if fold and len(r.syllables) == 1
+              and abs(r.syllables[0][1]) == 2]
+    slot = list(range(ncols))  # the column letter x reads
+    for r in square:
+        slot[2 * r.syllables[0][0] + 1] = 2 * r.syllables[0][0]
+    letters = [x for x in range(ncols) if slot[x] == x]  # one per column, in letter order
+    paths = [[slot[x] for x in word_to_letters(r)] for r in p.relators if r not in square]
+    inv = [slot[x ^ 1] for x in range(ncols)]  # the column of x's inverse, by column
     table = [[None] * ncols]
     parent = [0]
     live = [1]
@@ -361,7 +372,7 @@ def reference_todd_coxeter(p, subgroup_gens=(), max_cosets=100000):
         d = len(table)
         table.append([None] * ncols)
         parent.append(d)
-        table[c][x], table[d][x ^ 1] = d, c
+        table[c][x], table[d][inv[x]] = d, c
         live[0] += 1
 
     def merge(a, b, queue):
@@ -376,46 +387,46 @@ def reference_todd_coxeter(p, subgroup_gens=(), max_cosets=100000):
         merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            for x in range(ncols):
+            for x in letters:
                 d = table[dead][x]
                 if d is None:
                     continue
-                table[d][x ^ 1] = None
+                table[d][inv[x]] = None
                 mu, nu = find(dead), find(d)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1], queue)
+                elif table[nu][inv[x]] is not None:
+                    merge(mu, table[nu][inv[x]], queue)
                 else:
-                    table[mu][x], table[nu][x ^ 1] = nu, mu
+                    table[mu][x], table[nu][inv[x]] = nu, mu
 
     def scan_and_fill(alpha, word):
         f, i, b, j = alpha, 0, alpha, len(word) - 1
         while True:
             while i <= j and table[f][word[i]] is not None:
                 f, i = find(table[f][word[i]]), i + 1
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b, j = find(table[b][word[j] ^ 1]), j - 1
+            while j >= i and table[b][inv[word[j]]] is not None:
+                b, j = find(table[b][inv[word[j]]]), j - 1
             if j < i:
                 if f != b:
                     coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]], table[b][word[i] ^ 1] = b, f
+                table[f][word[i]], table[b][inv[word[i]]] = b, f
                 return
             define(f, word[i])
 
     status = "complete"
     try:
         for w in subgroup_gens:
-            scan_and_fill(0, word_to_letters(w))
+            scan_and_fill(0, [slot[x] for x in word_to_letters(w)])
         idx = 0
         while idx < len(table):
             for path in paths:
                 if find(idx) == idx:
                     scan_and_fill(idx, path)
             if find(idx) == idx:
-                for x in range(ncols):
+                for x in letters:
                     if table[idx][x] is None:
                         define(idx, x)
             idx += 1
@@ -423,8 +434,8 @@ def reference_todd_coxeter(p, subgroup_gens=(), max_cosets=100000):
         status = "budget-exceeded"
     cosets = [c for c in range(len(table)) if find(c) == c]
     renumber = {c: k + 1 for k, c in enumerate(cosets)}
-    rows = tuple(tuple(None if e is None else renumber[find(e)] for e in table[c])
-                 for c in cosets)
+    rows = tuple(tuple(None if table[c][x] is None else renumber[find(table[c][x])]
+                       for x in slot) for c in cosets)
     return rows, status
 
 
@@ -463,11 +474,11 @@ PINNED_GROUPS = {
 # every published table is pinned: rows, status and the renumbering all count
 PINNED_TABLES = [
     ("S5", "", None, 120, "complete",
-     "4242fd9b8d5cdeb3aa7032f81ccc4a8a0107011a2ede0fafd4ed27916f8b05d3"),
+     "7cd28c9292e890f2bf6b4bff69470b1206cce9aeb8eff050ed4a153df73722b6"),
     ("S6", "", None, 720, "complete",
-     "069b9549da6989d06d938d595ab0e2601030657cd8aed1b92efaacc5055a6904"),
+     "69b4d5334d2b5f71e3476eb74e347f136d417f028b6d7e980a257018f1499110"),
     ("S7", "", None, 5040, "complete",
-     "4cdcbec097ece3e29b447471da2a904bea0dc85e9041b0a82fe854353a45f717"),
+     "900cab94c9fa4755db240c42bc542f999da6cb1ab63ed6de4198de906d97677f"),
     ("Q8", "", None, 8, "complete",
      "d3a6d87c0d7b6c34001b9545c2d115ddf05a747fc4746eef46ec7fd83e5efc91"),
     ("P2", "", None, 8, "complete",
@@ -487,7 +498,7 @@ PINNED_TABLES = [
     ("P4/rho^2", "", None, 128, "complete",
      "deb5a785e5ac6097ffd679d70dae21df8d678dc7d1805e3cc0cdeef4be67c4c1"),
     ("S7", "s1", None, 2520, "complete",
-     "a53c66b9d55af7892e8c8ba28a347edc330663d0930cc475ffaad33f143c35a8"),
+     "7cbeb9d32dd298307f47c282f4152bb47a90858627791e0833916037550555d4"),
     ("P3", "B13 B23 rho3", None, 8, "complete",
      "618aea6a376eefa5572a5deabbc072c0fd11c91f444f551a46e75b00ac295a9b"),
 ]
@@ -507,11 +518,11 @@ def test_todd_coxeter_output_pinned(group, subgroup, max_cosets, n_cosets, statu
 # the work behind each pinned table: cosets defined, dead ones included
 # (the union-find's length less its placeholder 0)
 COSETS_DEFINED = {
-    ("S5", "", None): 220, ("S6", "", None): 1513, ("S7", "", None): 12145,
+    ("S5", "", None): 129, ("S6", "", None): 825, ("S7", "", None): 6411,
     ("Q8", "", None): 10, ("P2", "", None): 27, ("P3", "", 40000): 44769,
     ("P3", "", 1000): 1050, ("P3", "", 37): 37, ("P3", "", 1): 1,
     ("P3/rho^4", "", None): 2979, ("P3/rho^6", "", 40000): 50361,
-    ("P4/rho^2", "", None): 5762, ("S7", "s1", None): 5900, ("P3", "B13 B23 rho3", None): 32,
+    ("P4/rho^2", "", None): 4655, ("S7", "s1", None): 3155, ("P3", "B13 B23 rho3", None): 32,
 }
 
 
@@ -543,6 +554,49 @@ def test_todd_coxeter_matches_reference(case, max_cosets):
     table = todd_coxeter(p, subgroup, max_cosets=max_cosets)
     assert (table.rows, table.status) == reference_todd_coxeter(p, subgroup, max_cosets)
     assert_partial_table_consistent(table)
+
+
+@st.composite
+def involution_cases(draw):
+    """A presentation on 1-3 generators where some generators have a relator
+    x^2 or x^-2, among 0-4 random relators; up to two subgroup words; and
+    six words to compare."""
+    names = ("a", "b", "c")[:draw(st.integers(1, 3))]
+    letters = st.integers(0, 2 * len(names) - 1)
+    rels = draw(st.lists(st.lists(letters, min_size=1, max_size=8), max_size=4))
+    for x in draw(st.sets(letters, min_size=1)):
+        rels.insert(draw(st.integers(0, len(rels))), [x, x])
+    subgroup, words = (draw(st.lists(st.lists(letters, max_size=6), min_size=k, max_size=k))
+                       for k in (draw(st.integers(0, 2)), 6))
+    p = Presentation("random", names, tuple(letters_to_word(names, r) for r in rels))
+    return p, *([letters_to_word(names, w) for w in ws] for ws in (subgroup, words))
+
+
+def walk_rows(rows, word):
+    coset = 1
+    for x in word_to_letters(word):
+        coset = rows[coset - 1][x]
+    return coset
+
+
+@settings(max_examples=150, deadline=None)
+@given(involution_cases(), st.integers(1, 400))
+def test_involutions_share_a_column(case, max_cosets):
+    # against the plain enumeration, which gives x and x^-1 a column each
+    # and scans x^2: the same subgroup, so the same index and the same
+    # equalities of cosets reached; every relator, x^2 included, closes
+    p, subgroup, words = case
+    table = todd_coxeter(p, subgroup, max_cosets=max_cosets)
+    assert (table.rows, table.status) == reference_todd_coxeter(p, subgroup, max_cosets)
+    assert_partial_table_consistent(table)
+    rows, status = reference_todd_coxeter(p, subgroup, max_cosets, fold=False)
+    if table.is_complete:
+        assert_table_invariants(table)
+    if table.is_complete and status == "complete":
+        assert table.n_cosets == len(rows)
+        for u, v in itertools.combinations(words, 2):
+            assert ((table.trace_word(1, u) == table.trace_word(1, v))
+                    == (walk_rows(rows, u) == walk_rows(rows, v)))
 
 
 # P3 defines every coset it keeps up to cap 257, so its caps 62-65,

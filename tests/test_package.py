@@ -208,10 +208,11 @@ def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
                                 tmp_path,
                                 "undecided: enumeration budget exhausted at 1000 live cosets\n")
     assert "coset" in executed and not executed & {"fiber", "schreier"}
-    # central's chain has no witness link: on P3(RP2) the fiber decides what the table cannot
+    # central's chain has no witness link, and asks the fiber first: on P3(RP2), which is
+    # infinite, the fiber decides and the table, which could only run out, never runs
     executed = executed_modules(["central", "--element", "tau", "--max-cosets", "1000"], p3, 0,
                                 tmp_path)
-    assert {"coset", "fiber"} <= executed and not executed & {"schreier", "derivations"}
+    assert "fiber" in executed and not executed & {"coset", "schreier", "derivations"}
 
 
 def test_every_command_has_an_executed_modules_case():

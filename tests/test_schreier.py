@@ -143,6 +143,8 @@ def test_the_syllable_walk_matches_a_letter_walk(name, data):
     end, reads = reidemeister.trace(cols, w, coset)
     assert (end, [(x, c) for x, cycle, q, r in reads for c in cycle * q + cycle[:r]]) == \
         letter_walk(cols, w, coset)
+    cosets = range(1, len(cols[0]))
+    assert reidemeister.closes(cols, w) == all(letter_walk(cols, w, c)[0] == c for c in cosets)
     if mask is not None:  # the exponent sums from coset 1 and coset 2, letter by letter
         sp = schreier._kernel(p, mask)
         assert sp.cols == tuple(cols)
@@ -152,6 +154,19 @@ def test_the_syllable_walk_matches_a_letter_walk(name, data):
                 if (s := sp.edges[x][c]) >= 0:
                     vec[s >> 1] += -1 if s & 1 else 1
         assert list(schreier._sums(sp, w)) == sums
+
+
+@pytest.mark.parametrize("name", sorted(WALKED))
+def test_the_relator_rows_match_a_letter_walk(name):
+    # each row is its relator read letter by letter from its coset, kept as the
+    # Schreier letters of the edges off the tree
+    p, cols, _ = WALKED[name]
+    sp = reidemeister.reidemeister_schreier(p, cols)
+    cosets = range(1, len(cols[0]))
+    assert all(reidemeister.closes(cols, rel) for rel in p.relators)
+    assert sp.rows == tuple(tuple(s for x, c in letter_walk(cols, rel, start)[1]
+                                  if (s := sp.edges[x][c]) >= 0)
+                            for rel in p.relators for start in cosets)
 
 
 @st.composite
