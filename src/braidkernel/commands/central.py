@@ -1,6 +1,7 @@
 """``braidkernel central``: test centrality in a finite group, or in P3(RP2) and its quotients."""
 
 from .. import atlas, coset
+from ..base import Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import format_word, parse_word
 from . import fiber_links, first_answer
@@ -30,7 +31,17 @@ def handle(args):
     def table():  # decides in a finite group
         return answer(coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w))
 
+    def fiber(oracle):  # a commutator proved nontrivial decides, even after an undecided one
+        undecided = []
+        for g in map(p.gen, p.alphabet):
+            try:
+                if not oracle(w * g, g * w):
+                    return answer(False, engine="fiber")
+            except Undecided as exc:
+                undecided.append(exc.with_traceback(None))
+        if undecided:
+            raise undecided[0]
+        return answer(True, engine="fiber")
+
     # fiber first: letter limits bound it; the table grows with --max-cosets, P3(RP2) is infinite
-    return first_answer([*fiber_links(p, lambda oracle: answer(
-        all(oracle(w * g, g * w) for g in map(p.gen, p.alphabet)), engine="fiber")),
-        ({True, False}, table)])
+    return first_answer([*fiber_links(p, fiber), ({True, False}, table)])

@@ -1,7 +1,7 @@
 """``braidkernel equal``: decide or certify a word equality."""
 
 from .. import coset, derivations, rewriting
-from ..base import Undecided
+from ..base import BraidkernelError, Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import parse_word
 from . import fiber_links, first_answer
@@ -36,8 +36,10 @@ def handle(args):
     def witness():  # a checked index-2 witness proves only "not equal"
         from .. import schreier
         found = schreier.find_witness(p, u, v)
-        if found is None or not schreier.check_witness(p, u, v, found):
+        if found is None:
             raise Undecided("no index-2 witness separates the words")
+        if not schreier.check_witness(p, u, v, found):  # a defect of the search
+            raise BraidkernelError("the index-2 witness found failed its check")
         return answer(False, witness=schreier.witness_json(p, found))
 
     link = ({True}, search) if args.search else ({True, False}, rewrite if args.rewrite else table)

@@ -30,7 +30,7 @@ def _klein_over_torus_certificate() -> CoverDecision:
     # the fundamental group of the Klein bottle surjects onto the
     # quaternion group, which is non-abelian, while the torus group is
     # abelian; subgroups of abelian groups are abelian, so no injection
-    # pi_1(Klein) -> pi_1(T2) exists.  Every ingredient is machine-checked.
+    # pi_1(Klein) -> pi_1(T2) exists.  The Q8 quotient is machine-checked.
     klein = atlas.klein_presentation()
     q8 = atlas.quaternion_presentation()
     table = coset.todd_coxeter(q8)
@@ -39,17 +39,12 @@ def _klein_over_torus_certificate() -> CoverDecision:
     if not result.verified:
         raise CoveringError("quaternion witness failed verification")
     # surjectivity: the images generate a subgroup of index 1
-    index = coset.todd_coxeter(q8, list(hom.images)).n_cosets
-    if index != 1:
+    if coset.todd_coxeter(q8, list(hom.images)).n_cosets != 1:
         raise CoveringError("quaternion witness is not surjective")
     # non-abelian image: the generator images do not commute
     x, y = hom.images
     if coset.word_equal_finite(table, x * y, y * x):
         raise CoveringError("quaternion witness image is abelian")
-    # the would-be base group is abelian: its generators' commutator is its relator
-    tp = atlas.torus_presentation()
-    if tp.word("a b a^-1 b^-1") not in tp.relators:
-        raise CoveringError("torus group abelianity check failed")
     return CoverDecision(
         False, "nonabelian-quotient",
         "pi1(cover) has a verified non-abelian finite quotient (order 8) "

@@ -76,17 +76,12 @@ def _solve(row: list[int], g: int) -> list[int] | None:
 
 def _start(sp: SchreierPresentation,
            only: set[int] | None = None) -> tuple[list[list[int]], list[set[int]]]:
-    """The rows freely and cyclically reduced (those in ``only``, when
-    given, and the others empty), and for each generator the rows that
-    contain it."""
-    rows, occ = [], [set() for _ in range(sp.ngens)]
-    for r, row in enumerate(sp.rows):
-        row = list(free_reduce_letters(row if only is None or r in only else ()))
-        i = 0
-        while 2 * i + 1 < len(row) and row[i] == row[-1 - i] ^ 1:
-            i += 1
-        rows.append(row[i:len(row) - i])
-        for x in rows[r]:
+    """The rows as lists, those not in ``only`` (when given) empty, and for each
+    generator the rows that contain it; ``reidemeister_schreier`` reduced them."""
+    rows = [list(row) if only is None or r in only else [] for r, row in enumerate(sp.rows)]
+    occ = [set() for _ in range(sp.ngens)]
+    for r, row in enumerate(rows):
+        for x in row:
             occ[x >> 1].add(r)
     return rows, occ
 

@@ -94,7 +94,10 @@ def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
     on which each relator of p closes at each coset; raises
     EnumerationError for columns that are not one, and Undecided for a
     relator over the letter-expansion limit.  A complete ``CosetTable``
-    gives its columns as ``(0, *col)`` for each column of its ``rows``."""
+    gives its columns as ``(0, *col)`` for each column of its ``rows``.
+    Each row is freely and cyclically reduced, as p's relators are: the
+    letters of x at c and of x^-1 at c x, the only pair that cancels, meet
+    only across a tree walk from c x back to c x, empty in a reduced word."""
     tree = _spanning_tree(p.ngens, cols)
     n = len(tree) + 1  # a spanning tree of n cosets has n - 1 edges
     cosets = range(1, n + 1)

@@ -99,9 +99,10 @@ def invariant_factors(mat) -> list[int]:
     only the rest goes through the dense reduction.  The blocks and the
     rest's diagonal then merge into the divisibility chain by gcd/lcm
     passes: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and a zero entry (a
-    free factor) is the last of any chain.  No entry is factored.
+    free factor) is the last of any chain.  No entry is factored, and none
+    is checked: ``presentations.abelianization`` passes exponent-sum rows.
     """
-    _, cols = _validate(mat)
+    cols = len(mat[0])
     support = [[j for j, x in enumerate(row) if x] for row in mat]
     uses = [0] * cols
     for nonzero in support:

@@ -120,8 +120,6 @@ def quotient_candidates(m: SurfaceKind, l: int,
             out.append(SurfaceKind(True, (2 - chi) // 2))
         if chi <= 1:
             out.append(SurfaceKind(False, 2 - chi))
-    for cand in out:
-        assert l * euler_char(cand) == euler_char(m)
     if strict_orientability:
         out = [c for c in out if _orientation_obstruction(m, c, l) is None]
     return out

@@ -207,13 +207,31 @@ def test_equal_unseparated_pair_keeps_the_engines_line(capsys, monkeypatch):
             2, "", f"undecided: {line}\n")
 
 
+WITNESS_DEFECT = (3, "", "error: the index-2 witness found failed its check\n")
+
+
 def test_equal_prints_no_unchecked_witness(capsys, monkeypatch):
+    # a witness the check rejects is a defect of the search, not an undecided pair
     from braidkernel import schreier
     monkeypatch.setattr(schreier, "check_witness", lambda p, u, v, witness: False)
     p4 = build_rp2(capsys, 4)
     assert invoke(capsys, ["equal", "--search", "--max-nodes", "5", "--lhs", "B12", "--rhs", "1"],
-                  stdin=p4, monkeypatch=monkeypatch) == (
-        2, "", "undecided: no chain found within budget\n")
+                  stdin=p4, monkeypatch=monkeypatch) == WITNESS_DEFECT
+
+
+def test_a_tampered_witness_is_an_error(capsys, monkeypatch):
+    from braidkernel import schreier
+    p4 = build_rp2(capsys, 4)
+    find = schreier.find_witness
+
+    def tampered(p, u, v):  # the functional zeroed: it no longer sees u v^-1
+        found = find(p, u, v)
+        return schreier.Witness(found.bits, (0,) * len(found.functional), found.modulus)
+
+    monkeypatch.setattr(schreier, "find_witness", tampered)
+    argv = ["equal", "--search", "--max-nodes", "5", "--lhs", "B12", "--rhs", "1"]
+    for tail in ([], ["--json"]):
+        assert invoke(capsys, argv + tail, stdin=p4, monkeypatch=monkeypatch) == WITNESS_DEFECT
 
 
 def paper_identities():
@@ -403,6 +421,21 @@ def test_central_asks_the_fiber_before_the_table(capsys, monkeypatch):
     assert invoke(capsys, argv[:1] + argv[2:] + ["--max-cosets", "10"], stdin=rho4,
                   monkeypatch=monkeypatch) == (
         2, "", "undecided: Tietze elimination leaves relators: the subgroup is not shown free\n")
+
+
+def test_central_decides_from_any_disproved_commutator(capsys, monkeypatch):
+    # on P3(RP2)/<rho_k^4> the commutator of rho1 B12 with B12 fixes coset 1, where Tietze
+    # leaves rows: undecided.  Its commutator with rho2 moves coset 1, so the fiber still
+    # proves "not central", and the table never runs
+    from braidkernel import coset
+    monkeypatch.setattr(coset, "todd_coxeter", None)
+    rho4 = build_rp2(capsys, 3) + "".join(f"rel rho{k}^4\n" for k in (1, 2, 3))
+    argv = ["central", "--element", "rho1 B12"]
+    assert invoke(capsys, argv, stdin=rho4, monkeypatch=monkeypatch) == (
+        1, "rho1*B12 is not central\n", "")
+    code, out, _ = invoke(capsys, argv + ["--json"], stdin=rho4, monkeypatch=monkeypatch)
+    assert code == 1 and json.loads(out)["result"] == {
+        "element": "rho1*B12", "central": False, "engine": "fiber"}
 
 
 def fake_links(engine_proves, answers, ran):
@@ -1230,6 +1263,7 @@ BRAIDLIKE = ("rho1 rho2 rho1 rho2", "rho2 rho1 rho2 rho1")
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     # the console script turns the cyclic collector off; this is what makes that safe
     p2, p3, p4 = (build_rp2(capsys, n) for n in (2, 3, 4))
+    rho4 = p3 + "".join(f"rel rho{k}^4\n" for k in (1, 2, 3))
     (tmp_path / "map.hom").write_text(KLEIN_Q8_MAP)
     chain = str(DATA_DIR / "b12_as_rho_n2.chain")
     cases = [
@@ -1252,6 +1286,10 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
         (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
          p3, 0),
         (["central", "--element", "tau", "--max-cosets", "1000"], p3, 0),
+        # on P3(RP2)/<rho_k^4>: the fiber disproves after an undecided commutator, and
+        # where it proves nothing the table runs out and the fiber's Undecided is raised
+        (["central", "--element", "rho1 B12"], rho4, 1),
+        (["central", "--element", "tau", "--max-cosets", "10"], rho4, 2),
         # an undecided engine, then a checked index-2 witness
         (["equal", "--search", "--max-nodes", "4000", "--lhs", "rho1", "--rhs", "rho2"], p3, 1),
         (["order", "--bogus"], "", 3),

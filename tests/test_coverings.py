@@ -8,7 +8,7 @@ import pytest
 from braidkernel import (
     KLEIN, RP2, SPHERE, TORUS, CoveringError, SurfaceKind,
     can_cover, center_order_finite, euler_char, format_presentation, group_order,
-    hom_check, kernel_description, presentation, quotient_candidates, table_equality_oracle,
+    hom_check, kernel_description, quotient_candidates, table_equality_oracle,
     todd_coxeter, torus_action_forms,
 )
 from braidkernel import atlas, coset
@@ -183,13 +183,17 @@ def _index_two(p, subgroup_gens=(), **budget):
     (coset, "table_equality_oracle", lambda table: lambda u, v: False, "failed verification"),
     (coset, "todd_coxeter", _index_two, "not surjective"),
     (coset, "word_equal_finite", lambda table, u, v: True, "image is abelian"),
-    (atlas, "torus_presentation", lambda: presentation("T2", ["a", "b"], []),
-     "torus group abelianity"),
-], ids=["hom-check", "surjective", "nonabelian", "torus-abelian"])
+], ids=["hom-check", "surjective", "nonabelian"])
 def test_klein_certificate_self_checks_refuse(monkeypatch, module, name, fake, message):
     monkeypatch.setattr(module, name, fake)
     with pytest.raises(CoveringError, match=message):
         can_cover(KLEIN, TORUS, 2)
+
+
+def test_the_torus_group_is_presented_abelian():
+    # the Klein certificate's "pi1(base) is abelian": the one relator is the commutator
+    tp = atlas.torus_presentation()
+    assert tp.relators == (tp.word("a b a^-1 b^-1"),)
 
 
 def test_euler_characteristic_obstruction():

@@ -1,6 +1,7 @@
 """Public names, lazy submodules, and the modules each CLI command executes."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
@@ -94,14 +95,16 @@ FILES = {"map.hom": "begin source\ngroup Z\ngens x\nend\nbegin target\n" + Q8
          "trivial.chain": "start rho1\nend rho1\n"}
 
 
-def executed_modules(argv, stdin, exit_code, cwd, stderr=""):
+def executed_modules(argv, stdin, exit_code, cwd, stderr="", stdout=None):
     for name, text in FILES.items():
         (cwd / name).write_text(text)
     proc = subprocess.run([sys.executable, "-c", EXECUTED, *argv], input=stdin,
                           capture_output=True, text=True, check=True, cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
-    code, *names = proc.stdout.splitlines()[-1].split()
+    *lines, last = proc.stdout.splitlines(keepends=True)
+    code, *names = last.split()
     assert (code, proc.stderr) == (str(exit_code), stderr)
+    assert stdout is None or "".join(lines) == stdout
     return set(names)
 
 
@@ -213,6 +216,12 @@ def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
     executed = executed_modules(["central", "--element", "tau", "--max-cosets", "1000"], p3, 0,
                                 tmp_path)
     assert "fiber" in executed and not executed & {"coset", "schreier", "derivations"}
+    # on P3(RP2)/<rho_k^4> the fiber disproves centrality after an undecided commutator
+    rho4 = p3 + "".join(f"rel rho{k}^4\n" for k in (1, 2, 3))
+    answer = {"result": {"element": "rho1*B12", "central": False, "engine": "fiber"}}
+    executed = executed_modules(["central", "--json", "--element", "rho1 B12"], rho4, 1,
+                                tmp_path, stdout=json.dumps(answer, indent=2) + "\n")
+    assert "fiber" in executed and not executed & {"coset", "schreier"}
 
 
 def test_every_command_has_an_executed_modules_case():

@@ -8,7 +8,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidkernel import (
     forget_strands_hom, presentation, pure_braid_rp2, quaternion_presentation, quotient,
@@ -17,6 +17,7 @@ from braidkernel import (
 from braidkernel import EnumerationError, fiber, reidemeister, schreier
 from braidkernel.atlas import _rp2_alphabet
 from braidkernel.base import BraidkernelError, Undecided
+from braidkernel.presentations import Presentation
 from braidkernel.schreier import Witness, check_witness, find_witness
 from braidkernel.snf import invariant_factors
 from braidkernel.words import Word, letters_to_word, word_to_letters
@@ -47,6 +48,42 @@ def test_maps_are_the_homomorphisms_onto_z2():
                 if all(sum(exp for gen, exp in rel.syllables if mask >> gen & 1) % 2 == 0
                        for rel in p.relators)]
         assert sorted(maps) == homs
+
+
+@st.composite
+def z2_presentations(draw):
+    """Up to five random relators over k <= 6 generators, exponents -4..4."""
+    k = draw(st.integers(1, 6))
+    sylls = st.lists(st.tuples(st.integers(0, k - 1), st.integers(-4, 4)), min_size=1, max_size=4)
+    names = tuple(f"g{i}" for i in range(k))
+    return Presentation("random", names, tuple(Word.from_syllables(names, r)
+                                               for r in draw(st.lists(sylls, max_size=5))))
+
+
+# g2^2 is even, g4 g3 g1 gives the pivot of bit 4, and g3 g0^4 g2^2 the pivot of bit 3,
+# which back-substitution clears from the first
+BACK_SUBSTITUTED = presentation("G", [f"g{i}" for i in range(5)],
+                                ["g2^2", "g4 g3 g1", "g3 g0^4 g2^2"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(z2_presentations())
+@example(BACK_SUBSTITUTED)
+def test_the_null_space_is_a_basis_of_the_maps_onto_z2(p):
+    # every map, brute force over all 2^k bit vectors: each relator's exponent sum over
+    # the generators with bit 1 is even
+    homs = {mask for mask in range(1 << p.ngens)
+            if all(sum(exp for gen, exp in rel.syllables if mask >> gen & 1) % 2 == 0
+                   for rel in p.relators)}
+    basis = schreier._null_space(p)
+    span = set()
+    for k in range(1 << len(basis)):
+        mask = 0
+        for i, vector in enumerate(basis):
+            if k >> i & 1:
+                mask ^= vector
+        span.add(mask)
+    assert span == homs and len(span) == 1 << len(basis)
 
 
 def separated(p, u, v):
@@ -233,6 +270,60 @@ def test_no_witness_separates_what_a_complete_table_calls_equal(name):
             assert not word_equal_finite(table, u, v)
             separated += 1
     assert separated  # the comparison is not empty
+
+
+def cyclically_reduced(row):
+    """Whether no letter of row is followed, cyclically, by its inverse."""
+    return all(x != y ^ 1 for x, y in zip(row, row[1:] + row[:1]))
+
+
+# the finite triangle groups <a, b | a^k, b^m, (a b)^n> (up to order 120) and a cyclic group
+TRIANGLES = [(2, 2, 3), (2, 2, 5), (2, 3, 3), (2, 3, 4), (2, 3, 5), (3, 2, 4), (5, 3, 2)]
+
+
+@st.composite
+def complete_tables(draw):
+    """A complete coset table over a finite group, with up to two random relators more, for
+    the subgroup generated by up to two random words: a transitive action of the group."""
+    letters = st.integers(0, 3)
+    if draw(st.booleans()):
+        k, m, n = draw(st.sampled_from(TRIANGLES))
+        names, rels = ("a", "b"), [[0] * k, [2] * m, [0, 2] * n]
+    else:
+        names, rels = ("a",), [[0] * draw(st.integers(1, 12))]
+        letters = st.integers(0, 1)
+    rels += draw(st.lists(st.lists(letters, min_size=1, max_size=8), max_size=2))
+    p = Presentation("random", names, tuple(letters_to_word(names, r) for r in rels))
+    subgroup = [letters_to_word(names, w)
+                for w in draw(st.lists(st.lists(letters, max_size=4), max_size=2))]
+    table = todd_coxeter(p, subgroup, max_cosets=400)
+    assert table.is_complete
+    return p, columns(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete_tables())
+def test_the_rows_of_a_complete_table_are_cyclically_reduced(case):
+    # fiber._start trusts this: the rows go to Tietze elimination as reidemeister_schreier
+    # returns them, since the relators are cyclically reduced and the walk keeps that
+    p, cols = case
+    sp = reidemeister.reidemeister_schreier(p, cols)
+    assert all(cyclically_reduced(row) for row in sp.rows)
+
+
+@pytest.mark.parametrize("p", [P2, P3, P4, Q8, *FINITE.values()],
+                         ids=["P2", "P3", "P4", "Q8", *FINITE])
+def test_the_rows_of_every_kernel_are_cyclically_reduced(p):
+    for mask in schreier.kernel_maps(p):
+        cols = [(0, 2, 1) if mask >> (x >> 1) & 1 else (0, 1, 2) for x in range(2 * p.ngens)]
+        sp = reidemeister.reidemeister_schreier(p, cols)
+        assert all(cyclically_reduced(row) for row in sp.rows), mask
+
+
+@pytest.mark.parametrize("k", [None, 2, 4, 6, 8])
+def test_the_rows_of_the_fiber_are_cyclically_reduced(k):
+    oracle = fiber.fiber_oracle(P3 if k is None else rho_quotient(k))
+    assert oracle.sp.rows and all(cyclically_reduced(row) for row in oracle.sp.rows)
 
 
 def test_a_group_with_no_map_onto_z2_has_no_witness():
