@@ -2,39 +2,6 @@
 (True, False), the JSON payload and the text lines, and ``cli.run``
 alone prints them.  ``cli.run`` imports a command's module only once
 the command line has parsed, so a process compiles the dispatcher, its
-own command's module and the engine modules that one calls.
+own command's module and the engine modules that one calls; ``chain``,
+the answer chain of ``equal`` and ``central``, only for those two.
 """
-
-from .. import FIBER_ALPHABET
-from ..base import Undecided
-
-
-def first_answer(links):
-    """The triple of the first link, in list order, that decides.  A link is the set of
-    answers its call can prove, and the call, which returns the triple or raises Undecided.
-    A link that proves one answer is skipped once a later link that proves both gives the
-    other.  No link runs twice; when none decides, the first link's Undecided is raised."""
-    answers, undecided = {}, {}  # an Undecided is kept without the traceback that forms a cycle
-
-    def ask(i):
-        if i not in answers:
-            try:
-                answers[i] = links[i][1]()
-            except Undecided as exc:
-                answers[i], undecided[i] = None, exc.with_traceback(None)
-        return answers[i]
-
-    for i, (proves, _) in enumerate(links):
-        if not any(ask(j) and ask(j)[0] not in proves for j in range(i + 1, len(links))
-                   if len(proves) < len(links[j][0])) and ask(i):
-            return ask(i)
-    raise undecided.pop(0)
-
-
-def fiber_links(p, answer):
-    """``fiber.fiber_oracle(p)``'s link, which proves both answers: ``answer(oracle)``; none off
-    its alphabet, so the fiber module does not run there."""
-    def call():
-        from .. import fiber
-        return answer(fiber.fiber_oracle(p))
-    return [({True, False}, call)] if p.alphabet == FIBER_ALPHABET else []

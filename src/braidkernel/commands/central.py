@@ -4,7 +4,7 @@ from .. import atlas, coset
 from ..base import Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import format_word, parse_word
-from . import fiber_links, first_answer
+from .chain import fiber_links, first_answer
 
 
 def _resolve_element(args, p):

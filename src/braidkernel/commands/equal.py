@@ -4,7 +4,7 @@ from .. import coset, derivations, rewriting
 from ..base import BraidkernelError, Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import parse_word
-from . import fiber_links, first_answer
+from .chain import fiber_links, first_answer
 
 
 def handle(args):

@@ -41,7 +41,7 @@ from operator import eq
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
 from .base import EnumerationError, Undecided  # EnumerationError is still importable from here
-from .words import Word, format_word, letters_to_word, word_to_letters
+from .words import Word, format_word, letters_to_word, read_syllable, word_to_letters
 
 CENTER_ENUM_CAP = 10000
 
@@ -118,31 +118,17 @@ class CosetTable:
         raise EnumerationError(f"letter {letter} is not in 0..{len(self._cols) - 1}")
 
     def trace_word(self, coset: int, w: Word) -> int | None:
-        """The coset reached from ``coset`` by reading w, or None where an
-        undefined entry stops the walk.
-
-        Reads one syllable (g, e) as up to |e| steps along one column.  A
-        walk that comes back to the syllable's start coset after k < |e|
-        steps has found a cycle of fixed, defined entries, so only the
-        last (|e| - k) mod k steps are taken; the cost grows with the
-        number of syllables and the cycle lengths, not the exponents.
-        """
+        """The coset reached from ``coset`` by reading w, one ``read_syllable``
+        a syllable, or None where an undefined entry stops the walk."""
         if w.alphabet != self.presentation.alphabet:
             raise EnumerationError("word is not over the table's alphabet")
         cols = self._cols
         coset = self._name(coset)
         for gen, exp in w.syllables:
-            col = cols[2 * gen if exp > 0 else 2 * gen + 1]
-            steps = abs(exp)
-            start = coset
-            for k in range(1, steps + 1):
-                coset = col[coset]
-                if not coset:
-                    return None
-                if coset == start:
-                    for _ in range((steps - k) % k):
-                        coset = col[coset]
-                    break
+            col = cols[2 * gen + (exp < 0)]
+            coset = col[coset] if exp * exp == 1 else read_syllable(col, abs(exp), coset)[3]
+            if not coset:
+                return None
         return self._index[coset]
 
 

@@ -114,23 +114,15 @@ class AbelianInvariants:
             prev = d
 
 
-def relator_matrix(p: Presentation) -> list[list[int]]:
-    """Exponent-sum matrix: one row per relator, one column per generator."""
-    mat = []
-    for rel in p.relators:
-        row = [0] * p.ngens
-        for gen, exp in rel.syllables:
-            row[gen] += exp
-        mat.append(row)
-    return mat
-
-
 def abelianization(p: Presentation) -> AbelianInvariants:
-    # a zero row (a relator in the commutator subgroup) adds no invariant
-    mat = [row for row in relator_matrix(p) if any(row)]
-    if not mat:
-        return AbelianInvariants(p.ngens, ())
-    diag = snf.invariant_factors(mat)
+    # one sparse row per relator, {generator: nonzero exponent sum}, read off its syllables
+    rows = []
+    for rel in p.relators:
+        row: dict[int, int] = {}
+        for gen, exp in rel.syllables:
+            row[gen] = row.get(gen, 0) + exp
+        rows.append({gen: exp for gen, exp in row.items() if exp})
+    diag = snf.invariant_factors(rows, p.ngens)
     rank = sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d >= 2)
     return AbelianInvariants(rank, torsion)

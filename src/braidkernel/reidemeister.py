@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .base import EnumerationError, Undecided, record
 from .presentations import Presentation
-from .words import MAX_LETTERS, Word, format_word
+from .words import MAX_LETTERS, Word, format_word, read_syllable
 
 
 @record
@@ -58,24 +58,13 @@ def _spanning_tree(ngens: int, cols) -> set[tuple[int, int]]:
     return tree
 
 
-def _read(col, m: int, c: int) -> tuple[list[int], int, int, int]:
-    # the letter of column col read m times from coset c: trace's (cycle, q, r), then the end
-    cycle = [c]
-    while (d := col[cycle[-1]]) != c and len(cycle) < m:
-        cycle.append(d)
-    q, r = divmod(m, len(cycle))
-    return cycle, q, r, cycle[r] if d == c else d
-
-
 def trace(cols, w: Word, c: int = 1) -> tuple[int, list[tuple[int, list[int], int, int]]]:
     """The coset w leads coset c to, and the walk's reads, one per syllable:
     (x, cycle, q, r) is letter x read from each coset of ``cycle`` q times
-    over, then from its first r.  A walk back at its start has gone round
-    a cycle, and the rest of the syllable is a power of it, so a syllable
-    costs at most one cycle whatever its exponent."""
+    over, then from its first r, as ``words.read_syllable`` reads it."""
     reads = []
     for gen, exp in w.syllables:
-        cycle, q, r, c = _read(cols[x := 2 * gen + (exp < 0)], abs(exp), c)
+        cycle, q, r, c = read_syllable(cols[x := 2 * gen + (exp < 0)], abs(exp), c)
         reads.append((x, cycle, q, r))
     return c, reads
 
@@ -84,8 +73,8 @@ def closes(cols, w: Word) -> bool:
     """Whether w leads every coset to itself, all walked at once as ``trace`` walks one."""
     at = cosets = list(range(len(cols[0])))
     for gen, exp in w.syllables:
-        col = cols[2 * gen + (exp < 0)]
-        at = [col[c] for c in at] if exp * exp == 1 else [_read(col, abs(exp), c)[3] for c in at]
+        col, m = cols[2 * gen + (exp < 0)], abs(exp)
+        at = [col[c] for c in at] if m == 1 else [read_syllable(col, m, c)[3] for c in at]
     return at == cosets
 
 
@@ -120,7 +109,7 @@ def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:
                         row.append(s)
                     c = cols[x][c]
                 else:
-                    cycle, q, r, c = _read(cols[x], m, c)
+                    cycle, q, r, c = read_syllable(cols[x], m, c)
                     row += [s for d in cycle * q + cycle[:r] if (s := edges[x][d]) >= 0]
             if c != start:
                 raise EnumerationError(f"relator {format_word(rel)} does not close at coset {start}")

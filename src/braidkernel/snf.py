@@ -91,31 +91,29 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]], list[list[int]]]
     return [a[j][j] if j < rows else 0 for j in range(cols)], left, right
 
 
-def invariant_factors(mat) -> list[int]:
-    """The diagonal ``smith_normal_form(mat)`` returns, without its transforms.
+def invariant_factors(rows, cols: int) -> list[int]:
+    """The diagonal ``smith_normal_form`` returns, without its transforms, for
+    the ``cols``-column matrix of ``rows``, each {column: nonzero entry}.
 
-    A row whose one nonzero entry is alone in its column is a Smith block
-    already (its row and column split off the rest of the matrix), so
-    only the rest goes through the dense reduction.  The blocks and the
-    rest's diagonal then merge into the divisibility chain by gcd/lcm
-    passes: Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), and a zero entry (a
-    free factor) is the last of any chain.  No entry is factored, and none
-    is checked: ``presentations.abelianization`` passes exponent-sum rows.
+    A row whose one entry is alone in its column is a Smith block already
+    (its row and column split off the rest), so only the rest is written out
+    dense for the reduction.  The blocks and the rest's diagonal then merge
+    into the divisibility chain by gcd/lcm passes: Z/a + Z/b = Z/gcd(a, b) +
+    Z/lcm(a, b), and a zero entry (a free factor) is the last of any chain.
+    No entry is factored, and none is checked: ``presentations.abelianization``
+    passes exponent sums.
     """
-    cols = len(mat[0])
-    support = [[j for j, x in enumerate(row) if x] for row in mat]
     uses = [0] * cols
-    for nonzero in support:
-        for j in nonzero:
+    for row in rows:
+        for j in row:
             uses[j] += 1
     blocks, split = [], set()
-    for row, nonzero in zip(mat, support):
-        if len(nonzero) == 1 and uses[nonzero[0]] == 1:
-            blocks.append(abs(row[nonzero[0]]))
-            split.add(nonzero[0])
+    for row in rows:
+        if len(row) == 1 and uses[j := next(iter(row))] == 1:
+            blocks.append(abs(row[j]))
+            split.add(j)
     keep = [j for j in range(cols) if j not in split]
-    rest = [[row[j] for j in keep] for row, nonzero in zip(mat, support)
-            if nonzero and nonzero[0] not in split]
+    rest = [[row.get(j, 0) for j in keep] for row in rows if row and next(iter(row)) not in split]
     diag = blocks + (smith_normal_form(rest)[0] if rest else [0] * len(keep))
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

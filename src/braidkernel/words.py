@@ -210,6 +210,18 @@ def word_to_letters(w: Word) -> tuple[int, ...]:
     return tuple(out)
 
 
+def read_syllable(col, m: int, c: int) -> tuple[list[int], int, int, int]:
+    """x^m read from coset c through x's column ``col`` (0 where undefined):
+    (cycle, q, r, end), x being read from each coset of ``cycle`` q times over,
+    then from its first r.  The walk stops back at c, at a gap or after m steps,
+    so it costs at most one cycle whatever m is; ``end`` is 0 after a gap."""
+    cycle = [c]
+    while (d := col[cycle[-1]]) != c and d and len(cycle) < m:
+        cycle.append(d)
+    q, r = divmod(m, len(cycle))
+    return cycle, q, r, cycle[r] if d == c else d
+
+
 def letters_to_word(alphabet: Alphabet, letters: Sequence[int]) -> Word:
     sylls = [(x >> 1, 1 if x % 2 == 0 else -1) for x in letters]
     return Word.from_syllables(alphabet, sylls)

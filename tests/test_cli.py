@@ -16,7 +16,7 @@ import braidkernel
 from braidkernel.atlas import RP2_MAX_STRANDS, pure_braid_rp2
 from braidkernel.base import Undecided
 from braidkernel.cli import _COMMANDS, run
-from braidkernel.commands import first_answer
+from braidkernel.commands.chain import first_answer
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 

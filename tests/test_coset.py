@@ -315,6 +315,20 @@ def test_trace_word_matches_letter_walk(read_tables):
         assert stopped > 0 or table.is_complete
 
 
+def test_trace_word_stops_at_a_gap_whatever_the_exponent(read_tables):
+    # a read that meets an undefined entry ends there, so an exponent whose walk no
+    # list could hold costs at most one cycle of the column, as on a complete table
+    capped = read_tables[2]
+    m = 10**18 + 7
+    for c in range(1, capped.n_cosets + 1):
+        for x in range(2 * capped.presentation.ngens):
+            walk = [c]  # columns are partial permutations: back at c, or a gap
+            while (d := capped.entry(walk[-1], x)) not in (None, c):
+                walk.append(d)
+            w = Word.generator(capped.presentation.alphabet, x >> 1, -m if x % 2 else m)
+            assert capped.trace_word(c, w) == (None if d is None else walk[m % len(walk)])
+
+
 def test_trace_word_large_exponents(q8, q8_table):
     # rho1 has order 4 in Q8
     u = q8.word("rho1^480000 rho2 rho1^470002")

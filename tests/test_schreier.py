@@ -27,7 +27,8 @@ P2, P3, P4 = pure_braid_rp2(2), pure_braid_rp2(3), pure_braid_rp2(4)
 
 def kernel_h1(p, mask):
     """(free rank, torsion) of H1 of the kernel of one map onto Z/2."""
-    diag = invariant_factors(schreier._rows(p, schreier._kernel(p, mask)))
+    mat = schreier._rows(p, schreier._kernel(p, mask))
+    diag = invariant_factors([{j: x for j, x in enumerate(row) if x} for row in mat], len(mat[0]))
     return sum(1 for d in diag if d == 0), tuple(d for d in diag if d > 1)
 
 

@@ -34,22 +34,38 @@ def test_transforms_stay_small_on_dense_random_matrices():
 @st.composite
 def planted_blocks(draw):
     """A random matrix with singleton rows planted in columns of their own: each
-    such row and column is a Smith block, and the rows come shuffled."""
+    such row and column is a Smith block, and the rows come shuffled.  Zero rows
+    and singleton rows that repeat a planted column, which is then no block, ride
+    along."""
     rest = draw(matrices)
     cols = len(rest[0])
-    entries = draw(st.lists(st.integers(-12, 12).filter(bool), max_size=6))
+    nonzero = st.integers(-12, 12).filter(bool)
+    entries = draw(st.lists(nonzero, max_size=6))
     mat = [row + [0] * len(entries) for row in rest]
-    for k, x in enumerate(entries):
+    planted = list(enumerate(entries))
+    if entries:
+        planted += draw(st.lists(st.tuples(st.integers(0, len(entries) - 1), nonzero), max_size=2))
+    for k, x in planted:
         mat.append([0] * (cols + k) + [x] + [0] * (len(entries) - k - 1))
     mat += [[0] * (cols + len(entries))] * draw(st.integers(0, 2))
     return draw(st.permutations(mat))
 
 
+def sparse(mat):
+    """invariant_factors' arguments for a dense matrix: its rows as {column: nonzero
+    entry}, and its column count."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat], len(mat[0])
+
+
 @given(planted_blocks())
 def test_invariant_factors_match_the_dense_diagonal(mat):
-    assert invariant_factors(mat) == smith_normal_form(mat)[0]
+    assert invariant_factors(*sparse(mat)) == smith_normal_form(mat)[0]
 
 
 @given(matrices)
 def test_invariant_factors_without_blocks_match_the_dense_diagonal(mat):
-    assert invariant_factors(mat) == smith_normal_form(mat)[0]
+    assert invariant_factors(*sparse(mat)) == smith_normal_form(mat)[0]
+
+
+def test_invariant_factors_of_no_rows_are_free():
+    assert invariant_factors([], 3) == [0, 0, 0]
