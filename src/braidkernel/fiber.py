@@ -4,9 +4,9 @@ subgroup.
 The word problem of G is decidable through a free subgroup H of finite
 index.  ``reidemeister`` presents H, the stabiliser of coset 1 under a
 transitive permutation action of G; ``tietze_free_basis``
-eliminates Schreier generators, and ``check_free_basis`` replays the
-eliminations and checks that no relator is left, after which the
-generators left are a free basis of H.  Then u = v iff u v^-1 fixes coset
+eliminates Schreier generators, and the generators left are a free basis
+of H once the basis map the eliminations define sends every relator, read
+from every coset, to the empty word.  Then u = v iff u v^-1 fixes coset
 1 and its image in that basis is freely trivial (``FreeSubgroupOracle``).
 On a quotient of G the oracle answers what it proves and is undecided
 otherwise: it leaves out the relators the action breaks, and a basis that
@@ -133,8 +133,8 @@ def tietze_free_basis(sp: SchreierPresentation) -> tuple[Elimination, ...]:
     first of them in the row instead lets the rows peak at 7447 letters,
     not 660, and leaves relators in which no generator occurs once.  A
     step's expression is in the generators then left, which generate H;
-    they are a free basis of H once ``check_free_basis`` has replayed the
-    steps and found no relator left."""
+    they are a free basis of H once the basis map the steps define sends
+    every relator to the empty word (``FreeSubgroupOracle.free``)."""
     rows, occ = _start(sp)
     # (length, row) for each row that may have a generator occurring once in it
     ready = {r: (len(row), r) for r, row in enumerate(rows) if row}
@@ -160,27 +160,18 @@ def tietze_free_basis(sp: SchreierPresentation) -> tuple[Elimination, ...]:
     return tuple(steps)
 
 
-def _replay(sp: SchreierPresentation, steps: tuple[Elimination, ...],
-            only: set[int] | None = None) -> list[list[int]] | None:
-    """The rows the eliminations leave, replayed in order, or None when a
-    step's generator does not occur once in its source row, with the
-    earlier substitutions made, or does not solve to the step's
-    expression.  A row's substitutions read no other row, so ``only``, the
-    rows to replay, may hold just the source rows; the others are left
-    empty."""
-    rows, occ = _start(sp, only)
+def _replay(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -> list[list[int]] | None:
+    """The source rows the eliminations leave, replayed in order, or None
+    when a step's generator does not occur once in its source row, with
+    the earlier substitutions made, or does not solve to the step's
+    expression.  A row's substitutions read no other row, so the rows that
+    are no step's source are left empty."""
+    rows, occ = _start(sp, {r for _, r, _ in steps})
     for g, r, expr in steps:
         if not (0 <= g < sp.ngens and 0 <= r < len(rows)) or _solve(rows[r], g) != list(expr):
             return None
         _eliminate(rows, occ, g, list(expr))
     return rows
-
-
-def check_free_basis(sp: SchreierPresentation, steps: tuple[Elimination, ...]) -> bool:
-    """Whether the eliminations prove H free on the generators they leave:
-    every step passes its replay, and every row ends up empty."""
-    rows = _replay(sp, steps)
-    return rows is not None and not any(rows)
 
 
 @record
@@ -194,8 +185,8 @@ class FreeSubgroupOracle:
     u = v when it fixes coset 1 and its image in the generators Tietze
     leaves is empty (they generate H', each eliminated one being its
     expression by its source row); u != v when no relator was left out
-    and it moves coset 1, or its image is not empty and the eliminations
-    left no row (``free``: a free basis of H).  Anything else is
+    and it moves coset 1, or its image is not empty and the basis map
+    kills every relator (``free``: a free basis of H).  Anything else is
     Undecided.  ``sp``, ``steps`` and ``images`` are built the first time
     a word fixes coset 1, and ``free`` the first time such a word's image
     is not empty."""
@@ -213,15 +204,18 @@ class FreeSubgroupOracle:
     def steps(self) -> tuple[Elimination, ...]:
         """Tietze's eliminations, each replayed from its source row."""
         steps = tietze_free_basis(self.sp)
-        if _replay(self.sp, steps, {r for _, r, _ in steps}) is None:
+        if _replay(self.sp, steps) is None:
             raise BraidkernelError("a Tietze elimination failed its replay")
         return steps
 
     @cached_property
     def free(self) -> bool:
-        """Whether the eliminations, replayed in every row, leave no row:
-        then the generators they leave are a free basis of H'."""
-        return check_free_basis(self.sp, self.steps)
+        """Whether the basis map sends every kept relator, read from every
+        coset, to the empty word: then the generators the eliminations
+        leave are a free basis of H'.  It stops at the first relator the
+        map does not kill."""
+        return all(self.image(trace(self.cols, rel, c)[1]).is_identity
+                   for rel in self.kept.relators for c in range(1, len(self.cols[0])))
 
     @cached_property
     def alphabet(self) -> tuple[str, ...]:

@@ -37,14 +37,16 @@ class Presentation:
         make_alphabet(self.alphabet)
         normalized = []
         seen = set()
+        # a tuple's != walks every name even against itself, and a Word's hash
+        # takes in its alphabet, so both would cost each relator the alphabet's length
         for rel in self.relators:
-            if rel.alphabet != self.alphabet:
+            if rel.alphabet is not self.alphabet and rel.alphabet != self.alphabet:
                 raise PresentationError(
                     f"relator {format_word(rel)} is over a different alphabet")
             core, _ = cyclic_reduce(rel)
-            if core.is_identity or core in seen:
+            if core.is_identity or core.syllables in seen:
                 continue
-            seen.add(core)
+            seen.add(core.syllables)
             normalized.append(core)
         object.__setattr__(self, "relators", tuple(normalized))
 

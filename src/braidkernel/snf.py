@@ -97,9 +97,11 @@ def invariant_factors(rows, cols: int) -> list[int]:
 
     A row whose one entry is alone in its column is a Smith block already
     (its row and column split off the rest), so only the rest is written out
-    dense for the reduction.  The blocks and the rest's diagonal then merge
-    into the divisibility chain by gcd/lcm passes: Z/a + Z/b = Z/gcd(a, b) +
-    Z/lcm(a, b), and a zero entry (a free factor) is the last of any chain.
+    dense for the reduction.  The blocks and the rest's diagonal, sorted with
+    zeros last, are often a divisibility chain already (a diagonal of equal
+    orders is); otherwise they merge into one by gcd/lcm passes: Z/a + Z/b =
+    Z/gcd(a, b) + Z/lcm(a, b), and a zero entry (a free factor) is the last
+    of any chain.
     No entry is factored, and none is checked: ``presentations.abelianization``
     passes exponent sums.
     """
@@ -114,7 +116,10 @@ def invariant_factors(rows, cols: int) -> list[int]:
             split.add(j)
     keep = [j for j in range(cols) if j not in split]
     rest = [[row.get(j, 0) for j in keep] for row in rows if row and next(iter(row)) not in split]
-    diag = blocks + (smith_normal_form(rest)[0] if rest else [0] * len(keep))
+    diag = sorted(blocks + (smith_normal_form(rest)[0] if rest else [0] * len(keep)),
+                  key=lambda d: (d == 0, d))
+    if all(b % a == 0 for a, b in zip(diag, diag[1:]) if a):  # a chain already, zeros last
+        return diag
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]

@@ -16,7 +16,6 @@ alphabet order.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections.abc import Iterable, Sequence
 
@@ -169,7 +168,7 @@ def join_reduced(alphabet: Alphabet, parts: Iterable[tuple[tuple[int, int], ...]
 
 
 def _require_same_alphabet(u: Word, v: Word):
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise WordError("words belong to different alphabets")
 
 
@@ -253,11 +252,19 @@ def shortlex_compare(u: Word, v: Word) -> int:
 
 # text form ---------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
+# id(alphabet) -> (alphabet, its name lookup); holding the alphabet keeps its id from reuse
+_LOOKUPS: dict[int, tuple[Alphabet, dict[str, int]]] = {}
+
+
 def _name_lookup(alphabet: Alphabet) -> dict[str, int]:
     # generator name -> index, built once per alphabet rather than per
-    # word: a presentation's relators all share its alphabet
-    return {name: i for i, name in enumerate(alphabet)}
+    # word: a presentation's relators all share its alphabet.  It is found by
+    # the alphabet's identity, since hashing the tuple walks every name
+    if (hit := _LOOKUPS.get(id(alphabet))) is None:
+        if len(_LOOKUPS) == 64:
+            del _LOOKUPS[next(iter(_LOOKUPS))]  # the oldest
+        hit = _LOOKUPS[id(alphabet)] = alphabet, {name: i for i, name in enumerate(alphabet)}
+    return hit[1]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:

@@ -27,6 +27,16 @@ def test_relation_equals_form():
     assert rel == parse_word("x^2 y^-2", alphabet)
 
 
+def test_building_a_presentation_hashes_no_word(monkeypatch):
+    # a Word's hash takes in its whole alphabet: relators are deduplicated on their
+    # syllables, all of them being over the one alphabet
+    def hashed(word):
+        raise AssertionError(f"hashed {word}")
+    monkeypatch.setattr(Word, "__hash__", hashed)
+    p = presentation("G", ["x", "y"], ["x^2", "y x^2 y^-1", "y^2 = 1", "x^-2", "x y = y x"])
+    assert [str(rel) for rel in p.relators] == ["x^2", "y^2", "x^-2", "x*y*x^-1*y^-1"]
+
+
 def test_relators_normalized():
     p = presentation("t", ["a", "b"], ["a b a^-1", "b", "b", "1"])
     # conjugates are cyclically reduced, duplicates and identities dropped

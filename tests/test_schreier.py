@@ -460,8 +460,8 @@ def test_the_fiber_of_p3_is_free_of_rank_2():
     diag, _, _ = smith_normal_form(sums)
     assert sorted(diag) == [0, 0] + [1] * 39
     # Tietze leaves 2 generators and no relator
-    assert len(FIBER_STEPS) == 39 and fiber.check_free_basis(sp, FIBER_STEPS)
-    assert len(ORACLE.alphabet) == 2 and ORACLE.steps == FIBER_STEPS
+    assert len(FIBER_STEPS) == 39 and check_free_basis(sp, FIBER_STEPS)
+    assert len(ORACLE.alphabet) == 2 and ORACLE.steps == FIBER_STEPS and ORACLE.free
 
 
 def test_the_spanning_tree_leaves_one_generator_per_other_edge():
@@ -488,7 +488,7 @@ def tampered(steps):
 
 @pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
 def test_a_tampered_elimination_list_is_rejected(kind):
-    assert not fiber.check_free_basis(FIBER_SP, tampered(FIBER_STEPS)[kind])
+    assert fiber._replay(FIBER_SP, tampered(FIBER_STEPS)[kind]) is None
 
 
 @pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
@@ -499,12 +499,41 @@ def test_the_oracle_replays_the_eliminations_before_it_answers(monkeypatch, kind
         fiber.fiber_oracle(P3)(P3.word("1"), P3.word("1"))
 
 
-def test_malformed_elimination_lists_are_rejected():
+def test_malformed_elimination_lists_are_rejected(monkeypatch):
     g, r, expr = FIBER_STEPS[0]
     for step in ((FIBER_SP.ngens, r, expr), (g, len(FIBER_SP.rows), expr), (g, r + 1, expr)):
-        assert not fiber.check_free_basis(FIBER_SP, (step,) + FIBER_STEPS[1:])
-    # the empty list leaves every relator standing
-    assert not fiber.check_free_basis(FIBER_SP, ())
+        assert fiber._replay(FIBER_SP, (step,) + FIBER_STEPS[1:]) is None
+    # the empty list leaves every relator standing: the basis map is the identity
+    monkeypatch.setattr(fiber, "tietze_free_basis", lambda sp: ())
+    assert fiber.fiber_oracle(P3).free is False
+
+
+def check_free_basis(sp, steps):
+    """Whether the eliminations prove H free on the generators they leave:
+    every step passes its replay, forward over every row, and every row
+    ends up empty.  The reference ``FreeSubgroupOracle.free`` agrees with."""
+    rows, occ = fiber._start(sp)
+    for g, r, expr in steps:
+        if not (0 <= g < sp.ngens and 0 <= r < len(rows)) or fiber._solve(rows[r], g) != list(expr):
+            return False
+        fiber._eliminate(rows, occ, g, list(expr))
+    return not any(rows)
+
+
+@pytest.mark.parametrize("k", [None, 2, 4, 6, 8])
+def test_free_is_the_forward_replay_over_every_row_on_the_fiber(k):
+    # True on P3(RP2); on its rho quotients Tietze leaves rows, or a relator is left out
+    # (rho^2 and rho^6) and the rows of rho3^k stay
+    oracle = fiber.fiber_oracle(P3 if k is None else rho_quotient(k))
+    assert oracle.free == check_free_basis(oracle.sp, oracle.steps) == (k is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complete_tables())
+def test_free_is_the_forward_replay_over_every_row(case):
+    p, cols = case
+    oracle = fiber.free_subgroup_oracle(p, cols)
+    assert oracle.free == check_free_basis(oracle.sp, oracle.steps)
 
 
 P2_TABLE = todd_coxeter(P2)

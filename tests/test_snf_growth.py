@@ -7,6 +7,7 @@ import random
 
 from hypothesis import given, strategies as st
 
+from braidkernel import snf
 from braidkernel.snf import invariant_factors, smith_normal_form
 from test_snf import check_snf, mat_mul, minors_gcd_invariants
 
@@ -69,3 +70,14 @@ def test_invariant_factors_without_blocks_match_the_dense_diagonal(mat):
 
 def test_invariant_factors_of_no_rows_are_free():
     assert invariant_factors([], 3) == [0, 0, 0]
+
+
+def test_a_diagonal_that_sorts_to_a_chain_takes_no_merge_pass(monkeypatch):
+    # the blocks 4 and 2 and a free column sort to the chain 2 | 4 | 0, so no gcd/lcm
+    # pair is merged: a diagonal of k equal orders costs no k^2/2 pairs
+    def merged(a, b):
+        raise AssertionError(f"merged {a} and {b}")
+    monkeypatch.setattr(snf, "gcd", merged)
+    monkeypatch.setattr(snf, "lcm", merged)
+    assert invariant_factors([{1: 4}, {2: -2}], 3) == [2, 4, 0]
+    assert invariant_factors([{j: 2} for j in range(1000)], 1000) == [2] * 1000

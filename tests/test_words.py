@@ -23,6 +23,20 @@ def w(text, alphabet=AB):
 
 # parsing ---------------------------------------------------------------------
 
+class UnhashableAlphabet(tuple):
+    def __hash__(self):
+        raise TypeError("the alphabet was hashed")
+
+
+def test_parse_word_finds_its_names_by_the_alphabet_not_its_hash():
+    # hashing an alphabet walks every name: one parse per relator of a k-generator
+    # presentation would cost k each
+    alphabet = UnhashableAlphabet(("a", "b"))
+    word = parse_word("a^2 b^-1 * a", alphabet)
+    assert word.syllables == ((0, 2), (1, -1), (0, 1)) and word.alphabet is alphabet
+    assert parse_word("b a", alphabet).syllables == ((1, 1), (0, 1))
+
+
 def test_parse_spec_examples():
     assert parse_word("rho1^2 * rho2^-2", RHO).syllables == ((0, 2), (1, -2))
     assert w("a * a^-1 * b").syllables == ((1, 1),)
