@@ -3,7 +3,7 @@
 from .. import atlas, coset
 from ..base import Undecided
 from ..cli import UsageError, _load_presentation
-from ..words import format_word, parse_word
+from ..words import format_word, parse_word, same_alphabet
 from .chain import fiber_links, first_answer
 
 
@@ -15,7 +15,7 @@ def _resolve_element(args, p):
         raise UsageError('"tau" is only defined on atlas rp2 presentations '
                          f"(group name is {p.name!r})")
     tau = atlas.tau_n(n)
-    if tau.alphabet != p.alphabet:
+    if not same_alphabet(tau.alphabet, p.alphabet):
         raise UsageError(f'"tau" on {p.name} needs the atlas generators {" ".join(tau.alphabet)}')
     return tau
 

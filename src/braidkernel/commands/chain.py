@@ -3,6 +3,7 @@ order, and the first that decides answers."""
 
 from .. import FIBER_ALPHABET
 from ..base import Undecided
+from ..words import same_alphabet
 
 
 def first_answer(links):
@@ -33,4 +34,4 @@ def fiber_links(p, answer):
     def call():
         from .. import fiber
         return answer(fiber.fiber_oracle(p))
-    return [({True, False}, call)] if p.alphabet == FIBER_ALPHABET else []
+    return [({True, False}, call)] if same_alphabet(p.alphabet, FIBER_ALPHABET) else []

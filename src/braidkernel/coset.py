@@ -41,7 +41,8 @@ from operator import eq
 from . import DEFAULT_MAX_COSETS
 from .presentations import Presentation
 from .base import EnumerationError, Undecided  # EnumerationError is still importable from here
-from .words import Word, format_word, letters_to_word, read_syllable, word_to_letters
+from .words import (Word, format_word, letters_to_word, read_syllable, same_alphabet,
+                    word_to_letters)
 
 CENTER_ENUM_CAP = 10000
 
@@ -120,7 +121,7 @@ class CosetTable:
     def trace_word(self, coset: int, w: Word) -> int | None:
         """The coset reached from ``coset`` by reading w, one ``read_syllable``
         a syllable, or None where an undefined entry stops the walk."""
-        if w.alphabet != self.presentation.alphabet:
+        if not same_alphabet(w.alphabet, self.presentation.alphabet):
             raise EnumerationError("word is not over the table's alphabet")
         cols = self._cols
         coset = self._name(coset)
@@ -149,23 +150,25 @@ def todd_coxeter(p: Presentation, subgroup_gens: Sequence[Word] = (),
     if max_cosets < 1:
         raise EnumerationError("max_cosets must be >= 1")
     for w in subgroup_gens:
-        if w.alphabet != p.alphabet:
+        if not same_alphabet(w.alphabet, p.alphabet):
             raise EnumerationError(
                 f"subgroup generator {format_word(w)} is over a different alphabet")
 
     # slot 0 is "undefined" and holds 0: a walk that meets a gap stays there
     cols = [[0] * 64 for _ in range(2 * p.ngens)]
     # a generator x with a relator x^2 or x^-2 is an involution: x and x^-1 share one
-    # column, which closes those relators, so they leave the scan list
-    square = {rel for rel in p.relators if len(rel.syllables) == 1 and rel.letter_length == 2}
-    for rel in square:
-        cols[2 * rel.syllables[0][0] + 1] = cols[2 * rel.syllables[0][0]]
+    # column, which closes those relators, so they leave the scan list.  They are
+    # keyed by syllables: a Word's hash takes in its alphabet
+    square = {rel.syllables for rel in p.relators
+              if len(rel.syllables) == 1 and abs(rel.syllables[0][1]) == 2}
+    for (gen, _), in square:
+        cols[2 * gen + 1] = cols[2 * gen]
     # each distinct column with its inverse, and each path as columns and inverse columns
     pairs = [(col, cols[x ^ 1]) for x, col in enumerate(cols)
              if x % 2 == 0 or col is not cols[x ^ 1]]
     relators, subgroup = ([([cols[x] for x in path], [cols[x ^ 1] for x in path])
                            for path in map(word_to_letters, words)]
-                          for words in ([rel for rel in p.relators if rel not in square],
+                          for words in ([rel for rel in p.relators if rel.syllables not in square],
                                         subgroup_gens))
     loops = [([col, inv], [inv, col]) for col, inv in pairs]  # each x·x^-1
     parent = [0, 1]

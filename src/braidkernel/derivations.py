@@ -26,6 +26,7 @@ from .words import (
     join_reduced,
     letters_to_word,
     parse_word,
+    same_alphabet,
     word_to_letters,
 )
 
@@ -85,7 +86,7 @@ def apply_step(p: Presentation, w: Word, step: DerivationStep) -> Word:
     halves and the insertion are reduced, so only the two junctions merge
     or cancel, and the rest of w is copied, not normalized again.
     """
-    if w.alphabet != p.alphabet:
+    if not same_alphabet(w.alphabet, p.alphabet):
         raise ChainError("word is not over the presentation's alphabet")
     return _insert(p, w, step.position, _insertion_syllables(p, step))
 
@@ -117,7 +118,8 @@ def check_derivation(chain: DerivationChain) -> DerivationReport:
     step applies and the replay ends at the chain's end word.  Each
     distinct (relator, rotation, direction) is expanded once per replay."""
     p, word = chain.presentation, chain.start
-    if word.alphabet != p.alphabet or chain.end.alphabet != p.alphabet:
+    if not (same_alphabet(word.alphabet, p.alphabet)
+            and same_alphabet(chain.end.alphabet, p.alphabet)):
         raise ChainError("chain word over the wrong alphabet")
     insertions: dict[tuple[int, int, int], tuple[tuple[int, int], ...]] = {}
     for t, step in enumerate(chain.steps):
@@ -197,7 +199,7 @@ def search_equality(p: Presentation, u: Word, v: Word,
     """
     if max_word_len < 1 or max_nodes < 1:
         raise BraidkernelError("budgets must be >= 1")
-    if u.alphabet != p.alphabet or v.alphabet != p.alphabet:
+    if not (same_alphabet(u.alphabet, p.alphabet) and same_alphabet(v.alphabet, p.alphabet)):
         raise ChainError("words are not over the presentation's alphabet")
 
     if u == v:

@@ -26,7 +26,7 @@ from . import FIBER_ALPHABET
 from .base import BraidkernelError, EnumerationError, Undecided, record
 from .presentations import Presentation
 from .reidemeister import SchreierPresentation, _spanning_tree, closes, reidemeister_schreier, trace
-from .words import Word, free_reduce_letters, join_reduced, letters_to_word
+from .words import Word, free_reduce_letters, join_reduced, letters_to_word, same_alphabet
 
 # Forgetting strand 3 maps P3(RP2) onto P2(RP2) = Q8, and its kernel, the
 # fiber <B13, B23, rho3>, is free of rank 2 and has index 8 (Fadell-Neuwirth
@@ -240,7 +240,8 @@ class FreeSubgroupOracle:
         return tuple(tuple(() if s < 0 else letters[s] for s in edge) for edge in self.sp.edges)
 
     def __call__(self, u: Word, v: Word) -> bool:
-        if {u.alphabet, v.alphabet} != {self.kept.alphabet}:
+        if not (same_alphabet(u.alphabet, self.kept.alphabet)
+                and same_alphabet(v.alphabet, self.kept.alphabet)):
             raise EnumerationError("words are not over the presentation's alphabet")
         coset, reads = trace(self.cols, self.reduce_powers(u) * self.reduce_powers(v).inverse())
         if coset == 1 and self.image(reads).is_identity:
@@ -305,7 +306,7 @@ def fiber_oracle(p: Presentation) -> FreeSubgroupOracle:
     P3(RP2)/<rho^6>, say, rho1^6 goes to -1 and is left out.  H is built
     when a word first fixes coset 1, where Tietze's letter budget raises
     Undecided, so a pair Q8 separates costs one walk."""
-    if p.alphabet != FIBER_ALPHABET:
+    if not same_alphabet(p.alphabet, FIBER_ALPHABET):
         raise EnumerationError("the fiber oracle needs the atlas P3(RP2) generators")
     if (letters := sum(rel.letter_length for rel in p.relators)) > FIBER_MAX_LETTERS:
         raise Undecided(f"the relators have {letters} letters, over the fiber oracle's "

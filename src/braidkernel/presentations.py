@@ -20,6 +20,7 @@ from .words import (
     format_word,
     make_alphabet,
     parse_word,
+    same_alphabet,
 )
 
 
@@ -37,10 +38,9 @@ class Presentation:
         make_alphabet(self.alphabet)
         normalized = []
         seen = set()
-        # a tuple's != walks every name even against itself, and a Word's hash
-        # takes in its alphabet, so both would cost each relator the alphabet's length
+        # a Word's hash takes in its alphabet, so relators are deduplicated on syllables
         for rel in self.relators:
-            if rel.alphabet is not self.alphabet and rel.alphabet != self.alphabet:
+            if not same_alphabet(rel.alphabet, self.alphabet):
                 raise PresentationError(
                     f"relator {format_word(rel)} is over a different alphabet")
             core, _ = cyclic_reduce(rel)
@@ -88,7 +88,7 @@ def quotient(p: Presentation, extra: Sequence[Word]) -> Presentation:
     if not extra:
         return p
     for w in extra:
-        if w.alphabet != p.alphabet:
+        if not same_alphabet(w.alphabet, p.alphabet):
             raise PresentationError(
                 f"quotient word {format_word(w)} is over a different alphabet")
     label = p.name + "/<" + ",".join(format_word(w) for w in extra) + ">"
@@ -148,14 +148,14 @@ class GroupHom:
             raise PresentationError(
                 f"expected {self.source.ngens} generator images, got {len(self.images)}")
         for w in self.images:
-            if w.alphabet != self.target.alphabet:
+            if not same_alphabet(w.alphabet, self.target.alphabet):
                 raise PresentationError("generator image over the wrong alphabet")
 
 
 def substitute(h: GroupHom, w: Word) -> Word:
     """Image of w under the generator map, freely reduced; hom_check maps
     each source relator with it."""
-    if w.alphabet != h.source.alphabet:
+    if not same_alphabet(w.alphabet, h.source.alphabet):
         raise PresentationError("word is not over the source alphabet")
     sylls: list[tuple[int, int]] = []
     for gen, exp in w.syllables:
@@ -304,6 +304,7 @@ def parse_hom_file(text: str) -> GroupHom:
     if "source" not in blocks or "target" not in blocks:
         raise PresentationFormatError(None, "map file needs source and target blocks")
     names = blocks["source"].alphabet
+    known = set(names)  # a send line's name is looked up here, not in the tuple
     images: dict[str, Word] = {}
 
     def send(rest):
@@ -312,7 +313,7 @@ def parse_hom_file(text: str) -> GroupHom:
             raise PresentationError("send needs '<gen> = <word>'")
         if gen in images:
             raise PresentationError(f"duplicate send line for {gen}")
-        if gen not in names:
+        if gen not in known:
             raise PresentationError(f"send line for unknown source generator {gen}")
         images[gen] = parse_word(image, blocks["target"].alphabet)
 

@@ -29,7 +29,7 @@ from itertools import chain, count, product, repeat
 from . import DEFAULT_MAX_LEN, DEFAULT_MAX_RULES
 from .presentations import Presentation
 from .base import BraidkernelError, Undecided, record
-from .words import Alphabet, Word, letters_to_word, word_to_letters
+from .words import Alphabet, Word, letters_to_word, same_alphabet, word_to_letters
 
 Letters = tuple[int, ...]
 # left side length -> {left side: (rule id, right side)}, sides encoded as str
@@ -235,7 +235,7 @@ def knuth_bendix(p: Presentation, max_rules: int = DEFAULT_MAX_RULES,
 
 def normal_form(rs: RewriteSystem, w: Word) -> Word:
     """Rewrite w to a fixpoint; canonical when rs is confluent."""
-    if w.alphabet != rs.alphabet:
+    if not same_alphabet(w.alphabet, rs.alphabet):
         raise BraidkernelError("word is not over the rewriting system's alphabet")
     return letters_to_word(rs.alphabet, _decode(_rewrite(_encode(word_to_letters(w)), rs.index)))
 

@@ -26,7 +26,7 @@ from . import snf
 from .base import EnumerationError, record
 from .presentations import Presentation
 from .reidemeister import SchreierPresentation, reidemeister_schreier, trace
-from .words import Word
+from .words import Word, same_alphabet
 
 # The kernels ``find_witness`` tries for one pair: the first maps in the
 # order of ``kernel_maps``.  All 7 of P3(RP2) and all 15 of P4(RP2) fit;
@@ -70,29 +70,42 @@ def _parity(w: Word, mask: int) -> int:
 def _null_space(p: Presentation) -> list[int]:
     """A basis, as bit masks, of the maps G -> Z/2: the bit vectors on which
     every relator has even weight, one per generator outside the pivots of
-    the relator matrix's reduced echelon form mod 2."""
-    pivots: dict[int, int] = {}  # leading bit -> reduced row, the only row with that bit
+    the relator matrix's reduced echelon form mod 2.  Each row is reduced by
+    its leading bit through the pivots, then one back-substitution, lowest
+    pivot first, clears every pivot bit from the other pivot rows.  The
+    reduced form is unique, so the basis does not depend on the order."""
+    pivots: dict[int, int] = {}  # leading bit -> the row that leads there
     for rel in p.relators:
         row = _odd(rel)
-        for j, pivot in pivots.items():
-            if row >> j & 1:
-                row ^= pivot
+        while row and (j := row.bit_length() - 1) in pivots:
+            row ^= pivots[j]
         if row:
-            j = row.bit_length() - 1
-            for k, pivot in pivots.items():
-                if pivot >> j & 1:
-                    pivots[k] = pivot ^ row
             pivots[j] = row
-    return [(1 << free) | sum(1 << j for j, pivot in pivots.items() if pivot >> free & 1)
-            for free in range(p.ngens) if free not in pivots]
+    pivot_bits = sum(1 << j for j in pivots)
+    vectors = {free: 1 << free for free in range(p.ngens) if free not in pivots}
+    for j in sorted(pivots):  # the pivots below j are reduced already
+        row = pivots[j]
+        rest = (row & pivot_bits) ^ (1 << j)
+        while rest:
+            low = rest & -rest
+            row ^= pivots[low.bit_length() - 1]
+            rest ^= low
+        pivots[j] = row
+        rest = row ^ (1 << j)  # free bits only: the map of each is 1 on pivot j
+        while rest:
+            low = rest & -rest
+            vectors[low.bit_length() - 1] |= 1 << j
+            rest ^= low
+    return list(vectors.values())
 
 
-def kernel_maps(p: Presentation):
+def kernel_maps(p: Presentation, basis: list[int] | None = None):
     """The nonzero maps G -> Z/2 as bit masks, in the order ``find_witness``
-    tries their kernels: the sum of the null-space basis vectors that the bits
-    of k select, for k = 1, 2, ...  There are 2^dim - 1 of them, so they are
-    made as they are taken."""
-    basis = _null_space(p)
+    tries their kernels: the sum of the null-space basis vectors (``basis``,
+    when it is known already) that the bits of k select, for k = 1, 2, ...
+    There are 2^dim - 1 of them, so they are made as they are taken."""
+    if basis is None:
+        basis = _null_space(p)
     for k in range(1, 1 << len(basis)):
         mask = 0
         for i, vector in enumerate(basis):
@@ -186,14 +199,14 @@ def find_witness(p: Presentation, u: Word, v: Word) -> Witness | None:
     """A certificate that u != v in G, or None when neither the maps onto Z/2 nor the first
     ``MAX_KERNELS`` of their kernels separate u and v (which proves nothing); words over
     another alphabet raise EnumerationError.  ``check_witness`` confirms what this returns."""
-    if {u.alphabet, v.alphabet} != {p.alphabet}:
+    if not (same_alphabet(u.alphabet, p.alphabet) and same_alphabet(v.alphabet, p.alphabet)):
         raise EnumerationError("words are not over the presentation's alphabet")
-    w = u * v.inverse()
+    w, basis = u * v.inverse(), _null_space(p)
     # the maps are linear, so one separates u and v iff a basis vector does
-    for mask in _null_space(p):
+    for mask in basis:
         if _parity(w, mask):
             return Witness(_bits(p, mask))
-    for mask in islice(kernel_maps(p), MAX_KERNELS):
+    for mask in islice(kernel_maps(p, basis), MAX_KERNELS):
         sp = _kernel(p, mask)
         vec = _sums(sp, w)[0]
         if not any(vec):
@@ -220,7 +233,7 @@ def check_witness(p: Presentation, u: Word, v: Word, witness: Witness) -> bool:
     is 0 modulo m on every relator row at both cosets, and it is not 0 modulo
     m on the vector of u v^-1."""
     bits = witness.bits
-    if u.alphabet != p.alphabet or v.alphabet != p.alphabet:
+    if not (same_alphabet(u.alphabet, p.alphabet) and same_alphabet(v.alphabet, p.alphabet)):
         return False
     if len(bits) != p.ngens or not set(bits) <= {0, 1} or not any(bits):
         return False

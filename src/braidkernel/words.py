@@ -167,8 +167,14 @@ def join_reduced(alphabet: Alphabet, parts: Iterable[tuple[tuple[int, int], ...]
     return w
 
 
+def same_alphabet(a: Alphabet, b: Alphabet) -> bool:
+    """Whether a and b are one alphabet: the engines' only alphabet test.  Identity
+    comes first, since a tuple's == walks every name even against itself."""
+    return a is b or a == b
+
+
 def _require_same_alphabet(u: Word, v: Word):
-    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
+    if not same_alphabet(u.alphabet, v.alphabet):
         raise WordError("words belong to different alphabets")
 
 

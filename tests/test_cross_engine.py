@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from braidkernel import (
     BraidkernelError, ChainError, DerivationStep, EnumerationError, GroupHom, PresentationError,
-    apply_step, enumerate_normal_forms, group_order, knuth_bendix, normal_form, presentation,
-    pure_braid_rp2, search_equality, substitute, todd_coxeter, word_equal_finite,
+    apply_step, check_derivation, enumerate_normal_forms, group_order, hom_check,
+    is_central_finite, knuth_bendix, normal_form, presentation, pure_braid_rp2, quotient,
+    search_equality, substitute, table_equality_oracle, todd_coxeter, word_equal_finite,
 )
+from braidkernel import fiber
 from braidkernel.fiber import fiber_oracle
 from braidkernel.presentations import Presentation
 from braidkernel.schreier import check_witness, find_witness
-from braidkernel.words import letters_to_word
+from braidkernel.words import Word, letters_to_word, parse_word
 
 
 @st.composite
@@ -128,3 +130,42 @@ P2 = pure_braid_rp2(2)  # rho1 and rho2 are its letters 1 and 2, P3(RP2)'s B13 a
 def test_foreign_word_gets_the_engines_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+class NamesOnce(tuple):
+    """An alphabet that refuses ==, != and hash, each of which walks every name."""
+
+    def __eq__(self, other):
+        raise AssertionError("the alphabet was compared name by name")
+
+    __ne__ = __eq__
+
+    def __hash__(self):
+        raise AssertionError("the alphabet was hashed")
+
+
+def test_every_engine_tests_one_alphabet_by_identity():
+    # on a k-generator presentation a comparison or a hash costs k: no engine may
+    # pay it per word when both sides are one alphabet (words.same_alphabet)
+    names = NamesOnce(("a", "b"))
+    p = Presentation("S3", names, tuple(parse_word(r, names) for r in ("a^2", "b^3", "a b a b")))
+    a, b, one = (parse_word(text, names) for text in ("a", "b", "1"))
+    table = todd_coxeter(p)
+    assert group_order(table) == 6 and not is_central_finite(table, a)
+    assert word_equal_finite(table, a * b, b.inverse() * a)
+    assert todd_coxeter(p, [a]).trace_word(1, b) == 2
+    assert group_order(todd_coxeter(quotient(p, [b]))) == 2
+    assert normal_form(knuth_bendix(p), b * b) == b.inverse()
+    chain = search_equality(p, a * b, b.inverse() * a)
+    assert chain is not None and check_derivation(chain).valid
+    assert apply_step(p, one, DerivationStep(0, 0, 1, 0)) == a * a
+    witness = find_witness(p, a, one)
+    assert witness is not None and check_witness(p, a, one, witness)
+    assert hom_check(GroupHom(p, p, (a, b)), table_equality_oracle(table)).verified
+    # the fiber oracle on the atlas P3(RP2) relators, over an alphabet of the same names
+    strict = NamesOnce(P3.alphabet)
+    p3 = Presentation("P3(RP2)", strict, tuple(Word(strict, rel.syllables) for rel in P3.relators))
+    oracle = fiber.free_subgroup_oracle(p3, fiber.FIBER_COLUMNS)
+    rho1, rho2 = (parse_word(name, strict) for name in ("rho1", "rho2"))
+    assert oracle(rho1 * rho2 * rho1 * rho2, rho2 * rho1 * rho2 * rho1)
+    assert not oracle(rho1, rho2)

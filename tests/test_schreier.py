@@ -87,6 +87,60 @@ def test_the_null_space_is_a_basis_of_the_maps_onto_z2(p):
     assert span == homs and len(span) == 1 << len(basis)
 
 
+def reference_null_space(p):
+    """The null space as it was first computed: each new row reduced against every
+    pivot, then cleared from every pivot that holds its leading bit."""
+    pivots = {}
+    for rel in p.relators:
+        row = schreier._odd(rel)
+        for j, pivot in pivots.items():
+            if row >> j & 1:
+                row ^= pivot
+        if row:
+            j = row.bit_length() - 1
+            for k, pivot in pivots.items():
+                if pivot >> j & 1:
+                    pivots[k] = pivot ^ row
+            pivots[j] = row
+    return [(1 << free) | sum(1 << j for j, pivot in pivots.items() if pivot >> free & 1)
+            for free in range(p.ngens) if free not in pivots]
+
+
+@st.composite
+def wide_z2_presentations(draw):
+    """Up to 24 random relators over k <= 40 generators, odd exponents common, so rows
+    share pivots and back-substitution has work to do."""
+    k = draw(st.integers(1, 40))
+    sylls = st.lists(st.tuples(st.integers(0, k - 1), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                     min_size=1, max_size=8)
+    names = tuple(f"g{i}" for i in range(k))
+    return Presentation("random", names, tuple(Word.from_syllables(names, r)
+                                               for r in draw(st.lists(sylls, max_size=24))))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_null_space_is_the_reference_on_the_pure_braid_groups(n):
+    p = pure_braid_rp2(n)
+    assert schreier._null_space(p) == reference_null_space(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(z2_presentations(), wide_z2_presentations()))
+@example(BACK_SUBSTITUTED)
+def test_the_null_space_is_the_reference(p):
+    # the reduced echelon form is unique, so the basis and its order are the reference's
+    assert schreier._null_space(p) == reference_null_space(p)
+
+
+def test_a_witness_search_computes_the_null_space_once(monkeypatch):
+    # the null space is computed once per find_witness, and kernel_maps reuses it
+    calls = []
+    real = schreier._null_space
+    monkeypatch.setattr(schreier, "_null_space", lambda p: calls.append(p) or real(p))
+    u, v = P3.word("rho1 rho2 rho1 rho2"), P3.word("rho2 rho1 rho2 rho1")
+    assert find_witness(P3, u, v) is None and calls == [P3]
+
+
 def separated(p, u, v):
     witness = find_witness(p, u, v)
     return witness is not None and check_witness(p, u, v, witness)
