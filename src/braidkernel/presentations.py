@@ -304,7 +304,7 @@ def parse_hom_file(text: str) -> GroupHom:
     if "source" not in blocks or "target" not in blocks:
         raise PresentationFormatError(None, "map file needs source and target blocks")
     names = blocks["source"].alphabet
-    known = set(names)  # a send line's name is looked up here, not in the tuple
+    known = set(names)  # `in` on the tuple would walk every name per send line
     images: dict[str, Word] = {}
 
     def send(rest):

@@ -99,13 +99,11 @@ def _null_space(p: Presentation) -> list[int]:
     return list(vectors.values())
 
 
-def kernel_maps(p: Presentation, basis: list[int] | None = None):
+def kernel_maps(basis: list[int]):
     """The nonzero maps G -> Z/2 as bit masks, in the order ``find_witness``
-    tries their kernels: the sum of the null-space basis vectors (``basis``,
-    when it is known already) that the bits of k select, for k = 1, 2, ...
-    There are 2^dim - 1 of them, so they are made as they are taken."""
-    if basis is None:
-        basis = _null_space(p)
+    tries their kernels: the sum of the vectors of ``basis`` (``_null_space``)
+    that the bits of k select, for k = 1, 2, ...  There are 2^dim - 1 of
+    them, so they are made as they are taken."""
     for k in range(1, 1 << len(basis)):
         mask = 0
         for i, vector in enumerate(basis):
@@ -206,7 +204,7 @@ def find_witness(p: Presentation, u: Word, v: Word) -> Witness | None:
     for mask in basis:
         if _parity(w, mask):
             return Witness(_bits(p, mask))
-    for mask in islice(kernel_maps(p, basis), MAX_KERNELS):
+    for mask in islice(kernel_maps(basis), MAX_KERNELS):
         sp = _kernel(p, mask)
         vec = _sums(sp, w)[0]
         if not any(vec):
