@@ -74,7 +74,8 @@ _COMMANDS = {
         "--element": ("element", str, _REQUIRED, 'a word, or "tau" on an atlas rp2 presentation'),
         **_INPUT, **_MAX_COSETS, **_JSON}),
     "abelianize": ("abelianize", "abelian invariants", {**_INPUT, **_JSON}),
-    "hom-check": ("hom_check", "verify a homomorphism map file", {
+    "hom-check": ("hom_check", "verify a homomorphism map file into a finite group, or into "
+                  "P3(RP2) and its quotients", {
         "--map": ("map_file", str, _REQUIRED, "map file"), **_MAX_COSETS, **_JSON}),
     "equal": ("equal", "decide or certify a word equality", {
         "--lhs": ("lhs", str, _REQUIRED, "a word"), "--rhs": ("rhs", str, _REQUIRED, "a word"),

@@ -1,10 +1,10 @@
 """``braidkernel central``: test centrality in a finite group, or in P3(RP2) and its quotients."""
 
-from .. import atlas, coset
-from ..base import Undecided
+from .. import atlas
 from ..cli import UsageError, _load_presentation
-from ..words import format_word, parse_word, same_alphabet
-from .chain import fiber_links, first_answer
+from ..presentations import first_unequal
+from ..words import Word, format_word, parse_word, same_alphabet
+from .chain import first_answer, oracle_links
 
 
 def _resolve_element(args, p):
@@ -23,25 +23,11 @@ def _resolve_element(args, p):
 def handle(args):
     p = _load_presentation(args)
     w = _resolve_element(args, p)
+    gens = [Word.generator(p.alphabet, i) for i in range(p.ngens)]  # by index: no name lookups
 
-    def answer(central, **fields):
+    def answer(oracle, **fields):
+        central = first_unequal(oracle, ((w * g, g * w) for g in gens)) is None
         payload = {"element": format_word(w), "central": central, **fields}
         return central, payload, [f"{format_word(w)} is {'central' if central else 'not central'}"]
 
-    def table():  # decides in a finite group
-        return answer(coset.is_central_finite(coset.todd_coxeter(p, max_cosets=args.max_cosets), w))
-
-    def fiber(oracle):  # a commutator proved nontrivial decides, even after an undecided one
-        undecided = []
-        for g in map(p.gen, p.alphabet):
-            try:
-                if not oracle(w * g, g * w):
-                    return answer(False, engine="fiber")
-            except Undecided as exc:
-                undecided.append(exc.with_traceback(None))
-        if undecided:
-            raise undecided[0]
-        return answer(True, engine="fiber")
-
-    # fiber first: letter limits bound it; the table grows with --max-cosets, P3(RP2) is infinite
-    return first_answer([*fiber_links(p, fiber), ({True, False}, table)])
+    return first_answer(oracle_links(p, args.max_cosets, answer))

@@ -1,7 +1,7 @@
-"""The answer chain ``equal`` and ``central`` share: each asks its links in
+"""The answer chain ``equal``, ``central`` and ``hom-check`` share: each asks its links in
 order, and the first that decides answers."""
 
-from .. import FIBER_ALPHABET
+from .. import FIBER_ALPHABET, coset
 from ..base import Undecided
 from ..words import same_alphabet
 
@@ -35,3 +35,11 @@ def fiber_links(p, answer):
         from .. import fiber
         return answer(fiber.fiber_oracle(p))
     return [({True, False}, call)] if same_alphabet(p.alphabet, FIBER_ALPHABET) else []
+
+
+def oracle_links(p, max_cosets, ask):
+    """``central``'s and ``hom-check``'s links, each handing ``ask`` an equality oracle in p: the
+    fiber's first, which letter limits bound, then a table's, which grows with max_cosets."""
+    def table():
+        return ask(coset.table_equality_oracle(coset.todd_coxeter(p, max_cosets=max_cosets)))
+    return [*fiber_links(p, lambda oracle: ask(oracle, engine="fiber")), ({True, False}, table)]

@@ -39,7 +39,7 @@ from functools import cached_property
 from operator import eq
 
 from . import DEFAULT_MAX_COSETS
-from .presentations import Presentation
+from .presentations import Presentation, first_unequal
 from .base import EnumerationError, Undecided  # EnumerationError is still importable from here
 from .words import (Word, format_word, letters_to_word, read_syllable, same_alphabet,
                     word_to_letters)
@@ -307,12 +307,8 @@ def word_equal_finite(t: CosetTable, u: Word, v: Word) -> bool:
 
 def is_central_finite(t: CosetTable, w: Word) -> bool:
     """True iff w commutes with every generator in the finite group."""
-    _require_regular(t)
-    for i in range(t.presentation.ngens):
-        g = Word.generator(t.presentation.alphabet, i)
-        if not word_equal_finite(t, w * g, g * w):
-            return False
-    return True
+    gens = (Word.generator(t.presentation.alphabet, i) for i in range(t.presentation.ngens))
+    return first_unequal(table_equality_oracle(t), ((w * g, g * w) for g in gens)) is None
 
 
 def coset_representatives(t: CosetTable) -> list[Word]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 
 from . import snf
-from .base import BraidkernelError, record
+from .base import BraidkernelError, Undecided, record
 from .words import (
     Alphabet,
     Word,
@@ -137,6 +137,20 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 EqualityOracle = Callable[[Word, Word], bool]
 
 
+def first_unequal(oracle: EqualityOracle, pairs: Iterable[tuple[Word, Word]]) -> int | None:
+    """Index of the first pair the oracle proves unequal, even after an undecided one; None
+    when it proves every pair equal, else its first Undecided is raised."""
+    undecided = []  # the first, kept without the traceback that forms a cycle
+    for i, (u, v) in enumerate(pairs):
+        try:
+            if not oracle(u, v):
+                return i
+        except Undecided as exc:
+            undecided = undecided or [exc.with_traceback(None)]
+    if undecided:
+        raise undecided.pop()
+
+
 @record
 class GroupHom:
     source: Presentation
@@ -174,16 +188,12 @@ class HomCheckResult:
 
 
 def hom_check(h: GroupHom, oracle: EqualityOracle) -> HomCheckResult:
-    """Check that every source relator maps to the identity of the target.
-
-    The oracle decides equality in the target group; its ``Undecided``
-    propagates, so an inconclusive oracle never yields a silent pass.
-    """
+    """Check that every source relator maps to the identity of the target, by an oracle for
+    the target: a relator proved to fail decides even after an undecided one; otherwise the
+    first ``Undecided`` propagates, so an inconclusive oracle never yields a silent pass."""
     target_id = Word.identity(h.target.alphabet)
-    for i, rel in enumerate(h.source.relators):
-        if not oracle(substitute(h, rel), target_id):
-            return HomCheckResult("failed", i)
-    return HomCheckResult("verified")
+    i = first_unequal(oracle, ((substitute(h, rel), target_id) for rel in h.source.relators))
+    return HomCheckResult("verified") if i is None else HomCheckResult("failed", i)
 
 
 # text formats: presentation, map and chain files share one line syntax ------

@@ -778,6 +778,77 @@ send b = rho2
     assert code == 1 and "failed" in out
 
 
+def forget_map(n, broken=False):
+    """The strand-forgetting map P_n(RP2) -> P3(RP2) as a map file; broken sends rho1 to
+    rho1 B12, which is no homomorphism."""
+    source, target = pure_braid_rp2(n), pure_braid_rp2(3)
+    sends = {g: g if g in target.alphabet else "1" for g in source.alphabet}
+    if broken:
+        sends["rho1"] = "rho1 B12"
+    return (f"begin source\n{braidkernel.format_presentation(source)}end\n"
+            f"begin target\n{braidkernel.format_presentation(target)}end\n"
+            + "".join(f"send {g} = {image}\n" for g, image in sends.items()))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_hom_check_forgetting_maps_into_p3_are_decided_by_the_fiber(capsys, tmp_path, n):
+    # P3(RP2) is infinite, so a table runs out; the fiber oracle, asked first, decides
+    path = tmp_path / "forget.hom"
+    path.write_text(forget_map(n))
+    assert invoke(capsys, ["hom-check", "--map", str(path)]) == (0, "verified\n", "")
+    code, out, _ = invoke(capsys, ["hom-check", "--map", str(path), "--json"])
+    assert (code, json.loads(out)) == (0, {"result": {"status": "verified",
+                                                      "failing_relator": None,
+                                                      "engine": "fiber"}})
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_hom_check_names_the_first_relator_the_fiber_proves_broken(capsys, tmp_path, n):
+    from braidkernel.fiber import fiber_oracle
+    path = tmp_path / "broken.hom"
+    path.write_text(forget_map(n, broken=True))
+    hom = braidkernel.parse_hom_file(path.read_text())
+    oracle, one = fiber_oracle(hom.target), hom.target.word("1")
+    trivial = [oracle(braidkernel.substitute(hom, rel), one) for rel in hom.source.relators]
+    first = trivial.index(False)
+    assert first > 0 and all(trivial[:first])  # every earlier image is proved trivial
+    assert invoke(capsys, ["hom-check", "--map", str(path)]) == (
+        1, f"failed at relator {first}\n", "")
+
+
+@pytest.mark.parametrize("answers,index", [((None, False, True), 1), ((None, True, True), None)])
+def test_first_unequal_decides_after_an_undecided_pair(answers, index):
+    # a pair proved unequal decides after an undecided one; otherwise pair 0's Undecided is
+    # raised, kept in no reference cycle (the console script runs with the collector off)
+    from braidkernel.presentations import first_unequal
+    source = braidkernel.presentation("C", ["x"], ["x^2", "x^3", "x^5"])
+    target = braidkernel.presentation("Z", ["a"], [])
+    hom = braidkernel.GroupHom(source, target, (target.word("a"),))
+    images = [braidkernel.substitute(hom, rel) for rel in source.relators]
+
+    def oracle(u, v):
+        answer = answers[images.index(u)]
+        if answer is None:
+            raise Undecided(f"pair {images.index(u)}")
+        return answer
+
+    pairs = [(image, target.word("1")) for image in images]
+    if index is not None:
+        assert first_unequal(oracle, pairs) == index
+        assert braidkernel.hom_check(hom, oracle) == braidkernel.HomCheckResult("failed", index)
+        return
+    gc.collect()
+    gc.disable()
+    try:
+        for check in (lambda: first_unequal(oracle, pairs),
+                      lambda: braidkernel.hom_check(hom, oracle)):
+            with pytest.raises(Undecided, match="^pair 0$"):
+                check()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, err = invoke(capsys, ["order", "--bogus"])
     assert code == 3 and "error:" in err
@@ -1265,6 +1336,7 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     p2, p3, p4 = (build_rp2(capsys, n) for n in (2, 3, 4))
     rho4 = p3 + "".join(f"rel rho{k}^4\n" for k in (1, 2, 3))
     (tmp_path / "map.hom").write_text(KLEIN_Q8_MAP)
+    (tmp_path / "broken.hom").write_text(forget_map(4, broken=True))
     chain = str(DATA_DIR / "b12_as_rho_n2.chain")
     cases = [
         (["build", "--surface", "rp2", "--n", "2"], "", 0),
@@ -1290,6 +1362,8 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
         # where it proves nothing the table runs out and the fiber's Undecided is raised
         (["central", "--element", "rho1 B12"], rho4, 1),
         (["central", "--element", "tau", "--max-cosets", "10"], rho4, 2),
+        # hom-check into P3(RP2): the fiber proves a relator image nontrivial
+        (["hom-check", "--map", "broken.hom"], "", 1),
         # an undecided engine, then a checked index-2 witness
         (["equal", "--search", "--max-nodes", "4000", "--lhs", "rho1", "--rhs", "rho2"], p3, 1),
         (["order", "--bogus"], "", 3),

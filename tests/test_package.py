@@ -89,9 +89,15 @@ Q8 = "group Q8\ngens rho1 rho2\nrel rho1^2 = rho2^2\nrel rho1^4\nrel rho1 rho2 r
 EQUAL = ["equal", "--lhs", "rho1^2", "--rhs", "rho2^2"]
 
 
-# map.hom sends Z to Q8 (x to rho1); trivial.chain is a valid chain over Q8
+# map.hom sends Z to Q8 (x to rho1); forget.hom forgets strand 4 of P4(RP2), into P3(RP2);
+# trivial.chain is a valid chain over Q8
+P3, P4 = (braidkernel.pure_braid_rp2(n) for n in (3, 4))
 FILES = {"map.hom": "begin source\ngroup Z\ngens x\nend\nbegin target\n" + Q8
                     + "end\nsend x = rho1\n",
+         "forget.hom": f"begin source\n{braidkernel.format_presentation(P4)}end\n"
+                       f"begin target\n{braidkernel.format_presentation(P3)}end\n"
+                       + "".join(f"send {g} = {g if g in P3.alphabet else 1}\n"
+                                 for g in P4.alphabet),
          "trivial.chain": "start rho1\nend rho1\n"}
 
 
@@ -170,6 +176,9 @@ EXECUTED_CASES = {
                    {"coset", "rewriting", "derivations", "atlas", "coverings"}),
     "hom-check": (["hom-check", "--map", "map.hom"], "", 0, {"presentations", "coset"},
                   {"rewriting", "derivations", "atlas", "snf", "coverings"}),
+    # into P3(RP2), which is infinite: the fiber decides, and no table is enumerated
+    "hom-check-fiber": (["hom-check", "--map", "forget.hom"], "", 0, {"fiber"},
+                        {"coset", "schreier", "rewriting", "derivations"}),
     "equal-rewrite": (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"},
                       {"coset", "derivations", "atlas", "snf"}),
     "equal-table": (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
@@ -191,8 +200,9 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, stdin, exit_c
     executed = executed_modules(argv, stdin, exit_code, tmp_path)
     assert runs <= executed
     assert not executed & skips, executed & skips
-    # its own command module, and no other command's; the answer chain only for equal and central
-    chain = {"commands.chain"} if argv[0] in ("equal", "central") else set()
+    # its own command module, and no other command's; the answer chain only for equal, central
+    # and hom-check
+    chain = {"commands.chain"} if argv[0] in ("equal", "central", "hom-check") else set()
     assert {name for name in executed if name.startswith("commands")} == {
         "commands", f"commands.{cli._COMMANDS[argv[0]][0]}", *chain}
 
