@@ -1,4 +1,5 @@
-"""``braidkernel central``: test centrality in a finite group, or in P3(RP2) and its quotients."""
+"""``braidkernel central``: test centrality in a finite group, in P3(RP2) and its quotients, or in
+the atlas P_n(RP2)."""
 
 from .. import atlas
 from ..cli import UsageError, _load_presentation
@@ -25,9 +26,13 @@ def handle(args):
     w = _resolve_element(args, p)
     gens = [Word.generator(p.alphabet, i) for i in range(p.ngens)]  # by index: no name lookups
 
-    def answer(oracle, **fields):
-        central = first_unequal(oracle, ((w * g, g * w) for g in gens)) is None
+    def verdict(central, **fields):
         payload = {"element": format_word(w), "central": central, **fields}
         return central, payload, [f"{format_word(w)} is {'central' if central else 'not central'}"]
 
-    return first_answer(oracle_links(p, args.max_cosets, answer))
+    def answer(oracle, **fields):
+        return verdict(first_unequal(oracle, ((w * g, g * w) for g in gens)) is None, **fields)
+
+    # the tower tests commuting level by level, not pair by pair
+    return first_answer(oracle_links(p, args.max_cosets, answer,
+                                     lambda tower, **fields: verdict(tower.central(w), **fields)))

@@ -1,6 +1,8 @@
 """The answer chain ``equal``, ``central`` and ``hom-check`` share: each asks its links in
 order, and the first that decides answers."""
 
+from math import isqrt
+
 from .. import FIBER_ALPHABET, coset
 from ..base import Undecided
 from ..words import same_alphabet
@@ -37,9 +39,37 @@ def fiber_links(p, answer):
     return [({True, False}, call)] if same_alphabet(p.alphabet, FIBER_ALPHABET) else []
 
 
-def oracle_links(p, max_cosets, ask):
+def tower_strands(p):
+    """n when p is the atlas P_n(RP2) with 4 <= n <= ``atlas.RP2_MAX_STRANDS``: its alphabet and
+    its relators, compared by syllables.  The atlas is built only for an alphabet of
+    n(n + 1)/2 names whose last is rho_n."""
+    n = (isqrt(8 * p.ngens + 1) - 1) // 2  # n(n + 1)/2 = p.ngens, when an n has it
+    if n < 4 or n * (n + 1) // 2 != p.ngens or p.alphabet[-1] != f"rho{n}":
+        return None
+    from .. import atlas
+    if n > atlas.RP2_MAX_STRANDS:
+        return None
+    q = atlas.pure_braid_rp2(n)
+    same = same_alphabet(p.alphabet, q.alphabet) and (
+        [r.syllables for r in p.relators] == [r.syllables for r in q.relators])
+    return n if same else None
+
+
+def tower_links(p, answer):
+    """``tower.Tower(n)``'s link, which proves both answers: ``answer(tower)``; none unless p is
+    the atlas P_n(RP2) (``tower_strands``), so the tower module does not run elsewhere."""
+    def call():
+        from .. import tower
+        return answer(tower.Tower(n))
+    return [({True, False}, call)] if (n := tower_strands(p)) else []
+
+
+def oracle_links(p, max_cosets, ask, tower_ask=None):
     """``central``'s and ``hom-check``'s links, each handing ``ask`` an equality oracle in p: the
-    fiber's first, which letter limits bound, then a table's, which grows with max_cosets."""
+    fiber's first and the tower's (handed to ``tower_ask`` when given), which letter limits
+    bound, then a table's, which grows with max_cosets."""
     def table():
         return ask(coset.table_equality_oracle(coset.todd_coxeter(p, max_cosets=max_cosets)))
-    return [*fiber_links(p, lambda oracle: ask(oracle, engine="fiber")), ({True, False}, table)]
+    return [*fiber_links(p, lambda oracle: ask(oracle, engine="fiber")),
+            *tower_links(p, lambda tower: (tower_ask or ask)(tower, engine="tower")),
+            ({True, False}, table)]

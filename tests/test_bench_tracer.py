@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import braidkernel
+from braidkernel import cli
 from braidkernel import (
     Word, knuth_bendix, quaternion_presentation, search_equality, todd_coxeter,
 )
@@ -19,6 +20,7 @@ from braidkernel import (
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 # run_path compiles the source without writing bytecode next to it
 LAUNCHER = runpy.run_path(str(BENCH / "launcher.py"))
+GROUPS = runpy.run_path(str(BENCH / "groups.py"))
 Q8 = quaternion_presentation()
 
 
@@ -57,3 +59,18 @@ def test_a_traced_command_answers_and_records_its_spans(tmp_path, argv, stdout, 
     spans = json.loads(spans_file.read_text())["spans"]
     assert spans[0][0] == "cli.run"
     assert [s[4] for s in spans if s[0] == span][:1] == [summary]
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_traced_tower_query_answers_as_the_untraced_one(tmp_path, capsys, monkeypatch, n):
+    # the benchmark's central --element tau on its own P_n(RP2) text: the traced run enters
+    # the tower, and answers as cli.run does
+    text = GROUPS["pure_braid_rp2"](n).text()
+    pres = tmp_path / "p.pres"
+    pres.write_text(text)
+    argv = ["central", "--element", "tau", "--max-cosets", "1000", "--input", str(pres)]
+    proc = subprocess.run([sys.executable, str(BENCH / "launcher.py"), str(tmp_path / "spans.json"),
+                           *argv], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.endswith(" is central\n"), proc.stderr) == (0, True, "")
+    assert cli.run(argv) == 0
+    assert capsys.readouterr() == (proc.stdout, "")

@@ -81,14 +81,15 @@ def test_central_tau_needs_the_atlas_generators(capsys, monkeypatch):
     assert err == 'error: "tau" on P3(RP2) needs the atlas generators B12 B13 B23 rho1 rho2 rho3\n'
 
 
-def test_central_tau_builds_no_atlas_presentation(capsys, monkeypatch):
-    # tau is read over the atlas alphabet; the group is the one on stdin
+def test_central_tau_builds_only_the_tower_gates_atlas_presentation(capsys, monkeypatch):
+    # tau is read over the atlas alphabet; the group is the one on stdin, and the one atlas
+    # presentation built is the one the tower's gate compares it with
     pres = build_rp2(capsys, RP2_MAX_STRANDS)
     pure_braid_rp2.cache_clear()
     code, out, err = invoke(capsys, ["central", "--element", "tau", "--max-cosets", "5"],
                             stdin=pres, monkeypatch=monkeypatch)
-    assert (code, out, err) == (2, "", "undecided: enumeration budget exhausted at 5 live cosets\n")
-    assert pure_braid_rp2.cache_info().misses == 0
+    assert (code, out.endswith(" is central\n"), err) == (0, True, "")
+    assert pure_braid_rp2.cache_info().misses == 1
 
 
 # sha256 of `build --surface rp2 --n k` for k = 1..12; relator order is part
@@ -197,14 +198,16 @@ def test_equal_witness_by_the_map_alone(capsys, monkeypatch):
 
 
 def test_equal_unseparated_pair_keeps_the_engines_line(capsys, monkeypatch):
-    # equal words: no witness separates them, and the fiber oracle is three-strand only,
-    # so the engine's own undecided line stands
+    # equal words: no witness separates them, and on a quotient of P4(RP2) neither the fiber
+    # (three-strand only) nor the tower (the atlas group only) runs, so the engine's own
+    # undecided line stands; in P4(RP2) itself the tower decides
     p4 = build_rp2(capsys, 4)
     for engine, line in (("--rewrite", "rewriting system is not confluent"),
                          ("--search", "no chain found within budget")):
         argv = ["equal", engine, "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]]
-        assert invoke(capsys, argv, stdin=p4, monkeypatch=monkeypatch) == (
+        assert invoke(capsys, argv, stdin=p4 + P4_QUOTIENT, monkeypatch=monkeypatch) == (
             2, "", f"undecided: {line}\n")
+        assert invoke(capsys, argv, stdin=p4, monkeypatch=monkeypatch) == (0, "equal\n", "")
 
 
 WITNESS_DEFECT = (3, "", "error: the index-2 witness found failed its check\n")
@@ -400,10 +403,13 @@ def test_central_on_p3_falls_back_to_the_fiber_oracle(capsys, monkeypatch):
     argv = ["central", "--element", "rho1", "--max-cosets", "1000"]
     assert invoke(capsys, argv, stdin=p3, monkeypatch=monkeypatch) == (
         1, "rho1 is not central\n", "")
-    # P4(RP2) has no fiber oracle: the enumeration's line stands
+    # P4(RP2) has no fiber oracle, and the tower decides it; on a quotient of P4(RP2), which
+    # neither runs on, the enumeration's line stands
     p4 = build_rp2(capsys, 4)
     argv = ["central", "--element", "tau", "--max-cosets", "1000"]
     assert invoke(capsys, argv, stdin=p4, monkeypatch=monkeypatch) == (
+        0, "B12*B13*B14*B23*B24*B34 is central\n", "")
+    assert invoke(capsys, argv, stdin=p4 + P4_QUOTIENT, monkeypatch=monkeypatch) == (
         2, "", "undecided: enumeration budget exhausted at 1000 live cosets\n")
 
 
@@ -1327,13 +1333,16 @@ print(json.dumps(counts), file=sys.__stdout__)
 """
 
 
-# equal in every P_n(RP2): undecided in P4(RP2) under both engines' budgets here
+# equal in every P_n(RP2): undecided in P4(RP2)/<rho_k^6> under both engines' budgets here
 BRAIDLIKE = ("rho1 rho2 rho1 rho2", "rho2 rho1 rho2 rho1")
+# the relators that make P4(RP2) a quotient, which the tower's gate refuses
+P4_QUOTIENT = "".join(f"rel rho{k}^6\n" for k in (1, 2, 3, 4))
 
 
 def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
     # the console script turns the cyclic collector off; this is what makes that safe
     p2, p3, p4 = (build_rp2(capsys, n) for n in (2, 3, 4))
+    p4q = p4 + P4_QUOTIENT
     rho4 = p3 + "".join(f"rel rho{k}^4\n" for k in (1, 2, 3))
     (tmp_path / "map.hom").write_text(KLEIN_Q8_MAP)
     (tmp_path / "broken.hom").write_text(forget_map(4, broken=True))
@@ -1351,9 +1360,13 @@ def test_commands_leave_no_cyclic_garbage(capsys, tmp_path):
         (["check-derivation", chain], p2, 0),
         (["order", "--max-cosets", "40000"], p3, 2),
         (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
-         p4, 2),
+         p4q, 2),
         (["equal", "--search", "--max-nodes", "4000", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
-         p4, 2),
+         p4q, 2),
+        # undecided engines, then the tower of P4(RP2); central asks the tower first
+        (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
+         p4, 0),
+        (["central", "--element", "rho1", "--max-cosets", "1000"], p4, 1),
         # undecided engines, then the fiber oracle of P3(RP2)
         (["equal", "--rewrite", "--max-rules", "150", "--lhs", BRAIDLIKE[0], "--rhs", BRAIDLIKE[1]],
          p3, 0),

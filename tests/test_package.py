@@ -179,6 +179,9 @@ EXECUTED_CASES = {
     # into P3(RP2), which is infinite: the fiber decides, and no table is enumerated
     "hom-check-fiber": (["hom-check", "--map", "forget.hom"], "", 0, {"fiber"},
                         {"coset", "schreier", "rewriting", "derivations"}),
+    # the atlas P4(RP2), which is infinite: the tower decides, and no table is enumerated
+    "central-tower": (["central", "--element", "tau"], braidkernel.format_presentation(P4), 0,
+                      {"tower", "atlas"}, {"coset", "schreier", "rewriting", "derivations", "snf"}),
     "equal-rewrite": (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"},
                       {"coset", "derivations", "atlas", "snf"}),
     "equal-table": (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
@@ -209,19 +212,25 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, stdin, exit_c
 
 def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
     # a P3(RP2) identity is decided by the fiber alone: no enumeration, no witness;
-    # on P4(RP2) neither central nor equal executes the fiber module
+    # on P4(RP2) central and equal are decided by the tower, which reads only the fiber's Q8
+    # images, and on a quotient of P4(RP2) neither runs
     p3, p4 = (braidkernel.format_presentation(braidkernel.pure_braid_rp2(n)) for n in (3, 4))
+    p4q = p4 + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3, 4))
     identity = ["--lhs", "rho1 rho2 rho1 rho2", "--rhs", "rho2 rho1 rho2 rho1"]
     equal = ["equal", "--rewrite", "--max-rules", "150", *identity]
     executed = executed_modules(equal, p3, 0, tmp_path)
-    assert "fiber" in executed and not executed & {"coset", "schreier", "snf"}
-    executed = executed_modules(equal, p4, 2, tmp_path,
+    assert "fiber" in executed and not executed & {"coset", "schreier", "snf", "tower"}
+    executed = executed_modules(equal, p4, 0, tmp_path)
+    assert "tower" in executed and not executed & {"coset", "schreier", "derivations"}
+    executed = executed_modules(equal, p4q, 2, tmp_path,
                                 "undecided: rewriting system is not confluent\n")
-    assert "schreier" in executed and "fiber" not in executed
-    executed = executed_modules(["central", "--element", "tau", "--max-cosets", "1000"], p4, 2,
-                                tmp_path,
+    assert "schreier" in executed and not executed & {"fiber", "tower"}
+    central = ["central", "--element", "tau", "--max-cosets", "1000"]
+    executed = executed_modules(central, p4, 0, tmp_path)
+    assert "tower" in executed and not executed & {"coset", "schreier", "derivations"}
+    executed = executed_modules(central, p4q, 2, tmp_path,
                                 "undecided: enumeration budget exhausted at 1000 live cosets\n")
-    assert "coset" in executed and not executed & {"fiber", "schreier"}
+    assert "coset" in executed and not executed & {"fiber", "schreier", "tower"}
     # central's chain has no witness link, and asks the fiber first: on P3(RP2), which is
     # infinite, the fiber decides and the table, which could only run out, never runs
     executed = executed_modules(["central", "--element", "tau", "--max-cosets", "1000"], p3, 0,
