@@ -152,6 +152,15 @@ def test_the_checks_hold_at_every_level(m):
         assert [tower._apply(inverse, phi[2 * t])[0] for t in range(lev.rank)] == identity(lev)
 
 
+def test_the_family_a_pattern_the_atlas_leaves_out_holds():
+    # B_rs and B_ij commute for r < s < i < j: no atlas relator says so, and the tower proves it
+    p, t = pure_braid_rp2(5), tower.Tower(5)
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    for (r, s), (i, j) in ((a, b) for a in pairs for b in pairs if a[1] < b[0]):
+        x, y = p.gen(_b_name(r, s)), p.gen(_b_name(i, j))
+        assert t(x * y, y * x)
+
+
 def test_an_edited_image_fails_check_1(monkeypatch):
     # B12 sends B14 to B14 rho4 instead: no longer a homomorphism, and tau_4 stops commuting
     lev, p = tower._Level(4), pure_braid_rp2(4)
