@@ -25,14 +25,10 @@ from math import gcd
 from . import FIBER_ALPHABET
 from .base import BraidkernelError, EnumerationError, Undecided, record
 from .presentations import Presentation
+from .q8 import FIBER_COLUMNS
 from .reidemeister import SchreierPresentation, _spanning_tree, closes, reidemeister_schreier, trace
 from .words import Word, free_reduce_letters, join_reduced, letters_to_word, same_alphabet
 
-# Forgetting strand 3 maps P3(RP2) onto P2(RP2) = Q8, and its kernel, the
-# fiber <B13, B23, rho3>, is free of rank 2 and has index 8 (Fadell-Neuwirth
-# 1962).  The images of FIBER_ALPHABET, as quaternions a + b i + c j + d k:
-# B12 -> -1, rho1 -> i, rho2 -> j, and B13, B23, rho3 -> 1.
-FIBER_IMAGES = ((-1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
 # Tietze elimination's work grows faster than the relators' letters:
 # P3(RP2)'s 85 take 2 ms, and with one long relator more, 1085 letters took
 # 21 ms and 4085 took 0.2 s (2-core Xeon), so longer relators are refused
@@ -40,17 +36,6 @@ FIBER_IMAGES = ((-1, 0, 0, 0), (1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 
 FIBER_MAX_LETTERS = 2000
 # the most letters Tietze elimination writes into its rows: P3(RP2) takes 3184
 TIETZE_MAX_LETTERS = 10**6
-
-
-# P3(RP2) acting on the units of Q8 by right multiplication through
-# FIBER_IMAGES: FIBER_COLUMNS[x][c] is unit c times the image of letter x (a
-# generator's inverse is its conjugate).  Unit 1 is 1; the others are
-# numbered as a breadth-first walk over the letters, in order, meets them,
-# and column x lists the units 1..8 lead to (slot 0 is unused).  The tests
-# rebuild it from the quaternion product.
-FIBER_COLUMNS = tuple((0, *map(int, col)) for col in (
-    "21436587 21436587 12345678 12345678 12345678 12345678 "
-    "34218756 43127865 56782143 65871234 12345678 12345678").split())
 
 
 # Tietze elimination works on rows and expressions as lists of Schreier

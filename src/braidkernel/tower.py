@@ -19,7 +19,8 @@ x y x^-1 = phi_x(y) is an atlas relation for x = rho_k, and B_rs is a word in th
 family (b), so by 3 N_m is normal; phi sends a letter of N_m to its inner automorphism, and
 F(b) has rank m - 1 >= 2, hence no center.  So w = 1 in P_m iff w with strand m deleted is 1
 in P_(m-1) and phi_w is the identity.  The base P_2(RP2) has order 8 and maps onto Q8 by
-``fiber.FIBER_IMAGES``.  Nielsen's method is in Magnus-Karrass-Solitar 1966, ch. 3.
+``q8.FIBER_IMAGES``, read through Q8's action on its own units, ``q8.FIBER_COLUMNS``.
+Nielsen's method is in Magnus-Karrass-Solitar 1966, ch. 3.
 
 Words of F(b) are tuples of letters, 2t for b_t and 2t + 1 for its inverse; an automorphism
 is its substitution, one word per letter.
@@ -32,8 +33,8 @@ import functools
 from . import FIBER_ALPHABET
 from .atlas import _b_name, _rp2_alphabet
 from .base import BraidkernelError, EnumerationError, Undecided
-from .fiber import FIBER_IMAGES
 from .presentations import first_unequal
+from .q8 import FIBER_COLUMNS
 from .words import Word, free_reduce_letters, same_alphabet
 
 # the most letters one level's substitutions write for one question: central tau_8 writes 7226
@@ -159,14 +160,6 @@ def level(m: int) -> _Level:
     return _Level(m)
 
 
-def _q8_product(a, b):
-    """The quaternion product a b."""
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
-
-
 class Tower:
     """The word problem of the atlas P_n(RP2), n >= 3, level by level from Q8 up: words over
     ``atlas.pure_braid_rp2(n)``'s alphabet, read strand-deleted at each level m <= n.  At
@@ -179,7 +172,8 @@ class Tower:
         self.alphabet = _rp2_alphabet(n)
         # per level m, the P_m index of each generator of P_n, None above strand m
         self._indices = {}
-        q8 = {name: FIBER_IMAGES[FIBER_ALPHABET.index(name)] for name in _rp2_alphabet(2)}
+        # the FIBER_COLUMNS letter of each generator of P_2, None for the others
+        q8 = {name: 2 * FIBER_ALPHABET.index(name) for name in _rp2_alphabet(2)}
         self._q8 = [q8.get(name) for name in self.alphabet]
 
     def _read(self, m: int, w: Word) -> list[tuple[int, int]]:
@@ -190,15 +184,15 @@ class Tower:
         indices = self._indices[m]
         return [(indices[gen], exp) for gen, exp in w.syllables if indices[gen] is not None]
 
-    def _quaternion(self, w: Word):
-        q = (1, 0, 0, 0)
+    def _unit(self, w: Word, unit: int = 1) -> int:
+        """The unit of Q8 that w, strand-deleted to P_2, carries unit to by FIBER_COLUMNS;
+        the action is regular, so u = v in Q8 iff they carry 1 to the same unit."""
         for gen, exp in w.syllables:
-            if (image := self._q8[gen]) is not None:
-                if exp < 0:
-                    image = (image[0], -image[1], -image[2], -image[3])
+            if (x := self._q8[gen]) is not None:
+                column = FIBER_COLUMNS[x if exp > 0 else x + 1]
                 for _ in range(abs(exp) % 4):  # every unit of Q8 has order dividing 4
-                    q = _q8_product(q, image)
-        return q
+                    unit = column[unit]
+        return unit
 
     def _check(self, w: Word) -> None:
         if not same_alphabet(w.alphabet, self.alphabet):
@@ -217,7 +211,7 @@ class Tower:
 
         def equal(m):
             if m == 2:
-                return self._quaternion(u) == self._quaternion(v)
+                return self._unit(u) == self._unit(v)
             budget = _Budget(m)
             return _compose(level(m), self._read(m, u), budget) == _compose(
                 level(m), self._read(m, v), budget)
@@ -230,10 +224,10 @@ class Tower:
         self._check(w)
 
         def commutes(m):
-            if m == 2:
-                q = self._quaternion(w)
-                return all(_q8_product(q, image) == _q8_product(image, q)
-                           for image in self._q8 if image is not None)
+            if m == 2:  # w x and x w carry 1 to the same unit
+                unit = self._unit(w)
+                return all(FIBER_COLUMNS[x][unit] == self._unit(w, FIBER_COLUMNS[x][1])
+                           for x in self._q8 if x is not None)
             lev, budget = level(m), _Budget(m)
             images = _compose(lev, self._read(m, w), budget)
             subst = _substitution(images)

@@ -181,7 +181,8 @@ EXECUTED_CASES = {
                         {"coset", "schreier", "rewriting", "derivations"}),
     # the atlas P4(RP2), which is infinite: the tower decides, and no table is enumerated
     "central-tower": (["central", "--element", "tau"], braidkernel.format_presentation(P4), 0,
-                      {"tower", "atlas"}, {"coset", "schreier", "rewriting", "derivations", "snf"}),
+                      {"tower", "atlas"},
+                      {"fiber", "coset", "schreier", "rewriting", "derivations", "snf"}),
     "equal-rewrite": (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"},
                       {"coset", "derivations", "atlas", "snf"}),
     "equal-table": (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
@@ -212,8 +213,8 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, stdin, exit_c
 
 def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
     # a P3(RP2) identity is decided by the fiber alone: no enumeration, no witness;
-    # on P4(RP2) central and equal are decided by the tower, which reads only the fiber's Q8
-    # images, and on a quotient of P4(RP2) neither runs
+    # on P4(RP2) central and equal are decided by the tower, which never executes the fiber
+    # module, and on a quotient of P4(RP2) neither runs
     p3, p4 = (braidkernel.format_presentation(braidkernel.pure_braid_rp2(n)) for n in (3, 4))
     p4q = p4 + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3, 4))
     identity = ["--lhs", "rho1 rho2 rho1 rho2", "--rhs", "rho2 rho1 rho2 rho1"]
@@ -221,13 +222,13 @@ def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
     executed = executed_modules(equal, p3, 0, tmp_path)
     assert "fiber" in executed and not executed & {"coset", "schreier", "snf", "tower"}
     executed = executed_modules(equal, p4, 0, tmp_path)
-    assert "tower" in executed and not executed & {"coset", "schreier", "derivations"}
+    assert "tower" in executed and not executed & {"coset", "schreier", "derivations", "fiber"}
     executed = executed_modules(equal, p4q, 2, tmp_path,
                                 "undecided: rewriting system is not confluent\n")
     assert "schreier" in executed and not executed & {"fiber", "tower"}
     central = ["central", "--element", "tau", "--max-cosets", "1000"]
     executed = executed_modules(central, p4, 0, tmp_path)
-    assert "tower" in executed and not executed & {"coset", "schreier", "derivations"}
+    assert "tower" in executed and not executed & {"coset", "schreier", "derivations", "fiber"}
     executed = executed_modules(central, p4q, 2, tmp_path,
                                 "undecided: enumeration budget exhausted at 1000 live cosets\n")
     assert "coset" in executed and not executed & {"fiber", "schreier", "tower"}

@@ -15,6 +15,7 @@ from braidkernel import (
     smith_normal_form, substitute, tau_n, todd_coxeter, word_equal_finite,
 )
 from braidkernel import EnumerationError, fiber, reidemeister, schreier
+from braidkernel.q8 import FIBER_IMAGES
 from braidkernel.atlas import _rp2_alphabet
 from braidkernel.base import BraidkernelError, Undecided
 from braidkernel.presentations import Presentation
@@ -467,7 +468,7 @@ ORACLE = fiber.fiber_oracle(P3)
 def test_the_fiber_alphabet_is_the_atlas_one():
     assert fiber.FIBER_ALPHABET == _rp2_alphabet(3) == P3.alphabet
     one = (1, 0, 0, 0)
-    assert [name for name, q in zip(P3.alphabet, fiber.FIBER_IMAGES) if q == one] == [
+    assert [name for name, q in zip(P3.alphabet, FIBER_IMAGES) if q == one] == [
         "B13", "B23", "rho3"]
 
 
@@ -480,7 +481,7 @@ def times(p, q):
 def test_the_q8_table_is_right_multiplication_by_the_images():
     # letter 2g is generator g and 2g + 1 its inverse, the conjugate quaternion;
     # the units are numbered as a breadth-first walk over the letters meets them
-    letters = [q for a, b, c, d in fiber.FIBER_IMAGES for q in ((a, b, c, d), (a, -b, -c, -d))]
+    letters = [q for a, b, c, d in FIBER_IMAGES for q in ((a, b, c, d), (a, -b, -c, -d))]
     units = [(1, 0, 0, 0)]
     for u in units:  # the list grows as it is read
         for q in letters:

@@ -20,6 +20,7 @@ from braidkernel.base import Undecided
 from braidkernel.cli import run
 from braidkernel.commands.chain import tower_strands
 from braidkernel.presentations import GroupHom, Presentation
+from braidkernel.q8 import FIBER_COLUMNS
 from braidkernel.schreier import find_witness
 from braidkernel.words import Word, letters_to_word, word_to_letters
 
@@ -123,18 +124,19 @@ def check_3(lev, relators):
 
 
 def test_the_base_is_q8():
-    # P2(RP2) has order 8, FIBER_IMAGES kill its relators, and i, j give all 8 units
+    # P2(RP2) has order 8, its relators carry unit 1 to itself through FIBER_COLUMNS, and
+    # its generators' columns reach all 8 units from 1
     p2 = pure_braid_rp2(2)
     assert todd_coxeter(p2).n_cosets == 8
     t = tower.Tower(2)
-    assert all(t._quaternion(r) == (1, 0, 0, 0) for r in p2.relators)
-    units, frontier = {(1, 0, 0, 0)}, [(1, 0, 0, 0)]
+    assert all(t._unit(r) == 1 for r in p2.relators)
+    units, frontier = {1}, [1]
     while frontier:
-        q = frontier.pop()
-        for image in filter(None, t._q8):
-            if (p := tower._q8_product(q, image)) not in units:
-                units.add(p)
-                frontier.append(p)
+        unit = frontier.pop()
+        for x in t._q8:
+            if (v := FIBER_COLUMNS[x][unit]) not in units:
+                units.add(v)
+                frontier.append(v)
     assert len(units) == 8
     assert [FIBER_ALPHABET.index(name) for name in _rp2_alphabet(2)] == [0, 3, 4]
 
