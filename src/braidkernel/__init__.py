@@ -22,8 +22,6 @@ DEFAULT_MAX_RULES = 500      # rewriting.knuth_bendix: rules
 DEFAULT_MAX_LEN = 30         # rewriting.knuth_bendix: rule side length
 DEFAULT_MAX_WORD_LEN = 30    # derivations.search_equality: word length
 DEFAULT_MAX_NODES = 200000   # derivations.search_equality: distinct words visited
-# the atlas P3(RP2) generators, fiber_oracle's alphabet: chain.fiber_links skips fiber on others
-FIBER_ALPHABET = ("B12", "B13", "B23", "rho1", "rho2", "rho3")
 
 _EXPORTS = {
     "base": ("BraidkernelError", "EnumerationError"),

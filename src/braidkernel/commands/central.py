@@ -1,5 +1,5 @@
-"""``braidkernel central``: test centrality in a finite group, in P3(RP2) and its quotients, or in
-the atlas P_n(RP2)."""
+"""``braidkernel central``: test centrality in a finite group, or in the atlas P_n(RP2) and its
+quotients."""
 
 from .. import atlas
 from ..cli import UsageError, _load_presentation

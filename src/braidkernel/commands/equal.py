@@ -4,7 +4,7 @@ from .. import coset, derivations, rewriting
 from ..base import BraidkernelError, Undecided
 from ..cli import UsageError, _load_presentation
 from ..words import parse_word
-from .chain import fiber_links, first_answer, tower_links
+from .chain import first_answer, tower_links
 
 
 def handle(args):
@@ -44,5 +44,4 @@ def handle(args):
 
     link = ({True}, search) if args.search else ({True, False}, rewrite if args.rewrite else table)
     return first_answer([link, ({False}, witness),
-                         *fiber_links(p, lambda oracle: answer(oracle(u, v), engine="fiber")),
                          *tower_links(p, lambda tower: answer(tower(u, v), engine="tower"))])

@@ -1,5 +1,5 @@
-"""``braidkernel hom-check``: verify a homomorphism map file into a finite group, into P3(RP2)
-and its quotients, or into the atlas P_n(RP2)."""
+"""``braidkernel hom-check``: verify a homomorphism map file into a finite group, or into the
+atlas P_n(RP2) and its quotients."""
 
 from .. import presentations
 from .chain import first_answer, oracle_links

@@ -1,6 +1,6 @@
 """Reidemeister-Schreier over a permutation action, and the walk that reads
-a word through it a syllable at a time: shared by the index-2 witnesses
-(``schreier``) and the free fiber of P3(RP2) (``fiber``).
+a word through it a syllable at a time, for the index-2 witnesses
+(``schreier``).
 
 ``cols[x][c]`` is the coset letter x leads coset c to, for c in 1..n
 (slot 0 is unused); letter 2g is generator g and 2g + 1 its inverse.
@@ -67,15 +67,6 @@ def trace(cols, w: Word, c: int = 1) -> tuple[int, list[tuple[int, list[int], in
         cycle, q, r, c = read_syllable(cols[x := 2 * gen + (exp < 0)], abs(exp), c)
         reads.append((x, cycle, q, r))
     return c, reads
-
-
-def closes(cols, w: Word) -> bool:
-    """Whether w leads every coset to itself, all walked at once as ``trace`` walks one."""
-    at = cosets = list(range(len(cols[0])))
-    for gen, exp in w.syllables:
-        col, m = cols[2 * gen + (exp < 0)], abs(exp)
-        at = [col[c] for c in at] if m == 1 else [read_syllable(col, m, c)[3] for c in at]
-    return at == cosets
 
 
 def reidemeister_schreier(p: Presentation, cols) -> SchreierPresentation:

@@ -14,8 +14,7 @@ or when it lies in K and its vector is nonzero in H1(K).  The Smith
 normal form left * rows * right = D then gives a functional: column j of
 ``right``, modulo the invariant factor d_j (0: the integers), kills every
 row and not the vector.  ``check_witness`` confirms a certificate from the
-presentation alone, with no Smith normal form.  The word problem of
-P3(RP2) through its free fiber is in ``fiber``.
+presentation alone, with no Smith normal form.
 """
 
 from __future__ import annotations

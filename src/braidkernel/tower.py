@@ -1,4 +1,5 @@
-"""The word problem of the atlas P_n(RP2) through the strand-forgetting tower.
+"""The word problem of the atlas P_n(RP2), and of its quotients, through the strand-forgetting
+tower.
 
 Forgetting strand m maps P_m(RP2) onto P_(m-1)(RP2) (Fadell-Neuwirth 1962; Van Buskirk
 1966).  Its kernel N_m is generated by b = (B_1m, ..., B_(m-2)m, rho_m), since family (c)
@@ -19,8 +20,13 @@ x y x^-1 = phi_x(y) is an atlas relation for x = rho_k, and B_rs is a word in th
 family (b), so by 3 N_m is normal; phi sends a letter of N_m to its inner automorphism, and
 F(b) has rank m - 1 >= 2, hence no center.  So w = 1 in P_m iff w with strand m deleted is 1
 in P_(m-1) and phi_w is the identity.  The base P_2(RP2) has order 8 and maps onto Q8 by
-``q8.FIBER_IMAGES``, read through Q8's action on its own units, ``q8.FIBER_COLUMNS``.
-Nielsen's method is in Magnus-Karrass-Solitar 1966, ch. 3.
+``q8.IMAGES``, read through Q8's action on its own units, ``q8.COLUMNS``.  Nielsen's method
+is in Magnus-Karrass-Solitar 1966, ch. 3.
+
+A quotient of P_n(RP2), presented by the atlas relators and more, is graded.  "Equal" is
+proved in P_n(RP2), which maps onto the quotient, after each syllable x^e is taken modulo
+the quotient's relators x^m.  "Not equal" is proved only at a level the quotient maps onto:
+Q8 when every extra relator carries unit 1 to 1, the levels above it when there is none.
 
 Words of F(b) are tuples of letters, 2t for b_t and 2t + 1 for its inverse; an automorphism
 is its substitution, one word per letter.
@@ -29,12 +35,12 @@ is its substitution, one word per letter.
 from __future__ import annotations
 
 import functools
+from math import gcd
 
-from . import FIBER_ALPHABET
 from .atlas import _b_name, _rp2_alphabet
 from .base import BraidkernelError, EnumerationError, Undecided
 from .presentations import first_unequal
-from .q8 import FIBER_COLUMNS
+from .q8 import COLUMNS
 from .words import Word, free_reduce_letters, same_alphabet
 
 # the most letters one level's substitutions write for one question: central tau_8 writes 7226
@@ -161,20 +167,29 @@ def level(m: int) -> _Level:
 
 
 class Tower:
-    """The word problem of the atlas P_n(RP2), n >= 3, level by level from Q8 up: words over
-    ``atlas.pure_braid_rp2(n)``'s alphabet, read strand-deleted at each level m <= n.  At
-    each level the substitutions write at most ``TOWER_MAX_LETTERS`` letters for one
-    question; past them the level raises Undecided, which names it and the letters written.
-    An unequal level decides even after an undecided one, as ``first_unequal`` has it."""
+    """The word problem of P_n(RP2), n >= 3, or of a quotient of it, level by level from Q8 up:
+    words over ``atlas.pure_braid_rp2(n)``'s alphabet, read strand-deleted at each level m <= n.
+    ``relators`` are a quotient's relators past the atlas ones.  At each level the
+    substitutions write at most ``TOWER_MAX_LETTERS`` letters for one question; past them the
+    level raises Undecided, which names it and the letters written.  A level that proves two
+    words unequal decides even after an undecided one, as ``first_unequal`` has it."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, relators=()):
         self.n = n
         self.alphabet = _rp2_alphabet(n)
         # per level m, the P_m index of each generator of P_n, None above strand m
         self._indices = {}
-        # the FIBER_COLUMNS letter of each generator of P_2, None for the others
-        q8 = {name: 2 * FIBER_ALPHABET.index(name) for name in _rp2_alphabet(2)}
-        self._q8 = [q8.get(name) for name in self.alphabet]
+        # per generator x, the gcd of the m of the relators x^m, or 0; the atlas has none
+        moduli = [0] * len(self.alphabet)
+        for rel in relators:
+            if len(rel.syllables) == 1:
+                (gen, exp), = rel.syllables
+                moduli[gen] = gcd(moduli[gen], exp)
+        self.moduli = tuple(moduli)
+        # the levels that prove "not equal", those the presented group maps onto: every level
+        # of the atlas group, Q8 alone for a quotient whose relators all go to 1 there
+        top = n if not relators else 2 if all(self._unit(rel) == 1 for rel in relators) else 1
+        self._exact = range(2, top + 1)
 
     def _read(self, m: int, w: Word) -> list[tuple[int, int]]:
         """w with the strands above m deleted, over P_m's indices."""
@@ -185,29 +200,46 @@ class Tower:
         return [(indices[gen], exp) for gen, exp in w.syllables if indices[gen] is not None]
 
     def _unit(self, w: Word, unit: int = 1) -> int:
-        """The unit of Q8 that w, strand-deleted to P_2, carries unit to by FIBER_COLUMNS;
-        the action is regular, so u = v in Q8 iff they carry 1 to the same unit."""
-        for gen, exp in w.syllables:
-            if (x := self._q8[gen]) is not None:
-                column = FIBER_COLUMNS[x if exp > 0 else x + 1]
-                for _ in range(abs(exp) % 4):  # every unit of Q8 has order dividing 4
-                    unit = column[unit]
+        """The unit of Q8 that w, strand-deleted to P_2, carries unit to by ``COLUMNS``; the
+        action is regular, so u = v in Q8 iff they carry 1 to the same unit."""
+        for gen, exp in self._read(2, w):
+            column = COLUMNS[2 * gen + (exp < 0)]
+            for _ in range(abs(exp) % 4):  # every unit of Q8 has order dividing 4
+                unit = column[unit]
         return unit
 
-    def _check(self, w: Word) -> None:
+    def _check(self, w: Word) -> Word:
+        """w, refused off the tower's alphabet, with each syllable x^e taken modulo the m of
+        ``moduli``, to the symmetric residue in (-m/2, m/2]: the normal form of w in the free
+        product of the cyclic groups <x | x^m>, so an x^m inserted anywhere in w leaves it as
+        it is."""
         if not same_alphabet(w.alphabet, self.alphabet):
             raise EnumerationError("words are not over the tower's alphabet")
+        moduli, out = self.moduli, []
+        for gen, exp in w.syllables:
+            if out and out[-1][0] == gen:  # a dropped syllable joined its neighbours
+                exp += out.pop()[1]
+            if m := moduli[gen]:
+                exp %= m
+                if 2 * exp > m:
+                    exp -= m
+            if exp:
+                out.append((gen, exp))
+        return Word(w.alphabet, tuple(out))
 
     def _levels(self, test) -> bool:
-        """Whether ``test(m)`` holds at every level m = 2 ... n (2 is Q8), the first level
-        that fails deciding even after an undecided one."""
-        levels = ((m, None) for m in range(2, self.n + 1))
-        return first_unequal(lambda m, _: test(m), levels) is None
+        """Whether ``test(m)`` holds at every level m = 2 ... n (2 is Q8), the first level that
+        fails deciding even after an undecided one.  A level the presented group does not map
+        onto proves only that it holds, and raises Undecided where it fails."""
+        def holds(m, _):
+            if (same := test(m)) or m in self._exact:
+                return same
+            raise Undecided(f"the tower proves only equal words at level {m} on a quotient")
+        return first_unequal(holds, ((m, None) for m in range(2, self.n + 1))) is None
 
     def __call__(self, u: Word, v: Word) -> bool:
         """Whether u = v: at every level, phi_u = phi_v."""
-        self._check(u)
-        self._check(v)
+        u, v = self._check(u), self._check(v)
 
         def equal(m):
             if m == 2:
@@ -221,13 +253,12 @@ class Tower:
     def central(self, w: Word) -> bool:
         """Whether w is central: at every level, phi_w is composed once and commutes with
         phi_x for each generator x of P_m."""
-        self._check(w)
+        w = self._check(w)
 
         def commutes(m):
             if m == 2:  # w x and x w carry 1 to the same unit
                 unit = self._unit(w)
-                return all(FIBER_COLUMNS[x][unit] == self._unit(w, FIBER_COLUMNS[x][1])
-                           for x in self._q8 if x is not None)
+                return all(column[unit] == self._unit(w, column[1]) for column in COLUMNS[::2])
             lev, budget = level(m), _Budget(m)
             images = _compose(lev, self._read(m, w), budget)
             subst = _substitution(images)

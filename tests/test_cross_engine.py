@@ -1,7 +1,8 @@
 """Engines checked against each other: on a presentation where both
 finish, Todd-Coxeter and Knuth-Bendix describe the same finite group,
 no index-2 witness separates two words the coset table calls equal, and
-on P3(RP2) every search chain joins words the fiber oracle calls equal.
+on P3(RP2) every search chain joins words the strand-forgetting tower calls
+equal.
 Each engine refuses a word over another alphabet with its own error."""
 
 import pytest
@@ -13,11 +14,10 @@ from braidkernel import (
     is_central_finite, knuth_bendix, normal_form, presentation, pure_braid_rp2, quotient,
     search_equality, substitute, table_equality_oracle, todd_coxeter, word_equal_finite,
 )
-from braidkernel import fiber
-from braidkernel.fiber import fiber_oracle
+from braidkernel import tower
 from braidkernel.presentations import Presentation
 from braidkernel.schreier import check_witness, find_witness
-from braidkernel.words import Word, letters_to_word, parse_word
+from braidkernel.words import letters_to_word, parse_word
 
 
 @st.composite
@@ -67,12 +67,12 @@ def test_a_witness_separates_only_what_a_complete_table_separates(engines):
 
 
 P3 = pure_braid_rp2(3)
-P3_ORACLE = fiber_oracle(P3)
+P3_ORACLE = tower.Tower(3)
 
 
 @st.composite
 def p3_search_cases(draw):
-    """A P3(RP2) start word and a goal: random (the fiber separates most
+    """A P3(RP2) start word and a goal: random (the tower separates most
     such pairs), or the start with one or two relators inserted, which
     small budgets often join by a chain."""
     letters = st.lists(st.integers(0, 2 * P3.ngens - 1), min_size=1, max_size=5)
@@ -91,7 +91,7 @@ def p3_search_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(p3_search_cases(), st.integers(0, 4), st.integers(1, 300))
 def test_search_chains_join_only_what_the_fiber_calls_equal(case, slack, max_nodes):
-    # the premise of equal --search asking the fiber first: a pair the fiber
+    # the premise of equal --search asking the tower first: a pair the tower
     # separates has no chain, so the search never finds one for it
     u, v = case
     # both words can reduce to the identity; the search refuses a cap under 1
@@ -106,7 +106,7 @@ def test_search_chains_join_only_what_the_fiber_calls_equal(case, slack, max_nod
 
 Z5 = presentation("Z5", ["a"], ["a^5"])
 X = presentation("X", ["x"], []).gen("x")  # a generator over another one-letter alphabet
-# six generators, as many as P3(RP2) has, so a walk of the fiber's columns would misread them
+# six generators, as many as P3(RP2) has, so a walk of the tower's levels would misread them
 F6 = presentation("F6", list("abcdef"), [])
 P2 = pure_braid_rp2(2)  # rho1 and rho2 are its letters 1 and 2, P3(RP2)'s B13 and B23
 
@@ -118,13 +118,12 @@ P2 = pure_braid_rp2(2)  # rho1 and rho2 are its letters 1 and 2, P3(RP2)'s B13 a
     (lambda: normal_form(knuth_bendix(Z5), X), BraidkernelError, "rewriting system's alphabet"),
     (lambda: substitute(GroupHom(Z5, Z5, (Z5.gen("a"),)), X), PresentationError, "source alphabet"),
     (lambda: Z5.gen("x"), PresentationError, "no generator named 'x'"),
-    (lambda: P3_ORACLE(F6.word("a b"), F6.word("b a")), EnumerationError,
-     "presentation's alphabet"),
-    (lambda: P3_ORACLE(P2.gen("rho1"), P2.gen("rho2")), EnumerationError,
-     "presentation's alphabet"),
+    (lambda: P3_ORACLE(F6.word("a b"), F6.word("b a")), EnumerationError, "tower's alphabet"),
+    (lambda: P3_ORACLE(P2.gen("rho1"), P2.gen("rho2")), EnumerationError, "tower's alphabet"),
     (lambda: find_witness(P3, F6.gen("d"), F6.gen("e")), EnumerationError,
      "presentation's alphabet"),
-    (lambda: fiber_oracle(pure_braid_rp2(4)), EnumerationError, "atlas P3"),
+    (lambda: P3_ORACLE.central(pure_braid_rp2(4).gen("rho4")), EnumerationError,
+     "tower's alphabet"),
 ], ids=["trace_word", "apply_step", "search_equality", "normal_form", "substitute", "gen",
         "fiber_oracle", "fiber_oracle-P2", "find_witness", "fiber_oracle-P4"])
 def test_foreign_word_gets_the_engines_error(call, error, message):
@@ -162,10 +161,10 @@ def test_every_engine_tests_one_alphabet_by_identity():
     witness = find_witness(p, a, one)
     assert witness is not None and check_witness(p, a, one, witness)
     assert hom_check(GroupHom(p, p, (a, b)), table_equality_oracle(table)).verified
-    # the fiber oracle on the atlas P3(RP2) relators, over an alphabet of the same names
+    # the tower of P3(RP2), over an alphabet of the same names
     strict = NamesOnce(P3.alphabet)
-    p3 = Presentation("P3(RP2)", strict, tuple(Word(strict, rel.syllables) for rel in P3.relators))
-    oracle = fiber.free_subgroup_oracle(p3, fiber.FIBER_COLUMNS)
+    oracle = tower.Tower(3)
+    oracle.alphabet = strict
     rho1, rho2 = (parse_word(name, strict) for name in ("rho1", "rho2"))
     assert oracle(rho1 * rho2 * rho1 * rho2, rho2 * rho1 * rho2 * rho1)
     assert not oracle(rho1, rho2)

@@ -176,13 +176,13 @@ EXECUTED_CASES = {
                    {"coset", "rewriting", "derivations", "atlas", "coverings"}),
     "hom-check": (["hom-check", "--map", "map.hom"], "", 0, {"presentations", "coset"},
                   {"rewriting", "derivations", "atlas", "snf", "coverings"}),
-    # into P3(RP2), which is infinite: the fiber decides, and no table is enumerated
-    "hom-check-fiber": (["hom-check", "--map", "forget.hom"], "", 0, {"fiber"},
-                        {"coset", "schreier", "rewriting", "derivations"}),
+    # into P3(RP2), which is infinite: the tower decides, and no table is enumerated
+    "hom-check-tower": (["hom-check", "--map", "forget.hom"], "", 0, {"tower"},
+                        {"coset", "schreier", "reidemeister", "rewriting", "derivations"}),
     # the atlas P4(RP2), which is infinite: the tower decides, and no table is enumerated
     "central-tower": (["central", "--element", "tau"], braidkernel.format_presentation(P4), 0,
                       {"tower", "atlas"},
-                      {"fiber", "coset", "schreier", "rewriting", "derivations", "snf"}),
+                      {"coset", "schreier", "reidemeister", "rewriting", "derivations", "snf"}),
     "equal-rewrite": (EQUAL + ["--rewrite"], Q8, 0, {"rewriting"},
                       {"coset", "derivations", "atlas", "snf"}),
     "equal-table": (EQUAL + ["--table"], Q8, 0, {"coset"}, {"rewriting", "derivations", "snf"}),
@@ -211,38 +211,40 @@ def test_command_executes_only_the_modules_it_uses(tmp_path, argv, stdin, exit_c
         "commands", f"commands.{cli._COMMANDS[argv[0]][0]}", *chain}
 
 
-def test_the_fiber_module_runs_only_on_its_alphabet(tmp_path):
-    # a P3(RP2) identity is decided by the fiber alone: no enumeration, no witness;
-    # on P4(RP2) central and equal are decided by the tower, which never executes the fiber
-    # module, and on a quotient of P4(RP2) neither runs
+def test_the_tower_module_runs_only_on_its_groups(tmp_path):
+    # the atlas P_n(RP2), 3 <= n <= 12, and its quotients are decided by the tower alone: no
+    # enumeration, no witness.  Off its gate (P4(RP2) with an atlas relator dropped) the
+    # tower module never runs, and the engines' own lines stand
     p3, p4 = (braidkernel.format_presentation(braidkernel.pure_braid_rp2(n)) for n in (3, 4))
     p4q = p4 + "".join(f"rel rho{k}^6\n" for k in (1, 2, 3, 4))
+    lines = p4.splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if line.startswith("rel "))
+    p4_off = "".join(lines[:first] + lines[first + 1:])
+    no_table = {"coset", "schreier", "reidemeister"}
     identity = ["--lhs", "rho1 rho2 rho1 rho2", "--rhs", "rho2 rho1 rho2 rho1"]
     equal = ["equal", "--rewrite", "--max-rules", "150", *identity]
-    executed = executed_modules(equal, p3, 0, tmp_path)
-    assert "fiber" in executed and not executed & {"coset", "schreier", "snf", "tower"}
-    executed = executed_modules(equal, p4, 0, tmp_path)
-    assert "tower" in executed and not executed & {"coset", "schreier", "derivations", "fiber"}
-    executed = executed_modules(equal, p4q, 2, tmp_path,
+    for group in (p3, p4, p4q):
+        executed = executed_modules(equal, group, 0, tmp_path, stdout="equal\n")
+        assert "tower" in executed and not executed & (no_table | {"snf", "derivations"})
+    executed = executed_modules(equal, p4_off, 2, tmp_path,
                                 "undecided: rewriting system is not confluent\n")
-    assert "schreier" in executed and not executed & {"fiber", "tower"}
+    assert "schreier" in executed and "tower" not in executed
+    # central's chain has no witness link, and asks the tower first: on P3(RP2), P4(RP2) and
+    # its quotient by rho_k^6 the tower decides and the table, which could only run out,
+    # never runs
     central = ["central", "--element", "tau", "--max-cosets", "1000"]
-    executed = executed_modules(central, p4, 0, tmp_path)
-    assert "tower" in executed and not executed & {"coset", "schreier", "derivations", "fiber"}
-    executed = executed_modules(central, p4q, 2, tmp_path,
+    for group in (p3, p4, p4q):
+        executed = executed_modules(central, group, 0, tmp_path)
+        assert "tower" in executed and not executed & (no_table | {"derivations"})
+    executed = executed_modules(central, p4_off, 2, tmp_path,
                                 "undecided: enumeration budget exhausted at 1000 live cosets\n")
-    assert "coset" in executed and not executed & {"fiber", "schreier", "tower"}
-    # central's chain has no witness link, and asks the fiber first: on P3(RP2), which is
-    # infinite, the fiber decides and the table, which could only run out, never runs
-    executed = executed_modules(["central", "--element", "tau", "--max-cosets", "1000"], p3, 0,
-                                tmp_path)
-    assert "fiber" in executed and not executed & {"coset", "schreier", "derivations"}
-    # on P3(RP2)/<rho_k^4> the fiber disproves centrality after an undecided commutator
+    assert "coset" in executed and not executed & {"schreier", "tower"}
+    # on P3(RP2)/<rho_k^4> the tower disproves centrality at Q8, which every rho_k^4 maps onto
     rho4 = p3 + "".join(f"rel rho{k}^4\n" for k in (1, 2, 3))
-    answer = {"result": {"element": "rho1*B12", "central": False, "engine": "fiber"}}
+    answer = {"result": {"element": "rho1*B12", "central": False, "engine": "tower"}}
     executed = executed_modules(["central", "--json", "--element", "rho1 B12"], rho4, 1,
                                 tmp_path, stdout=json.dumps(answer, indent=2) + "\n")
-    assert "fiber" in executed and not executed & {"coset", "schreier"}
+    assert "tower" in executed and not executed & no_table
 
 
 def test_every_command_has_an_executed_modules_case():

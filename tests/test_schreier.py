@@ -1,6 +1,9 @@
 """Index-2 witnesses: the kernels of the maps onto Z/2, their H1, and the
 certificates that two words differ, checked without a Smith normal form;
-and the word problem of P3(RP2) through its free fiber (``fiber``)."""
+Reidemeister-Schreier (``reidemeister``) over complete tables and over Q8's
+action on P3(RP2), whose stabiliser is the free fiber <B13, B23, rho3>; and
+the word problem of P3(RP2) and its quotients through the strand-forgetting
+tower, whose level 3 reads that fiber (``tower``)."""
 
 import hashlib
 import json
@@ -14,16 +17,31 @@ from braidkernel import (
     forget_strands_hom, presentation, pure_braid_rp2, quaternion_presentation, quotient,
     smith_normal_form, substitute, tau_n, todd_coxeter, word_equal_finite,
 )
-from braidkernel import EnumerationError, fiber, reidemeister, schreier
-from braidkernel.q8 import FIBER_IMAGES
+from braidkernel import EnumerationError, reidemeister, schreier, tower
 from braidkernel.atlas import _rp2_alphabet
-from braidkernel.base import BraidkernelError, Undecided
+from braidkernel.base import Undecided
+from braidkernel.commands.chain import tower_strands
 from braidkernel.presentations import Presentation
+from braidkernel.q8 import COLUMNS
 from braidkernel.schreier import Witness, check_witness, find_witness
 from braidkernel.snf import invariant_factors
 from braidkernel.words import Word, letters_to_word, word_to_letters
 
 P2, P3, P4 = pure_braid_rp2(2), pure_braid_rp2(3), pure_braid_rp2(4)
+
+
+def p3_columns():
+    """P3(RP2) acting on the units of Q8 through P2(RP2): the letters of strand 3 act
+    trivially."""
+    cols = []
+    for x in range(2 * P3.ngens):
+        name = P3.alphabet[x >> 1]
+        cols.append(COLUMNS[2 * P2.alphabet.index(name) + x % 2] if name in P2.alphabet
+                    else tuple(range(9)))
+    return cols
+
+
+P3_COLUMNS = p3_columns()
 
 
 def kernel_h1(p, mask):
@@ -219,14 +237,19 @@ def letter_walk(cols, w, coset):
 
 Q8 = quaternion_presentation()
 # a presentation, its columns and, for the 2-point columns of a map's kernel, the map:
-# every kernel of P3(RP2), Q8's enumerated table and the fiber's Q8 action
+# every kernel of P3(RP2), Q8's enumerated table and P3(RP2)'s action on Q8
 WALKED = {
     **{f"P3-{mask}": (P3, [(0, 2, 1) if mask >> (x >> 1) & 1 else (0, 1, 2)
                            for x in range(2 * P3.ngens)], mask)
        for mask in kernel_maps(P3)},
     "Q8": (Q8, columns(todd_coxeter(Q8)), None),
-    "fiber": (P3, fiber.FIBER_COLUMNS, None),
+    "fiber": (P3, P3_COLUMNS, None),
 }
+
+
+def closes(cols, w):
+    """Whether w, walked letter by letter, leads every coset to itself."""
+    return all(letter_walk(cols, w, c)[0] == c for c in range(1, len(cols[0])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -241,8 +264,6 @@ def test_the_syllable_walk_matches_a_letter_walk(name, data):
     end, reads = reidemeister.trace(cols, w, coset)
     assert (end, [(x, c) for x, cycle, q, r in reads for c in cycle * q + cycle[:r]]) == \
         letter_walk(cols, w, coset)
-    cosets = range(1, len(cols[0]))
-    assert reidemeister.closes(cols, w) == all(letter_walk(cols, w, c)[0] == c for c in cosets)
     if mask is not None:  # the exponent sums from coset 1 and coset 2, letter by letter
         sp = schreier._kernel(p, mask)
         assert sp.cols == tuple(cols)
@@ -261,7 +282,7 @@ def test_the_relator_rows_match_a_letter_walk(name):
     p, cols, _ = WALKED[name]
     sp = reidemeister.reidemeister_schreier(p, cols)
     cosets = range(1, len(cols[0]))
-    assert all(reidemeister.closes(cols, rel) for rel in p.relators)
+    assert all(closes(cols, rel) for rel in p.relators)
     assert sp.rows == tuple(tuple(s for x, c in letter_walk(cols, rel, start)[1]
                                   if (s := sp.edges[x][c]) >= 0)
                             for rel in p.relators for start in cosets)
@@ -365,8 +386,7 @@ def complete_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(complete_tables())
 def test_the_rows_of_a_complete_table_are_cyclically_reduced(case):
-    # fiber._start trusts this: the rows go to Tietze elimination as reidemeister_schreier
-    # returns them, since the relators are cyclically reduced and the walk keeps that
+    # the relators are cyclically reduced, and the walk keeps that
     p, cols = case
     sp = reidemeister.reidemeister_schreier(p, cols)
     assert all(cyclically_reduced(row) for row in sp.rows)
@@ -383,8 +403,11 @@ def test_the_rows_of_every_kernel_are_cyclically_reduced(p):
 
 @pytest.mark.parametrize("k", [None, 2, 4, 6, 8])
 def test_the_rows_of_the_fiber_are_cyclically_reduced(k):
-    oracle = fiber.fiber_oracle(P3 if k is None else rho_quotient(k))
-    assert oracle.sp.rows and all(cyclically_reduced(row) for row in oracle.sp.rows)
+    # over the relators that close under the Q8 action: rho_k^2 and rho_k^6 do not
+    p = P3 if k is None else rho_quotient(k)
+    kept = Presentation(p.name, p.alphabet, tuple(r for r in p.relators if closes(P3_COLUMNS, r)))
+    sp = reidemeister.reidemeister_schreier(kept, P3_COLUMNS)
+    assert sp.rows and all(cyclically_reduced(row) for row in sp.rows)
 
 
 def test_a_group_with_no_map_onto_z2_has_no_witness():
@@ -458,142 +481,37 @@ def test_the_certificates_are_pinned():
     assert digest == "6c1adc0b90473bb2ec08da46b0759f8f3ee71eac11574b9b8e72326952bec473"
 
 
-# the word problem of P3(RP2) through its free fiber ---------------------------
+# Q8's action on P3(RP2) and its free fiber; the word problem through the tower ----
 
-FIBER_SP = fiber.reidemeister_schreier(P3, fiber.FIBER_COLUMNS)
-FIBER_STEPS = fiber.tietze_free_basis(FIBER_SP)
-ORACLE = fiber.fiber_oracle(P3)
+FIBER_SP = reidemeister.reidemeister_schreier(P3, P3_COLUMNS)
+ORACLE = tower.Tower(3)
 
 
 def test_the_fiber_alphabet_is_the_atlas_one():
-    assert fiber.FIBER_ALPHABET == _rp2_alphabet(3) == P3.alphabet
-    one = (1, 0, 0, 0)
-    assert [name for name, q in zip(P3.alphabet, FIBER_IMAGES) if q == one] == [
-        "B13", "B23", "rho3"]
-
-
-def times(p, q):
-    (a, b, c, d), (e, f, g, h) = p, q
-    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
-
-
-def test_the_q8_table_is_right_multiplication_by_the_images():
-    # letter 2g is generator g and 2g + 1 its inverse, the conjugate quaternion;
-    # the units are numbered as a breadth-first walk over the letters meets them
-    letters = [q for a, b, c, d in FIBER_IMAGES for q in ((a, b, c, d), (a, -b, -c, -d))]
-    units = [(1, 0, 0, 0)]
-    for u in units:  # the list grows as it is read
-        for q in letters:
-            if (v := times(u, q)) not in units:
-                units.append(v)
-    assert len(units) == 8
-    number = {u: c for c, u in enumerate(units, 1)}
-    assert fiber.FIBER_COLUMNS == tuple((0, *(number[times(u, q)] for u in units))
-                                        for q in letters)
-
-
-def test_the_q8_table_is_the_enumerated_one_renumbered():
-    # walked in step from coset 1, the Q8 action and Todd-Coxeter's table of the
-    # fiber <B13, B23, rho3> match coset for coset, one to one
-    table = todd_coxeter(P3, [P3.word(name) for name in ("B13", "B23", "rho3")])
-    assert table.is_complete and table.n_cosets == 8
-    enumerated, q8 = columns(table), fiber.FIBER_COLUMNS
-    match, queue = {1: 1}, [1]
-    for c in queue:
-        for x in range(2 * P3.ngens):
-            d, e = q8[x][c], enumerated[x][match[c]]
-            if d not in match:
-                match[d] = e
-                queue.append(d)
-            assert match[d] == e
-    assert sorted(match) == sorted(match.values()) == list(range(1, 9))
+    # the letters that act trivially on Q8 are those of strand 3, the fiber's generators
+    assert P3.alphabet == _rp2_alphabet(3)
+    assert [name for x, name in enumerate(P3.alphabet)
+            if P3_COLUMNS[2 * x] == tuple(range(9))] == ["B13", "B23", "rho3"]
 
 
 def test_the_fiber_of_p3_is_free_of_rank_2():
-    # FIBER_SP is built from the Q8 action the oracle uses
     sp = FIBER_SP
-    assert ORACLE.sp == sp
     assert (sp.index, sp.ngens, len(sp.rows)) == (8, 41, 112)
     # H1 of the fiber: the exponent sums of the rows, reduced by the Smith normal form
     sums = [[row.count(2 * k) - row.count(2 * k + 1) for k in range(sp.ngens)] for row in sp.rows]
     diag, _, _ = smith_normal_form(sums)
     assert sorted(diag) == [0, 0] + [1] * 39
-    # Tietze leaves 2 generators and no relator
-    assert len(FIBER_STEPS) == 39 and check_free_basis(sp, FIBER_STEPS)
-    assert len(ORACLE.alphabet) == 2 and ORACLE.steps == FIBER_STEPS and ORACLE.free
+    # the tower's level 3 reads it as the free group on B13 and rho3
+    assert tower.level(3).rank == 2
 
 
 def test_the_spanning_tree_leaves_one_generator_per_other_edge():
     # a complete table of Q8 over the trivial subgroup: the regular action
     q8 = quaternion_presentation()
-    sp = fiber.reidemeister_schreier(q8, columns(todd_coxeter(q8)))
+    sp = reidemeister.reidemeister_schreier(q8, columns(todd_coxeter(q8)))
     assert (sp.index, sp.ngens) == (8, 8 * 2 - 7)
     tree_edges = sum(s < 0 for col in sp.edges[::2] for s in col[1:])
     assert tree_edges == 7
-    # the trivial subgroup is free of rank 0: every element is decided by its coset
-    oracle = fiber.free_subgroup_oracle(q8, columns(todd_coxeter(q8)))
-    assert oracle.alphabet == ()
-
-
-def tampered(steps):
-    """Three wrong certificates: one step dropped, the last moved first, one
-    expression changed."""
-    g, r, expr = steps[20]
-    other = next(x for x in range(2 * FIBER_SP.ngens) if x >> 1 != g)
-    return {"dropped": steps[:10] + steps[11:],
-            "reordered": steps[-1:] + steps[:-1],
-            "changed": steps[:20] + ((g, r, expr + (other,)),) + steps[21:]}
-
-
-@pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
-def test_a_tampered_elimination_list_is_rejected(kind):
-    assert fiber._replay(FIBER_SP, tampered(FIBER_STEPS)[kind]) is None
-
-
-@pytest.mark.parametrize("kind", ["dropped", "reordered", "changed"])
-def test_the_oracle_replays_the_eliminations_before_it_answers(monkeypatch, kind):
-    # the oracle replays the source rows alone, and a wrong list is an error, not an answer
-    monkeypatch.setattr(fiber, "tietze_free_basis", lambda sp: tampered(FIBER_STEPS)[kind])
-    with pytest.raises(BraidkernelError, match="failed its replay"):
-        fiber.fiber_oracle(P3)(P3.word("1"), P3.word("1"))
-
-
-def test_malformed_elimination_lists_are_rejected(monkeypatch):
-    g, r, expr = FIBER_STEPS[0]
-    for step in ((FIBER_SP.ngens, r, expr), (g, len(FIBER_SP.rows), expr), (g, r + 1, expr)):
-        assert fiber._replay(FIBER_SP, (step,) + FIBER_STEPS[1:]) is None
-    # the empty list leaves every relator standing: the basis map is the identity
-    monkeypatch.setattr(fiber, "tietze_free_basis", lambda sp: ())
-    assert fiber.fiber_oracle(P3).free is False
-
-
-def check_free_basis(sp, steps):
-    """Whether the eliminations prove H free on the generators they leave:
-    every step passes its replay, forward over every row, and every row
-    ends up empty.  The reference ``FreeSubgroupOracle.free`` agrees with."""
-    rows, occ = fiber._start(sp)
-    for g, r, expr in steps:
-        if not (0 <= g < sp.ngens and 0 <= r < len(rows)) or fiber._solve(rows[r], g) != list(expr):
-            return False
-        fiber._eliminate(rows, occ, g, list(expr))
-    return not any(rows)
-
-
-@pytest.mark.parametrize("k", [None, 2, 4, 6, 8])
-def test_free_is_the_forward_replay_over_every_row_on_the_fiber(k):
-    # True on P3(RP2); on its rho quotients Tietze leaves rows, or a relator is left out
-    # (rho^2 and rho^6) and the rows of rho3^k stay
-    oracle = fiber.fiber_oracle(P3 if k is None else rho_quotient(k))
-    assert oracle.free == check_free_basis(oracle.sp, oracle.steps) == (k is None)
-
-
-@settings(max_examples=200, deadline=None)
-@given(complete_tables())
-def test_free_is_the_forward_replay_over_every_row(case):
-    p, cols = case
-    oracle = fiber.free_subgroup_oracle(p, cols)
-    assert oracle.free == check_free_basis(oracle.sp, oracle.steps)
 
 
 P2_TABLE = todd_coxeter(P2)
@@ -653,80 +571,84 @@ def test_the_paper_identities_hold_in_the_fiber_oracle(lhs, rhs):
 
 
 def test_a_commutator_no_witness_separates_is_unequal():
+    # it lies in the fiber, so Q8 does not see it; level 3 does
     u, one = P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")
     assert find_witness(P3, u, one) is None
+    assert q8_image(u) == q8_image(one)
     assert not ORACLE(u, one)
-    coset, reads = reidemeister.trace(ORACLE.cols, u)
-    assert coset == 1 and not ORACLE.image(reads).is_identity
 
 
 def test_huge_exponents_are_read_per_syllable():
-    # rho1 commutes with B23 (relation family (d)); the walks cycle, so the powers cost nothing
+    # Q8 reads a power modulo 4, and a quotient's relator x^m reads it modulo m, so these
+    # powers cost nothing; level 3 writes the letters of each power, and stops at its budget
     n = 10**11
-    assert ORACLE(P3.word(f"rho1 B23^{n}"), P3.word(f"B23^{n} rho1"))
-    assert ORACLE(P3.word(f"rho3^{2 * n + 2}"), P3.word(f"rho3^{2 * n} B13 B23"))
-    assert not ORACLE(P3.word(f"rho3^{2 * n + 1}"), P3.word(f"rho3^{2 * n} B13"))
+    assert not ORACLE(P3.word(f"rho1^{4 * n + 1}"), P3.word(f"rho1^{4 * n} rho2"))
+    rho6 = graded(rho_quotient(6))
+    assert rho6(P3.word(f"rho1 B23 rho3^{6 * n + 1}"), P3.word(f"B23 rho1 rho3^{6 * n + 7}"))
+    with pytest.raises(Undecided, match="^the tower wrote \\d+ letters at level 3"):
+        ORACLE(P3.word(f"rho1 B23^{n}"), P3.word(f"B23^{n} rho1"))
 
 
 def rho_quotient(k):
     return quotient(P3, [P3.word(f"rho{i}^{k}") for i in (1, 2, 3)])
 
 
+def graded(p):
+    """The tower the answer chain builds for p: P_n(RP2), or a quotient of it."""
+    n = tower_strands(p)
+    return tower.Tower(n, p.relators[len(pure_braid_rp2(n).relators):])
+
+
 @pytest.mark.parametrize("p,error", [(rho_quotient(6), Undecided), (rho_quotient(4), Undecided),
                                      (rho_quotient(2), Undecided), (P4, EnumerationError)],
                          ids=["rho6", "rho4", "rho2", "P4"])
 def test_the_fiber_oracle_refuses_what_it_cannot_decide(p, error):
-    # P4(RP2) is refused outright, as input over the wrong alphabet.  On the quotients the
-    # commutator of B13 and B23 fixes coset 1 with an image that is not empty, which proves
-    # nothing there: rho^6 and rho^2 go to -1 in Q8 and are left out, and by rho^4 Tietze
-    # leaves rows
+    # words of P4(RP2) are refused outright, as input over the wrong alphabet.  On the
+    # quotients the commutator of B13 and B23, which Q8 does not see, is separated at level 3
+    # only, which proves nothing there
+    oracle = ORACLE if p is P4 else graded(p)
     with pytest.raises(error):
-        fiber.fiber_oracle(p)(p.word("B13 B23 B13^-1 B23^-1"), p.word("1"))
+        oracle(p.word("B13 B23 B13^-1 B23^-1"), p.word("1"))
 
 
 @pytest.mark.parametrize("p,broken", [(rho_quotient(6), "rho1^6 rho2^6"),
                                       (rho_quotient(2), "rho1^2 rho2^2"),
                                       (quotient(P3, [P3.word("B12")]), "B12")],
                          ids=["rho6", "rho2", "B12"])
-def test_a_relator_the_q8_action_breaks_is_refused_before_tietze(monkeypatch, p, broken):
-    # rho1^k and rho2^k go to -1 in Q8 for k = 2, 6, and so does B12: the oracle leaves
-    # them out (rho3 goes to 1), and a pair the Q8 action separates, rho1 rho2 and
-    # rho2 rho1, is refused before Tietze runs
-    monkeypatch.setattr(fiber, "tietze_free_basis", None)
-    oracle = fiber.fiber_oracle(p)
-    assert oracle.skipped
-    assert [rel for rel in p.relators if rel not in oracle.kept.relators] == [
+def test_a_relator_the_q8_action_breaks_leaves_q8_proving_only_equal(p, broken):
+    # rho1^k and rho2^k go to -1 in Q8 for k = 2, 6, and so does B12 (rho3 goes to 1): Q8 is
+    # no quotient of the group, so a pair it separates, rho1 rho2 and rho2 rho1, is undecided
+    assert [rel for rel in p.relators if not closes(P3_COLUMNS, rel)] == [
         p.word(rel) for rel in broken.split()]
-    with pytest.raises(Undecided, match="breaks a relator"):
+    oracle = graded(p)
+    assert not oracle._exact
+    with pytest.raises(Undecided, match="only equal words at level 2 on a quotient$"):
         oracle(p.word("rho1 rho2"), p.word("rho2 rho1"))
     with pytest.raises(EnumerationError, match="does not close at coset 1"):
-        fiber.reidemeister_schreier(p, fiber.FIBER_COLUMNS)
+        reidemeister.reidemeister_schreier(p, P3_COLUMNS)
 
 
 def test_a_quotient_with_a_relator_left_out_proves_only_equal_words():
     # rho1^2 = 1 holds in P3(RP2)/<rho^2> though the Q8 action moves coset 1 by it:
-    # the power rule reads it as 1, and a word the action moves is undecided
-    oracle = fiber.fiber_oracle(rho_quotient(2))
-    assert oracle.skipped
+    # the power rule reads it as 1, and a pair no level calls equal is undecided
+    oracle = graded(rho_quotient(2))
     assert oracle(P3.word("rho1^2"), P3.word("1")) is True
-    assert not oracle.free
     assert oracle(P3.word("rho1^-1"), P3.word("rho1")) is True
     for lhs in ("B12", "rho1 rho2 rho1^-1 rho2^-1"):
-        with pytest.raises(Undecided, match="breaks a relator"):
+        with pytest.raises(Undecided, match="proves only equal words"):
             oracle(P3.word(lhs), P3.word("1"))
 
 
 def test_a_lazy_oracle_answers_a_pair_q8_separates_by_its_walk(monkeypatch):
-    monkeypatch.setattr(fiber, "reidemeister_schreier", None)
-    oracle = fiber.fiber_oracle(P3)
+    # Q8 is the first level: a pair it separates never reaches level 3
+    monkeypatch.setattr(tower, "level", None)
+    oracle = tower.Tower(3)
     assert oracle(P3.word("B12"), P3.word("1")) is False
-    assert "sp" not in vars(oracle)
     monkeypatch.undo()
     assert oracle(P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")) is False
-    assert oracle.sp == FIBER_SP and oracle.steps == FIBER_STEPS
 
 
-RHO6_ORACLE = fiber.fiber_oracle(rho_quotient(6))
+RHO6_ORACLE = graded(rho_quotient(6))
 
 
 @st.composite
@@ -757,7 +679,7 @@ def test_an_inserted_rho6_is_answered_like_the_word_without_it(case):
 
 
 RHO_TABLES = {k: todd_coxeter(rho_quotient(k)) for k in (2, 4)}
-RHO_ORACLES = {k: fiber.fiber_oracle(rho_quotient(k)) for k in (2, 4)}
+RHO_ORACLES = {k: graded(rho_quotient(k)) for k in (2, 4)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -774,33 +696,28 @@ def test_every_answer_on_a_rho_quotient_agrees_with_its_complete_table(k, pair):
 def test_p4_and_long_relators_pay_no_enumeration(monkeypatch):
     from braidkernel import coset
     monkeypatch.setattr(coset, "todd_coxeter", None)
-    with pytest.raises(EnumerationError, match="atlas P3"):
-        fiber.fiber_oracle(P4)
-    # a consequence of the relators, but 2085 letters in all
+    one = Word.identity(P4.alphabet)
+    assert graded(P4)(tau_n(4) * P4.word("rho1"), P4.word("rho1") * tau_n(4))
+    assert graded(P4)(P4.word("B14"), one) is False
+    # a consequence of the relators, 2085 letters in all, that goes to 1 in Q8: Q8 still
+    # proves "not equal", and only Q8
     long = quotient(P3, [P3.word("rho3^2 B23^-1 B13^-1") ** 500])
-    with pytest.raises(Undecided, match="2085 letters"):
-        fiber.fiber_oracle(long)
-
-
-def test_tietze_stops_at_its_letter_budget(monkeypatch):
-    # P3(RP2)'s eliminations over the Q8 action write 3184 letters in all
-    monkeypatch.setattr(fiber, "TIETZE_MAX_LETTERS", 3184)
-    assert fiber.tietze_free_basis(FIBER_SP) == FIBER_STEPS
-    monkeypatch.setattr(fiber, "TIETZE_MAX_LETTERS", 3183)
-    with pytest.raises(Undecided, match="more than 3183 letters"):
-        fiber.fiber_oracle(P3)(P3.word("1"), P3.word("1"))
+    oracle = graded(long)
+    assert oracle(long.relators[-1], P3.word("1")) and oracle(P3.word("B12"), P3.word("1")) is False
+    with pytest.raises(Undecided, match="level 3 on a quotient"):
+        oracle(P3.word("B13"), P3.word("1"))
 
 
 def test_a_table_that_is_not_an_action_is_refused():
     z2 = presentation("Z2", ["a"], ["a^2"])
     # a 3-cycle for a does not satisfy a^2
     with pytest.raises(EnumerationError, match="does not close"):
-        fiber.reidemeister_schreier(z2, [[0, 2, 3, 1], [0, 3, 1, 2]])
+        reidemeister.reidemeister_schreier(z2, [[0, 2, 3, 1], [0, 3, 1, 2]])
     # columns that are not inverse permutations
     with pytest.raises(EnumerationError, match="permutation action"):
-        fiber.reidemeister_schreier(z2, [[0, 2, 1], [0, 1, 2]])
+        reidemeister.reidemeister_schreier(z2, [[0, 2, 1], [0, 1, 2]])
     # an undefined entry, a coset out of range, a short column, a missing column
     for cols in ([[0, 2, None], [0, 2, 1]], [[0, 2, 3], [0, 2, 1]], [[0, 2, 1], [0, 2]],
                  [[0, 2, 1]]):
         with pytest.raises(EnumerationError, match="not 2 maps of 1..2"):
-            fiber.reidemeister_schreier(z2, cols)
+            reidemeister.reidemeister_schreier(z2, cols)
