@@ -378,7 +378,8 @@ def test_the_gate_admits_the_atlas_groups_and_their_quotients():
     assert tower_strands(quotient(p4, [p4.word("rho1^6")])) == 4
     # the atlas relators must come first, all of them, in order
     assert tower_strands(Presentation(p4.name, p4.alphabet, p4.relators[1:])) is None
-    assert tower_strands(Presentation(p4.name, p4.alphabet, p4.relators[1:] + p4.relators[:1])) is None
+    rotated = p4.relators[1:] + p4.relators[:1]
+    assert tower_strands(Presentation(p4.name, p4.alphabet, rotated)) is None
     assert tower_strands(Presentation(p4.name, p4.alphabet,
                                       (p4.word("rho1^6"),) + p4.relators)) is None
     renamed = parse_presentation(braidkernel.format_presentation(p4).replace("rho4", "rho5"))
