@@ -31,9 +31,11 @@ def first_answer(links):
 
 
 def tower_strands(p):
-    """n when p is the atlas P_n(RP2) with 3 <= n <= ``atlas.RP2_MAX_STRANDS``, or a quotient of
-    it: its alphabet is the atlas one and its relators begin with the atlas ones, compared by
-    syllables.  The atlas is built only for an alphabet of n(n + 1)/2 names whose last is rho_n."""
+    """``tower.Tower``'s arguments for p, (n, the relators past the atlas ones, p's alphabet), when
+    p is the atlas P_n(RP2) with 3 <= n <= ``atlas.RP2_MAX_STRANDS``, or a quotient of it: its
+    alphabet is the atlas one and its relators begin with the atlas ones, compared by syllables.
+    None otherwise.  The atlas is built only for an alphabet of n(n + 1)/2 names whose last is
+    rho_n."""
     n = (isqrt(8 * p.ngens + 1) - 1) // 2  # n(n + 1)/2 = p.ngens, when an n has it
     if n < 3 or n * (n + 1) // 2 != p.ngens or p.alphabet[-1] != f"rho{n}":
         return None
@@ -41,18 +43,19 @@ def tower_strands(p):
     if n > atlas.RP2_MAX_STRANDS:
         return None
     q = atlas.pure_braid_rp2(n)
+    k = len(q.relators)
     same = same_alphabet(p.alphabet, q.alphabet) and (
-        [r.syllables for r in p.relators[:len(q.relators)]] == [r.syllables for r in q.relators])
-    return n if same else None
+        [r.syllables for r in p.relators[:k]] == [r.syllables for r in q.relators])
+    return (n, p.relators[k:], p.alphabet) if same else None
 
 
 def tower_links(p, answer):
     """``tower.Tower``'s link for p, which proves both answers: ``answer(tower)``; none unless p
     passes ``tower_strands``, so the tower module does not run elsewhere."""
     def call():
-        from .. import atlas, tower
-        return answer(tower.Tower(n, p.relators[len(atlas.pure_braid_rp2(n).relators):]))
-    return [({True, False}, call)] if (n := tower_strands(p)) else []
+        from .. import tower
+        return answer(tower.Tower(*args))
+    return [({True, False}, call)] if (args := tower_strands(p)) else []
 
 
 def oracle_links(p, max_cosets, ask, tower_ask=None):

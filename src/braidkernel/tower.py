@@ -29,7 +29,10 @@ the quotient's relators x^m.  "Not equal" is proved only at a level the quotient
 Q8 when every extra relator carries unit 1 to 1, the levels above it when there is none.
 
 Words of F(b) are tuples of letters, 2t for b_t and 2t + 1 for its inverse; an automorphism
-is its substitution, one word per letter.
+is its substitution, one word per letter.  phi_w is kept as y -> g^-1 alpha(y) g, g a list
+of periodic pieces (``_join``).  A syllable x^e with |e| > 4 and phi_x^o = inn(h), o <= 4,
+multiplies g by h^-q, e = q o + r, so its power is read whole however large e is: o is 1
+for the letters of N_m, and every generator has one at level 3.
 """
 
 from __future__ import annotations
@@ -72,6 +75,70 @@ def _apply(subst, word) -> tuple[tuple[int, ...], int]:
     return tuple(out), written
 
 
+def _power(word, e) -> list[tuple[tuple[int, ...], int]]:
+    """word^e as pieces: word = c r c^-1 with r cyclically reduced, so the power is c, r^e,
+    c^-1, all inverted for e < 0."""
+    if e < 0:
+        word, e = _inverse(word), -e
+    i = 0
+    while 2 * i + 1 < len(word) and word[i] == word[-1 - i] ^ 1:
+        i += 1
+    c, r = word[:i], word[i:len(word) - i]
+    return [(c, len(c)), (r, e * len(r)), (_inverse(c), len(c))]
+
+
+def _invert(g) -> list[tuple[tuple[int, ...], int]]:
+    """The pieces of g^-1: p p ... (n letters) = p[:r] (p[r:] p[:r])^k, n = k |p| + r, is
+    inverted by reading (p[r:] p[:r])^-1 for n letters."""
+    return [(_inverse(p[n % len(p):] + p[:n % len(p)]), n) for p, n in reversed(g)]
+
+
+def _same(d, x, y) -> bool:
+    """Whether x = d^-1 y d, x and y nonempty words and d given by its pieces."""
+    return not _join([(x, len(x))], [*_invert(d), (_inverse(y), len(y)), *d]) if d else x == y
+
+
+def _join(out: list, pieces) -> list:
+    """out times pieces, freely reduced, where a piece (p, n) is the first n letters of p p p ...,
+    reduced (p is cyclically reduced when n > |p|), and a list of pieces is reduced at every
+    junction.  When two pieces cancel in |s| + |p| letters, both periods hold there, so by Fine
+    and Wilf they cancel until one of them ends.  Pieces that read no letter twice are joined
+    into one."""
+    todo = [piece for piece in reversed(pieces) if piece[1]]
+    while todo:
+        p, n = todo.pop()
+        if out:
+            s, ns = out[-1]
+            c, limit = 0, min(ns, n, len(s) + len(p))
+            while c < limit and s[(ns - 1 - c) % len(s)] == p[c % len(p)] ^ 1:
+                c += 1
+            if c:
+                c = min(ns, n) if c == len(s) + len(p) else c
+                out.pop()
+                if ns > c:
+                    out.append((s, ns - c))
+                if n > c:
+                    todo.append((p[c % len(p):] + p[:c % len(p)], n - c))
+                continue
+        if out and out[-1][1] <= len(out[-1][0]) and n <= len(p):  # two words: one piece
+            s, ns = out.pop()
+            p, n = s[:ns] + p[:n], ns + n
+        out.append((p, n))
+    return out
+
+
+def _conjugator(images) -> tuple[int, ...] | None:
+    """z with images[t] = z b_t z^-1 for every t, or None when the automorphism sending b to
+    images is not inner: z = c b_0^i where images[0] = c b_0 c^-1 and c^-1 images[1] c is
+    b_0^i b_1 b_0^-i."""
+    c = images[0][:len(images[0]) // 2]
+    rest = free_reduce_letters(_inverse(c) + images[1] + c)
+    z = free_reduce_letters(c + rest[:next((i for i, y in enumerate(rest) if y >> 1), 0)])
+    inverse = _inverse(z)
+    return z if all(free_reduce_letters(z + (2 * t,) + inverse) == image
+                    for t, image in enumerate(images)) else None
+
+
 def _nielsen_inverse(subst) -> tuple[tuple[int, ...], ...]:
     """The inverse of the automorphism subst: its images, each with its expression in the
     images, are shortened by products with the others until each is one letter.  Raises
@@ -102,7 +169,7 @@ def _nielsen_inverse(subst) -> tuple[tuple[int, ...], ...]:
 
 class _Level:
     """Level m: phi_x for each generator x of P_m, indexed as the atlas alphabet, and the
-    inverses, each built when a word first needs it."""
+    inverses and roots, each built when a word first needs it."""
 
     def __init__(self, m: int):
         self.m = m
@@ -118,10 +185,11 @@ class _Level:
         def inner(word):
             return _substitution(red(word + (2 * t,) + inv(word)) for t in range(rank))
 
-        phi: list = [None] * len(alphabet)
+        conjugator: list = [None] * len(alphabet)
         for k in range(1, m):
-            phi[index[_b_name(k, m)]] = inner(bw[k])
-        phi[index[f"rho{m}"]] = inner(rho)
+            conjugator[index[_b_name(k, m)]] = bw[k]
+        conjugator[index[f"rho{m}"]] = rho
+        phi = [None if h is None else inner(h) for h in conjugator]
         for k in range(1, m):  # families (d) and (b), j = m
             images = []
             for t in range(1, m - 1):
@@ -151,6 +219,8 @@ class _Level:
                 phi[index[_b_name(r, s)]] = _substitution(images)
         self.rank = rank
         self.phi = tuple(phi)
+        # N_m's letters act by conjugation: their roots, and those found for the others
+        self._roots = {x: (h, 1) for x, h in enumerate(conjugator) if h is not None}
         self._inverses: dict[int, tuple] = {}
 
     def inverse(self, x: int):
@@ -158,6 +228,19 @@ class _Level:
         if x not in self._inverses:
             self._inverses[x] = _nielsen_inverse(self.phi[x])
         return self._inverses[x]
+
+    def root(self, x: int):
+        """(h, o) with phi_x^o = inn(h) for the least o <= 4, or None; built once.  o is 1 for
+        the letters of N_m, and at level 3 every o divides 4, since x^4 lies in N_3."""
+        if x not in self._roots:
+            images, self._roots[x] = [(2 * t,) for t in range(self.rank)], None
+            for o in range(1, 5):
+                images = [free_reduce_letters([y for z in w for y in self.phi[x][z]])
+                          for w in images]
+                if (h := _conjugator(images)) is not None:
+                    self._roots[x] = (h, o)
+                    break
+        return self._roots[x]
 
 
 @functools.lru_cache
@@ -169,14 +252,15 @@ def level(m: int) -> _Level:
 class Tower:
     """The word problem of P_n(RP2), n >= 3, or of a quotient of it, level by level from Q8 up:
     words over ``atlas.pure_braid_rp2(n)``'s alphabet, read strand-deleted at each level m <= n.
-    ``relators`` are a quotient's relators past the atlas ones.  At each level the
-    substitutions write at most ``TOWER_MAX_LETTERS`` letters for one question; past them the
-    level raises Undecided, which names it and the letters written.  A level that proves two
-    words unequal decides even after an undecided one, as ``first_unequal`` has it."""
+    ``relators`` are a quotient's relators past the atlas ones, and ``alphabet`` the
+    presentation's own, the atlas one by default.  At each level the substitutions write at
+    most ``TOWER_MAX_LETTERS`` letters for one question; past them the level raises Undecided,
+    which names it and the letters written.  A level that proves two words unequal decides
+    even after an undecided one, as ``first_unequal`` has it."""
 
-    def __init__(self, n: int, relators=()):
+    def __init__(self, n: int, relators=(), alphabet=None):
         self.n = n
-        self.alphabet = _rp2_alphabet(n)
+        self.alphabet = _rp2_alphabet(n) if alphabet is None else alphabet
         # per level m, the P_m index of each generator of P_n, None above strand m
         self._indices = {}
         # per generator x, the gcd of the m of the relators x^m, or 0; the atlas has none
@@ -238,15 +322,16 @@ class Tower:
         return first_unequal(holds, ((m, None) for m in range(2, self.n + 1))) is None
 
     def __call__(self, u: Word, v: Word) -> bool:
-        """Whether u = v: at every level, phi_u = phi_v."""
+        """Whether u = v: at every level, phi_u = phi_v, the images of each b_t compared."""
         u, v = self._check(u), self._check(v)
 
         def equal(m):
             if m == 2:
                 return self._unit(u) == self._unit(v)
-            budget = _Budget(m)
-            return _compose(level(m), self._read(m, u), budget) == _compose(
-                level(m), self._read(m, v), budget)
+            lev, budget = level(m), _Budget(m)
+            (gu, a), (gv, b) = (_compose(lev, self._read(m, w), budget) for w in (u, v))
+            d = _join([], gv + _invert(gu))  # a_t = d^-1 b_t d
+            return all(_same(d, x, y) for x, y in zip(a, b))
 
         return self._levels(equal)
 
@@ -260,12 +345,14 @@ class Tower:
                 unit = self._unit(w)
                 return all(column[unit] == self._unit(w, column[1]) for column in COLUMNS[::2])
             lev, budget = level(m), _Budget(m)
-            images = _compose(lev, self._read(m, w), budget)
+            g, images = _compose(lev, self._read(m, w), budget)
             subst = _substitution(images)
-            for phi in lev.phi:
-                for t, image in enumerate(images):
-                    if budget.apply(subst, phi[2 * t]) != budget.apply(phi, image):
-                        return False
+            inverse = _invert(g)
+            for phi in lev.phi:  # phi_w(phi_x(b_t)) = phi_x(phi_w(b_t)): x_t = d^-1 y_t d
+                d = _join([], _substitute(phi, g, budget) + inverse)
+                if not all(_same(d, budget.apply(subst, phi[2 * t]), budget.apply(phi, image))
+                           for t, image in enumerate(images)):
+                    return False
             return True
 
         return self._levels(commutes)
@@ -287,12 +374,30 @@ class _Budget:
         return image
 
 
-def _compose(lev: _Level, syllables, budget: _Budget) -> list[tuple[int, ...]]:
-    """The images of b under phi_w, w given by its syllables: each syllable's automorphism
-    is applied to the images so far, the last syllable's first."""
-    images = [(2 * t,) for t in range(lev.rank)]
+def _compose(lev: _Level, syllables, budget: _Budget):
+    """phi_w, w given by its syllables, as (g, images): y -> g^-1 alpha(y) g, g a list of
+    pieces and alpha the automorphism that sends b to images.  The syllables are read right to
+    left.  x^e with |e| > 4 and phi_x^o = inn(h) (``_Level.root``) multiplies g by h^-q,
+    e = q o + r, and phi_x^r, like any other syllable's automorphism, is applied to the images
+    and to g."""
+    images, g = [(2 * t,) for t in range(lev.rank)], []
     for gen, exp in reversed(syllables):
-        subst = lev.phi[gen] if exp > 0 else lev.inverse(gen)
+        if abs(exp) > 4 and (root := lev.root(gen)):
+            (h, o), sign = root, 1 if exp > 0 else -1
+            q, r = divmod(abs(exp), o)
+            g, exp = _join(g, _power(h, -sign * q)), sign * r
+        subst = lev.phi[gen] if exp >= 0 else lev.inverse(gen)
         for _ in range(abs(exp)):
             images = [budget.apply(subst, image) for image in images]
-    return images
+            g = _substitute(subst, g, budget)
+    return g, images
+
+
+def _substitute(subst, g, budget: _Budget) -> list[tuple[tuple[int, ...], int]]:
+    """The pieces of the image of g, given by its pieces, under subst: p p ... (n letters)
+    is p^k p[:r], n = k |p| + r."""
+    pieces = []
+    for p, n in g:
+        k, r = divmod(n, len(p))
+        pieces += _power(budget.apply(subst, p), k) + _power(budget.apply(subst, p[:r]), 1)
+    return _join([], pieces)

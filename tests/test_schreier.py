@@ -579,24 +579,23 @@ def test_a_commutator_no_witness_separates_is_unequal():
 
 
 def test_huge_exponents_are_read_per_syllable():
-    # Q8 reads a power modulo 4, and a quotient's relator x^m reads it modulo m, so these
-    # powers cost nothing; level 3 writes the letters of each power, and stops at its budget
+    # rho1 commutes with B23 (relation family (d)); a power of a letter of the fiber is one
+    # inner automorphism at level 3, Q8 reads a power modulo 4, and a quotient's relator x^m
+    # reads it modulo m, so the powers cost nothing
     n = 10**11
+    assert ORACLE(P3.word(f"rho1 B23^{n}"), P3.word(f"B23^{n} rho1"))
+    assert ORACLE(P3.word(f"rho3^{2 * n + 2}"), P3.word(f"rho3^{2 * n} B13 B23"))
+    assert not ORACLE(P3.word(f"rho3^{2 * n + 1}"), P3.word(f"rho3^{2 * n} B13"))
+    # rho1^4 lies in the fiber, so its power is one inner automorphism too
+    assert ORACLE(P3.word(f"rho1^{4 * n} B23"), P3.word(f"B23 rho1^{4 * n}"))
+    assert not ORACLE(P3.word(f"rho1^{4 * n} B13"), P3.word(f"B13 rho1^{4 * n}"))
     assert not ORACLE(P3.word(f"rho1^{4 * n + 1}"), P3.word(f"rho1^{4 * n} rho2"))
-    rho6 = graded(rho_quotient(6))
+    rho6 = tower.Tower(*tower_strands(rho_quotient(6)))
     assert rho6(P3.word(f"rho1 B23 rho3^{6 * n + 1}"), P3.word(f"B23 rho1 rho3^{6 * n + 7}"))
-    with pytest.raises(Undecided, match="^the tower wrote \\d+ letters at level 3"):
-        ORACLE(P3.word(f"rho1 B23^{n}"), P3.word(f"B23^{n} rho1"))
 
 
 def rho_quotient(k):
     return quotient(P3, [P3.word(f"rho{i}^{k}") for i in (1, 2, 3)])
-
-
-def graded(p):
-    """The tower the answer chain builds for p: P_n(RP2), or a quotient of it."""
-    n = tower_strands(p)
-    return tower.Tower(n, p.relators[len(pure_braid_rp2(n).relators):])
 
 
 @pytest.mark.parametrize("p,error", [(rho_quotient(6), Undecided), (rho_quotient(4), Undecided),
@@ -606,7 +605,7 @@ def test_the_fiber_oracle_refuses_what_it_cannot_decide(p, error):
     # words of P4(RP2) are refused outright, as input over the wrong alphabet.  On the
     # quotients the commutator of B13 and B23, which Q8 does not see, is separated at level 3
     # only, which proves nothing there
-    oracle = ORACLE if p is P4 else graded(p)
+    oracle = ORACLE if p is P4 else tower.Tower(*tower_strands(p))
     with pytest.raises(error):
         oracle(p.word("B13 B23 B13^-1 B23^-1"), p.word("1"))
 
@@ -620,7 +619,7 @@ def test_a_relator_the_q8_action_breaks_leaves_q8_proving_only_equal(p, broken):
     # no quotient of the group, so a pair it separates, rho1 rho2 and rho2 rho1, is undecided
     assert [rel for rel in p.relators if not closes(P3_COLUMNS, rel)] == [
         p.word(rel) for rel in broken.split()]
-    oracle = graded(p)
+    oracle = tower.Tower(*tower_strands(p))
     assert not oracle._exact
     with pytest.raises(Undecided, match="only equal words at level 2 on a quotient$"):
         oracle(p.word("rho1 rho2"), p.word("rho2 rho1"))
@@ -631,7 +630,7 @@ def test_a_relator_the_q8_action_breaks_leaves_q8_proving_only_equal(p, broken):
 def test_a_quotient_with_a_relator_left_out_proves_only_equal_words():
     # rho1^2 = 1 holds in P3(RP2)/<rho^2> though the Q8 action moves coset 1 by it:
     # the power rule reads it as 1, and a pair no level calls equal is undecided
-    oracle = graded(rho_quotient(2))
+    oracle = tower.Tower(*tower_strands(rho_quotient(2)))
     assert oracle(P3.word("rho1^2"), P3.word("1")) is True
     assert oracle(P3.word("rho1^-1"), P3.word("rho1")) is True
     for lhs in ("B12", "rho1 rho2 rho1^-1 rho2^-1"):
@@ -648,7 +647,7 @@ def test_a_lazy_oracle_answers_a_pair_q8_separates_by_its_walk(monkeypatch):
     assert oracle(P3.word("B13 B23 B13^-1 B23^-1"), P3.word("1")) is False
 
 
-RHO6_ORACLE = graded(rho_quotient(6))
+RHO6_ORACLE = tower.Tower(*tower_strands(rho_quotient(6)))
 
 
 @st.composite
@@ -679,7 +678,7 @@ def test_an_inserted_rho6_is_answered_like_the_word_without_it(case):
 
 
 RHO_TABLES = {k: todd_coxeter(rho_quotient(k)) for k in (2, 4)}
-RHO_ORACLES = {k: graded(rho_quotient(k)) for k in (2, 4)}
+RHO_ORACLES = {k: tower.Tower(*tower_strands(rho_quotient(k))) for k in (2, 4)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -696,13 +695,13 @@ def test_every_answer_on_a_rho_quotient_agrees_with_its_complete_table(k, pair):
 def test_p4_and_long_relators_pay_no_enumeration(monkeypatch):
     from braidkernel import coset
     monkeypatch.setattr(coset, "todd_coxeter", None)
-    one = Word.identity(P4.alphabet)
-    assert graded(P4)(tau_n(4) * P4.word("rho1"), P4.word("rho1") * tau_n(4))
-    assert graded(P4)(P4.word("B14"), one) is False
+    one, p4 = Word.identity(P4.alphabet), tower.Tower(*tower_strands(P4))
+    assert p4(tau_n(4) * P4.word("rho1"), P4.word("rho1") * tau_n(4))
+    assert p4(P4.word("B14"), one) is False
     # a consequence of the relators, 2085 letters in all, that goes to 1 in Q8: Q8 still
     # proves "not equal", and only Q8
     long = quotient(P3, [P3.word("rho3^2 B23^-1 B13^-1") ** 500])
-    oracle = graded(long)
+    oracle = tower.Tower(*tower_strands(long))
     assert oracle(long.relators[-1], P3.word("1")) and oracle(P3.word("B12"), P3.word("1")) is False
     with pytest.raises(Undecided, match="level 3 on a quotient"):
         oracle(P3.word("B13"), P3.word("1"))

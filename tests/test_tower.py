@@ -10,6 +10,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidkernel
 from braidkernel import (
@@ -24,7 +25,7 @@ from braidkernel.commands.chain import tower_strands
 from braidkernel.presentations import GroupHom, Presentation
 from braidkernel.q8 import COLUMNS, IMAGES
 from braidkernel.schreier import find_witness
-from braidkernel.words import Word, letters_to_word, word_to_letters
+from braidkernel.words import Word, free_reduce_letters, letters_to_word, word_to_letters
 
 LEVELS = range(3, RP2_MAX_STRANDS + 1)
 
@@ -34,7 +35,10 @@ def identity(lev):
 
 
 def compose(lev, syllables):
-    return tower._compose(lev, syllables, tower._Budget(lev.m))
+    """The images of b under phi_w, w given by its syllables, written out."""
+    g, images = tower._compose(lev, syllables, tower._Budget(lev.m))
+    g = spelled(g)
+    return [free_reduce_letters(tower._inverse(g) + image + g) for image in images]
 
 
 def check_1(lev, relators):
@@ -252,12 +256,6 @@ RHO_QUOTIENTS = {f"rho{k}": quotient(P3, [P3.word(f"rho{i}^{k}") for i in (1, 2,
                  for k in (2, 4, 6)}
 
 
-def graded(p):
-    """The tower the answer chain builds for p: the atlas P_n(RP2) or a quotient of it."""
-    n = tower_strands(p)
-    return tower.Tower(n, p.relators[len(pure_braid_rp2(n).relators):])
-
-
 def answer(oracle, u, v):
     try:
         return "equal" if oracle(u, v) else "unequal"
@@ -268,7 +266,7 @@ def answer(oracle, u, v):
 def fiber_corpus():
     """(group, verdict recorded by the fiber oracle, the tower's verdict) per recorded pair."""
     groups = {"P3": P3, **RHO_QUOTIENTS}
-    towers = {name: graded(p) for name, p in groups.items()}
+    towers = {name: tower.Tower(*tower_strands(p)) for name, p in groups.items()}
     path = pathlib.Path(__file__).parent / "data" / "fiber_verdicts.tsv"
     rows = []
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -371,11 +369,14 @@ def test_forgetting_maps_into_p4_and_up_verify(capsys, monkeypatch, tmp_path, n,
 
 
 def test_the_gate_admits_the_atlas_groups_and_their_quotients():
+    # tower.Tower's arguments: the strands, the relators past the atlas ones, the alphabet
     for n in LEVELS:
-        assert tower_strands(pure_braid_rp2(n)) == n
+        p = pure_braid_rp2(n)
+        assert tower_strands(p) == (n, (), p.alphabet)
     p4 = pure_braid_rp2(4)
     assert tower_strands(pure_braid_rp2(2)) is None  # Q8: the tower's base, no level above it
-    assert tower_strands(quotient(p4, [p4.word("rho1^6")])) == 4
+    assert tower_strands(quotient(p4, [p4.word("rho1^6")])) == (4, (p4.word("rho1^6"),),
+                                                                p4.alphabet)
     # the atlas relators must come first, all of them, in order
     assert tower_strands(Presentation(p4.name, p4.alphabet, p4.relators[1:])) is None
     rotated = p4.relators[1:] + p4.relators[:1]
@@ -407,13 +408,61 @@ def test_the_undecided_line_on_a_quotient_names_the_level(capsys, monkeypatch):
 def test_a_quotient_proves_not_equal_only_where_it_maps():
     # rho_k^4 goes to 1 in Q8, so on <rho_k^4> Q8 still proves "not equal", and the levels
     # above it prove only "equal"
-    rho4 = graded(RHO_QUOTIENTS["rho4"])
+    rho4 = tower.Tower(*tower_strands(RHO_QUOTIENTS["rho4"]))
     assert list(rho4._exact) == [2]
     assert rho4(P3.word("rho1 rho2"), P3.word("rho2 rho1")) is False
     # equal in P3(RP2) once each rho_k^4 is read as 1: proved in every quotient
     assert rho4(P3.word("rho1^5 B13"), P3.word("rho1^-3 B13 rho2^8"))
     with pytest.raises(Undecided, match="level 3 on a quotient$"):
         rho4(P3.word("B13 B23"), P3.word("B23 B13"))
+
+
+def spelled(pieces):
+    """The letters of a list of pieces (p, n): the first n letters of p p p ..."""
+    return tuple(z for p, n in pieces if n for z in (p * (n // len(p) + 1))[:n])
+
+
+@st.composite
+def piece_lists(draw):
+    """Powers of cyclically reduced roots over F(b_0, b_1), of their rotations and inverses,
+    and plain reduced words, in a random order: the phases a cancellation meets."""
+    letters = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(free_reduce_letters)
+    roots, pieces = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        word = draw(letters)
+        if roots and draw(st.booleans()):
+            root, turn = draw(st.sampled_from(roots)), draw(st.integers(0, 4))
+            word = root[turn % len(root):] + root[:turn % len(root)]
+            word = tower._inverse(word) if draw(st.booleans()) else word
+        elif draw(st.booleans()):
+            pieces += [(word, len(word))] if word else []
+            continue
+        while len(word) > 1 and word[0] == word[-1] ^ 1:
+            word = word[1:-1]
+        if word:
+            roots.append(word)
+            pieces += tower._power(word, draw(st.integers(-5, 5)))
+    return pieces
+
+
+@settings(max_examples=500, deadline=None)
+@given(piece_lists())
+def test_joined_pieces_spell_the_reduced_letters(pieces):
+    joined = tower._join([], pieces)
+    assert spelled(joined) == free_reduce_letters(spelled(pieces))
+    assert all(n for _, n in joined)
+
+
+def test_a_power_is_one_piece_however_large():
+    # (b0 b1)^N b1^-1 (b0^-1 b1^-1)^N is b1^-1: the cancellation runs through the phase shift
+    # b1^-1 makes, N letters at a time
+    n = 10**12
+    pieces = tower._power((0, 2), n) + [((3,), 1)] + tower._power((1, 3), n)
+    assert spelled(tower._join([], pieces)) == (3,)
+    # rho1 B13 rho1^-1 = rho3^-1 B13^-1 rho3 (family (b)), raised to the power n
+    p3, t = pure_braid_rp2(3), tower.Tower(3)
+    assert t(p3.word(f"rho1 B13^{n} rho1^-1"), p3.word(f"rho3^-1 B13^-{n} rho3"))
+    assert not t(p3.word(f"rho1 B13^{n} rho1^-1"), p3.word(f"rho3^-1 B13^-{n - 1} rho3"))
 
 
 def test_the_budget_names_the_level_and_the_letters(monkeypatch):
