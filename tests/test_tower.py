@@ -4,6 +4,7 @@ broken level failing them, its Q8 base, its grading on quotients, agreement with
 engines and with the verdicts the fiber oracle of P3(RP2) recorded before the tower replaced
 it, and the CLI answers it gives."""
 
+import hashlib
 import io
 import json
 import pathlib
@@ -194,6 +195,28 @@ def test_the_checks_hold_at_every_level(m):
         inverse = lev.inverse(x)
         assert [tower._apply(phi, inverse[2 * t])[0] for t in range(lev.rank)] == identity(lev)
         assert [tower._apply(inverse, phi[2 * t])[0] for t in range(lev.rank)] == identity(lev)
+
+
+# sha256 of repr(level(m).phi): the substitutions each level's automorphisms are, pinned so
+# that a change in how a level is built keeps them letter for letter
+PHI_DIGESTS = {
+    3: "e4000d24584def4df8addf86a471cd3c1aeb93636b1a796b4892e11bdb771d4b",
+    4: "a9f6463f36a564498ba16b30cacbea2245b0db09037de283b62cc522d7280c57",
+    5: "19b7a9586bd9ecd5bf07a56671d210a489d7f1a558a2fbd9ab9dc5a7c6f19dd9",
+    6: "8674d59eae4fb087c0d91cf7357c3f40610486145e55cfa89e24f6ba3238b8b1",
+    7: "30c0c14532a3a6b29037282cd2e8b68ab670c3a25e7366ff3dd398f0431c0c9b",
+    8: "94d4d3eec6e3b05a2779f6f4e2c56360b21c0cac8cbb99923b0daf74f6c0ba7c",
+    9: "aa431ad03946b27fbc9f07a34364e4f4e33336f4fc2bda8901848b9e034f6a8c",
+    10: "5298d24274f4fdcd3e9e24b4ba0bbfcd2d4695eb077ea3941b04a9bfc3d83bc8",
+    11: "51a892d1446c1efeea2c0720a8667f3245008b628b67ce274e1466608eebe7ad",
+    12: "c90b158b5ccb9a3e7451f132c9bf2e87e4161a4627105583fd64c6af0f7b52f7",
+}
+
+
+@pytest.mark.parametrize("m", LEVELS)
+def test_every_level_keeps_its_automorphisms(m):
+    phi = tower.level(m).phi
+    assert hashlib.sha256(repr(phi).encode()).hexdigest() == PHI_DIGESTS[m]
 
 
 def test_the_family_a_pattern_the_atlas_leaves_out_holds():
