@@ -18,7 +18,6 @@ import functools
 import re
 
 from .presentations import GroupHom, Presentation, presentation
-from .surfaces import RP2, TORUS, SurfaceKind
 from .base import BraidkernelError, record
 from .words import Alphabet, Word, make_alphabet, parse_word
 
@@ -191,7 +190,9 @@ class CenterDescription:
     label: str
 
 
-def center_table(surface: SurfaceKind, n: int) -> CenterDescription:
+def center_table(surface, n: int) -> CenterDescription:
+    """The center of P_n(surface), surface a ``surfaces.SurfaceKind``."""
+    from .surfaces import RP2, TORUS  # only here: the tower's queries never compile surfaces
     if n < 1:
         raise AtlasError("strand count must be >= 1")
     if surface.orientable:

@@ -70,13 +70,13 @@ _COMMANDS = {
         "--surface": ("surface", str, _REQUIRED, "rp2, torus, klein, quaternion, nonorientable:k"),
         "--n": ("n", int, None, "strand count (rp2)"), **_JSON}),
     "order": ("order", "group order by coset enumeration", {**_INPUT, **_MAX_COSETS, **_JSON}),
-    "central": ("central", "test centrality in a finite group, in P3(RP2) and its "
-                "quotients, or in the atlas P_n(RP2)", {
+    "central": ("central", "test centrality in a finite group, or in an atlas P_n(RP2) and "
+                "its quotients", {
         "--element": ("element", str, _REQUIRED, 'a word, or "tau" on an atlas rp2 presentation'),
         **_INPUT, **_MAX_COSETS, **_JSON}),
     "abelianize": ("abelianize", "abelian invariants", {**_INPUT, **_JSON}),
-    "hom-check": ("hom_check", "verify a homomorphism map file into a finite group, into "
-                  "P3(RP2) and its quotients, or into the atlas P_n(RP2)", {
+    "hom-check": ("hom_check", "verify a homomorphism map file into a finite group, or into "
+                  "an atlas P_n(RP2) and its quotients", {
         "--map": ("map_file", str, _REQUIRED, "map file"), **_MAX_COSETS, **_JSON}),
     "equal": ("equal", "decide or certify a word equality", {
         "--lhs": ("lhs", str, _REQUIRED, "a word"), "--rhs": ("rhs", str, _REQUIRED, "a word"),

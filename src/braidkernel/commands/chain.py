@@ -31,7 +31,7 @@ def first_answer(links):
 
 
 def tower_strands(p):
-    """``tower.Tower``'s arguments for p, (n, the relators past the atlas ones, p's alphabet), when
+    """``tower.Tower``'s arguments for p, (n, its atlas relators, the relators past them), when
     p is the atlas P_n(RP2) with 3 <= n <= ``atlas.RP2_MAX_STRANDS``, or a quotient of it: its
     alphabet is the atlas one and its relators begin with the atlas ones, compared by syllables.
     None otherwise.  The atlas is built only for an alphabet of n(n + 1)/2 names whose last is
@@ -46,7 +46,7 @@ def tower_strands(p):
     k = len(q.relators)
     same = same_alphabet(p.alphabet, q.alphabet) and (
         [r.syllables for r in p.relators[:k]] == [r.syllables for r in q.relators])
-    return (n, p.relators[k:], p.alphabet) if same else None
+    return (n, p.relators[:k], p.relators[k:]) if same else None
 
 
 def tower_links(p, answer):

@@ -4,24 +4,26 @@ tower.
 Forgetting strand m maps P_m(RP2) onto P_(m-1)(RP2) (Fadell-Neuwirth 1962; Van Buskirk
 1966).  Its kernel N_m is generated by b = (B_1m, ..., B_(m-2)m, rho_m), since family (c)
 gives B_(m-1)m = (B_1m ... B_(m-2)m)^-1 rho_m^2.  Each generator x of P_m gets an
-automorphism phi_x of the free group F(b), y -> x y x^-1 read off the atlas relations with
-j = m: a letter of N_m acts by conjugation by its word in b, rho_k (k < m) by families (d)
-and (b), and B_rs (s < m) by family (a), which has no pattern for s < i: there B_rs fixes
-B_im, and rho_m commutes with B_rs by family (d).  It is Artin's representation (Artin
-1947) for the projective plane.  Three facts about each level, which ``tests/test_tower.py``
-checks for every level the answer chain admits, make the tower exact:
+automorphism phi_x of the free group F(b), y -> x y x^-1 (Artin's representation, Artin 1947,
+for the projective plane), read in one pass over the atlas relators: a letter of N_m acts by
+conjugation by its word in b, rho_k (k < m) as the relators rho_k y rho_k^-1 = w with j = m
+say, families (d) and (b), and phi_B_rs (s < m) is composed by family (b), B_rs = rho_s
+rho_r^-1 rho_s^-1 rho_r, when a word first needs it.  A level whose relators lack one of these
+refuses when it is built.  Three facts about each level, which ``tests/test_tower.py`` checks
+for every level the answer chain admits, make the tower exact:
 
 1. phi_r is the identity for every relator r of P_m, so phi is a homomorphism of P_m;
 2. deleting N_m's letters from P_m's relators leaves exactly P_(m-1)'s relators, as cyclic
    words up to inversion, so P_m / N_m is P_(m-1)'s presented group;
 3. each phi_x is onto: Nielsen reduction of its images finds an inverse.
 
-x y x^-1 = phi_x(y) is an atlas relation for x = rho_k, and B_rs is a word in the rho's by
-family (b), so by 3 N_m is normal; phi sends a letter of N_m to its inner automorphism, and
-F(b) has rank m - 1 >= 2, hence no center.  So w = 1 in P_m iff w with strand m deleted is 1
-in P_(m-1) and phi_w is the identity.  The base P_2(RP2) has order 8 and maps onto Q8 by
-``q8.IMAGES``, read through Q8's action on its own units, ``q8.COLUMNS``.  Nielsen's method
-is in Magnus-Karrass-Solitar 1966, ch. 3.
+x y x^-1 = phi_x(y) is an atlas relation for x = rho_k, and the rho's generate P_m by family
+(b), so by 3 N_m is normal; phi sends a letter of N_m to its inner automorphism, and F(b) has
+rank m - 1 >= 2, hence no center.  So w = 1 in P_m iff w with strand m deleted is 1 in
+P_(m-1) and phi_w is the identity, and w is central iff it is so in P_(m-1) and phi_w commutes
+with each phi_rho_k.  The base P_2(RP2) has order 8 and maps onto Q8 by ``q8.IMAGES``, read
+through Q8's action on its own units, ``q8.COLUMNS``.  Nielsen's method is in
+Magnus-Karrass-Solitar 1966, ch. 3.
 
 A quotient of P_n(RP2), presented by the atlas relators and more, is graded.  "Equal" is
 proved in P_n(RP2), which maps onto the quotient, after each syllable x^e is taken modulo
@@ -37,17 +39,16 @@ for the letters of N_m, and every generator has one at level 3.
 
 from __future__ import annotations
 
-import functools
 from math import gcd
 
-from .atlas import _b_name, _rp2_alphabet
+from .atlas import _b_name, _rp2_alphabet, b_ij_as_rho, pure_braid_rp2
 from .base import BraidkernelError, EnumerationError, Undecided
 from .presentations import first_unequal
 from .q8 import COLUMNS
 from .words import Word, free_reduce_letters, same_alphabet
 
-# the most letters one level's substitutions write for one question: central tau_8 writes 7226
-# at level 8, and tau_12 29020 at level 12
+# the most letters one level's substitutions write for one question: central tau_8, tested on
+# the rho's, writes 4706 at level 8, and tau_12 19032 at level 12
 TOWER_MAX_LETTERS = 10**6
 
 
@@ -141,26 +142,30 @@ def _conjugator(images) -> tuple[int, ...] | None:
 
 def _nielsen_inverse(subst) -> tuple[tuple[int, ...], ...]:
     """The inverse of the automorphism subst: its images, each with its expression in the
-    images, are shortened by products with the others until each is one letter.  Raises
-    BraidkernelError when no product shortens an image longer than one letter."""
+    images, are shortened by products with the others, w v^+-1 or v^+-1 w cancelling more than
+    half of v, until each is one letter.  Raises BraidkernelError when no product shortens an
+    image longer than one letter."""
     rank = len(subst) // 2
-    basis = [[subst[2 * t], (2 * t,)] for t in range(rank)]  # [image, its expression]
+    # each image with its expression, and both inverted
+    basis = [(w, (2 * t,), _inverse(w), (2 * t + 1,)) for t, w in enumerate(subst[::2])]
     shortened = True
     while shortened:
         shortened = False
-        for i, (w, e) in enumerate(basis):
-            for j, (v, f) in enumerate(basis):
-                if i == j:
+        for i, j in ((i, j) for i in range(rank) for j in range(rank) if i != j):
+            (w, e, _, _), (v, f, vi, fi) = basis[i], basis[j]
+            for a, x, b, y in ((w, e, v, f), (w, e, vi, fi), (v, f, w, e), (vi, fi, w, e)):
+                if a[-1] != b[0] ^ 1:  # the junction does not cancel
                     continue
-                for vv, ff in ((v, f), (_inverse(v), _inverse(f))):
-                    for product, expr in (
-                            (free_reduce_letters(w + vv), free_reduce_letters(e + ff)),
-                            (free_reduce_letters(vv + w), free_reduce_letters(ff + e))):
-                        if len(product) < len(w):
-                            basis[i] = [w, e] = [product, expr]
-                            shortened = True
+                c, most = 1, min(len(a), len(b))
+                while c < most and a[-1 - c] == b[c] ^ 1:
+                    c += 1
+                if 2 * c > len(v):
+                    w, e = a[:len(a) - c] + b[c:], free_reduce_letters(x + y)
+                    basis[i] = w, e, _inverse(w), _inverse(e)
+                    shortened = True
+                    break
     inverse = [None] * rank
-    for w, e in basis:
+    for w, e, _, _ in basis:
         if len(w) != 1 or inverse[w[0] >> 1] is not None:
             raise BraidkernelError("Nielsen reduction left an automorphism's image unreduced")
         inverse[w[0] >> 1] = e if w[0] % 2 == 0 else _inverse(e)
@@ -168,65 +173,66 @@ def _nielsen_inverse(subst) -> tuple[tuple[int, ...], ...]:
 
 
 class _Level:
-    """Level m: phi_x for each generator x of P_m, indexed as the atlas alphabet, and the
-    inverses and roots, each built when a word first needs it."""
+    """Level m: phi_x for each generator x of P_m, indexed as the atlas alphabet, read in one
+    pass over the relators of an atlas P_n(RP2) with n >= m.  phi_B_rs, the inverses and the
+    roots are built when a word first needs them."""
 
-    def __init__(self, m: int):
-        self.m = m
-        alphabet = _rp2_alphabet(m)
-        index = {name: i for i, name in enumerate(alphabet)}
-        rank = m - 1
-        rho = (2 * (m - 2),)
-        # B_km for 1 <= k < m as a word in b, B_(m-1)m by family (c)
-        bw = [None] + [(2 * (k - 1),) for k in range(1, m - 1)]
-        inv, red = _inverse, free_reduce_letters
-        bw.append(red(inv(tuple(range(0, 2 * (m - 2), 2))) + rho + rho))
+    def __init__(self, m: int, relators):
+        self.m, alphabet, below = m, relators[0].alphabet, _rp2_alphabet(m)
+        rank = self.rank = m - 1
+        # N_m's letters: b_t = B_(t+1)m for t < m - 2, b_(m-2) = rho_m, and B_(m-1)m as m - 1
+        inner = [*(_b_name(k, m) for k in range(1, m - 1)), f"rho{m}", _b_name(m - 1, m)]
+        code = {alphabet.index(name): t for t, name in enumerate(inner)}
+        rho = {alphabet.index(f"rho{k}"): k for k in range(1, m + 1)}
+        above = {g for g, name in enumerate(alphabet) if name not in below}
 
-        def inner(word):
-            return _substitution(red(word + (2 * t,) + inv(word)) for t in range(rank))
+        def letters(syllables):  # over N_m, strands above m deleted; None off N_m
+            if all(g in code or g in above for g, _ in syllables):
+                return [2 * code[g] + (e < 0) for g, e in syllables if g in code
+                        for _ in range(abs(e))]
 
-        conjugator: list = [None] * len(alphabet)
+        read = {}  # (k, t): rho_k x_t rho_k^-1 for k < m, and (m, m - 1): B_(m-1)m
+        for r in relators:
+            s = r.syllables
+            k = rho.get(s[0][0])
+            if k == m and s[0][1] == 2:  # family (c): rho_m^2 B_(m-1)m^-1 v, v over b
+                w = letters(s[1:])  # so B_(m-1)m = v rho_m^2
+                if w and w[0] == 2 * rank + 1 and max(w[1:], default=0) < 2 * rank:
+                    read[m, rank] = (*w[1:], 2 * rank - 2, 2 * rank - 2)
+            elif (k and k < m and len(s) > 3 and s[0][1] == s[1][1] == 1
+                  and s[2] == (s[0][0], -1) and code.get(s[1][0], rank) < rank
+                  and (w := letters(s[3:]))):  # families (d) and (b): rho_k y rho_k^-1 w^-1
+                read[k, code[s[1][0]]] = _inverse(w)
+        for k, t in [(m, rank), *((k, t) for k in range(1, m) for t in range(rank))]:
+            if (k, t) not in read:
+                raise BraidkernelError(f"level {m} reads no relator for (rho{k}, {inner[t]})")
+        # each letter of N_m as a word in b
+        sub = _substitution([*((2 * t,) for t in range(rank)), free_reduce_letters(read[m, rank])])
+        index = {name: i for i, name in enumerate(below)}
+        self.phi = [None] * len(below)
+        self._roots = {index[name]: (sub[2 * t], 1) for t, name in enumerate(inner)}
+        for x, (h, _) in self._roots.items():  # N_m's letters act by conjugation
+            self.phi[x] = _substitution(free_reduce_letters(h + (2 * u,) + _inverse(h))
+                                        for u in range(rank))
         for k in range(1, m):
-            conjugator[index[_b_name(k, m)]] = bw[k]
-        conjugator[index[f"rho{m}"]] = rho
-        phi = [None if h is None else inner(h) for h in conjugator]
-        for k in range(1, m):  # families (d) and (b), j = m
-            images = []
-            for t in range(1, m - 1):
-                if k < t:
-                    images.append(bw[t])
-                elif k == t:
-                    images.append(red(inv(rho) + inv(bw[t]) + rho))
-                else:
-                    images.append(red(inv(rho) + inv(bw[k]) + rho + inv(bw[k]) + bw[t] + bw[k]
-                                      + inv(rho) + bw[k] + rho))
-            images.append(red(inv(rho) + inv(bw[k]) + rho + rho))
-            phi[index[f"rho{k}"]] = _substitution(images)
-        for r in range(1, m):  # family (a), j = m; B_rs fixes B_tm for s < t, and rho_m
-            for s in range(r + 1, m):
-                images = []
-                for t in range(1, m - 1):
-                    if t < r or s < t:
-                        images.append(bw[t])
-                    elif t == r:
-                        images.append(red(inv(bw[s]) + bw[t] + bw[s]))
-                    elif t < s:
-                        images.append(red(inv(bw[s]) + inv(bw[r]) + bw[s] + bw[r] + bw[t]
-                                          + inv(bw[r]) + inv(bw[s]) + bw[r] + bw[s]))
-                    else:
-                        images.append(red(inv(bw[t]) + inv(bw[r]) + bw[t] + bw[r] + bw[t]))
-                images.append(rho)
-                phi[index[_b_name(r, s)]] = _substitution(images)
-        self.rank = rank
-        self.phi = tuple(phi)
-        # N_m's letters act by conjugation: their roots, and those found for the others
-        self._roots = {x: (h, 1) for x, h in enumerate(conjugator) if h is not None}
+            self.phi[index[f"rho{k}"]] = _substitution(_apply(sub, read[k, t])[0]
+                                                       for t in range(rank))
+        self.rhos = [index[f"rho{k}"] for k in range(1, m + 1)]
+        self._pairs = {index[_b_name(r, s)]: (r, s) for s in range(2, m) for r in range(1, s)}
         self._inverses: dict[int, tuple] = {}
+
+    def automorphism(self, x: int):
+        """phi_x; phi_B_rs is composed by family (b), ``atlas.b_ij_as_rho``, the first time it is
+        asked for."""
+        if self.phi[x] is None:
+            word = b_ij_as_rho(self.m, *self._pairs[x]).syllables
+            self.phi[x] = _substitution(_compose(self, word, _Budget(self.m))[1])
+        return self.phi[x]
 
     def inverse(self, x: int):
         """phi_x^-1, by Nielsen reduction, built once."""
         if x not in self._inverses:
-            self._inverses[x] = _nielsen_inverse(self.phi[x])
+            self._inverses[x] = _nielsen_inverse(self.automorphism(x))
         return self._inverses[x]
 
     def root(self, x: int):
@@ -235,32 +241,38 @@ class _Level:
         if x not in self._roots:
             images, self._roots[x] = [(2 * t,) for t in range(self.rank)], None
             for o in range(1, 5):
-                images = [free_reduce_letters([y for z in w for y in self.phi[x][z]])
-                          for w in images]
+                images = [_apply(self.automorphism(x), w)[0] for w in images]
                 if (h := _conjugator(images)) is not None:
                     self._roots[x] = (h, o)
                     break
         return self._roots[x]
 
 
-@functools.lru_cache
-def level(m: int) -> _Level:
-    """Level m of the tower, 3 <= m, built once per process."""
-    return _Level(m)
+_LEVELS: dict[int, _Level] = {}
+
+
+def level(m: int, relators) -> _Level:
+    """Level m, 3 <= m, read from an atlas P_n(RP2)'s relators, n >= m, once per process: every
+    atlas gives the same level."""
+    if m not in _LEVELS:
+        _LEVELS[m] = _Level(m, relators)
+    return _LEVELS[m]
 
 
 class Tower:
     """The word problem of P_n(RP2), n >= 3, or of a quotient of it, level by level from Q8 up:
     words over ``atlas.pure_braid_rp2(n)``'s alphabet, read strand-deleted at each level m <= n.
-    ``relators`` are a quotient's relators past the atlas ones, and ``alphabet`` the
-    presentation's own, the atlas one by default.  At each level the substitutions write at
-    most ``TOWER_MAX_LETTERS`` letters for one question; past them the level raises Undecided,
-    which names it and the letters written.  A level that proves two words unequal decides
-    even after an undecided one, as ``first_unequal`` has it."""
+    ``atlas`` are the presentation's atlas relators, which the levels are read from and whose
+    alphabet the words must be over, and ``relators`` a quotient's relators past them; the atlas
+    P_n(RP2)'s by default.  At each level the substitutions write at most
+    ``TOWER_MAX_LETTERS`` letters for one question; past them the level raises Undecided, which
+    names it and the letters written.  A level that proves two words unequal decides even after
+    an undecided one, as ``first_unequal`` has it."""
 
-    def __init__(self, n: int, relators=(), alphabet=None):
+    def __init__(self, n: int, atlas=None, relators=()):
         self.n = n
-        self.alphabet = _rp2_alphabet(n) if alphabet is None else alphabet
+        self.atlas = pure_braid_rp2(n).relators if atlas is None else atlas
+        self.alphabet = self.atlas[0].alphabet
         # per level m, the P_m index of each generator of P_n, None above strand m
         self._indices = {}
         # per generator x, the gcd of the m of the relators x^m, or 0; the atlas has none
@@ -328,7 +340,7 @@ class Tower:
         def equal(m):
             if m == 2:
                 return self._unit(u) == self._unit(v)
-            lev, budget = level(m), _Budget(m)
+            lev, budget = level(m, self.atlas), _Budget(m)
             (gu, a), (gv, b) = (_compose(lev, self._read(m, w), budget) for w in (u, v))
             d = _join([], gv + _invert(gu))  # a_t = d^-1 b_t d
             return all(_same(d, x, y) for x, y in zip(a, b))
@@ -337,18 +349,19 @@ class Tower:
 
     def central(self, w: Word) -> bool:
         """Whether w is central: at every level, phi_w is composed once and commutes with
-        phi_x for each generator x of P_m."""
+        phi_rho_k for each k <= m.  The rho's generate P_m, and the automorphisms that commute
+        with phi_w form a subgroup."""
         w = self._check(w)
 
         def commutes(m):
             if m == 2:  # w x and x w carry 1 to the same unit
                 unit = self._unit(w)
                 return all(column[unit] == self._unit(w, column[1]) for column in COLUMNS[::2])
-            lev, budget = level(m), _Budget(m)
+            lev, budget = level(m, self.atlas), _Budget(m)
             g, images = _compose(lev, self._read(m, w), budget)
             subst = _substitution(images)
             inverse = _invert(g)
-            for phi in lev.phi:  # phi_w(phi_x(b_t)) = phi_x(phi_w(b_t)): x_t = d^-1 y_t d
+            for phi in (lev.phi[x] for x in lev.rhos):  # phi_w(phi_x(b_t)) = phi_x(phi_w(b_t))
                 d = _join([], _substitute(phi, g, budget) + inverse)
                 if not all(_same(d, budget.apply(subst, phi[2 * t]), budget.apply(phi, image))
                            for t, image in enumerate(images)):
@@ -386,7 +399,7 @@ def _compose(lev: _Level, syllables, budget: _Budget):
             (h, o), sign = root, 1 if exp > 0 else -1
             q, r = divmod(abs(exp), o)
             g, exp = _join(g, _power(h, -sign * q)), sign * r
-        subst = lev.phi[gen] if exp >= 0 else lev.inverse(gen)
+        subst = lev.automorphism(gen) if exp >= 0 else lev.inverse(gen)
         for _ in range(abs(exp)):
             images = [budget.apply(subst, image) for image in images]
             g = _substitute(subst, g, budget)

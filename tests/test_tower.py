@@ -9,6 +9,7 @@ import io
 import json
 import pathlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from braidkernel import (
 )
 from braidkernel import tower
 from braidkernel.atlas import RP2_MAX_STRANDS, _b_name, _rp2_alphabet
-from braidkernel.base import Undecided
+from braidkernel.base import BraidkernelError, Undecided
 from braidkernel.cli import run
 from braidkernel.commands.chain import tower_strands
 from braidkernel.presentations import GroupHom, Presentation
@@ -29,6 +30,17 @@ from braidkernel.schreier import find_witness
 from braidkernel.words import Word, free_reduce_letters, letters_to_word, word_to_letters
 
 LEVELS = range(3, RP2_MAX_STRANDS + 1)
+
+
+def atlas_level(m, n=None):
+    """Level m, read from P_n(RP2)'s relators (P_m's by default), built anew."""
+    p = pure_braid_rp2(n or m)
+    return tower._Level(m, p.relators)
+
+
+def automorphisms(lev):
+    """Every phi_x of the level, phi_B_rs composed."""
+    return tuple(lev.automorphism(x) for x in range(len(lev.phi)))
 
 
 def identity(lev):
@@ -186,19 +198,21 @@ def test_the_q8_table_is_the_enumerated_one_renumbered():
 
 @pytest.mark.parametrize("m", LEVELS)
 def test_the_checks_hold_at_every_level(m):
-    lev, p = tower.level(m), pure_braid_rp2(m)
+    p = pure_braid_rp2(m)
+    lev = tower.level(m, p.relators)
     assert check_1(lev, p.relators) is None
     assert check_2(p.relators, m)
     assert check_3(lev, p.relators)
     # each phi_x is onto: phi_x after its Nielsen inverse is the identity
-    for x, phi in enumerate(lev.phi):
+    for x, phi in enumerate(automorphisms(lev)):
         inverse = lev.inverse(x)
         assert [tower._apply(phi, inverse[2 * t])[0] for t in range(lev.rank)] == identity(lev)
         assert [tower._apply(inverse, phi[2 * t])[0] for t in range(lev.rank)] == identity(lev)
 
 
-# sha256 of repr(level(m).phi): the substitutions each level's automorphisms are, pinned so
-# that a change in how a level is built keeps them letter for letter
+# sha256 of repr(level(m).phi), every phi_B_rs composed: the substitutions each level's
+# automorphisms are, pinned when each phi_x was written by hand from the relation families, so
+# that the level read from the relators keeps them letter for letter
 PHI_DIGESTS = {
     3: "e4000d24584def4df8addf86a471cd3c1aeb93636b1a796b4892e11bdb771d4b",
     4: "a9f6463f36a564498ba16b30cacbea2245b0db09037de283b62cc522d7280c57",
@@ -215,8 +229,10 @@ PHI_DIGESTS = {
 
 @pytest.mark.parametrize("m", LEVELS)
 def test_every_level_keeps_its_automorphisms(m):
-    phi = tower.level(m).phi
-    assert hashlib.sha256(repr(phi).encode()).hexdigest() == PHI_DIGESTS[m]
+    # read from P_m(RP2)'s relators, and from P_12(RP2)'s with the strands above m deleted
+    for n in (m, RP2_MAX_STRANDS):
+        phi = automorphisms(atlas_level(m, n))
+        assert hashlib.sha256(repr(phi).encode()).hexdigest() == PHI_DIGESTS[m]
 
 
 def test_the_family_a_pattern_the_atlas_leaves_out_holds():
@@ -230,33 +246,40 @@ def test_the_family_a_pattern_the_atlas_leaves_out_holds():
 
 def test_an_edited_image_fails_check_1(monkeypatch):
     # B12 sends B14 to B14 rho4 instead: no longer a homomorphism, and tau_4 stops commuting
-    lev, p = tower._Level(4), pure_braid_rp2(4)
+    lev, p = atlas_level(4), pure_braid_rp2(4)
     x = p.alphabet.index("B12")
-    phi = list(lev.phi[x])
+    phi = list(lev.automorphism(x))
     phi[0], phi[1] = phi[0] + (4,), (5,) + phi[1]
-    lev.phi = (*lev.phi[:x], tuple(phi), *lev.phi[x + 1:])
+    lev.phi[x] = tuple(phi)
     assert check_1(lev, p.relators) is not None
     assert tower.Tower(4).central(tau_n(4))
-    monkeypatch.setattr(tower, "level", {3: tower.level(3), 4: lev}.get)
+    monkeypatch.setitem(tower._LEVELS, 4, lev)
     assert not tower.Tower(4).central(tau_n(4))
 
 
 @pytest.mark.parametrize("relation,failing", [
     ("rho1 rho2 rho1^-1 = rho2^-1 B12^-1 rho2^2", "check 2"),  # family (b) below strand 4
-    ("rho4^2 = B14 B24 B34", "check 3"),  # family (c) at i = 4
-    ("rho2 B14 rho2^-1 = rho4^-1 B24^-1 rho4 B24^-1 B14 B24 rho4^-1 B24 rho4", "check 3"),
-    ("rho3 rho4 rho3^-1 = rho4^-1 B34^-1 rho4^2", "check 3"),  # family (b) at j = 4
+    ("rho4^2 = B14 B24 B34", "(rho4, B34)"),  # family (c) at i = 4
+    ("rho2 B14 rho2^-1 = rho4^-1 B24^-1 rho4 B24^-1 B14 B24 rho4^-1 B24 rho4", "(rho2, B14)"),
+    ("rho3 rho4 rho3^-1 = rho4^-1 B34^-1 rho4^2", "(rho3, rho4)"),  # family (b) at j = 4
 ], ids=["b-below", "c-top", "d-top", "b-top"])
 def test_a_dropped_relator_fails_a_check(relation, failing):
+    # a relator the level reads refuses the level when it is built, naming the pair it reads
+    # off; one below strand 4 fails check 2, and the reader's relations all stay relators
     p = pure_braid_rp2(4)
     lhs, rhs = (p.word(side) for side in relation.split(" = "))
     drop = canonical(cyclic_letters(list(word_to_letters(lhs * rhs.inverse()))))
     kept = tuple(r for r in p.relators if canonical(list(word_to_letters(r))) != drop)
     assert len(kept) == len(p.relators) - 1
-    lev = tower.level(4)
+    if failing != "check 2":
+        with pytest.raises(BraidkernelError, match=re.escape(f"level 4 reads no relator for "
+                                                             f"{failing}") + "$"):
+            tower._Level(4, kept)
+        assert not check_3(atlas_level(4), kept)
+        return
+    lev = tower._Level(4, kept)
     assert check_1(lev, kept) is None  # fewer relators to kill
-    assert {"check 2": check_2(kept, 4), "check 3": check_3(lev, kept)} == {
-        "check 2": failing != "check 2", "check 3": failing != "check 3"}
+    assert not check_2(kept, 4) and check_3(lev, kept)
 
 
 def random_word(rng, p, length):
@@ -329,6 +352,65 @@ def test_the_rho4_reach_gained_and_lost():
                       ("equal", "undecided"): 15}
 
 
+def reference_central(oracle, w):
+    """``Tower.central`` as it was before it tested the rho's alone: at every level, phi_w
+    against phi_x for each generator x of P_m, every phi_B_rs composed.  Kept as the reference
+    the one that tests the rho's is checked against."""
+    w = oracle._check(w)
+
+    def commutes(m):
+        if m == 2:  # w x and x w carry 1 to the same unit
+            unit = oracle._unit(w)
+            return all(column[unit] == oracle._unit(w, column[1]) for column in COLUMNS[::2])
+        lev, budget = tower.level(m, oracle.atlas), tower._Budget(m)
+        g, images = tower._compose(lev, oracle._read(m, w), budget)
+        subst, inverse = tower._substitution(images), tower._invert(g)
+        for phi in automorphisms(lev):
+            d = tower._join([], tower._substitute(phi, g, budget) + inverse)
+            if not all(tower._same(d, budget.apply(subst, phi[2 * t]), budget.apply(phi, image))
+                       for t, image in enumerate(images)):
+                return False
+        return True
+
+    return oracle._levels(commutes)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_central_answers_as_the_all_generator_reference(n):
+    # seeded words: conjugates of tau_n, words with a relator inserted, and random words
+    p, rng = pure_braid_rp2(n), random.Random(100 + n)
+    oracle, tau = tower.Tower(n), tau_n(n)
+    words = [tau, tau.inverse(), tau * tau]
+    for _ in range(4):
+        c = random_word(rng, p, rng.randint(1, 3))
+        words.append(insert_relator(rng, p, c * tau * c.inverse()))
+        words.append(insert_relator(rng, p, random_word(rng, p, rng.randint(1, 5))))
+        words.append(random_word(rng, p, rng.randint(1, 4)))
+    answers = [oracle.central(w) for w in words]
+    assert answers == [reference_central(oracle, w) for w in words]
+    assert all(answers[i] for i in (0, 1, 2, 3, 6, 9, 12))  # the powers and conjugates of tau
+    assert not all(answers)
+
+
+def test_central_tests_no_b_rs_automorphism(monkeypatch):
+    # central tests phi_w against the rho's alone: tau_8 written over the rho's by family (b)
+    # is proved central with the composition of phi_B_rs made to raise
+    p = pure_braid_rp2(8)
+    over_rho = Word.identity(p.alphabet)
+    for gen, exp in tau_n(8).syllables:
+        r, s = (int(k) for k in p.alphabet[gen][1:])
+        over_rho = over_rho * braidkernel.b_ij_as_rho(8, r, s) ** exp
+
+    def composed(lev, x):
+        if x in lev._pairs:
+            raise AssertionError(f"phi_B_rs composed at level {lev.m}")
+        return lev.phi[x]
+
+    monkeypatch.setattr(tower._Level, "automorphism", composed)
+    monkeypatch.setattr(tower, "_LEVELS", {})
+    assert tower.Tower(8).central(over_rho)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_no_witness_separates_what_the_tower_calls_equal(n):
     p, rng = pure_braid_rp2(n), random.Random(n)
@@ -392,14 +474,14 @@ def test_forgetting_maps_into_p4_and_up_verify(capsys, monkeypatch, tmp_path, n,
 
 
 def test_the_gate_admits_the_atlas_groups_and_their_quotients():
-    # tower.Tower's arguments: the strands, the relators past the atlas ones, the alphabet
+    # tower.Tower's arguments: the strands, the atlas relators and those past them
     for n in LEVELS:
         p = pure_braid_rp2(n)
-        assert tower_strands(p) == (n, (), p.alphabet)
+        assert tower_strands(p) == (n, p.relators, ())
     p4 = pure_braid_rp2(4)
     assert tower_strands(pure_braid_rp2(2)) is None  # Q8: the tower's base, no level above it
-    assert tower_strands(quotient(p4, [p4.word("rho1^6")])) == (4, (p4.word("rho1^6"),),
-                                                                p4.alphabet)
+    assert tower_strands(quotient(p4, [p4.word("rho1^6")])) == (4, p4.relators,
+                                                                (p4.word("rho1^6"),))
     # the atlas relators must come first, all of them, in order
     assert tower_strands(Presentation(p4.name, p4.alphabet, p4.relators[1:])) is None
     rotated = p4.relators[1:] + p4.relators[:1]
